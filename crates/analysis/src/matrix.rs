@@ -3,13 +3,11 @@
 //! The primary entry points are [`trace_matrix`] / [`try_trace_matrix`],
 //! which accept any [`NormalizedTrace`] — the canonical output of every
 //! `wl_trace::TraceSource` adapter — so SWF logs, GWF grid traces, and
-//! bucketed web access logs all feed the same Table 1 machinery. The
-//! `workload_*` names are kept as thin aliases for existing call sites
-//! (`wl_swf::Workload` *is* `NormalizedTrace`).
+//! bucketed web access logs all feed the same Table 1 machinery.
 
 use coplot::{CoplotError, DataMatrix};
 use wl_trace::{NormalizedTrace, TraceStats, Variable};
-use wl_swf::{Workload, WorkloadStats};
+use wl_swf::WorkloadStats;
 
 /// Build an observations-by-variables matrix from normalized traces and
 /// Table 1 variable codes ("Rm", "Pi", ...), applying the paper's
@@ -36,29 +34,6 @@ pub fn try_trace_matrix(
         .map(|w| TraceStats::compute(w).with_load_imputation())
         .collect();
     try_stats_matrix(&stats, codes)
-}
-
-/// Deprecated spelling of [`trace_matrix`] (SWF-era name); the types are
-/// identical, only the name is narrower than what the function accepts.
-///
-/// # Panics
-/// Panics on an unknown variable code; use [`try_workload_matrix`] to get
-/// a [`CoplotError`] instead.
-#[deprecated(note = "use trace_matrix: Workload is an alias of NormalizedTrace")]
-pub fn workload_matrix(workloads: &[Workload], codes: &[&str]) -> DataMatrix {
-    trace_matrix(workloads, codes)
-}
-
-/// Deprecated spelling of [`try_trace_matrix`] (SWF-era name).
-///
-/// # Errors
-/// [`CoplotError::InvalidConfig`] on an unknown variable code.
-#[deprecated(note = "use try_trace_matrix: Workload is an alias of NormalizedTrace")]
-pub fn try_workload_matrix(
-    workloads: &[Workload],
-    codes: &[&str],
-) -> Result<DataMatrix, CoplotError> {
-    try_trace_matrix(workloads, codes)
 }
 
 /// Build a matrix from precomputed statistics.
@@ -133,29 +108,5 @@ mod tests {
         let ws = [MachineId::Ctc.generate(100, 1)];
         let err = try_trace_matrix(&ws, &["nope"]).unwrap_err();
         assert!(matches!(err, CoplotError::InvalidConfig(_)), "{err}");
-    }
-
-    /// Compat: the deprecated SWF-era spellings stay bit-identical to the
-    /// canonical names until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_canonical_names() {
-        let ws = [
-            MachineId::Ctc.generate(200, 1),
-            MachineId::Nasa.generate(200, 1),
-        ];
-        let codes = ["Rm", "Im"];
-        let old = workload_matrix(&ws, &codes);
-        let new = trace_matrix(&ws, &codes);
-        assert_eq!(old.observations(), new.observations());
-        for i in 0..old.n_observations() {
-            for v in 0..old.n_variables() {
-                assert_eq!(
-                    old.get(i, v).map(f64::to_bits),
-                    new.get(i, v).map(f64::to_bits)
-                );
-            }
-        }
-        assert!(try_workload_matrix(&ws, &["nope"]).is_err());
     }
 }

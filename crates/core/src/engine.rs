@@ -23,9 +23,7 @@
 //! variable-elimination workflow. The engine takes `&self`: the cache sits
 //! behind an `RwLock` and the stage reports behind a `Mutex`, so one engine
 //! can serve many concurrent selections (this is what the parallel subset
-//! search and the `wl-serve` workers rely on). The pre-redesign entry
-//! points (`analyze`, `analyze_selected`, `analyze_selected_shared`,
-//! `analyze_with_elimination`) remain as thin deprecated wrappers.
+//! search and the `wl-serve` workers rely on).
 //!
 //! Every reported run records a [`StageReport`] per stage — wall time,
 //! iteration counts, the per-restart MDS thetas, and whether the stage was
@@ -614,47 +612,6 @@ impl CoplotEngine {
         }
     }
 
-    /// Run all four stages on a data matrix.
-    #[deprecated(note = "use CoplotEngine::run(data, &Selection::All)")]
-    pub fn analyze(&mut self, data: &DataMatrix) -> Result<CoplotResult, CoplotError> {
-        self.run(data, &Selection::All)
-    }
-
-    /// Run the stages on a subset of variables, given by ascending indices
-    /// into the normalized matrix's variables.
-    #[deprecated(note = "use CoplotEngine::run(data, &Selection::Subset(keep))")]
-    pub fn analyze_selected(
-        &mut self,
-        data: &DataMatrix,
-        keep: &[usize],
-    ) -> Result<CoplotResult, CoplotError> {
-        self.run(data, &Selection::Subset(keep.to_vec()))
-    }
-
-    /// Cache-only immutable selection (see [`Selection::SubsetShared`]).
-    #[deprecated(note = "use CoplotEngine::run(data, &Selection::SubsetShared(keep))")]
-    pub fn analyze_selected_shared(
-        &self,
-        data: &DataMatrix,
-        keep: &[usize],
-    ) -> Result<CoplotResult, CoplotError> {
-        self.run(data, &Selection::SubsetShared(keep.to_vec()))
-    }
-
-    /// The paper's variable-elimination workflow; returns the final result
-    /// plus the names of removed variables, in removal order.
-    #[deprecated(note = "use CoplotEngine::run(data, &Selection::Eliminate { .. }); \
-                         removal order is in CoplotResult::removed")]
-    pub fn analyze_with_elimination(
-        &mut self,
-        data: &DataMatrix,
-        min_correlation: f64,
-    ) -> Result<(CoplotResult, Vec<String>), CoplotError> {
-        let result = self.run(data, &Selection::Eliminate { min_correlation })?;
-        let removed = result.removed.clone();
-        Ok((result, removed))
-    }
-
     /// Per-stage instrumentation of the last reported `run` (selections
     /// `All`, `Subset`, `Eliminate`), in execution order. Elimination runs
     /// append one group of four reports per round. `SubsetShared` runs
@@ -1220,20 +1177,6 @@ mod tests {
         assert_eq!(facade.coords.as_slice(), direct.coords.as_slice());
         assert_eq!(facade.alienation.to_bits(), direct.alienation.to_bits());
         assert_eq!(facade.arrows, direct.arrows);
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_run() {
-        let data = structured_data();
-        let engine = CoplotEngine::builder().seed(11).build();
-        let via_run = engine.run(&data, &Selection::All).unwrap();
-        let mut engine = CoplotEngine::builder().seed(11).build();
-        #[allow(deprecated)]
-        let via_wrapper = engine.analyze(&data).unwrap();
-        assert_eq!(via_run.coords.as_slice(), via_wrapper.coords.as_slice());
-        #[allow(deprecated)]
-        let (elim, removed) = engine.analyze_with_elimination(&data, 0.0).unwrap();
-        assert_eq!(elim.removed, removed);
     }
 
     #[test]

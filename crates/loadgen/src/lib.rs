@@ -335,7 +335,7 @@ fn sender_loop(
         let mut result = client.call("POST", &opts.path, Some(&body));
         if result.is_err() {
             // A server that closed the keep-alive socket between calls
-            // (every threaded-model response is `Connection: close`)
+            // (idle eviction, a drain, a `Connection: close` reply)
             // surfaces here; reconnect and resend once before calling it
             // a transport failure. Analysis requests are pure, so the
             // resend is safe, and the measured latency honestly includes

@@ -1,9 +1,9 @@
 //! `wl-serve` — the Co-plot analysis service.
 //!
 //! ```text
-//! wl-serve [--addr HOST:PORT] [--conn-model event|threaded] [--workers N]
-//!          [--queue N] [--cache N] [--deadline-ms N] [--idle-timeout-ms N]
-//!          [--batch-max N] [--stdin-shutdown]
+//! wl-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
+//!          [--deadline-ms N] [--idle-timeout-ms N] [--batch-max N]
+//!          [--stdin-shutdown]
 //!          [--threads N] [--trace text|json] [--metrics-out PATH]
 //! ```
 //!
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use wl_serve::dist::CoordinatorConfig;
-use wl_serve::server::{start, ConnModel, ServerConfig};
+use wl_serve::server::{start, ServerConfig};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,8 +58,8 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--addr" | "--workers" | "--queue" | "--cache" | "--deadline-ms"
-            | "--conn-model" | "--idle-timeout-ms" | "--batch-max" | "--worker"
-            | "--probe-interval-ms" | "--register" => {}
+            | "--idle-timeout-ms" | "--batch-max" | "--worker" | "--probe-interval-ms"
+            | "--register" => {}
             other => return fail(&format!("unknown flag {other:?}\n{USAGE}")),
         }
         let Some(value) = args.get(i + 1) else {
@@ -88,10 +88,6 @@ fn main() -> ExitCode {
             "--deadline-ms" => match value.parse() {
                 Ok(n) if n > 0 => config.default_deadline_ms = Some(n),
                 _ => return fail("--deadline-ms needs a positive integer"),
-            },
-            "--conn-model" => match ConnModel::from_name(value) {
-                Some(m) => config.conn_model = m,
-                None => return fail("--conn-model must be `event` or `threaded`"),
             },
             "--idle-timeout-ms" => match value.parse() {
                 Ok(n) if n > 0 => config.idle_timeout_ms = n,
@@ -163,24 +159,21 @@ fn fail(msg: &str) -> ExitCode {
 const USAGE: &str = "wl-serve — Co-plot analysis service
 
 USAGE:
-  wl-serve [--addr HOST:PORT] [--conn-model event|threaded] [--workers N]
-           [--queue N] [--cache N] [--deadline-ms N] [--idle-timeout-ms N]
-           [--batch-max N] [--stdin-shutdown]
+  wl-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
+           [--deadline-ms N] [--idle-timeout-ms N] [--batch-max N]
+           [--stdin-shutdown]
            [--coordinator] [--worker HOST:PORT]... [--probe-interval-ms N]
            [--register HOST:PORT]
            [--threads N] [--trace text|json] [--metrics-out PATH]
 
   --addr HOST:PORT   bind address (default 127.0.0.1:1999; port 0 = ephemeral)
-  --conn-model M     `event` (default): one poll(2) reactor multiplexes all
-                     connections, workers batch same-dataset requests;
-                     `threaded`: one blocking worker per connection
   --workers N        request worker threads (default 2)
   --queue N          admission queue capacity; full queue answers 503 (default 32)
   --cache N          result-cache entries, 0 disables (default 128)
   --deadline-ms N    default per-request deadline when the request has none
-  --idle-timeout-ms N  event model: evict idle connections (mid-request
-                     idlers get 408) after this long (default 10000)
-  --batch-max N      event model: most requests coalesced per batch (default 8)
+  --idle-timeout-ms N  evict idle connections (mid-request idlers get 408)
+                     after this long (default 10000)
+  --batch-max N      most same-dataset requests coalesced per batch (default 8)
   --stdin-shutdown   drain gracefully when a byte arrives on stdin
   --coordinator      run as a fleet coordinator: analyses are sharded across
                      registered workers (results byte-identical to one node)

@@ -50,7 +50,8 @@ struct WorkerEntry {
 }
 
 /// The worker registry plus dispatch bookkeeping. Created once per
-/// coordinator server; both connection models share it behind an `Arc`.
+/// coordinator server; the reactor and its workers share it behind an
+/// `Arc`.
 pub struct Coordinator {
     workers: Mutex<Vec<WorkerEntry>>,
     /// Per-shard wire timeout.

@@ -1,5 +1,5 @@
-//! The event-driven connection model: one reactor thread drives every
-//! socket non-blocking through `poll(2)` ([`wl_par::poll`]), a worker pool
+//! The server's connection layer: one reactor thread drives every socket
+//! non-blocking through `poll(2)` ([`wl_par::poll`]), a worker pool
 //! executes fully-parsed requests, and requests sharing a dataset digest
 //! coalesce into batches (see [`crate::batch`]).
 //!
@@ -23,9 +23,8 @@
 //! bytes wait in the buffer — responses stay in request order by
 //! construction). Idle connections are evicted on a deadline: mid-request
 //! idlers (slowloris) get a typed 408, idle keep-alive connections close
-//! silently. Admission is bounded by the same `queue_capacity` knob as the
-//! threaded model; a full queue answers 503 + `Retry-After` inline without
-//! dropping the connection.
+//! silently. Admission is bounded by `queue_capacity`; a full queue
+//! answers 503 + `Retry-After` inline without dropping the connection.
 //!
 //! Drain: stop accepting, drop idle connections, answer any further
 //! parsed requests 503 `draining`, let dispatched work finish and flush,
@@ -97,14 +96,15 @@ pub(crate) struct EventShared {
     coordinator: Option<Arc<Coordinator>>,
 }
 
-/// A cloneable drain trigger for the event model.
+/// A cloneable drain trigger (for signal/stdin watchers).
 #[derive(Clone)]
-pub(crate) struct EventDrainer {
+pub struct Drainer {
     shared: Arc<EventShared>,
 }
 
-impl EventDrainer {
-    pub(crate) fn initiate(&self) {
+impl Drainer {
+    /// Begin draining: stop accepting, let in-flight work finish.
+    pub fn initiate(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
         self.shared.waker.wake();
@@ -119,8 +119,8 @@ pub(crate) struct EventHandle {
 }
 
 impl EventHandle {
-    pub(crate) fn drainer(&self) -> EventDrainer {
-        EventDrainer {
+    pub(crate) fn drainer(&self) -> Drainer {
+        Drainer {
             shared: Arc::clone(&self.shared),
         }
     }
@@ -465,7 +465,6 @@ fn dispatch_buffered(
                 conn.push_response(&response, false);
                 return Ok(Fate::Alive); // flushed, then closed, by the caller
             }
-            Err(HttpError::Io(_)) => return Err(Fate::Dead), // unreachable: try_parse does no I/O
         };
         conn.buf.drain(..consumed);
         let started = Instant::now();
@@ -646,7 +645,7 @@ fn worker_loop(shared: &Arc<EventShared>) {
             let response = match &job.kind {
                 JobKind::Analysis(prepared) => match shared.coordinator.as_deref() {
                     Some(c) => execute_via_fleet(c, prepared, &shared.config, &shared.cache),
-                    None => execute_prepared(prepared, &shared.config, &shared.cache, Some(&memo)),
+                    None => execute_prepared(prepared, &shared.config, &shared.cache, &memo),
                 },
                 JobKind::Stream(request) => stream_response(request, shared.config.threads),
                 JobKind::Shard(prepared) => {

@@ -1,13 +1,10 @@
 //! A deliberately small HTTP/1.1 subset: enough for a JSON analysis
 //! service and its tests, with hard limits instead of configurability.
 //!
-//! Supported: `Content-Length` bodies, CRLF line endings, and — through
-//! [`try_parse`] — incremental parsing for the event-driven connection
-//! layer, which multiplexes keep-alive connections and pipelined
-//! requests. The blocking [`read_request`] path (one request per
-//! connection, `Connection: close` on every response) is a thin loop over
-//! the same parser, so both server models accept exactly the same
-//! grammar. Not supported (rejected, never misparsed): chunked transfer
+//! Supported: `Content-Length` bodies, CRLF line endings, keep-alive and
+//! pipelined requests. [`try_parse`] is the one request grammar: the
+//! server's reactor runs it incrementally over each connection's receive
+//! buffer. Not supported (rejected, never misparsed): chunked transfer
 //! encoding, multiline headers, requests larger than the fixed caps.
 
 use std::io::{self, Read, Write};
@@ -54,20 +51,17 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
     /// Syntactically invalid or over a size cap — answer 400 and close.
     Malformed(String),
-    /// The socket failed or closed mid-request.
-    Io(io::Error),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
@@ -96,13 +90,11 @@ pub enum ParseStatus {
 
 /// Try to parse one request from the front of `buf` without blocking.
 ///
-/// This is the single grammar both server models speak: the event loop
-/// calls it directly on each connection's receive buffer (pipelining works
-/// because `consumed` marks where the next request starts), and
-/// [`read_request`] wraps it in a blocking read loop. Size caps are
-/// enforced *incrementally* — an over-long head or an announced over-cap
-/// body fails as soon as it is detectable, not after the client finishes
-/// sending.
+/// The reactor calls it on each connection's receive buffer as bytes
+/// arrive; pipelining works because `consumed` marks where the next
+/// request starts. Size caps are enforced *incrementally* — an over-long
+/// head or an announced over-cap body fails as soon as it is detectable,
+/// not after the client finishes sending.
 ///
 /// # Errors
 /// [`HttpError::Malformed`] for syntax errors and cap violations.
@@ -179,33 +171,6 @@ pub fn try_parse(buf: &[u8]) -> Result<ParseStatus, HttpError> {
     })
 }
 
-/// Read one request, blocking. `Ok(None)` means the peer closed before
-/// sending anything (a clean no-op, e.g. a port probe). Bytes past the
-/// request's own length are discarded — this path serves the
-/// one-request-per-connection model, which does not pipeline.
-pub fn read_request(stream: &mut dyn Read) -> Result<Option<Request>, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        match try_parse(&buf)? {
-            ParseStatus::Complete { request, .. } => return Ok(Some(request)),
-            ParseStatus::Incomplete => {}
-        }
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            return Err(if find_head_end(&buf).is_none() {
-                malformed("connection closed mid-head")
-            } else {
-                malformed("connection closed mid-body")
-            });
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -269,12 +234,6 @@ impl Response {
         let mut out = head.into_bytes();
         out.extend_from_slice(self.body.as_bytes());
         out
-    }
-
-    /// Serialize onto `w` (always `Connection: close`).
-    pub fn write_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(&self.to_bytes(false))?;
-        w.flush()
     }
 }
 
@@ -458,18 +417,18 @@ fn parse_client_response(raw: &[u8]) -> Result<ClientResponse, String> {
 mod tests {
     use super::*;
 
-    fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        let mut cursor = bytes;
-        read_request(&mut cursor)
+    /// One complete request, or its parse error.
+    fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
+        match try_parse(bytes)? {
+            ParseStatus::Complete { request, .. } => Ok(request),
+            ParseStatus::Incomplete => panic!("request should be complete"),
+        }
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse(
-            b"POST /v1/coplot HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .unwrap()
-        .unwrap();
+        let req =
+            parse(b"POST /v1/coplot HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/v1/coplot");
         assert_eq!(req.header("host"), Some("x"));
@@ -478,16 +437,9 @@ mod tests {
 
     #[test]
     fn header_names_are_case_insensitive() {
-        let req = parse(b"GET /healthz HTTP/1.1\r\nX-Thing: Value\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse(b"GET /healthz HTTP/1.1\r\nX-Thing: Value\r\n\r\n").unwrap();
         assert_eq!(req.header("x-thing"), Some("Value"));
         assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn clean_eof_is_none() {
-        assert!(parse(b"").unwrap().is_none());
     }
 
     #[test]
@@ -498,7 +450,6 @@ mod tests {
             b"GET /healthz HTTP/1.1\r\nbroken header line\r\n\r\n",
             b"POST /x HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
             b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nhalf a request",
         ] {
             assert!(
                 matches!(parse(bad), Err(HttpError::Malformed(_))),
@@ -522,12 +473,10 @@ mod tests {
 
     #[test]
     fn response_serializes_with_connection_close() {
-        let mut out = Vec::new();
-        Response::json(503, "{}")
+        let bytes = Response::json(503, "{}")
             .with_header("retry-after", "1")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+            .to_bytes(false);
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("connection: close\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));
@@ -568,12 +517,7 @@ mod tests {
 
     #[test]
     fn keep_alive_negotiation_follows_http_defaults() {
-        let keep = |bytes: &[u8]| {
-            let ParseStatus::Complete { request, .. } = try_parse(bytes).unwrap() else {
-                panic!("request should parse");
-            };
-            request.wants_keep_alive()
-        };
+        let keep = |bytes: &[u8]| parse(bytes).unwrap().wants_keep_alive();
         assert!(keep(b"GET / HTTP/1.1\r\n\r\n"), "1.1 defaults to keep-alive");
         assert!(!keep(b"GET / HTTP/1.0\r\n\r\n"), "1.0 defaults to close");
         assert!(!keep(b"GET / HTTP/1.1\r\nconnection: close\r\n\r\n"));
@@ -621,9 +565,8 @@ mod tests {
 
     #[test]
     fn client_parses_its_own_format() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}").write_to(&mut out).unwrap();
-        let (status, headers, body) = parse_client_response(&out).unwrap();
+        let bytes = Response::json(200, "{\"ok\":true}").to_bytes(false);
+        let (status, headers, body) = parse_client_response(&bytes).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"ok\":true}");
         assert!(headers.iter().any(|(n, v)| n == "content-type" && v == "application/json"));

@@ -30,8 +30,9 @@
 //! The layers, bottom up: [`exec`] executes one request (shared with the
 //! CLI — byte parity by construction), [`datasets`] names and digests the
 //! data, [`cache`] memoizes responses content-addressed by
-//! `(dataset digest, canonical request digest)`, [`server`] wraps it
-//! all in bounded admission (full queue → 503 + `Retry-After`),
+//! `(dataset digest, canonical request digest)`, [`server`] and its
+//! `poll(2)` reactor ([`event`]) wrap it all in bounded admission (full
+//! queue → 503 + `Retry-After`),
 //! per-request deadlines (aborted between engine stages → 504), and a
 //! graceful drain that lets in-flight requests finish, and [`dist`]
 //! scales the whole thing out: `wl-serve --coordinator` shards analyses
@@ -53,5 +54,5 @@ pub use cache::ResultCache;
 pub use datasets::NamedDataset;
 pub use dist::{Coordinator, CoordinatorConfig};
 pub use exec::{execute, execute_shard, execute_with_memo, ExecConfig, ExecError, ExecOutcome};
-pub use server::{start, ConnModel, Drainer, ServerConfig, ServerHandle};
+pub use server::{start, Drainer, ServerConfig, ServerHandle};
 pub use stream::{event_json, parse_stream_request, run_stream_text, StreamOptions};

@@ -1,18 +1,14 @@
-//! The `wl-serve` server loop: bounded admission, worker pool, graceful
-//! drain.
+//! The `wl-serve` server: its public handle and configuration, plus the
+//! request logic its connection layer runs — the route table
+//! (`classify`), request preparation and execution (`prepare_analysis` /
+//! `execute_prepared`), typed error bodies, and per-endpoint metrics. The
+//! connection layer itself — one `poll(2)` reactor thread plus a worker
+//! pool, with bounded admission (a full queue answers 503 +
+//! `Retry-After`) and request batching — lives in [`crate::event`].
 //!
-//! Architecture: one accept thread pushes connections onto a bounded
-//! queue; `workers` request threads pop and handle them, each running
-//! analyses through [`crate::exec::execute`] on `threads` engine workers.
-//! When the queue is full the accept thread answers 503 + `Retry-After`
-//! from a short-lived rejecter thread — overload never consumes worker
-//! time, and the driving client gets an explicit backpressure signal
-//! instead of a hung socket.
-//!
-//! Graceful drain: `POST /v1/shutdown` (or
-//! [`ServerHandle::initiate_drain`]) stops the accept loop; workers keep
-//! popping until the queue is empty, finish their in-flight requests, and
-//! exit. [`ServerHandle::join`] returns once everything is drained.
+//! Graceful drain: `POST /v1/shutdown` (or [`ServerHandle::initiate_drain`])
+//! stops accepting; admitted requests finish and flush, and
+//! [`ServerHandle::join`] returns once everything is drained.
 //!
 //! Instrumentation (all behind the `wl-obs` registry, scraped at
 //! `GET /metrics` as the same JSON-lines format `trace-check` validates):
@@ -20,46 +16,20 @@
 //! counters (`serve.http.*`), cache counters (`serve.cache.*`), and the
 //! `serve.queue.depth` / `serve.inflight` gauges.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use coplot::{AnalysisRequest, Envelope, EnvelopePayload, ErrorBody, Operation};
 
+use crate::batch::{BatchKey, BatchMemo};
 use crate::cache::ResultCache;
 use crate::datasets;
-use crate::dist::{self, Coordinator, CoordinatorConfig};
+use crate::dist::{Coordinator, CoordinatorConfig};
+use crate::event::EventHandle;
 use crate::exec::{self, ExecConfig, ExecError};
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{Request, Response};
 
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnModel {
-    /// One worker thread per admitted connection, blocking I/O — the
-    /// original model. A slow client occupies a worker for its whole
-    /// request; concurrency is capped at `workers`.
-    Threaded,
-    /// One reactor thread drives every socket non-blocking through
-    /// `poll(2)` ([`wl_par::poll`]); workers only ever see fully-parsed
-    /// requests and batch the ones sharing a dataset digest (see
-    /// [`crate::batch`]). Keep-alive, pipelining, idle eviction and
-    /// slow clients cost a connection-table slot, not a thread.
-    Event,
-}
-
-impl ConnModel {
-    /// Parse a `--conn-model` flag value.
-    pub fn from_name(name: &str) -> Option<ConnModel> {
-        match name {
-            "threaded" => Some(ConnModel::Threaded),
-            "event" => Some(ConnModel::Event),
-            _ => None,
-        }
-    }
-}
+pub use crate::event::Drainer;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -76,12 +46,10 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
-    /// Connection model (default [`ConnModel::Event`]).
-    pub conn_model: ConnModel,
-    /// Event model: evict connections idle this long. Mid-request idlers
-    /// (slowloris) get a 408; idle keep-alive connections close silently.
+    /// Evict connections idle this long. Mid-request idlers (slowloris)
+    /// get a 408; idle keep-alive connections close silently.
     pub idle_timeout_ms: u64,
-    /// Event model: most requests coalesced into one batch.
+    /// Most requests coalesced into one batch.
     pub batch_max: usize,
     /// Run as a fleet coordinator (`wl-serve --coordinator`): analyses are
     /// sharded across the configured workers instead of executed locally,
@@ -99,7 +67,6 @@ impl Default for ServerConfig {
             cache_capacity: 128,
             threads: wl_par::default_threads(),
             default_deadline_ms: None,
-            conn_model: ConnModel::Event,
             idle_timeout_ms: 10_000,
             batch_max: 8,
             coordinator: None,
@@ -107,58 +74,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared server state.
-struct Shared {
-    config: ServerConfig,
-    queue: Mutex<std::collections::VecDeque<TcpStream>>,
-    available: Condvar,
-    draining: AtomicBool,
-    inflight: AtomicI64,
-    cache: ResultCache,
-    coordinator: Option<Arc<Coordinator>>,
-}
-
 /// A running server; dropping the handle does *not* stop it — call
 /// [`shutdown`](ServerHandle::shutdown) or [`join`](ServerHandle::join).
 pub struct ServerHandle {
     addr: SocketAddr,
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    Threaded {
-        shared: Arc<Shared>,
-        accept_thread: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Event(crate::event::EventHandle),
-}
-
-/// A cloneable drain trigger (for signal/stdin watchers).
-#[derive(Clone)]
-pub struct Drainer {
-    inner: DrainerInner,
-}
-
-#[derive(Clone)]
-enum DrainerInner {
-    Threaded(Arc<Shared>),
-    Event(crate::event::EventDrainer),
-}
-
-impl Drainer {
-    /// Begin draining: stop accepting, let in-flight work finish.
-    pub fn initiate(&self) {
-        match &self.inner {
-            DrainerInner::Threaded(shared) => initiate_drain(shared),
-            DrainerInner::Event(d) => d.initiate(),
-        }
-    }
-}
-
-fn initiate_drain(shared: &Arc<Shared>) {
-    shared.draining.store(true, Ordering::SeqCst);
-    shared.available.notify_all();
+    reactor: EventHandle,
 }
 
 impl ServerHandle {
@@ -169,14 +89,7 @@ impl ServerHandle {
 
     /// A drain trigger usable from other threads.
     pub fn drainer(&self) -> Drainer {
-        Drainer {
-            inner: match &self.inner {
-                HandleInner::Threaded { shared, .. } => {
-                    DrainerInner::Threaded(Arc::clone(shared))
-                }
-                HandleInner::Event(h) => DrainerInner::Event(h.drainer()),
-            },
-        }
+        self.reactor.drainer()
     }
 
     /// Begin draining without waiting.
@@ -184,24 +97,10 @@ impl ServerHandle {
         self.drainer().initiate();
     }
 
-    /// Wait until the server has drained (the accept loop stopped and every
-    /// admitted request finished).
+    /// Wait until the server has drained (the reactor stopped accepting
+    /// and every admitted request finished).
     pub fn join(self) {
-        match self.inner {
-            HandleInner::Threaded {
-                mut accept_thread,
-                mut workers,
-                ..
-            } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            HandleInner::Event(h) => h.join(),
-        }
+        self.reactor.join();
     }
 
     /// Initiate drain and wait for it to complete.
@@ -211,7 +110,7 @@ impl ServerHandle {
     }
 }
 
-/// Bind and start the server threads, returning immediately.
+/// Bind and start the reactor and its workers, returning immediately.
 ///
 /// Arms the `wl-obs` registry so `GET /metrics` has data to export; the
 /// numeric pipeline's guarantees are unaffected (instrumentation never
@@ -225,140 +124,8 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let coordinator = config.coordinator.as_ref().map(Coordinator::start);
-
-    if config.conn_model == ConnModel::Event {
-        let handle = crate::event::start(listener, config, coordinator)?;
-        return Ok(ServerHandle {
-            addr,
-            inner: HandleInner::Event(handle),
-        });
-    }
-
-    let shared = Arc::new(Shared {
-        cache: ResultCache::new(config.cache_capacity),
-        config,
-        queue: Mutex::new(std::collections::VecDeque::new()),
-        available: Condvar::new(),
-        draining: AtomicBool::new(false),
-        inflight: AtomicI64::new(0),
-        coordinator,
-    });
-
-    let workers = (0..shared.config.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared))
-        })
-        .collect();
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::spawn(move || accept_loop(listener, &accept_shared));
-
-    Ok(ServerHandle {
-        addr,
-        inner: HandleInner::Threaded {
-            shared,
-            accept_thread: Some(accept_thread),
-            workers,
-        },
-    })
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => admit(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Wake idle workers so they can observe the drain and exit.
-    shared.available.notify_all();
-}
-
-fn admit(stream: TcpStream, shared: &Arc<Shared>) {
-    let rejected = {
-        let mut queue = shared.queue.lock().unwrap();
-        if queue.len() >= shared.config.queue_capacity {
-            Some(stream)
-        } else {
-            queue.push_back(stream);
-            wl_obs::gauge_set!("serve.queue.depth", queue.len() as i64);
-            None
-        }
-    };
-    match rejected {
-        None => shared.available.notify_one(),
-        Some(stream) => {
-            wl_obs::counter!("serve.queue.rejected", 1);
-            // Reject off the accept thread so a slow client cannot stall
-            // admission of everyone else.
-            std::thread::spawn(move || reject_overloaded(stream));
-        }
-    }
-}
-
-fn reject_overloaded(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    // Read (and discard) the request first so the client is not mid-write
-    // when the response lands.
-    let _ = read_request(&mut stream);
-    let response = Response::json(
-        503,
-        error_body("overloaded", "admission queue full; retry shortly"),
-    )
-    .with_header("retry-after", "1");
-    let _ = response.write_to(&mut stream);
-    record_status(503);
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(s) = queue.pop_front() {
-                    wl_obs::gauge_set!("serve.queue.depth", queue.len() as i64);
-                    break Some(s);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = guard;
-            }
-        };
-        let Some(stream) = stream else { return };
-        let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        wl_obs::gauge_set!("serve.inflight", inflight);
-        handle_connection(stream, shared);
-        let inflight = shared.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        wl_obs::gauge_set!("serve.inflight", inflight);
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let started = Instant::now();
-    let (response, endpoint) = match read_request(&mut stream) {
-        Ok(None) => return, // port probe; nothing to answer
-        Ok(Some(request)) => route(&request, shared),
-        Err(HttpError::Malformed(m)) => {
-            (Response::json(400, error_body("bad-http", &m)), Endpoint::Other)
-        }
-        Err(HttpError::Io(_)) => return, // peer went away
-    };
-    record_status(response.status);
-    endpoint.record_latency(started.elapsed().as_micros() as u64);
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
+    let reactor = crate::event::start(listener, config, coordinator)?;
+    Ok(ServerHandle { addr, reactor })
 }
 
 /// Which endpoint a request hit, for the per-endpoint latency histograms.
@@ -413,10 +180,9 @@ pub(crate) fn record_status(status: u16) {
     }
 }
 
-/// Where a request goes, decided from the request line alone. Both
-/// connection models share this table; they differ only in *where* the
-/// work runs (inline on the handling thread vs. dispatched to the worker
-/// pool).
+/// Where a request goes, decided from the request line alone; the reactor
+/// answers `Inline` routes itself and dispatches the rest to the worker
+/// pool.
 pub(crate) enum Routed {
     /// Answerable immediately (health, datasets, 404/405).
     Inline(Response, Endpoint),
@@ -517,13 +283,6 @@ pub(crate) fn own_metrics_response() -> Response {
     }
 }
 
-pub(crate) fn metrics_response(coordinator: Option<&Coordinator>) -> Response {
-    match coordinator {
-        Some(c) => dist::coordinator::aggregated_metrics(c),
-        None => own_metrics_response(),
-    }
-}
-
 /// Answer a fleet control-plane request. On a non-coordinator both
 /// endpoints are a typed 404: the route exists, but this process has no
 /// worker table to serve.
@@ -568,47 +327,6 @@ pub(crate) fn fleet_response(
     }
 }
 
-fn route(request: &Request, shared: &Arc<Shared>) -> (Response, Endpoint) {
-    let coordinator = shared.coordinator.as_deref();
-    match classify(request) {
-        Routed::Inline(response, endpoint) => (response, endpoint),
-        Routed::Metrics => (metrics_response(coordinator), Endpoint::Metrics),
-        Routed::Shutdown => {
-            initiate_drain(shared);
-            (Response::text(200, "draining\n"), Endpoint::Shutdown)
-        }
-        Routed::Analysis(op, endpoint) => (
-            match prepare_analysis(request, op) {
-                Ok(prepared) => match coordinator {
-                    Some(c) => {
-                        dist::coordinator::execute_via_fleet(c, &prepared, &shared.config, &shared.cache)
-                    }
-                    None => execute_prepared(&prepared, &shared.config, &shared.cache, None),
-                },
-                Err(response) => response,
-            },
-            endpoint,
-        ),
-        Routed::Shard => (
-            match dist::worker::prepare_shard(request) {
-                Ok(prepared) => {
-                    dist::worker::execute_prepared_shard(&prepared, &shared.config, &shared.cache)
-                }
-                Err(response) => response,
-            },
-            Endpoint::Shard,
-        ),
-        Routed::Fleet(fleet_route) => (
-            fleet_response(request, fleet_route, coordinator),
-            Endpoint::Fleet,
-        ),
-        Routed::Stream => (
-            stream_response(request, shared.config.threads),
-            Endpoint::Stream,
-        ),
-    }
-}
-
 /// A validated analysis request, ready to execute: the cheap, pure part of
 /// request handling (parse, op check, canonicalize, digest) split out so
 /// the event reactor can run it inline — answering 400s without spending a
@@ -622,11 +340,11 @@ impl Prepared {
     /// How this request may batch: named datasets digest without I/O, so
     /// the digest doubles as the batch key; path datasets would need file
     /// reads to digest and stay solo.
-    pub(crate) fn batch_key(&self) -> crate::batch::BatchKey {
+    pub(crate) fn batch_key(&self) -> BatchKey {
         if !matches!(self.canonical.dataset, coplot::DatasetSpec::Named(_)) {
             // Digesting a path dataset reads files — too slow for the
             // reactor thread, and path requests rarely repeat anyway.
-            return crate::batch::BatchKey::Solo;
+            return BatchKey::Solo;
         }
         match datasets::dataset_digest(
             &self.canonical.dataset,
@@ -634,8 +352,8 @@ impl Prepared {
             self.canonical.seed,
             self.canonical.format.as_deref(),
         ) {
-            Ok(d) => crate::batch::BatchKey::Shared(d),
-            Err(_) => crate::batch::BatchKey::Solo,
+            Ok(d) => BatchKey::Shared(d),
+            Err(_) => BatchKey::Solo,
         }
     }
 }
@@ -702,14 +420,14 @@ pub(crate) fn prepare_analysis(
 }
 
 /// Execute a prepared analysis request: digest the dataset, consult the
-/// result cache, run (optionally against a batch memo), cache, respond.
-/// Never panics a worker and never answers 500 — every failure maps to a
-/// typed 4xx/5xx.
+/// result cache, run against the batch's memo, cache, respond. Never
+/// panics a worker and never answers 500 — every failure maps to a typed
+/// 4xx/5xx.
 pub(crate) fn execute_prepared(
     prepared: &Prepared,
     config: &ServerConfig,
     cache: &ResultCache,
-    memo: Option<&crate::batch::BatchMemo>,
+    memo: &BatchMemo,
 ) -> Response {
     let canonical = &prepared.canonical;
     let dataset_digest = match datasets_digest_of(canonical) {
@@ -725,7 +443,7 @@ pub(crate) fn execute_prepared(
         threads: config.threads,
         deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
     };
-    match exec::execute_with_memo(canonical, &cfg, memo) {
+    match exec::execute_with_memo(canonical, &cfg, Some(memo)) {
         Ok(outcome) => {
             let body = outcome.response.to_json();
             cache.put(key, body.clone());

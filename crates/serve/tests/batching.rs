@@ -1,7 +1,8 @@
 //! Batching correctness at the server boundary: concurrent requests
 //! sharing a dataset digest coalesce (and only those), batched responses
-//! are byte-identical to unbatched execution, and the `serve.batch.*`
-//! metrics land in a `/metrics` export that passes trace validation.
+//! are byte-identical to unbatched in-process execution
+//! ([`wl_serve::execute`]), and the `serve.batch.*` metrics land in a
+//! `/metrics` export that passes trace validation.
 //!
 //! Scenario shape: a slow solo request pins the single worker, the test
 //! enqueues a group of same-digest requests behind it, and the worker
@@ -9,8 +10,9 @@
 
 use std::time::Duration;
 
+use coplot::AnalysisRequest;
 use wl_serve::http::http_call;
-use wl_serve::{start, ConnModel, ServerConfig, ServerHandle};
+use wl_serve::{execute, start, ExecConfig, ServerConfig, ServerHandle};
 
 /// Holds the single worker (≈0.5 s release, ≈2.6 s debug) while the batch
 /// group queues behind it; its dataset digest matches nobody else's.
@@ -47,11 +49,10 @@ const OTHER_GROUP: [(&str, &str); 2] = [
     ),
 ];
 
-fn server_with(model: ConnModel, threads: usize, workers: usize) -> ServerHandle {
+fn server_with(threads: usize) -> ServerHandle {
     start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        conn_model: model,
-        workers,
+        workers: 1,
         queue_capacity: 32,
         cache_capacity: 0, // no result cache: every answer is computed
         threads,
@@ -105,23 +106,18 @@ fn spawn_posts(
 #[test]
 fn batched_responses_are_byte_identical_to_unbatched() {
     for threads in [1usize, 8] {
-        // Golden answers from the threaded model: it executes every
-        // request alone, with no memo and (cache off) no reuse at all.
-        let golden_server = server_with(ConnModel::Threaded, threads, 2);
-        let golden_addr = golden_server.addr().to_string();
-        let golden: Vec<(u16, String)> = GROUP
+        // Golden answers from in-process execution: every request alone,
+        // with no memo and no cache.
+        let golden: Vec<String> = GROUP
             .iter()
-            .map(|&(path, body)| {
-                let (status, _, body) = http_call(&golden_addr, "POST", path, Some(body)).unwrap();
-                (status, body)
+            .map(|&(_, body)| {
+                let request = AnalysisRequest::from_json(body).unwrap();
+                let outcome = execute(&request, &ExecConfig::new(threads)).unwrap();
+                outcome.response.to_json()
             })
             .collect();
-        golden_server.shutdown();
-        for (status, body) in &golden {
-            assert_eq!(*status, 200, "golden run: {body}");
-        }
 
-        let server = server_with(ConnModel::Event, threads, 1);
+        let server = server_with(threads);
         let addr = server.addr().to_string();
         let formed_before = metric_field(&fetch_metrics(&addr), "serve.batch.formed", "value");
 
@@ -135,8 +131,8 @@ fn batched_responses_are_byte_identical_to_unbatched() {
             assert_eq!(h.join().unwrap().0, 200);
         }
 
-        for ((status, body), (golden_status, golden_body)) in results.iter().zip(&golden) {
-            assert_eq!(status, golden_status, "threads={threads}");
+        for ((status, body), golden_body) in results.iter().zip(&golden) {
+            assert_eq!(*status, 200, "threads={threads}: {body}");
             assert_eq!(body, golden_body, "byte-identical at threads={threads}");
         }
 
@@ -152,7 +148,7 @@ fn batched_responses_are_byte_identical_to_unbatched() {
 
 #[test]
 fn mixed_digest_requests_batch_only_within_their_group() {
-    let server = server_with(ConnModel::Event, 2, 1);
+    let server = server_with(2);
     let addr = server.addr().to_string();
     let before = fetch_metrics(&addr);
     let formed_before = metric_field(&before, "serve.batch.formed", "value");

@@ -60,6 +60,11 @@ fn saturated_queue_answers_503_while_admitted_work_completes() {
         "retry-after advertised: {headers:?}"
     );
     assert!(body.contains("overloaded"), "typed rejection: {body}");
+    let (_, _, metrics) = c.call("GET", "/metrics", None).unwrap();
+    assert!(
+        metrics.contains("serve.queue.rejected"),
+        "the rejection is counted in /metrics"
+    );
 
     // The rejection costs a response, not the connection.
     let (status, _, _) = c.call("GET", "/healthz", None).unwrap();

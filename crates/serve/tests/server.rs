@@ -1,6 +1,6 @@
 //! End-to-end tests for the `wl-serve` HTTP service: routing, typed
-//! errors (never a 500), caching, deadlines, bounded-queue saturation,
-//! and graceful drain.
+//! errors (never a 500), caching, deadlines, and graceful drain
+//! (bounded-queue saturation is in `event_load.rs`).
 //!
 //! Every server binds `127.0.0.1:0` so tests run in parallel without
 //! port conflicts. The `wl-obs` registry is process-global, so metric
@@ -11,7 +11,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use wl_serve::http::http_call;
-use wl_serve::{start, ConnModel, ServerConfig, ServerHandle};
+use wl_serve::{start, ServerConfig, ServerHandle};
 
 fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
@@ -253,81 +253,6 @@ fn metrics_are_a_valid_trace_document() {
         .any(|(k, v)| k == "content-type" && v == "application/x-ndjson"));
     let stats = wl_obs::check_trace(&body).expect("/metrics passes trace-check");
     assert!(stats.metrics > 0, "metrics document is non-empty");
-    server.shutdown();
-}
-
-/// Saturation: with one worker and a queue of one, a third concurrent
-/// request is rejected with 503 + Retry-After while the in-flight and
-/// queued requests still complete.
-///
-/// Deterministic setup: connection A sends only part of its request, so
-/// the single worker blocks reading it (in-flight but stalled under our
-/// control); B fills the queue; C must bounce. Then A's request is
-/// completed and both A and B finish normally.
-#[test]
-fn saturated_queue_rejects_with_503_while_inflight_completes() {
-    // Threaded model: this setup relies on a partial body *blocking* the
-    // single worker (the event model never blocks a worker on a socket —
-    // its saturation path is covered in tests/event_load.rs).
-    let server = test_server(|c| {
-        c.conn_model = ConnModel::Threaded;
-        c.workers = 1;
-        c.queue_capacity = 1;
-    });
-    let addr = server.addr();
-
-    // A: partial write; the worker pops it and blocks on the body.
-    let body_a = coplot_body(101);
-    let head_a = format!(
-        "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
-        body_a.len()
-    );
-    let mut conn_a = TcpStream::connect(addr).unwrap();
-    conn_a.write_all(head_a.as_bytes()).unwrap();
-    conn_a.flush().unwrap();
-    // Give the worker time to pop A off the queue.
-    std::thread::sleep(Duration::from_millis(300));
-
-    // B: complete request; sits in the queue behind A.
-    let body_b = coplot_body(102);
-    let mut conn_b = TcpStream::connect(addr).unwrap();
-    conn_b
-        .write_all(
-            format!(
-                "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{}",
-                body_b.len(),
-                body_b
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    // Give the accept loop time to queue B.
-    std::thread::sleep(Duration::from_millis(300));
-
-    // C: the queue is full; expect an immediate 503 with Retry-After.
-    let (status, headers, resp) = post(addr, "/v1/coplot", &coplot_body(103));
-    assert_eq!(status, 503, "{resp}");
-    assert_eq!(error_kind(&resp), "overloaded");
-    assert!(
-        headers.iter().any(|(k, v)| k == "retry-after" && v == "1"),
-        "503 carries retry-after: {headers:?}"
-    );
-
-    // Complete A; both in-flight (A) and queued (B) requests finish.
-    conn_a.write_all(body_a.as_bytes()).unwrap();
-    conn_a.flush().unwrap();
-    let mut raw_a = Vec::new();
-    conn_a.read_to_end(&mut raw_a).unwrap();
-    let raw_a = String::from_utf8_lossy(&raw_a);
-    assert!(raw_a.starts_with("HTTP/1.1 200"), "A completes: {raw_a}");
-
-    let mut raw_b = Vec::new();
-    conn_b.read_to_end(&mut raw_b).unwrap();
-    let raw_b = String::from_utf8_lossy(&raw_b);
-    assert!(raw_b.starts_with("HTTP/1.1 200"), "B completes: {raw_b}");
-
-    let (_, _, metrics) = get(addr, "/metrics");
-    assert!(metrics.contains("serve.queue.rejected"));
     server.shutdown();
 }
 

@@ -15,6 +15,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run
 
+# perfbench is a Cargo workspace of its own, so the --workspace steps above
+# never compile it; build and unit-test it here so an API change that
+# breaks the benchmark fails CI.
+echo "== perfbench build + unit tests =="
+CARGO_TARGET_DIR=target cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== table3 smoke run (--threads 8) =="
 ./target/release/table3 --jobs 512 --threads 8 > /dev/null
 
@@ -35,7 +41,7 @@ hits=$(echo "$subset_trace" \
 test -n "$hits" && test "$hits" -gt 0 \
   || { echo "incremental subset scoring recorded no cache hits"; exit 1; }
 
-echo "== protocol conformance (event connection model) =="
+echo "== protocol conformance (wl-serve connection layer) =="
 cargo test -q -p wl-serve --test conformance
 
 echo "== golden snapshots (threads 1 + 8, full canonical size) =="
