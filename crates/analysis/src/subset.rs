@@ -168,17 +168,12 @@ pub fn score_combination_range(
     Ok(results)
 }
 
-/// Rank scored subsets in place and keep the best `top`: conserve the map
-/// first (low RMSD), then high correlation. Both passes are stable sorts,
-/// so equal keys keep combination order — which is what lets a coordinator
-/// apply this to the concatenation of shard windows and reproduce a
-/// single-node ranking byte for byte.
+/// Rank scored subsets in place and keep the best `top`: one stable sort by
+/// `map_conservation_rmsd - 0.5 * mean_correlation` (conserve the map first,
+/// then reward high correlation), so equal scores keep combination order —
+/// which is what lets a coordinator apply this to the concatenation of
+/// shard windows and reproduce a single-node ranking byte for byte.
 pub fn rank_subset_results(results: &mut Vec<SubsetSearchResult>, top: usize) {
-    results.sort_by(|a, b| {
-        (a.map_conservation_rmsd - b.mean_correlation)
-            .partial_cmp(&(b.map_conservation_rmsd - b.mean_correlation))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     results.sort_by(|a, b| {
         let score_a = a.map_conservation_rmsd - 0.5 * a.mean_correlation;
         let score_b = b.map_conservation_rmsd - 0.5 * b.mean_correlation;
@@ -285,6 +280,27 @@ mod tests {
             rank_subset_results(&mut merged, 10);
             assert_eq!(merged, reference, "partition {parts:?}");
         }
+    }
+
+    #[test]
+    fn equal_scores_keep_combination_order() {
+        let entry = |name: &str, rmsd: f64, corr: f64| SubsetSearchResult {
+            variables: vec![name.to_string()],
+            alienation: 0.0,
+            mean_correlation: corr,
+            map_conservation_rmsd: rmsd,
+        };
+        // `first` and `second` both score 0.75 - 0.25 = 0.625 - 0.125 =
+        // 0.5, in combination order but with `second` the lower rmsd;
+        // `best` scores 0.25.
+        let mut results = vec![
+            entry("first", 0.75, 0.5),
+            entry("second", 0.625, 0.25),
+            entry("best", 0.5, 0.5),
+        ];
+        rank_subset_results(&mut results, 3);
+        let names: Vec<&str> = results.iter().map(|r| r.variables[0].as_str()).collect();
+        assert_eq!(names, ["best", "first", "second"]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use wl_linalg::{double_center, jacobi_eigen, Matrix};
-use wl_stats::isotonic::isotonic_regression;
+use wl_stats::isotonic::Pava;
 use wl_stats::rng::derive_seed;
 
 /// Tuning knobs for the MDS optimizer.
@@ -410,16 +410,21 @@ fn classical_init(diss: &DissimilarityMatrix, dims: usize) -> Result<Matrix, Cop
     Ok(coords)
 }
 
+/// Ratio-matrix rows one gather step of the Guttman transform accumulates
+/// side by side, in independent chains.
+const GATHER_ROWS: usize = 4;
+
 /// Alternate monotone regression and Guttman-transform updates until the
 /// stress stops improving. Returns (final stress-1, iterations used).
 ///
-/// The loop body performs exactly the same float operations, in the same
-/// order, as the original allocate-per-iteration version — every buffer is
-/// hoisted out of the loop and refilled, never reassociated — so the
-/// refined configuration is bit-identical while the allocator disappears
-/// from the profile. The per-iteration sort is also incremental: pairs are
-/// sorted by dissimilarity once up front, and only ties (groups with equal
-/// delta) need re-ranking by the fresh distances each iteration.
+/// Every accumulator sees the same float operations, in the same order, as
+/// the textbook pair-order loop (kept as the `refine_oracle` test oracle),
+/// so the refined configuration, stress and iteration count are
+/// bit-identical to it; DESIGN §3 *Kernel model* gives the argument. No
+/// buffer is allocated inside the loop. The per-iteration sort is
+/// incremental: pairs are sorted by dissimilarity once up front, and only
+/// ties (groups with equal delta) need re-ranking by the fresh distances
+/// each iteration.
 fn refine(
     coords: &mut Matrix,
     deltas: &[f64],
@@ -460,11 +465,13 @@ fn refine(
     }
 
     let mut dists = Vec::with_capacity(p);
-    let mut sorted_d = vec![0.0; p];
     let mut disparities = vec![0.0; p];
-    let mut ratios = vec![0.0; p];
-    let mut row_ratio_sum = vec![0.0; n];
-    let mut cross = Matrix::zeros(n, dims);
+    let mut pava = Pava::default();
+    // The symmetric n x n matrix of dhat/d ratios, row-major, plus zero
+    // rows up to a whole number of gather steps. Only off-diagonal cells
+    // are ever written, so the diagonal and the padding stay +0.0.
+    let padded = n.next_multiple_of(GATHER_ROWS);
+    let mut ratio = vec![0.0; padded * n];
     let mut updated = Matrix::zeros(n, dims);
 
     for it in 0..config.max_iterations {
@@ -479,21 +486,24 @@ fn refine(
                     .then(a.cmp(&b))
             });
         }
-        for (pos, &i) in order.iter().enumerate() {
-            sorted_d[pos] = dists[i];
-        }
-        let fitted = isotonic_regression(&sorted_d, None);
-        for (pos, &i) in order.iter().enumerate() {
-            disparities[i] = fitted[pos];
+        // Monotone regression of the distances in (delta, distance) order,
+        // each pooled block written straight back to its pairs.
+        let mut pos = 0;
+        for block in pava.fit(order.iter().map(|&i| (dists[i], 1.0))) {
+            for &i in &order[pos..pos + block.count] {
+                disparities[i] = block.mean;
+            }
+            pos += block.count;
         }
 
-        // Stress-1 for convergence monitoring.
-        let num: f64 = dists
-            .iter()
-            .zip(&disparities)
-            .map(|(d, dh)| (d - dh) * (d - dh))
-            .sum();
-        let den: f64 = dists.iter().map(|d| d * d).sum();
+        // Stress-1 for convergence monitoring: both sums in one pass, each
+        // a left fold in pair order.
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (&d, &dh) in dists.iter().zip(&disparities) {
+            num += (d - dh) * (d - dh);
+            den += d * d;
+        }
         let stress = if den > 0.0 { (num / den).sqrt() } else { 0.0 };
 
         if last_stress.is_finite() && (last_stress - stress).abs() <= config.tolerance {
@@ -504,28 +514,39 @@ fn refine(
 
         // Guttman transform: X <- (1/n) B(X) X where B has off-diagonal
         // entries b_ik = -dhat_ik / d_ik and diagonal b_ii = sum_k dhat/d.
-        // The ratios are independent per pair, so compute them in one flat
-        // pass before the scatter; then accumulate sum_k ratio_ik (into
-        // `row_ratio_sum`) and sum_k ratio_ik * x_k (into `cross`), and
-        // apply per row.
-        for (r, (&d, &dh)) in ratios.iter_mut().zip(dists.iter().zip(&disparities)) {
-            *r = if d > 1e-12 { dh / d } else { 0.0 };
+        // Fill the ratio matrix once, then gather each row j's sum_k r_jk
+        // and sum_k r_jk * x_kc over ascending k from +0.0: the order in
+        // which a pair-order scatter adds them. The diagonal term adds an
+        // exact zero (DESIGN §3).
+        for (&(i, k), (&d, &dh)) in pair_idx.iter().zip(dists.iter().zip(&disparities)) {
+            let r = if d > 1e-12 { dh / d } else { 0.0 };
+            ratio[i * n + k] = r;
+            ratio[k * n + i] = r;
         }
-        row_ratio_sum.fill(0.0);
-        cross.as_mut_slice().fill(0.0);
-        for (pidx, &(i, k)) in pair_idx.iter().enumerate() {
-            let ratio = ratios[pidx];
-            row_ratio_sum[i] += ratio;
-            row_ratio_sum[k] += ratio;
-            for c in 0..dims {
-                cross[(i, c)] += ratio * coords[(k, c)];
-                cross[(k, c)] += ratio * coords[(i, c)];
-            }
-        }
-        for i in 0..n {
-            for c in 0..dims {
-                updated[(i, c)] =
-                    (row_ratio_sum[i] * coords[(i, c)] - cross[(i, c)]) / n as f64;
+        let xs = coords.as_slice();
+        let out = updated.as_mut_slice();
+        for (step, rows) in ratio.chunks_exact(GATHER_ROWS * n).enumerate() {
+            let j0 = step * GATHER_ROWS;
+            // Two coordinate columns per pass (an odd last column is
+            // gathered twice), so the planar case takes one pass.
+            for c0 in (0..dims).step_by(2) {
+                let c1 = (c0 + 1).min(dims - 1);
+                let mut row_sum = [0.0; GATHER_ROWS];
+                let mut cross0 = [0.0; GATHER_ROWS];
+                let mut cross1 = [0.0; GATHER_ROWS];
+                for (k, x) in xs.chunks_exact(dims).enumerate() {
+                    for l in 0..GATHER_ROWS {
+                        let r = rows[l * n + k];
+                        row_sum[l] += r;
+                        cross0[l] += r * x[c0];
+                        cross1[l] += r * x[c1];
+                    }
+                }
+                for l in 0..GATHER_ROWS.min(n - j0) {
+                    let j = (j0 + l) * dims;
+                    out[j + c0] = (row_sum[l] * xs[j + c0] - cross0[l]) / n as f64;
+                    out[j + c1] = (row_sum[l] * xs[j + c1] - cross1[l]) / n as f64;
+                }
             }
         }
         // `updated` is fully overwritten next iteration, so the old coords
@@ -611,6 +632,7 @@ fn normalize_config(coords: &mut Matrix) {
 mod tests {
     use super::*;
     use wl_linalg::procrustes_align;
+    use wl_stats::isotonic::isotonic_regression;
 
     /// Dissimilarity matrix of a planted 2-D configuration (Euclidean).
     fn planted(points: &[(f64, f64)]) -> DissimilarityMatrix {
@@ -1053,6 +1075,221 @@ mod tests {
         let diss = planted(&pts);
         let sol = nonmetric_mds_warm(&diss, &MdsConfig::default(), &Matrix::zeros(4, 2)).unwrap();
         assert!(sol.alienation.is_infinite());
+    }
+
+    /// The pre-gather `refine`, verbatim but for its name: fresh
+    /// `isotonic_regression` vectors every iteration and a pair-order
+    /// scatter. The shipped kernel must reproduce it bit for bit.
+    fn refine_oracle(
+        coords: &mut Matrix,
+        deltas: &[f64],
+        pair_idx: &[(usize, usize)],
+        n: usize,
+        config: &MdsConfig,
+    ) -> (f64, usize) {
+        let dims = coords.cols();
+        let p = deltas.len();
+        let mut last_stress = f64::INFINITY;
+        let mut iters = 0;
+
+        // Kruskal's primary approach orders pairs by (delta, distance) so tied
+        // dissimilarities don't constrain each other. The delta component never
+        // changes across iterations: sort by it once (stably, so tied deltas
+        // stay index-ascending) and remember the tie groups. Re-sorting a
+        // group by (distance, index) each iteration reproduces the full stable
+        // (delta, distance) sort exactly; distinct deltas cost nothing.
+        // Deltas are validated finite at the entry point and distances of a
+        // finite configuration are finite, so the comparisons are total.
+        let mut order: Vec<usize> = (0..p).collect();
+        order.sort_by(|&a, &b| {
+            deltas[a]
+                .partial_cmp(&deltas[b])
+                .expect("finite dissimilarities")
+        });
+        let mut tie_groups: Vec<(usize, usize)> = Vec::new();
+        let mut g0 = 0;
+        while g0 < p {
+            let mut g1 = g0 + 1;
+            while g1 < p && deltas[order[g1]] == deltas[order[g0]] {
+                g1 += 1;
+            }
+            if g1 - g0 > 1 {
+                tie_groups.push((g0, g1));
+            }
+            g0 = g1;
+        }
+
+        let mut dists = Vec::with_capacity(p);
+        let mut sorted_d = vec![0.0; p];
+        let mut disparities = vec![0.0; p];
+        let mut ratios = vec![0.0; p];
+        let mut row_ratio_sum = vec![0.0; n];
+        let mut cross = Matrix::zeros(n, dims);
+        let mut updated = Matrix::zeros(n, dims);
+
+        for it in 0..config.max_iterations {
+            iters = it + 1;
+            pair_distances_into(coords, pair_idx, &mut dists);
+
+            for &(g0, g1) in &tie_groups {
+                order[g0..g1].sort_unstable_by(|&a, &b| {
+                    dists[a]
+                        .partial_cmp(&dists[b])
+                        .expect("finite distances")
+                        .then(a.cmp(&b))
+                });
+            }
+            for (pos, &i) in order.iter().enumerate() {
+                sorted_d[pos] = dists[i];
+            }
+            let fitted = isotonic_regression(&sorted_d, None);
+            for (pos, &i) in order.iter().enumerate() {
+                disparities[i] = fitted[pos];
+            }
+
+            // Stress-1 for convergence monitoring.
+            let num: f64 = dists
+                .iter()
+                .zip(&disparities)
+                .map(|(d, dh)| (d - dh) * (d - dh))
+                .sum();
+            let den: f64 = dists.iter().map(|d| d * d).sum();
+            let stress = if den > 0.0 { (num / den).sqrt() } else { 0.0 };
+
+            if last_stress.is_finite() && (last_stress - stress).abs() <= config.tolerance {
+                last_stress = stress;
+                break;
+            }
+            last_stress = stress;
+
+            // Guttman transform: X <- (1/n) B(X) X where B has off-diagonal
+            // entries b_ik = -dhat_ik / d_ik and diagonal b_ii = sum_k dhat/d.
+            // The ratios are independent per pair, so compute them in one flat
+            // pass before the scatter; then accumulate sum_k ratio_ik (into
+            // `row_ratio_sum`) and sum_k ratio_ik * x_k (into `cross`), and
+            // apply per row.
+            for (r, (&d, &dh)) in ratios.iter_mut().zip(dists.iter().zip(&disparities)) {
+                *r = if d > 1e-12 { dh / d } else { 0.0 };
+            }
+            row_ratio_sum.fill(0.0);
+            cross.as_mut_slice().fill(0.0);
+            for (pidx, &(i, k)) in pair_idx.iter().enumerate() {
+                let ratio = ratios[pidx];
+                row_ratio_sum[i] += ratio;
+                row_ratio_sum[k] += ratio;
+                for c in 0..dims {
+                    cross[(i, c)] += ratio * coords[(k, c)];
+                    cross[(k, c)] += ratio * coords[(i, c)];
+                }
+            }
+            for i in 0..n {
+                for c in 0..dims {
+                    updated[(i, c)] =
+                        (row_ratio_sum[i] * coords[(i, c)] - cross[(i, c)]) / n as f64;
+                }
+            }
+            // `updated` is fully overwritten next iteration, so the old coords
+            // it now holds are just scratch.
+            std::mem::swap(coords, &mut updated);
+        }
+        (last_stress, iters)
+    }
+
+    /// A refinement problem for the oracle check: `n` observations,
+    /// `dims`, tie-forcing dissimilarities and an initial configuration.
+    fn refine_problem(
+        n: usize,
+        dims: usize,
+        delta_kind: usize,
+        init_kind: usize,
+        seed: u64,
+    ) -> (Vec<f64>, Matrix) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let p = n * (n - 1) / 2;
+        let deltas: Vec<f64> = match delta_kind {
+            // Continuous: ties only by accident.
+            0 => (0..p).map(|_| rng.gen_range(0.0..10.0)).collect(),
+            // Small integer pool: long tie groups.
+            1 => (0..p).map(|_| f64::from(rng.gen_range(1u8..5))).collect(),
+            // Every value duplicated, scattered over the pairs.
+            2 => {
+                let pool: Vec<f64> = (0..p.div_ceil(2))
+                    .map(|_| rng.gen_range(0.5..3.0))
+                    .collect();
+                (0..p).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+            }
+            // All equal: one tie group spanning every pair.
+            _ => vec![1.0; p],
+        };
+        let diss = DissimilarityMatrix::from_pairs(n, deltas.clone());
+        let mut random = Matrix::zeros(n, dims);
+        for v in random.as_mut_slice() {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+        let init = match init_kind {
+            0 => classical_init(&diss, dims).expect("finite dissimilarities"),
+            1 => random,
+            // Warm: a converged, normalized solution.
+            2 => {
+                let config = MdsConfig {
+                    dims,
+                    restarts: 1,
+                    ..Default::default()
+                };
+                nonmetric_mds(&diss, &config).expect("valid problem").coords
+            }
+            // Coincident points: zero distances, so zero ratios off the
+            // diagonal too.
+            3 => {
+                for i in 1..n.div_ceil(2) {
+                    for c in 0..dims {
+                        random[(i, c)] = random[(0, c)];
+                    }
+                }
+                random
+            }
+            // Signed zeros and repeated coordinates: the diagonal term
+            // 0.0 * x is -0.0 wherever x is negative or -0.0.
+            _ => {
+                let pool = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5];
+                for v in random.as_mut_slice() {
+                    *v = pool[rng.gen_range(0..pool.len())];
+                }
+                random
+            }
+        };
+        (deltas, init)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn gather_refine_matches_scatter_oracle_bit_for_bit(
+            n_idx in 0usize..5,
+            dims in 1usize..4,
+            delta_kind in 0usize..4,
+            init_kind in 0usize..5,
+            seed in 0u64..1 << 32,
+        ) {
+            let n = [3, 4, 10, 15, 31][n_idx];
+            let dims = dims.min(n - 1);
+            let (deltas, init) = refine_problem(n, dims, delta_kind, init_kind, seed);
+            let pair_idx: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |k| (i, k)))
+                .collect();
+            let config = MdsConfig { dims, ..Default::default() };
+            let mut fast = init.clone();
+            let (stress, iters) = refine(&mut fast, &deltas, &pair_idx, n, &config);
+            let mut oracle = init;
+            let (oracle_stress, oracle_iters) =
+                refine_oracle(&mut oracle, &deltas, &pair_idx, n, &config);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let case = format!("n {n} dims {dims} deltas {delta_kind} init {init_kind} seed {seed}");
+            proptest::prop_assert_eq!(bits(&fast), bits(&oracle), "{}", case);
+            proptest::prop_assert_eq!(stress.to_bits(), oracle_stress.to_bits(), "{}", case);
+            proptest::prop_assert_eq!(iters, oracle_iters, "{}", case);
+        }
     }
 
     fn dist(m: &Matrix, i: usize, k: usize) -> f64 {

@@ -5,8 +5,77 @@
 //! matches the current map distances in the least-squares sense. That
 //! transform is exactly an isotonic regression of the distances against the
 //! dissimilarity order, which PAVA solves optimally in linear time.
+//!
+//! [`Pava`] is the one implementation: a stack of pooled blocks that is
+//! cleared, not freed, between fits, so a caller refitting every iteration
+//! (the MDS optimizer) allocates once. [`isotonic_regression`] and
+//! [`try_isotonic_regression`] wrap it for one-shot slice input.
 
 use crate::error::StatsError;
+
+/// A run of consecutive inputs pooled to one fitted value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Block {
+    /// The fitted value: the weighted mean of the pooled inputs.
+    pub mean: f64,
+    /// Total weight of the pooled inputs.
+    weight: f64,
+    /// Number of pooled inputs.
+    pub count: usize,
+}
+
+impl Block {
+    /// Pool `self` with the block that follows it.
+    fn pool(self, next: Block) -> Block {
+        let weight = self.weight + next.weight;
+        let mean = if weight > 0.0 {
+            (self.mean * self.weight + next.mean * next.weight) / weight
+        } else {
+            // All-zero weights: plain average keeps the output finite.
+            (self.mean + next.mean) / 2.0
+        };
+        Block {
+            mean,
+            weight,
+            count: self.count + next.count,
+        }
+    }
+}
+
+/// Pool-adjacent-violators on one reusable stack of blocks.
+#[derive(Debug, Clone, Default)]
+pub struct Pava {
+    blocks: Vec<Block>,
+}
+
+impl Pava {
+    /// Fit `(value, weight)` points, taken in order, and return the blocks
+    /// left to right: the first block's `count` inputs are fitted to its
+    /// `mean`, the next block's inputs follow, and so on. The fitted values
+    /// are non-decreasing along the input order and minimize
+    /// `sum w_i (y_i - f_i)^2`. Weights are not checked here; see
+    /// [`try_isotonic_regression`].
+    pub fn fit(&mut self, points: impl IntoIterator<Item = (f64, f64)>) -> &[Block] {
+        self.blocks.clear();
+        for (mean, weight) in points {
+            let mut last = Block {
+                mean,
+                weight,
+                count: 1,
+            };
+            // Merge backwards while the monotonicity constraint is violated.
+            while let Some(&prev) = self.blocks.last() {
+                if prev.mean <= last.mean {
+                    break;
+                }
+                self.blocks.pop();
+                last = prev.pool(last);
+            }
+            self.blocks.push(last);
+        }
+        &self.blocks
+    }
+}
 
 /// Weighted isotonic regression: given `y` (and optional non-negative
 /// weights), return the non-decreasing sequence `f` minimizing
@@ -19,8 +88,9 @@ pub fn isotonic_regression(y: &[f64], w: Option<&[f64]>) -> Vec<f64> {
     try_isotonic_regression(y, w).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible variant of [`isotonic_regression`], used by callers (like the
-/// MDS optimizer) that must report invalid input instead of panicking.
+/// Fallible variant of [`isotonic_regression`], for callers that must
+/// report invalid input instead of panicking. Unweighted input pools with
+/// unit weights.
 ///
 /// # Errors
 /// Returns [`StatsError::LengthMismatch`] when the weight slice's length
@@ -41,47 +111,15 @@ pub fn try_isotonic_regression(y: &[f64], w: Option<&[f64]>) -> Result<Vec<f64>,
             });
         }
     }
-    let n = y.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-
-    // Blocks of pooled values: (weighted mean, total weight, count).
-    let mut means: Vec<f64> = Vec::with_capacity(n);
-    let mut weights: Vec<f64> = Vec::with_capacity(n);
-    let mut counts: Vec<usize> = Vec::with_capacity(n);
-
-    for i in 0..n {
-        let wi = w.map_or(1.0, |w| w[i]);
-        means.push(y[i]);
-        weights.push(wi);
-        counts.push(1);
-        // Merge backwards while the monotonicity constraint is violated.
-        while means.len() >= 2 {
-            let k = means.len();
-            if means[k - 2] <= means[k - 1] {
-                break;
-            }
-            let wsum = weights[k - 2] + weights[k - 1];
-            let merged = if wsum > 0.0 {
-                (means[k - 2] * weights[k - 2] + means[k - 1] * weights[k - 1]) / wsum
-            } else {
-                // All-zero weights: plain average keeps the output finite.
-                (means[k - 2] + means[k - 1]) / 2.0
-            };
-            means[k - 2] = merged;
-            weights[k - 2] = wsum;
-            counts[k - 2] += counts[k - 1];
-            means.pop();
-            weights.pop();
-            counts.pop();
-        }
-    }
-
-    // Expand blocks back to per-element values.
-    let mut out = Vec::with_capacity(n);
-    for (m, c) in means.iter().zip(&counts) {
-        out.extend(std::iter::repeat_n(*m, *c));
+    let mut pava = Pava::default();
+    let blocks = pava.fit(
+        y.iter()
+            .enumerate()
+            .map(|(i, &v)| (v, w.map_or(1.0, |w| w[i]))),
+    );
+    let mut out = Vec::with_capacity(y.len());
+    for b in blocks {
+        out.extend(std::iter::repeat_n(b.mean, b.count));
     }
     Ok(out)
 }
@@ -95,6 +133,131 @@ pub fn antitonic_regression(y: &[f64], w: Option<&[f64]>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-block-stack PAVA, verbatim: three parallel push/pop stacks
+    /// and fresh vectors per call. The oracle [`Pava`] must match bit for
+    /// bit.
+    fn try_isotonic_regression_oracle(
+        y: &[f64],
+        w: Option<&[f64]>,
+    ) -> Result<Vec<f64>, StatsError> {
+        if let Some(w) = w {
+            if w.len() != y.len() {
+                return Err(StatsError::LengthMismatch {
+                    context: "isotonic_regression",
+                    left: w.len(),
+                    right: y.len(),
+                });
+            }
+            if w.iter().any(|&v| v < 0.0) {
+                return Err(StatsError::NegativeWeight {
+                    context: "isotonic_regression",
+                });
+            }
+        }
+        let n = y.len();
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+
+        // Blocks of pooled values: (weighted mean, total weight, count).
+        let mut means: Vec<f64> = Vec::with_capacity(n);
+        let mut weights: Vec<f64> = Vec::with_capacity(n);
+        let mut counts: Vec<usize> = Vec::with_capacity(n);
+
+        for i in 0..n {
+            let wi = w.map_or(1.0, |w| w[i]);
+            means.push(y[i]);
+            weights.push(wi);
+            counts.push(1);
+            // Merge backwards while the monotonicity constraint is violated.
+            while means.len() >= 2 {
+                let k = means.len();
+                if means[k - 2] <= means[k - 1] {
+                    break;
+                }
+                let wsum = weights[k - 2] + weights[k - 1];
+                let merged = if wsum > 0.0 {
+                    (means[k - 2] * weights[k - 2] + means[k - 1] * weights[k - 1]) / wsum
+                } else {
+                    // All-zero weights: plain average keeps the output finite.
+                    (means[k - 2] + means[k - 1]) / 2.0
+                };
+                means[k - 2] = merged;
+                weights[k - 2] = wsum;
+                counts[k - 2] += counts[k - 1];
+                means.pop();
+                weights.pop();
+                counts.pop();
+            }
+        }
+
+        // Expand blocks back to per-element values.
+        let mut out = Vec::with_capacity(n);
+        for (m, c) in means.iter().zip(&counts) {
+            out.extend(std::iter::repeat_n(*m, *c));
+        }
+        Ok(out)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Values with forced ties: a small integer pool, a continuous range,
+    /// or one constant.
+    fn values() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            proptest::collection::vec((0u8..6).prop_map(f64::from), 0..60),
+            proptest::collection::vec(-1e3..1e3f64, 0..60),
+            (-5.0..5.0f64, 1usize..40).prop_map(|(c, n)| vec![c; n]),
+        ]
+    }
+
+    /// Weights drawn mostly from {0, 1, 2.5} plus a continuous range, so
+    /// zero-weight and all-zero-weight merges both occur.
+    fn weight() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.0), Just(2.5), 0.0..10.0f64]
+    }
+
+    proptest! {
+        #[test]
+        fn block_stack_matches_oracle_unweighted(y in values()) {
+            let fast = try_isotonic_regression(&y, None).unwrap();
+            let oracle = try_isotonic_regression_oracle(&y, None).unwrap();
+            prop_assert_eq!(bits(&fast), bits(&oracle), "y = {:?}", y);
+        }
+
+        #[test]
+        fn block_stack_matches_oracle_weighted(
+            yw in values().prop_flat_map(|y| {
+                let n = y.len();
+                (Just(y), proptest::collection::vec(weight(), n))
+            }),
+            all_zero in proptest::bool::ANY,
+        ) {
+            let (y, mut w) = yw;
+            if all_zero {
+                w.fill(0.0);
+            }
+            let fast = try_isotonic_regression(&y, Some(&w)).unwrap();
+            let oracle = try_isotonic_regression_oracle(&y, Some(&w)).unwrap();
+            prop_assert_eq!(bits(&fast), bits(&oracle), "y = {:?} w = {:?}", y, w);
+        }
+    }
+
+    #[test]
+    fn pava_reuses_its_stack_across_fits() {
+        let mut pava = Pava::default();
+        let runs = |blocks: &[Block]| blocks.iter().map(|b| (b.mean, b.count)).collect::<Vec<_>>();
+        let first = pava.fit([(3.0, 1.0), (1.0, 1.0), (5.0, 1.0)]);
+        assert_eq!(runs(first), [(2.0, 2), (5.0, 1)]);
+        // A second fit starts from an empty stack.
+        let second = pava.fit([(1.0, 1.0), (2.0, 1.0)]);
+        assert_eq!(runs(second), [(1.0, 1), (2.0, 1)]);
+        assert!(pava.fit(std::iter::empty()).is_empty());
+    }
 
     fn is_nondecreasing(v: &[f64]) -> bool {
         v.windows(2).all(|w| w[0] <= w[1] + 1e-12)

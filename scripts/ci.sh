@@ -9,6 +9,11 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
+# The shipped binaries are release builds; run the bit-exact kernel oracles
+# (SMACOF majorization, PAVA, the mu/Theta kernels) with optimizations on too.
+echo "== kernel oracles (release) =="
+cargo test --release -q -p coplot -p wl-stats
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
