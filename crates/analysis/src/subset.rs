@@ -9,7 +9,7 @@
 //! return the one with the best fit, optionally requiring the subset's map
 //! to agree with the full map (Procrustes residual).
 
-use coplot::{CoplotEngine, CoplotError, Selection};
+use coplot::{Coplot, CoplotError, Selection};
 use wl_linalg::procrustes_align;
 
 /// One scored subset.
@@ -33,7 +33,7 @@ pub struct SubsetSearchResult {
 ///
 /// Complexity: `C(p, k)` embeddings — fine for the paper's p <= 18 and
 /// k <= 4; guard rails reject larger searches. All subsets share one
-/// [`CoplotEngine`], so the data is normalized and its dissimilarity
+/// [`coplot::CoplotEngine`], so the data is normalized and its dissimilarity
 /// contributions computed exactly once; the subsets only re-embed, spread
 /// over `threads` workers. Each worker walks a contiguous run of the
 /// lexicographic combination order through one
@@ -112,7 +112,7 @@ pub fn score_combination_range(
 
     // Reference map from all variables; this also fills the engine's
     // normalization/contribution caches for all the subset runs below.
-    let engine = CoplotEngine::builder().seed(seed).build();
+    let engine = Coplot::new().seed(seed).engine();
     let full = engine.run(data, &Selection::All)?;
 
     // Enumerate every combination up front (lexicographic), then score
@@ -145,25 +145,17 @@ pub fn score_combination_range(
     let starts: Vec<usize> = (0..combos.len()).step_by(chunk).collect();
     let scored = wl_par::par_map(threads, &starts, |&start| {
         let run = &combos[start..combos.len().min(start + chunk)];
-        match engine.shared_session(data) {
-            Ok(mut session) => run
-                .iter()
-                .map(|combo| session.run_subset(combo).ok().and_then(&score))
+        let mut session = engine.shared_session(data)?;
+        Ok::<_, CoplotError>(
+            run.iter()
+                .filter_map(|combo| session.run_subset(combo).ok().and_then(&score))
                 .collect::<Vec<_>>(),
-            // Unreachable in practice (the full run above primed the
-            // cache), but fall back to uncached scoring rather than panic.
-            Err(_) => run
-                .iter()
-                .map(|combo| {
-                    engine
-                        .run(data, &Selection::SubsetShared(combo.clone()))
-                        .ok()
-                        .and_then(&score)
-                })
-                .collect::<Vec<_>>(),
-        }
+        )
     });
-    let results: Vec<SubsetSearchResult> = scored.into_iter().flatten().flatten().collect();
+    let mut results = Vec::new();
+    for part in scored {
+        results.extend(part?);
+    }
     wl_obs::counter!("subset.kept", results.len() as u64);
     Ok(results)
 }

@@ -285,7 +285,15 @@ impl DataMatrix {
             }
             let mean = describe::mean(&present);
             let sd = describe::std_dev(&present);
-            if sd <= 0.0 || sd.is_nan() {
+            // Finite cells can still overflow the sums: an infinite sd
+            // would zero every z-score, an infinite mean make them NaN.
+            if !mean.is_finite() || !sd.is_finite() {
+                return Err(CoplotError::NonFinite(format!(
+                    "variable {:?} overflows: its mean or standard deviation is not finite",
+                    self.variables[v]
+                )));
+            }
+            if sd <= 0.0 {
                 return Err(CoplotError::Normalization(format!(
                     "variable {:?} is constant; z-scores undefined",
                     self.variables[v]
@@ -510,6 +518,28 @@ mod tests {
             .normalize(Imputation::Forbid)
             .unwrap();
         assert_eq!(subset, fresh);
+    }
+
+    #[test]
+    fn overflowing_columns_are_non_finite_errors() {
+        // Finite, non-constant columns: the first overflows only the
+        // standard deviation, the second the mean as well.
+        for column in [[2e154, -2e154, 0.0, 1.0], [1e308, 1e308, -1e308, 5.0]] {
+            let d = DataMatrix::from_rows(
+                names("o", 4),
+                vec!["ok".into(), "big".into()],
+                &[
+                    &[1.0, column[0]],
+                    &[2.0, column[1]],
+                    &[4.0, column[2]],
+                    &[3.0, column[3]],
+                ],
+            );
+            match d.normalize(Imputation::Forbid) {
+                Err(CoplotError::NonFinite(msg)) => assert!(msg.contains("\"big\""), "{msg}"),
+                other => panic!("{column:?}: expected NonFinite, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,34 +1,78 @@
-//! The staged Co-plot engine: explicit stage traits, intermediate-result
-//! caching, and per-stage instrumentation.
+//! The staged Co-plot engine: one concrete four-stage pipeline with
+//! intermediate-result caching and per-stage instrumentation.
 //!
-//! [`CoplotEngine`] owns the four pipeline stages behind trait objects, so
-//! each can be swapped independently:
+//! [`CoplotEngine`] runs the paper's fixed algorithm, one direct call per
+//! stage:
 //!
-//! * [`Normalizer`] — raw data to z-scores ([`ZScoreNormalizer`]);
-//! * [`DissimilarityStage`] — z-scores to pairwise dissimilarities
-//!   ([`MetricDissimilarity`]);
-//! * [`Embedder`] — dissimilarities to a planar configuration
-//!   ([`NonmetricMdsEmbedder`]);
-//! * [`ArrowFitter`] — variable columns to arrows ([`OlsArrowFitter`]).
+//! 1. z-scores ([`DataMatrix::normalize`], Eq. 1);
+//! 2. per-variable pair contributions to the city-block dissimilarities
+//!    ([`PairContributions::compute`], Eq. 2);
+//! 3. nonmetric MDS scored by Guttman's coefficient of alienation
+//!    ([`nonmetric_mds`], Eqs. 3–4);
+//! 4. one regression arrow per variable ([`try_fit_arrow`]).
 //!
-//! Unlike the one-shot [`crate::pipeline::Coplot`] facade (a thin wrapper
-//! over this engine), the engine is stateful: it caches the normalized
-//! matrix and the per-variable dissimilarity contributions of the last
-//! input, so variable elimination and subset searches re-embed without
-//! re-normalizing or recomputing distances from scratch.
+//! [`Coplot`] is the engine's only configuration: build one with
+//! [`Coplot::engine`]. Unlike the one-shot [`Coplot::analyze`], which builds
+//! a fresh engine per call, the engine is stateful: it caches the
+//! normalized matrix and the per-variable dissimilarity contributions of
+//! the last input, so variable elimination and subset searches re-embed
+//! without re-normalizing or recomputing distances from scratch.
 //!
-//! There is one entry point: [`CoplotEngine::run`] takes the data and a
-//! [`Selection`] describing *which* analysis to perform — all variables, an
-//! index subset, a cache-only shared subset, or the paper's
-//! variable-elimination workflow. The engine takes `&self`: the cache sits
-//! behind an `RwLock` and the stage reports behind a `Mutex`, so one engine
-//! can serve many concurrent selections (this is what the parallel subset
-//! search and the `wl-serve` workers rely on).
+//! [`CoplotEngine::run`] takes the data and a [`Selection`] — all
+//! variables, or the paper's variable-elimination workflow.
+//! [`CoplotEngine::shared_session`] opens cache-only analyses of variable
+//! subsets. The engine takes `&self`: the cache sits behind an `RwLock` and
+//! the stage reports behind a `Mutex`, so one engine can serve many
+//! concurrent sessions (this is what the parallel subset search relies
+//! on).
 //!
-//! Every reported run records a [`StageReport`] per stage — wall time,
-//! iteration counts, the per-restart MDS thetas, and whether the stage was
-//! served from cache — retrievable via [`CoplotEngine::reports`] and
-//! printable with [`StageReportTable`].
+//! Every `run` records a [`StageReport`] per stage — wall time, iteration
+//! counts, the per-restart MDS thetas, and whether the stage was served
+//! from cache — retrievable via [`CoplotEngine::reports`] and printable
+//! with [`StageReportTable`].
+//!
+//! ```
+//! use coplot::{Coplot, DataMatrix, Selection, StageReportTable};
+//!
+//! let data = DataMatrix::from_rows(
+//!     (1..=6).map(|i| format!("o{i}")).collect(),
+//!     vec!["a".into(), "a2".into(), "anti".into(), "b".into()],
+//!     &[
+//!         &[1.0, 1.1, 9.0, 5.0],
+//!         &[1.2, 1.0, 8.8, 3.0],
+//!         &[0.9, 1.2, 9.1, 4.0],
+//!         &[5.0, 5.2, 1.0, 4.2],
+//!         &[5.3, 4.9, 1.2, 2.8],
+//!         &[4.8, 5.1, 0.8, 5.1],
+//!     ],
+//! );
+//! let engine = Coplot::new()
+//!     .seed(7)
+//!     .threads(4) // parallel MDS restarts, bit-identical results
+//!     .engine();
+//! engine.run(&data, &Selection::All)?;
+//! let full = engine.run(&data, &Selection::All)?; // stages 1-2 from the cache
+//! print!("{}", StageReportTable(&engine.reports()));
+//! let hits: Vec<bool> = engine.reports().iter().map(|r| r.cache_hit).collect();
+//! assert_eq!(hits, [true, true, false, false]);
+//! assert_eq!(full.arrows.len(), 4);
+//!
+//! // Cache-only subset analyses, bit-identical to a fresh engine run on
+//! // `data.select_variables(&[0, 2, 3])`.
+//! let mut session = engine.shared_session(&data)?;
+//! let subset = session.run_subset(&[0, 2, 3])?;
+//! assert_eq!(subset.arrows.len(), 3);
+//! # Ok::<(), coplot::CoplotError>(())
+//! ```
+//!
+//! # Deadlines
+//!
+//! With [`Coplot::deadline`] set, the engine refuses to *start* a stage
+//! past it, with [`CoplotError::DeadlineExceeded`] naming the stage that
+//! was about to run: `normalize` before stage 1 of each `run`, `embed`
+//! before each embedding and `arrows` before each arrow stage. A stage
+//! that has started runs to completion, so a run that finishes returns
+//! exactly what it would have returned without a deadline.
 //!
 //! # Caching and exactness
 //!
@@ -42,106 +86,15 @@
 //! bit-identical results.
 
 use std::fmt;
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use crate::arrows::{try_fit_arrow, Arrow};
-use crate::data::{DataMatrix, Imputation, NormalizedMatrix};
+use crate::arrows::try_fit_arrow;
+use crate::data::{DataMatrix, NormalizedMatrix};
 use crate::dissimilarity::{DissimilarityMatrix, Metric};
 use crate::error::CoplotError;
-use crate::mds::{nonmetric_mds, MdsConfig, MdsSolution};
-use crate::pipeline::CoplotResult;
-use wl_linalg::Matrix;
-
-/// Stage 1: raw data to a complete z-score matrix.
-///
-/// Implementations must normalize column-locally (each output column a
-/// function of that input column alone); the engine relies on this to reuse
-/// one normalization across variable subsets.
-pub trait Normalizer: fmt::Debug + Send + Sync {
-    /// Normalize a data matrix.
-    fn normalize(&self, data: &DataMatrix) -> Result<NormalizedMatrix, CoplotError>;
-}
-
-/// Stage 2: z-scores to pairwise dissimilarities.
-pub trait DissimilarityStage: fmt::Debug + Send + Sync {
-    /// Dissimilarities over all variables of `z`.
-    fn compute(&self, z: &NormalizedMatrix) -> Result<DissimilarityMatrix, CoplotError>;
-
-    /// Reusable per-variable pair contributions, if this stage's metric
-    /// decomposes over variables. `None` (the default) disables the
-    /// engine's dissimilarity cache; subsets are then recomputed directly.
-    fn contributions(&self, _z: &NormalizedMatrix) -> Option<PairContributions> {
-        None
-    }
-}
-
-/// Stage 3: dissimilarities to a low-dimensional configuration.
-pub trait Embedder: fmt::Debug + Send + Sync {
-    /// Embed the dissimilarities.
-    fn embed(&self, diss: &DissimilarityMatrix) -> Result<MdsSolution, CoplotError>;
-}
-
-/// Stage 4: one variable column to an arrow over the configuration.
-pub trait ArrowFitter: fmt::Debug + Send + Sync {
-    /// Fit the arrow for variable `name`.
-    fn fit(&self, name: &str, coords: &Matrix, z: &[f64]) -> Result<Arrow, CoplotError>;
-}
-
-/// The paper's stage 1: z-score normalization (Eq. 1).
-#[derive(Debug, Clone, Copy)]
-pub struct ZScoreNormalizer {
-    /// Missing-cell policy.
-    pub imputation: Imputation,
-}
-
-impl Normalizer for ZScoreNormalizer {
-    fn normalize(&self, data: &DataMatrix) -> Result<NormalizedMatrix, CoplotError> {
-        data.normalize(self.imputation)
-    }
-}
-
-/// The paper's stage 2: a Minkowski-family metric over z-score rows (Eq. 2
-/// uses city-block).
-#[derive(Debug, Clone, Copy)]
-pub struct MetricDissimilarity {
-    /// The row metric.
-    pub metric: Metric,
-}
-
-impl DissimilarityStage for MetricDissimilarity {
-    fn compute(&self, z: &NormalizedMatrix) -> Result<DissimilarityMatrix, CoplotError> {
-        Ok(DissimilarityMatrix::compute(z, self.metric))
-    }
-
-    fn contributions(&self, z: &NormalizedMatrix) -> Option<PairContributions> {
-        Some(PairContributions::compute(z, self.metric))
-    }
-}
-
-/// The paper's stage 3: nonmetric MDS scored by Guttman's coefficient of
-/// alienation.
-#[derive(Debug, Clone, Copy)]
-pub struct NonmetricMdsEmbedder {
-    /// Optimizer knobs (restarts, seed, threads...).
-    pub config: MdsConfig,
-}
-
-impl Embedder for NonmetricMdsEmbedder {
-    fn embed(&self, diss: &DissimilarityMatrix) -> Result<MdsSolution, CoplotError> {
-        nonmetric_mds(diss, &self.config)
-    }
-}
-
-/// The paper's stage 4: closed-form OLS arrow fits.
-#[derive(Debug, Clone, Copy)]
-pub struct OlsArrowFitter;
-
-impl ArrowFitter for OlsArrowFitter {
-    fn fit(&self, name: &str, coords: &Matrix, z: &[f64]) -> Result<Arrow, CoplotError> {
-        try_fit_arrow(name, coords, z)
-    }
-}
+use crate::mds::nonmetric_mds;
+use crate::pipeline::{Coplot, CoplotResult};
 
 /// Per-variable dissimilarity contributions `|dz_v|^p` for every observation
 /// pair, cached so any variable subset's dissimilarities can be rebuilt by
@@ -335,16 +288,8 @@ impl SubsetCombiner {
 /// Which analysis [`CoplotEngine::run`] performs over the data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Selection {
-    /// All variables, recording stage reports.
+    /// All variables.
     All,
-    /// An ascending subset of variable indices, recording stage reports.
-    Subset(Vec<usize>),
-    /// Like [`Selection::Subset`] but served entirely from the
-    /// already-populated cache and without recording reports, so many
-    /// `SubsetShared` runs can proceed concurrently against one engine.
-    /// Errors with [`CoplotError::InvalidConfig`] when the cache does not
-    /// hold this data's intermediates (run [`Selection::All`] first).
-    SubsetShared(Vec<usize>),
     /// The paper's variable-elimination workflow: analyze, drop the worst
     /// variable while any arrow correlation is below `min_correlation`,
     /// re-embed, repeat. The removal order lands in
@@ -473,7 +418,7 @@ impl fmt::Display for StageReportTable<'_> {
 struct EngineCache {
     fingerprint: u64,
     z: NormalizedMatrix,
-    contributions: Option<PairContributions>,
+    contributions: PairContributions,
 }
 
 /// How much prepare-time work the current pass inherited (threaded into the
@@ -534,111 +479,73 @@ fn fingerprint(data: &DataMatrix) -> u64 {
 
 /// The staged, caching, instrumented Co-plot pipeline.
 ///
-/// Build one with [`CoplotEngine::builder`]; run analyses with
-/// [`run`](CoplotEngine::run) and a [`Selection`]; inspect the last
-/// reported run's per-stage instrumentation with
-/// [`reports`](CoplotEngine::reports).
+/// Build one with [`Coplot::engine`]; run analyses with
+/// [`run`](CoplotEngine::run) and a [`Selection`] or through a
+/// [`shared_session`](CoplotEngine::shared_session); inspect the last run's
+/// per-stage instrumentation with [`reports`](CoplotEngine::reports).
 #[derive(Debug)]
 pub struct CoplotEngine {
-    normalizer: Box<dyn Normalizer>,
-    dissimilarity: Box<dyn DissimilarityStage>,
-    embedder: Box<dyn Embedder>,
-    arrow_fitter: Box<dyn ArrowFitter>,
+    config: Coplot,
     cache: RwLock<Option<EngineCache>>,
     reports: Mutex<Vec<StageReport>>,
 }
 
-impl Default for CoplotEngine {
-    fn default() -> Self {
-        CoplotEngine::builder().build()
-    }
-}
-
 impl CoplotEngine {
-    /// A builder preloaded with the paper's defaults.
-    pub fn builder() -> CoplotEngineBuilder {
-        CoplotEngineBuilder::default()
+    /// An engine with a cold cache, configured by `config`.
+    pub(crate) fn new(config: Coplot) -> CoplotEngine {
+        CoplotEngine {
+            config,
+            cache: RwLock::new(None),
+            reports: Mutex::new(Vec::new()),
+        }
     }
 
     /// Run the pipeline for one [`Selection`].
     ///
-    /// `All`, `Subset` and `Eliminate` populate the cache for `data` when it
-    /// is cold and record per-stage [`StageReport`]s (replacing the previous
-    /// run's reports); re-running on the same data reuses the cached
-    /// normalization and dissimilarity contributions, visible as
-    /// `cache_hit` in the reports. `SubsetShared` is served entirely from
-    /// the already-populated cache without touching the reports, so any
-    /// number of `SubsetShared` runs can proceed concurrently against one
-    /// shared engine; results are bit-identical to `Subset` (both run the
-    /// same selection core).
+    /// Populates the cache for `data` when it is cold and records per-stage
+    /// [`StageReport`]s (replacing the previous run's reports); re-running
+    /// on the same data reuses the cached normalization and dissimilarity
+    /// contributions, visible as `cache_hit` in the reports.
     ///
     /// # Errors
-    /// Any stage's [`CoplotError`]; additionally
-    /// [`CoplotError::EmptyInput`] / [`CoplotError::DimensionMismatch`] for
-    /// invalid subsets and [`CoplotError::InvalidConfig`] for a
-    /// `SubsetShared` against a cold or mismatched cache.
+    /// Any stage's [`CoplotError`], including
+    /// [`CoplotError::DeadlineExceeded`] past the configured deadline.
     pub fn run(&self, data: &DataMatrix, selection: &Selection) -> Result<CoplotResult, CoplotError> {
-        let fp = fingerprint(data);
-        match selection {
-            Selection::All => self.with_cache(data, fp, |this, cache, info| {
+        self.check_deadline("normalize")?;
+        self.with_cache(data, fingerprint(data), |this, cache, info| match selection {
+            Selection::All => {
+                this.reports.lock().expect("engine reports lock").clear();
                 let keep: Vec<usize> = (0..cache.z.n_variables()).collect();
-                this.run_reported(cache, &keep, info)
-            }),
-            Selection::Subset(keep) => self.with_cache(data, fp, |this, cache, info| {
-                validate_keep(cache.z.n_variables(), keep, "Selection::Subset")?;
-                this.run_reported(cache, keep, info)
-            }),
-            Selection::SubsetShared(keep) => {
-                let guard = self.cache.read().expect("engine cache lock");
-                let cache = guard
-                    .as_ref()
-                    .filter(|c| c.fingerprint == fp)
-                    .ok_or_else(|| {
-                        CoplotError::InvalidConfig(
-                            "Selection::SubsetShared: engine cache does not hold this \
-                             data's intermediates; run Selection::All on it first"
-                                .into(),
-                        )
-                    })?;
-                validate_keep(cache.z.n_variables(), keep, "Selection::SubsetShared")?;
-                wl_obs::counter!("engine.shared_selections", 1u64);
-                self.compute_selection(cache, keep, None).map(|(r, _)| r)
+                this.run_selection(cache, &keep, info, None)
             }
             Selection::Eliminate { min_correlation } => {
-                self.with_cache(data, fp, |this, cache, info| {
-                    this.run_elimination(cache, info, *min_correlation)
-                })
+                this.run_elimination(cache, info, *min_correlation)
             }
-        }
+        })
     }
 
-    /// Per-stage instrumentation of the last reported `run` (selections
-    /// `All`, `Subset`, `Eliminate`), in execution order. Elimination runs
-    /// append one group of four reports per round. `SubsetShared` runs
-    /// leave the reports untouched.
+    /// Per-stage instrumentation of the last `run`, in execution order.
+    /// Elimination runs append one group of four reports per round.
+    /// [`SharedSubsetSession`] runs leave the reports untouched.
     pub fn reports(&self) -> Vec<StageReport> {
         self.reports.lock().expect("engine reports lock").clone()
     }
 
-    /// Drop the cached intermediates (the next run recomputes everything).
-    pub fn clear_cache(&self) {
-        *self.cache.write().expect("engine cache lock") = None;
-    }
-
     /// Open a batch of cache-only subset analyses against this engine.
     ///
-    /// Each [`SharedSubsetSession::run_subset`] call is bit-identical to
-    /// `run(data, &Selection::SubsetShared(keep))`, but the session holds
-    /// the cache read-lock once for its whole lifetime and threads a
+    /// Each [`SharedSubsetSession::run_subset`] call is bit-identical to a
+    /// fresh engine's `run(&data.select_variables(keep), &Selection::All)`,
+    /// but is served from this engine's cache: the session holds the cache
+    /// read-lock once for its whole lifetime and threads a
     /// [`SubsetCombiner`] through the calls, so consecutive subsets that
     /// share an ascending keep-prefix (lexicographic subset enumeration,
     /// elimination-style nested subsets) only recombine the changed
     /// levels. Reports are never touched, so any number of sessions can
     /// proceed concurrently against one engine.
     ///
-    /// Note the session keeps the engine's cache read-locked: reported runs
-    /// on *new* data (which must write the cache) block until every open
-    /// session drops.
+    /// Note the session keeps the engine's cache read-locked: runs on *new*
+    /// data (which must write the cache) block until every open session
+    /// drops.
     ///
     /// # Errors
     /// [`CoplotError::InvalidConfig`] when the cache does not hold this
@@ -658,6 +565,16 @@ impl CoplotEngine {
             guard,
             combiner: SubsetCombiner::new(),
         })
+    }
+
+    /// Refuse to start `stage` past the configured deadline.
+    fn check_deadline(&self, stage: &'static str) -> Result<(), CoplotError> {
+        match self.config.deadline {
+            Some(deadline) if Instant::now() >= deadline => {
+                Err(CoplotError::DeadlineExceeded { stage })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Run `f` against a cache guaranteed to hold `data`'s intermediates.
@@ -690,11 +607,9 @@ impl CoplotEngine {
         let _span = wl_obs::span!("engine.prepare");
         {
             let guard = self.cache.read().expect("engine cache lock");
-            if let Some(c) = guard.as_ref().filter(|c| c.fingerprint == fp) {
+            if guard.as_ref().is_some_and(|c| c.fingerprint == fp) {
                 wl_obs::counter!("engine.cache.normalized.hit", 1u64);
-                if c.contributions.is_some() {
-                    wl_obs::counter!("engine.cache.contributions.hit", 1u64);
-                }
+                wl_obs::counter!("engine.cache.contributions.hit", 1u64);
                 return Ok(PrepareInfo::cached());
             }
         }
@@ -702,18 +617,16 @@ impl CoplotEngine {
         let t = Instant::now();
         let z = {
             let _span = wl_obs::span!("engine.normalize");
-            self.normalizer.normalize(data)?
+            data.normalize(self.config.imputation)?
         };
         let normalize_time = t.elapsed();
         let t = Instant::now();
         let contributions = {
             let _span = wl_obs::span!("engine.contributions");
-            self.dissimilarity.contributions(&z)
+            PairContributions::compute(&z, self.config.metric)
         };
         let contrib_time = t.elapsed();
-        if contributions.is_some() {
-            wl_obs::counter!("engine.cache.contributions.miss", 1u64);
-        }
+        wl_obs::counter!("engine.cache.contributions.miss", 1u64);
         *self.cache.write().expect("engine cache lock") = Some(EngineCache {
             fingerprint: fp,
             z,
@@ -724,18 +637,6 @@ impl CoplotEngine {
             normalize_time,
             contrib_time,
         })
-    }
-
-    /// One reported selection pass: clear the previous run's reports, run
-    /// the selection core, record the four stage reports.
-    fn run_reported(
-        &self,
-        cache: &EngineCache,
-        keep: &[usize],
-        info: PrepareInfo,
-    ) -> Result<CoplotResult, CoplotError> {
-        self.reports.lock().expect("engine reports lock").clear();
-        self.run_selection(cache, keep, info, None)
     }
 
     /// Run stages 1'–4 for one variable selection against the cache, timing
@@ -768,7 +669,7 @@ impl CoplotEngine {
             theta_per_restart: Vec::new(),
             majorization_time: Duration::ZERO,
             theta_time: Duration::ZERO,
-            cache_hit: t.diss_cacheable && info.cache_hit,
+            cache_hit: info.cache_hit,
         });
         reports.push(StageReport {
             stage: Stage::Embedding,
@@ -814,15 +715,8 @@ impl CoplotEngine {
         // removal point instead of re-summing the whole keep set.
         let mut combiner = SubsetCombiner::new();
         loop {
-            let pre = cache.contributions.as_ref().map(|c| {
-                let t = Instant::now();
-                let diss = combiner.combine(c, &keep);
-                PreDiss {
-                    diss,
-                    combine_time: t.elapsed(),
-                }
-            });
-            let mut result = self.run_selection(cache, &keep, info, pre)?;
+            let pre = PreDiss::combine(&mut combiner, &cache.contributions, &keep);
+            let mut result = self.run_selection(cache, &keep, info, Some(pre))?;
             info = PrepareInfo::cached();
             if keep.len() <= 2 {
                 result.removed = removed;
@@ -853,9 +747,9 @@ impl CoplotEngine {
     }
 
     /// The shared selection core: stages 1'–4 against a populated cache,
-    /// with per-stage timings returned rather than recorded. Both the
-    /// report-recording path and the immutable shared path run exactly this
-    /// code, so their results are bit-identical by construction.
+    /// with per-stage timings returned rather than recorded. Both reported
+    /// runs and shared sessions run exactly this code, so their results are
+    /// bit-identical by construction.
     fn compute_selection(
         &self,
         cache: &EngineCache,
@@ -876,44 +770,35 @@ impl CoplotEngine {
         let select = t.elapsed();
 
         let t = Instant::now();
-        let (diss, diss_cacheable, pre_time) = {
+        let (diss, pre_time) = {
             let _span = wl_obs::span!("engine.dissimilarity");
+            wl_obs::counter!("engine.selection.diss.cached", 1u64);
             match pre {
                 // An incremental combiner already produced this subset's
                 // matrix (bit-identical to the cache path by the combiner's
                 // contract); only fold its measured time in.
-                Some(p) => {
-                    wl_obs::counter!("engine.selection.diss.cached", 1u64);
-                    (p.diss, true, p.combine_time)
-                }
-                None => match &cache.contributions {
-                    Some(c) => {
-                        wl_obs::counter!("engine.selection.diss.cached", 1u64);
-                        (c.combine(keep), true, Duration::ZERO)
-                    }
-                    None => {
-                        wl_obs::counter!("engine.selection.diss.direct", 1u64);
-                        (self.dissimilarity.compute(&z)?, false, Duration::ZERO)
-                    }
-                },
+                Some(p) => (p.diss, p.combine_time),
+                None => (cache.contributions.combine(keep), Duration::ZERO),
             }
         };
         let diss_time = t.elapsed() + pre_time;
 
+        self.check_deadline("embed")?;
         let t = Instant::now();
         let sol = {
             let _span = wl_obs::span!("engine.embed");
-            self.embedder.embed(&diss)?
+            nonmetric_mds(&diss, &self.config.mds)?
         };
         let embed = t.elapsed();
 
+        self.check_deadline("arrows")?;
         let t = Instant::now();
         let mut arrows = Vec::with_capacity(z.n_variables());
         {
             let _span = wl_obs::span!("engine.arrows");
             for v in 0..z.n_variables() {
                 let col = z.column(v);
-                arrows.push(self.arrow_fitter.fit(&z.variables()[v], &sol.coords, &col)?);
+                arrows.push(try_fit_arrow(&z.variables()[v], &sol.coords, &col)?);
             }
         }
         let arrows_time = t.elapsed();
@@ -921,7 +806,6 @@ impl CoplotEngine {
         let timings = SelectionTimings {
             select,
             diss: diss_time,
-            diss_cacheable,
             embed,
             arrows: arrows_time,
             iterations: sol.iterations,
@@ -944,8 +828,9 @@ impl CoplotEngine {
     }
 }
 
-/// Reject empty or out-of-range variable selections.
-fn validate_keep(p: usize, keep: &[usize], context: &str) -> Result<(), CoplotError> {
+/// Reject empty, out-of-range or not strictly ascending variable
+/// selections (a repeated variable would count its contributions twice).
+fn validate_keep(p: usize, keep: &[usize]) -> Result<(), CoplotError> {
     if keep.is_empty() {
         return Err(CoplotError::EmptyInput {
             what: "selected variables",
@@ -953,10 +838,17 @@ fn validate_keep(p: usize, keep: &[usize], context: &str) -> Result<(), CoplotEr
     }
     if let Some(&bad) = keep.iter().find(|&&v| v >= p) {
         return Err(CoplotError::DimensionMismatch {
-            context: format!("{context}: variable index"),
+            context: "SharedSubsetSession: variable index".into(),
             expected: p,
             got: bad,
         });
+    }
+    if let Some(w) = keep.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(CoplotError::InvalidConfig(format!(
+            "SharedSubsetSession: variable indices must be strictly ascending, \
+             got {} after {}",
+            w[1], w[0]
+        )));
     }
     Ok(())
 }
@@ -966,7 +858,6 @@ fn validate_keep(p: usize, keep: &[usize], context: &str) -> Result<(), CoplotEr
 struct SelectionTimings {
     select: Duration,
     diss: Duration,
-    diss_cacheable: bool,
     embed: Duration,
     arrows: Duration,
     iterations: usize,
@@ -983,168 +874,58 @@ struct PreDiss {
     combine_time: Duration,
 }
 
+impl PreDiss {
+    /// Time `combiner.combine(contribs, keep)`.
+    fn combine(combiner: &mut SubsetCombiner, contribs: &PairContributions, keep: &[usize]) -> PreDiss {
+        let t = Instant::now();
+        let diss = combiner.combine(contribs, keep);
+        PreDiss {
+            diss,
+            combine_time: t.elapsed(),
+        }
+    }
+}
+
 /// A batch of cache-only subset analyses against one engine (see
 /// [`CoplotEngine::shared_session`]). Holds the engine's cache read-lock
 /// for its lifetime and an incremental [`SubsetCombiner`] keyed to the
 /// cached contributions.
 pub struct SharedSubsetSession<'e> {
     engine: &'e CoplotEngine,
-    guard: std::sync::RwLockReadGuard<'e, Option<EngineCache>>,
+    guard: RwLockReadGuard<'e, Option<EngineCache>>,
     combiner: SubsetCombiner,
 }
 
 impl SharedSubsetSession<'_> {
-    /// Analyze one ascending variable subset from the session's cache.
+    /// Analyze one strictly ascending variable subset from the session's
+    /// cache.
     ///
-    /// Bit-identical to `Selection::SubsetShared(keep)` — the dissimilarity
-    /// matrix comes from the incremental combiner, whose output matches
-    /// `PairContributions::combine` exactly, and everything downstream is
-    /// the same selection core.
+    /// The dissimilarity matrix comes from the incremental combiner, whose
+    /// output matches [`PairContributions::combine`] exactly, and
+    /// everything downstream is the engine's one selection core.
     ///
     /// # Errors
-    /// Any stage's [`CoplotError`], plus the usual invalid-subset errors.
+    /// Any stage's [`CoplotError`]; [`CoplotError::EmptyInput`],
+    /// [`CoplotError::DimensionMismatch`] or [`CoplotError::InvalidConfig`]
+    /// for an empty, out-of-range or not strictly ascending `keep`.
     pub fn run_subset(&mut self, keep: &[usize]) -> Result<CoplotResult, CoplotError> {
         let cache = self
             .guard
             .as_ref()
             .expect("session cache validated at construction");
-        validate_keep(cache.z.n_variables(), keep, "SharedSubsetSession")?;
+        validate_keep(cache.z.n_variables(), keep)?;
         wl_obs::counter!("engine.shared_selections", 1u64);
-        let pre = cache.contributions.as_ref().map(|c| {
-            let t = Instant::now();
-            let diss = self.combiner.combine(c, keep);
-            PreDiss {
-                diss,
-                combine_time: t.elapsed(),
-            }
-        });
+        let pre = PreDiss::combine(&mut self.combiner, &cache.contributions, keep);
         self.engine
-            .compute_selection(cache, keep, pre)
+            .compute_selection(cache, keep, Some(pre))
             .map(|(r, _)| r)
-    }
-}
-
-/// Builder for [`CoplotEngine`]; defaults match the paper (city-block
-/// metric, column-mean imputation, classical init + 8 seeded restarts).
-#[derive(Debug)]
-pub struct CoplotEngineBuilder {
-    metric: Metric,
-    imputation: Imputation,
-    mds: MdsConfig,
-    normalizer: Option<Box<dyn Normalizer>>,
-    dissimilarity: Option<Box<dyn DissimilarityStage>>,
-    embedder: Option<Box<dyn Embedder>>,
-    arrow_fitter: Option<Box<dyn ArrowFitter>>,
-}
-
-impl Default for CoplotEngineBuilder {
-    fn default() -> Self {
-        CoplotEngineBuilder {
-            metric: Metric::CityBlock,
-            imputation: Imputation::ColumnMean,
-            mds: MdsConfig::default(),
-            normalizer: None,
-            dissimilarity: None,
-            embedder: None,
-            arrow_fitter: None,
-        }
-    }
-}
-
-impl CoplotEngineBuilder {
-    /// Choose the stage-2 metric.
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Choose the missing-cell policy.
-    pub fn imputation(mut self, imputation: Imputation) -> Self {
-        self.imputation = imputation;
-        self
-    }
-
-    /// Replace the whole MDS configuration.
-    pub fn mds(mut self, config: MdsConfig) -> Self {
-        self.mds = config;
-        self
-    }
-
-    /// Seed the MDS restarts.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.mds.seed = seed;
-        self
-    }
-
-    /// Number of random restarts (beyond the classical-scaling start).
-    pub fn restarts(mut self, restarts: usize) -> Self {
-        self.mds.restarts = restarts;
-        self
-    }
-
-    /// Worker threads for the MDS restarts (results are bit-identical for
-    /// any thread count).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.mds.threads = threads;
-        self
-    }
-
-    /// Majorization iteration cap per start.
-    pub fn max_iterations(mut self, iters: usize) -> Self {
-        self.mds.max_iterations = iters;
-        self
-    }
-
-    /// Install a custom stage-1 normalizer (must be column-local; see
-    /// [`Normalizer`]).
-    pub fn normalizer(mut self, stage: Box<dyn Normalizer>) -> Self {
-        self.normalizer = Some(stage);
-        self
-    }
-
-    /// Install a custom stage-2 dissimilarity.
-    pub fn dissimilarity(mut self, stage: Box<dyn DissimilarityStage>) -> Self {
-        self.dissimilarity = Some(stage);
-        self
-    }
-
-    /// Install a custom stage-3 embedder.
-    pub fn embedder(mut self, stage: Box<dyn Embedder>) -> Self {
-        self.embedder = Some(stage);
-        self
-    }
-
-    /// Install a custom stage-4 arrow fitter.
-    pub fn arrow_fitter(mut self, stage: Box<dyn ArrowFitter>) -> Self {
-        self.arrow_fitter = Some(stage);
-        self
-    }
-
-    /// Build the engine.
-    pub fn build(self) -> CoplotEngine {
-        CoplotEngine {
-            normalizer: self.normalizer.unwrap_or_else(|| {
-                Box::new(ZScoreNormalizer {
-                    imputation: self.imputation,
-                })
-            }),
-            dissimilarity: self
-                .dissimilarity
-                .unwrap_or_else(|| Box::new(MetricDissimilarity { metric: self.metric })),
-            embedder: self
-                .embedder
-                .unwrap_or_else(|| Box::new(NonmetricMdsEmbedder { config: self.mds })),
-            arrow_fitter: self.arrow_fitter.unwrap_or(Box::new(OlsArrowFitter)),
-            cache: RwLock::new(None),
-            reports: Mutex::new(Vec::new()),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Coplot;
+    use crate::data::Imputation;
 
     fn structured_data() -> DataMatrix {
         DataMatrix::from_rows(
@@ -1168,33 +949,62 @@ mod tests {
         )
     }
 
+    /// Strong 2-D structure plus a noise variable: elimination at 0.95
+    /// runs at least two rounds and removes the noise.
+    fn elimination_data() -> DataMatrix {
+        DataMatrix::from_rows(
+            (1..=8).map(|i| format!("o{i}")).collect(),
+            vec![
+                "x".into(),
+                "x2".into(),
+                "y".into(),
+                "y2".into(),
+                "noise".into(),
+            ],
+            &[
+                &[1.0, 1.1, 8.0, 7.9, 3.0],
+                &[2.0, 2.2, 1.0, 1.2, -1.0],
+                &[3.0, 2.9, 6.0, 6.1, 4.0],
+                &[4.0, 4.1, 2.0, 2.1, -3.0],
+                &[5.0, 4.8, 7.0, 7.2, 3.5],
+                &[6.0, 6.2, 3.0, 2.8, -2.0],
+                &[7.0, 7.1, 5.0, 5.2, 2.0],
+                &[8.0, 7.9, 4.0, 4.1, -4.0],
+            ],
+        )
+    }
+
+    fn assert_bit_identical(a: &CoplotResult, b: &CoplotResult, context: &str) {
+        assert_eq!(a.coords.as_slice(), b.coords.as_slice(), "{context}");
+        assert_eq!(a.alienation.to_bits(), b.alienation.to_bits(), "{context}");
+        assert_eq!(a.arrows, b.arrows, "{context}");
+        assert_eq!(a.removed, b.removed, "{context}");
+    }
+
     #[test]
     fn engine_matches_pipeline_facade() {
         let data = structured_data();
         let facade = Coplot::new().seed(11).analyze(&data).unwrap();
-        let engine = CoplotEngine::builder().seed(11).build();
+        let engine = Coplot::new().seed(11).engine();
         let direct = engine.run(&data, &Selection::All).unwrap();
-        assert_eq!(facade.coords.as_slice(), direct.coords.as_slice());
-        assert_eq!(facade.alienation.to_bits(), direct.alienation.to_bits());
-        assert_eq!(facade.arrows, direct.arrows);
+        assert_bit_identical(&facade, &direct, "facade vs engine");
     }
 
     #[test]
     fn second_run_hits_the_cache_with_identical_results() {
         let data = structured_data();
-        let engine = CoplotEngine::builder().seed(12).build();
+        let engine = Coplot::new().seed(12).engine();
         let first = engine.run(&data, &Selection::All).unwrap();
         assert!(engine.reports().iter().all(|r| !r.cache_hit));
         let second = engine.run(&data, &Selection::All).unwrap();
         let hits: Vec<bool> = engine.reports().iter().map(|r| r.cache_hit).collect();
         assert_eq!(hits, [true, true, false, false]);
-        assert_eq!(first.coords.as_slice(), second.coords.as_slice());
-        assert_eq!(first.alienation.to_bits(), second.alienation.to_bits());
+        assert_bit_identical(&first, &second, "cold vs cached");
     }
 
     #[test]
     fn cache_invalidates_on_new_data() {
-        let engine = CoplotEngine::builder().seed(13).build();
+        let engine = Coplot::new().seed(13).engine();
         engine.run(&structured_data(), &Selection::All).unwrap();
         let mut other = structured_data();
         other = other.select_observations(&[0, 1, 2, 3, 4]);
@@ -1248,38 +1058,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_matches_subset_shared_runs() {
-        let data = structured_data();
-        let engine = CoplotEngine::builder().seed(14).build();
-        engine.run(&data, &Selection::All).unwrap();
-        let subsets: [&[usize]; 4] = [&[0, 1, 2], &[0, 1, 3], &[0, 2, 3], &[1, 3]];
-        let mut via_session = Vec::new();
-        {
-            let mut session = engine.shared_session(&data).unwrap();
-            for keep in subsets {
-                via_session.push(session.run_subset(keep).unwrap());
-            }
-        }
-        for (keep, from_session) in subsets.iter().zip(&via_session) {
-            let direct = engine
-                .run(&data, &Selection::SubsetShared(keep.to_vec()))
-                .unwrap();
-            assert_eq!(
-                from_session.coords.as_slice(),
-                direct.coords.as_slice(),
-                "keep={keep:?}"
-            );
-            assert_eq!(
-                from_session.alienation.to_bits(),
-                direct.alienation.to_bits()
-            );
-            assert_eq!(from_session.arrows, direct.arrows);
-        }
-    }
-
-    #[test]
     fn shared_session_requires_populated_cache() {
-        let engine = CoplotEngine::builder().seed(14).build();
+        let engine = Coplot::new().seed(14).engine();
         match engine.shared_session(&structured_data()) {
             Err(CoplotError::InvalidConfig(msg)) => {
                 assert!(msg.contains("Selection::All"), "{msg}")
@@ -1287,6 +1067,19 @@ mod tests {
             Err(other) => panic!("unexpected error: {other}"),
             Ok(_) => panic!("session opened without a populated cache"),
         };
+
+        // A cache of *different* data is also rejected.
+        engine
+            .run(
+                &structured_data().select_observations(&[0, 1, 2, 3, 4]),
+                &Selection::All,
+            )
+            .unwrap();
+        let err = engine.shared_session(&structured_data()).err();
+        assert!(
+            matches!(err, Some(CoplotError::InvalidConfig(_))),
+            "session opened against another data set's cache: {err:?}"
+        );
     }
 
     #[test]
@@ -1294,7 +1087,7 @@ mod tests {
         wl_obs::set_enabled(true);
         let before = wl_obs::registry().snapshot();
         let data = structured_data();
-        let engine = CoplotEngine::builder().seed(33).build();
+        let engine = Coplot::new().seed(33).engine();
         engine.run(&data, &Selection::All).unwrap();
         let mut session = engine.shared_session(&data).unwrap();
         session.run_subset(&[0, 1, 2]).unwrap();
@@ -1310,100 +1103,53 @@ mod tests {
     #[test]
     fn subset_selection_matches_fresh_analysis_of_the_subset() {
         let data = structured_data();
-        let engine = CoplotEngine::builder().seed(14).build();
+        let engine = Coplot::new().seed(14).engine();
         engine.run(&data, &Selection::All).unwrap();
-        let sub = engine.run(&data, &Selection::Subset(vec![0, 1, 3])).unwrap();
-        // The dissimilarity stage must have come from the cache.
-        assert!(engine.reports()[1].cache_hit);
-
-        let fresh_data = data.select_variables(&[0, 1, 3]);
-        let fresh = CoplotEngine::builder()
-            .seed(14)
-            .build()
-            .run(&fresh_data, &Selection::All)
-            .unwrap();
-        assert_eq!(sub.coords.as_slice(), fresh.coords.as_slice());
-        assert_eq!(sub.alienation.to_bits(), fresh.alienation.to_bits());
-        assert_eq!(sub.arrows, fresh.arrows);
-    }
-
-    #[test]
-    fn shared_selection_matches_reported_selection() {
-        let data = structured_data();
-        let engine = CoplotEngine::builder().seed(14).build();
-        engine.run(&data, &Selection::All).unwrap();
-        let reported = engine.run(&data, &Selection::Subset(vec![0, 1, 3])).unwrap();
-        let shared = engine
-            .run(&data, &Selection::SubsetShared(vec![0, 1, 3]))
-            .unwrap();
-        assert_eq!(reported.coords.as_slice(), shared.coords.as_slice());
-        assert_eq!(reported.alienation.to_bits(), shared.alienation.to_bits());
-        assert_eq!(reported.arrows, shared.arrows);
-    }
-
-    #[test]
-    fn shared_selection_requires_populated_cache() {
-        let engine = CoplotEngine::builder().seed(14).build();
-        let err = engine
-            .run(&structured_data(), &Selection::SubsetShared(vec![0, 1]))
-            .unwrap_err();
-        assert!(matches!(err, CoplotError::InvalidConfig(_)), "{err}");
-
-        // A cache of *different* data is also rejected.
-        let engine = CoplotEngine::builder().seed(14).build();
-        engine
-            .run(
-                &structured_data().select_observations(&[0, 1, 2, 3, 4]),
-                &Selection::All,
-            )
-            .unwrap();
-        let err = engine
-            .run(&structured_data(), &Selection::SubsetShared(vec![0, 1]))
-            .unwrap_err();
-        assert!(matches!(err, CoplotError::InvalidConfig(_)), "{err}");
+        // Lexicographic neighbours share prefixes, so later subsets come
+        // from the session's incremental combiner.
+        let subsets: [&[usize]; 5] = [&[0, 1, 2], &[0, 1, 3], &[0, 2, 3], &[1, 3], &[0, 1, 2, 3]];
+        let mut session = engine.shared_session(&data).unwrap();
+        for keep in subsets {
+            let sub = session.run_subset(keep).unwrap();
+            let fresh = Coplot::new()
+                .seed(14)
+                .engine()
+                .run(&data.select_variables(keep), &Selection::All)
+                .unwrap();
+            assert_bit_identical(&sub, &fresh, &format!("keep={keep:?}"));
+        }
     }
 
     #[test]
     fn subset_selection_rejects_bad_selections() {
         let data = structured_data();
-        let engine = CoplotEngine::default();
+        let engine = Coplot::new().engine();
+        engine.run(&data, &Selection::All).unwrap();
+        let mut session = engine.shared_session(&data).unwrap();
         assert!(matches!(
-            engine.run(&data, &Selection::Subset(vec![])).unwrap_err(),
+            session.run_subset(&[]).unwrap_err(),
             CoplotError::EmptyInput { .. }
         ));
         assert!(matches!(
-            engine.run(&data, &Selection::Subset(vec![0, 9])).unwrap_err(),
+            session.run_subset(&[0, 9]).unwrap_err(),
             CoplotError::DimensionMismatch { got: 9, .. }
+        ));
+        // A repeated variable would sum its contributions twice.
+        assert!(matches!(
+            session.run_subset(&[0, 1, 1]).unwrap_err(),
+            CoplotError::InvalidConfig(_)
+        ));
+        assert!(matches!(
+            session.run_subset(&[2, 0]).unwrap_err(),
+            CoplotError::InvalidConfig(_)
         ));
     }
 
     #[test]
     fn elimination_reuses_the_cache_across_rounds() {
-        // Strong 2-D structure plus a noise variable: elimination runs at
-        // least two rounds, and only the first computes stages 1-2.
-        let d = DataMatrix::from_rows(
-            (1..=8).map(|i| format!("o{i}")).collect(),
-            vec![
-                "x".into(),
-                "x2".into(),
-                "y".into(),
-                "y2".into(),
-                "noise".into(),
-            ],
-            &[
-                &[1.0, 1.1, 8.0, 7.9, 3.0],
-                &[2.0, 2.2, 1.0, 1.2, -1.0],
-                &[3.0, 2.9, 6.0, 6.1, 4.0],
-                &[4.0, 4.1, 2.0, 2.1, -3.0],
-                &[5.0, 4.8, 7.0, 7.2, 3.5],
-                &[6.0, 6.2, 3.0, 2.8, -2.0],
-                &[7.0, 7.1, 5.0, 5.2, 2.0],
-                &[8.0, 7.9, 4.0, 4.1, -4.0],
-            ],
-        );
-        let engine = CoplotEngine::builder().seed(5).build();
+        let engine = Coplot::new().seed(5).engine();
         let result = engine
-            .run(&d, &Selection::Eliminate { min_correlation: 0.95 })
+            .run(&elimination_data(), &Selection::Eliminate { min_correlation: 0.95 })
             .unwrap();
         assert!(!result.removed.is_empty());
         let reports = engine.reports();
@@ -1414,16 +1160,40 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_fails_before_normalize() {
+        // A deadline of "now" has passed by the time `run` checks it.
+        let engine = Coplot::new().deadline(Some(Instant::now())).engine();
+        for selection in [Selection::All, Selection::Eliminate { min_correlation: 0.95 }] {
+            match engine.run(&elimination_data(), &selection) {
+                Err(CoplotError::DeadlineExceeded { stage }) => {
+                    assert_eq!(stage, "normalize", "{selection:?}")
+                }
+                other => panic!("{selection:?}: expected a deadline error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn generous_deadline_is_bit_identical_to_none() {
+        let deadline = Instant::now() + Duration::from_secs(600);
+        for selection in [Selection::All, Selection::Eliminate { min_correlation: 0.95 }] {
+            let free = Coplot::new().seed(5).engine();
+            let gated = Coplot::new().seed(5).deadline(Some(deadline)).engine();
+            let free = free.run(&elimination_data(), &selection).unwrap();
+            let gated = gated.run(&elimination_data(), &selection).unwrap();
+            assert_bit_identical(&free, &gated, &format!("{selection:?}"));
+        }
+    }
+
+    #[test]
     fn cache_counters_increment_for_shared_selections() {
         wl_obs::set_enabled(true);
         let before = wl_obs::registry().snapshot();
         let data = structured_data();
-        let engine = CoplotEngine::builder().seed(21).build();
+        let engine = Coplot::new().seed(21).engine();
         engine.run(&data, &Selection::All).unwrap(); // cold: normalized miss
         engine.run(&data, &Selection::All).unwrap(); // warm: normalized + contributions hit
-        engine
-            .run(&data, &Selection::SubsetShared(vec![0, 2]))
-            .unwrap();
+        engine.shared_session(&data).unwrap().run_subset(&[0, 2]).unwrap();
         let after = wl_obs::registry().snapshot();
         // Delta assertions — the registry is global and tests run
         // concurrently, so check growth by at least this test's activity.
@@ -1442,14 +1212,12 @@ mod tests {
         grew("engine.shared_selections", 1);
         // All three selections combined cached contributions.
         grew("engine.selection.diss.cached", 3);
-        assert!(after.counter("engine.cache.normalized.hit") > 0);
-        assert!(after.counter("engine.cache.normalized.miss") > 0);
     }
 
     #[test]
     fn report_table_renders_every_stage() {
         let data = structured_data();
-        let engine = CoplotEngine::default();
+        let engine = Coplot::new().engine();
         engine.run(&data, &Selection::All).unwrap();
         let table = StageReportTable(&engine.reports()).to_string();
         for stage in ["normalize", "dissimilarity", "embedding", "arrows"] {
@@ -1461,7 +1229,7 @@ mod tests {
     #[test]
     fn embedding_report_carries_restart_thetas() {
         let data = structured_data();
-        let engine = CoplotEngine::builder().restarts(3).build();
+        let engine = Coplot::new().restarts(3).engine();
         let r = engine.run(&data, &Selection::All).unwrap();
         let embed = &engine.reports()[2];
         assert_eq!(embed.stage, Stage::Embedding);

@@ -105,9 +105,9 @@ pub enum CoplotError {
         /// Human-readable description.
         message: String,
     },
-    /// A per-request deadline expired between pipeline stages (the serving
-    /// layer's stage-boundary abort; the stage named is the one that was
-    /// about to run).
+    /// A deadline expired between pipeline stages (the engine's and the
+    /// serving layer's stage-boundary abort; the stage named is the one
+    /// that was about to run).
     DeadlineExceeded {
         /// The stage that would have run next.
         stage: &'static str,

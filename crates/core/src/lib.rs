@@ -27,12 +27,13 @@
 //!
 //! The [`pipeline`] module ties the stages into the [`pipeline::Coplot`]
 //! builder, including the paper's variable-elimination workflow, and
-//! [`render`] draws the result as text or SVG. Underneath the facade, the
-//! [`engine`] module holds the staged [`engine::CoplotEngine`]: explicit
-//! stage traits, caching of the normalized matrix and dissimilarity
-//! contributions between re-runs, parallel deterministic MDS restarts, and
-//! per-stage [`engine::StageReport`] instrumentation. Invalid inputs are
-//! reported as [`error::CoplotError`] values, never panics.
+//! [`render`] draws the result as text or SVG. `Coplot` configures the one
+//! engine, [`engine::CoplotEngine`]: the four stages as direct calls,
+//! caching of the normalized matrix and dissimilarity contributions between
+//! re-runs (the one stage-1/2 cache; `wl-serve`'s batches share only the
+//! dataset load and the variable matrix), parallel deterministic MDS
+//! restarts, and per-stage [`engine::StageReport`] instrumentation. Invalid
+//! inputs are reported as [`error::CoplotError`] values, never panics.
 //!
 //! ```
 //! use coplot::{DataMatrix, Coplot};
@@ -75,8 +76,8 @@ pub use arrows::{fit_arrow, try_fit_arrow, Arrow};
 pub use data::{DataMatrix, Imputation, NormalizedMatrix};
 pub use dissimilarity::{DissimilarityMatrix, Metric};
 pub use engine::{
-    CoplotEngine, CoplotEngineBuilder, PairContributions, Selection, SharedSubsetSession, Stage,
-    StageReport, StageReportTable, SubsetCombiner,
+    CoplotEngine, PairContributions, Selection, SharedSubsetSession, Stage, StageReport,
+    StageReportTable, SubsetCombiner,
 };
 pub use error::{CoplotError, ParseKind};
 pub use mds::{nonmetric_mds, nonmetric_mds_warm, restart_seed, MdsConfig, MdsSolution};

@@ -1,11 +1,13 @@
 //! The full four-stage Co-plot pipeline behind a builder API.
 //!
-//! [`Coplot`] is a stateless facade: each `analyze*` call builds a
-//! [`CoplotEngine`](crate::engine::CoplotEngine) and runs it, so the
+//! [`Coplot`] is the one configuration of the pipeline. Its `analyze*`
+//! calls are stateless: each builds a [`CoplotEngine`] and runs it, so the
 //! engine's caching still benefits multi-round workflows such as variable
 //! elimination within one call. Callers that want caching *across* calls,
-//! custom stages, or per-stage instrumentation should hold an engine
+//! cache-only subset sessions or per-stage instrumentation hold an engine
 //! directly (see [`Coplot::engine`]).
+
+use std::time::Instant;
 
 use crate::arrows::Arrow;
 use crate::data::{DataMatrix, Imputation};
@@ -18,9 +20,10 @@ use wl_linalg::Matrix;
 /// Builder for a Co-plot analysis.
 #[derive(Debug, Clone)]
 pub struct Coplot {
-    metric: Metric,
-    imputation: Imputation,
-    mds: MdsConfig,
+    pub(crate) metric: Metric,
+    pub(crate) imputation: Imputation,
+    pub(crate) mds: MdsConfig,
+    pub(crate) deadline: Option<Instant>,
 }
 
 impl Default for Coplot {
@@ -33,6 +36,7 @@ impl Default for Coplot {
             // and may switch to `Forbid`.
             imputation: Imputation::ColumnMean,
             mds: MdsConfig::default(),
+            deadline: None,
         }
     }
 }
@@ -81,15 +85,30 @@ impl Coplot {
         self
     }
 
+    /// Run only the MDS starts in the absolute window `[lo, hi)` of the
+    /// `restarts + 1` starts (`None`, the default, runs them all; see
+    /// [`MdsConfig::restart_range`]).
+    pub fn restart_range(mut self, range: Option<(usize, usize)>) -> Self {
+        self.mds.restart_range = range;
+        self
+    }
+
+    /// Refuse to start a stage past `deadline` (`None`, the default, never
+    /// refuses): the run fails with [`CoplotError::DeadlineExceeded`]. A
+    /// stage that has started runs to completion, so a run that finishes
+    /// is bit-identical to one without a deadline (see
+    /// [`crate::engine`]).
+    pub fn deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
     /// A [`CoplotEngine`] with this builder's configuration — the way to
-    /// keep the normalization/dissimilarity caches warm across calls and to
-    /// read per-stage [`StageReport`](crate::engine::StageReport)s.
+    /// keep the normalization/dissimilarity caches warm across calls, open
+    /// cache-only subset sessions and read per-stage
+    /// [`StageReport`](crate::engine::StageReport)s.
     pub fn engine(&self) -> CoplotEngine {
-        CoplotEngine::builder()
-            .metric(self.metric)
-            .imputation(self.imputation)
-            .mds(self.mds)
-            .build()
+        CoplotEngine::new(self.clone())
     }
 
     /// Run all four stages on a data matrix.

@@ -96,8 +96,8 @@ impl Shard {
         self.hists.iter()
     }
 
-    /// Add this shard's contents to the global registry. Gated on
-    /// [`crate::enabled`] so callers can flush unconditionally.
+    /// Add this shard's contents to the global registry. A no-op unless
+    /// [`crate::enabled`], so callers can flush unconditionally.
     pub fn flush(&self) {
         if crate::enabled() && !self.is_empty() {
             crate::registry().flush_shard(self);

@@ -2,27 +2,28 @@
 //!
 //! The expensive front of every analysis request is identical for any two
 //! requests over the same dataset digest: synthesize (or parse) the
-//! workloads, derive the variable matrix, normalize it (engine stage 1)
-//! and compute the per-variable dissimilarity contributions (stage 2).
-//! Only the MDS restarts and arrow fits differ per request (they depend
-//! on the request's seed and selection), and those already fan out on the
-//! `wl-par` pool.
+//! workloads and derive the variable matrix. The analysis itself — the
+//! engine's four stages, with its own stage-1/2 cache — runs per request
+//! (the MDS restarts and arrow fits depend on the request's seed and
+//! selection, and already fan out on the `wl-par` pool); stages 1–2 cost
+//! microseconds at the paper's scale, so sharing them would not pay for
+//! the copies.
 //!
 //! The event-driven server exploits this: when a worker picks up work it
 //! takes the *whole group* of queued requests sharing the front request's
 //! dataset digest ([`take_batch`]) and executes them against one
-//! [`BatchMemo`] — a write-once cache of the shared intermediates. The
-//! first request computes each value; the rest reuse it.
+//! [`BatchMemo`] — a write-once cache of the dataset load and the matrix.
+//! The first request computes each value; the rest reuse it.
 //!
 //! **Byte-identity invariant:** every memoized value is the output of a
 //! deterministic pure function of inputs that are equal across the batch
 //! (equal digest ⇒ equal workloads; equal canonical `vars` ⇒ equal
-//! matrix/normalization/contributions — which is why [`BatchMemo`] keys
-//! stage outputs by the canonical variable list). Serving a clone of the
-//! first request's value is therefore bit-identical to recomputing it, so
-//! a batched response equals its unbatched golden output byte for byte —
-//! the same discipline the result cache and the thread-count guarantees
-//! already follow. The `batch_identity` tests pin this at threads 1 and 8.
+//! matrix — which is why [`BatchMemo`] keys matrices by the canonical
+//! variable list). Serving a clone of the first request's value is
+//! therefore bit-identical to recomputing it, so a batched response equals
+//! its unbatched golden output byte for byte — the same discipline the
+//! result cache and the thread-count guarantees already follow. The
+//! `batch_identity` tests pin this at threads 1 and 8.
 //!
 //! Observability: `serve.batch.formed` counts multi-request batches,
 //! `serve.batch.size` is the batch-size histogram, and
@@ -31,8 +32,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use coplot::engine::PairContributions;
-use coplot::{DataMatrix, NormalizedMatrix};
+use coplot::DataMatrix;
 use wl_swf::Workload;
 
 /// How a queued request may be grouped with others.
@@ -107,27 +107,15 @@ impl<T: Clone> OnceMemo<T> {
     }
 }
 
-/// The per-`vars` shared intermediates: matrix construction and the
-/// engine's stage-1/stage-2 outputs. Keyed by the canonical variable list
-/// in [`BatchMemo`], so two requests share these only when their variable
-/// matrices are equal by construction.
-#[derive(Debug, Default)]
-pub struct VarsMemo {
-    /// The observations-by-variables matrix.
-    pub matrix: OnceMemo<DataMatrix>,
-    /// Engine stage 1: the full z-score normalization.
-    pub normalized: OnceMemo<NormalizedMatrix>,
-    /// Engine stage 2: per-variable pair contributions (the engine derives
-    /// every selection's dissimilarity matrix from these).
-    pub contributions: OnceMemo<Option<PairContributions>>,
-}
-
 /// Shared intermediates for one batch (one dataset digest).
 #[derive(Debug, Default)]
 pub struct BatchMemo {
     /// The loaded/synthesized workload suite.
     pub workloads: OnceMemo<Vec<Workload>>,
-    per_vars: Mutex<HashMap<Vec<String>, Arc<VarsMemo>>>,
+    /// The observations-by-variables matrix per canonical variable list,
+    /// so two requests share a matrix only when it is equal by
+    /// construction.
+    matrices: Mutex<HashMap<Vec<String>, Arc<OnceMemo<DataMatrix>>>>,
 }
 
 impl BatchMemo {
@@ -136,9 +124,9 @@ impl BatchMemo {
         BatchMemo::default()
     }
 
-    /// The [`VarsMemo`] for a canonical variable list.
-    pub fn vars(&self, vars: &[String]) -> Arc<VarsMemo> {
-        let mut map = self.per_vars.lock().expect("batch memo lock");
+    /// The matrix slot for a canonical variable list.
+    pub fn matrix(&self, vars: &[String]) -> Arc<OnceMemo<DataMatrix>> {
+        let mut map = self.matrices.lock().expect("batch memo lock");
         Arc::clone(map.entry(vars.to_vec()).or_default())
     }
 }
@@ -227,11 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn vars_memos_are_distinct_per_variable_list() {
+    fn matrix_memos_are_distinct_per_variable_list() {
         let memo = BatchMemo::new();
-        let a = memo.vars(&["Rm".into(), "Pm".into()]);
-        let b = memo.vars(&["Rm".into()]);
-        let a2 = memo.vars(&["Rm".into(), "Pm".into()]);
+        let a = memo.matrix(&["Rm".into(), "Pm".into()]);
+        let b = memo.matrix(&["Rm".into()]);
+        let a2 = memo.matrix(&["Rm".into(), "Pm".into()]);
         assert!(Arc::ptr_eq(&a, &a2));
         assert!(!Arc::ptr_eq(&a, &b));
     }

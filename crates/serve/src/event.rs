@@ -13,10 +13,10 @@
 //!   It never blocks on a socket and never computes: a slow client costs
 //!   a table slot, not a thread.
 //! * **Workers** pop whole batches ([`crate::batch::take_batch`]), run
-//!   them against one [`BatchMemo`] so engine stages 1–2 execute once per
-//!   batch, serialize each response, and hand the bytes back through the
-//!   completion list, waking the reactor via its self-pipe
-//!   ([`wl_par::poll::Waker`]).
+//!   them against one [`BatchMemo`] so the dataset load and the variable
+//!   matrix are built once per batch, serialize each response, and hand
+//!   the bytes back through the completion list, waking the reactor via
+//!   its self-pipe ([`wl_par::poll::Waker`]).
 //!
 //! Connection life cycle: accept → (read ⇄ parse ⇄ dispatch → write)* →
 //! close. One request per connection is outstanding at a time (pipelined

@@ -10,28 +10,23 @@
 //! cache sound.
 //!
 //! Deadlines: an [`ExecConfig::deadline`] is enforced *between* pipeline
-//! stages — each Co-plot stage is wrapped in a gate that refuses to start
-//! past the deadline with [`CoplotError::DeadlineExceeded`]. A stage that
-//! has started always runs to completion, so a request that finishes
-//! returns exactly what it would have returned without a deadline.
+//! stages — the executor checks it before loading the dataset and before
+//! the Hurst sweep or subset search, and the Co-plot engine before each of
+//! its stages ([`coplot::Coplot::deadline`]) — refusing to start past it
+//! with [`CoplotError::DeadlineExceeded`]. A stage that has started always
+//! runs to completion, so a request that finishes returns exactly what it
+//! would have returned without a deadline.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use coplot::engine::{
-    ArrowFitter, DissimilarityStage, Embedder, MetricDissimilarity, NonmetricMdsEmbedder,
-    Normalizer, OlsArrowFitter, PairContributions, ZScoreNormalizer,
-};
 use coplot::{
-    AnalysisRequest, AnalysisResponse, ApiError, CoplotEngine, CoplotError, CoplotOut,
-    DataMatrix, DatasetSpec, DissimilarityMatrix, HurstOut, Imputation, MdsConfig, MdsSolution,
-    Metric, NormalizedMatrix, Operation, Selection, ShardPart, ShardRequest, ShardResponse,
-    StageReport, SubsetEntry, SubsetOut,
+    AnalysisRequest, AnalysisResponse, ApiError, Coplot, CoplotEngine, CoplotError, CoplotOut,
+    DataMatrix, DatasetSpec, HurstOut, Operation, Selection, ShardPart, ShardRequest,
+    ShardResponse, StageReport, SubsetEntry, SubsetOut,
 };
-use wl_linalg::Matrix;
 use wl_swf::Workload;
 
-use crate::batch::{BatchMemo, VarsMemo};
+use crate::batch::{BatchMemo, OnceMemo};
 use crate::datasets::NamedDataset;
 
 /// How to run a request: worker threads and an optional deadline.
@@ -99,12 +94,12 @@ pub fn execute(request: &AnalysisRequest, cfg: &ExecConfig) -> Result<ExecOutcom
 }
 
 /// Execute one request, optionally against a batch memo of shared
-/// intermediates (see [`crate::batch`]): the dataset load and the engine's
-/// stage-1/stage-2 outputs are taken from (or stored into) the memo, while
-/// the per-request stages — MDS restarts, arrow fits, subset search — run
-/// as usual on the `wl-par` pool. A memo hit returns a clone of a value a
-/// deterministic stage produced for the same inputs, so the response is
-/// byte-identical to an unbatched run.
+/// intermediates (see [`crate::batch`]): the dataset load and the variable
+/// matrix are taken from (or stored into) the memo, while the analysis
+/// itself — the engine's four stages, the Hurst sweep, the subset search —
+/// runs per request on the `wl-par` pool. A memo hit returns a clone of a
+/// value a deterministic step produced for the same inputs, so the
+/// response is byte-identical to an unbatched run.
 ///
 /// # Errors
 /// See [`ExecError`].
@@ -119,11 +114,11 @@ pub fn execute_with_memo(
         Some(m) => m.workloads.get_or_try(|| load_dataset(&req, cfg))?,
         None => load_dataset(&req, cfg)?,
     };
-    let vars_memo = memo.map(|m| m.vars(&req.vars));
+    let matrix_memo = memo.map(|m| m.matrix(&req.vars));
     match req.op {
-        Operation::Coplot => run_coplot(&req, cfg, &workloads, vars_memo),
+        Operation::Coplot => run_coplot(&req, cfg, &workloads, matrix_memo.as_deref()),
         Operation::Hurst => run_hurst(&req, cfg, &workloads),
-        Operation::Subset => run_subset(&req, cfg, &workloads, vars_memo),
+        Operation::Subset => run_subset(&req, cfg, &workloads, matrix_memo.as_deref()),
     }
 }
 
@@ -132,7 +127,7 @@ pub fn execute_with_memo(
 /// runs when a coordinator POSTs to `/v2/shard`:
 ///
 /// * `restarts [lo, hi)` — the coplot pipeline with
-///   [`MdsConfig::restart_range`] set, so the shard tries exactly the MDS
+///   [`Coplot::restart_range`] set, so the shard tries exactly the MDS
 ///   starts `lo..hi` of the full run's `0..restarts+1` (same absolute
 ///   [`coplot::restart_seed`] indices) and returns its window winner;
 /// * `rows [lo, hi)` — Hurst estimator rows for that slice of the
@@ -160,7 +155,7 @@ pub fn execute_shard(request: &ShardRequest, cfg: &ExecConfig) -> Result<ShardRe
         }
         ShardPart::Restarts { lo, hi } => {
             let data = data_matrix(&req.base, &workloads, None)?;
-            let engine = build_engine(req.base.seed, cfg, None, Some((lo as usize, hi as usize)));
+            let engine = build_engine(req.base.seed, cfg, Some((lo as usize, hi as usize)));
             // canonicalize() rejected restarts-parts with elimination, so
             // the selection is always the full variable set here.
             let result = engine.run(&data, &Selection::All).map_err(ExecError::Analysis)?;
@@ -240,7 +235,7 @@ fn load_dataset(req: &AnalysisRequest, cfg: &ExecConfig) -> Result<Vec<Workload>
 fn data_matrix(
     req: &AnalysisRequest,
     workloads: &[Workload],
-    memo: Option<&Arc<VarsMemo>>,
+    memo: Option<&OnceMemo<DataMatrix>>,
 ) -> Result<DataMatrix, ExecError> {
     let build = || {
         if workloads.len() < 3 {
@@ -252,7 +247,7 @@ fn data_matrix(
         wl_analysis::matrix::try_trace_matrix(workloads, &codes).map_err(ExecError::Analysis)
     };
     match memo {
-        Some(m) => m.matrix.get_or_try(build),
+        Some(m) => m.get_or_try(build),
         None => build(),
     }
 }
@@ -261,10 +256,10 @@ fn run_coplot(
     req: &AnalysisRequest,
     cfg: &ExecConfig,
     workloads: &[Workload],
-    memo: Option<Arc<VarsMemo>>,
+    memo: Option<&OnceMemo<DataMatrix>>,
 ) -> Result<ExecOutcome, ExecError> {
-    let data = data_matrix(req, workloads, memo.as_ref())?;
-    let engine = build_engine(req.seed, cfg, memo, None);
+    let data = data_matrix(req, workloads, memo)?;
+    let engine = build_engine(req.seed, cfg, None);
     let selection = match req.min_correlation {
         Some(min_correlation) => Selection::Eliminate { min_correlation },
         None => Selection::All,
@@ -310,9 +305,9 @@ fn run_subset(
     req: &AnalysisRequest,
     cfg: &ExecConfig,
     workloads: &[Workload],
-    memo: Option<Arc<VarsMemo>>,
+    memo: Option<&OnceMemo<DataMatrix>>,
 ) -> Result<ExecOutcome, ExecError> {
-    let data = data_matrix(req, workloads, memo.as_ref())?;
+    let data = data_matrix(req, workloads, memo)?;
     check_deadline(cfg, "subset")?;
     let results = wl_analysis::subset::best_variable_subset(
         &data,
@@ -340,172 +335,21 @@ pub(crate) fn subset_entry(r: wl_analysis::SubsetSearchResult) -> SubsetEntry {
     }
 }
 
-/// Build the engine the paper's pipeline uses. Two optional wrapper layers
-/// compose around the standard stages, innermost first:
-///
-/// * with a batch memo, [`Memoized`] shims share stage-1 normalization and
-///   stage-2 contributions across the batch (the engine only ever calls
-///   those on the *full* matrix — per-selection dissimilarities are
-///   combined from the contributions — so an unkeyed write-once memo is
-///   sound; `compute` is deliberately left unmemoized because the engine
-///   may call it on *reduced* matrices when contributions are absent);
-/// * with a deadline, [`Gated`] shims refuse to *start* a stage past it.
-///
-/// Every wrapper forwards verbatim, so a wrapped run that completes is
-/// bit-identical to a bare one.
-///
-/// A `restart_range` (shard execution) narrows the MDS starts to that
-/// absolute window of `0..restarts+1` — same per-start seeds, so the
-/// window winner is the best of exactly those starts of a full run.
+/// The paper's pipeline for one request: its seed, the config's threads
+/// and deadline, and — for a restarts shard — the absolute window of MDS
+/// starts to try (same per-start seeds as a full run, so the window winner
+/// is the best of exactly those starts).
 fn build_engine(
     seed: u64,
     cfg: &ExecConfig,
-    memo: Option<Arc<VarsMemo>>,
     restart_range: Option<(usize, usize)>,
 ) -> CoplotEngine {
-    let builder = CoplotEngine::builder().seed(seed).threads(cfg.threads);
-    if cfg.deadline.is_none() && memo.is_none() && restart_range.is_none() {
-        return builder.build();
-    }
-    let mds = MdsConfig {
-        seed,
-        threads: cfg.threads,
-        restart_range,
-        ..MdsConfig::default()
-    };
-    let mut normalizer: Box<dyn Normalizer> = Box::new(ZScoreNormalizer {
-        imputation: Imputation::ColumnMean,
-    });
-    let mut dissimilarity: Box<dyn DissimilarityStage> = Box::new(MetricDissimilarity {
-        metric: Metric::CityBlock,
-    });
-    let mut embedder: Box<dyn Embedder> = Box::new(NonmetricMdsEmbedder { config: mds });
-    let mut arrow_fitter: Box<dyn ArrowFitter> = Box::new(OlsArrowFitter);
-
-    if let Some(memo) = memo {
-        normalizer = Box::new(Memoized {
-            memo: Arc::clone(&memo),
-            inner: normalizer,
-        });
-        dissimilarity = Box::new(Memoized {
-            memo,
-            inner: dissimilarity,
-        });
-    }
-    if let Some(deadline) = cfg.deadline {
-        normalizer = Box::new(Gated {
-            deadline,
-            stage: "normalize",
-            inner: normalizer,
-        });
-        dissimilarity = Box::new(Gated {
-            deadline,
-            stage: "dissimilarity",
-            inner: dissimilarity,
-        });
-        embedder = Box::new(Gated {
-            deadline,
-            stage: "embed",
-            inner: embedder,
-        });
-        arrow_fitter = Box::new(Gated {
-            deadline,
-            stage: "arrows",
-            inner: arrow_fitter,
-        });
-    }
-    builder
-        .normalizer(normalizer)
-        .dissimilarity(dissimilarity)
-        .embedder(embedder)
-        .arrow_fitter(arrow_fitter)
-        .build()
-}
-
-/// A pipeline stage plus a deadline gate checked on entry.
-#[derive(Debug)]
-struct Gated<S> {
-    deadline: Instant,
-    stage: &'static str,
-    inner: S,
-}
-
-impl<S> Gated<S> {
-    fn check(&self) -> Result<(), CoplotError> {
-        if Instant::now() >= self.deadline {
-            return Err(CoplotError::DeadlineExceeded { stage: self.stage });
-        }
-        Ok(())
-    }
-}
-
-impl Normalizer for Gated<Box<dyn Normalizer>> {
-    fn normalize(&self, data: &DataMatrix) -> Result<NormalizedMatrix, CoplotError> {
-        self.check()?;
-        self.inner.normalize(data)
-    }
-}
-
-impl DissimilarityStage for Gated<Box<dyn DissimilarityStage>> {
-    fn compute(&self, z: &NormalizedMatrix) -> Result<DissimilarityMatrix, CoplotError> {
-        self.check()?;
-        self.inner.compute(z)
-    }
-
-    fn contributions(&self, z: &NormalizedMatrix) -> Option<PairContributions> {
-        // No gate: contributions feed the engine cache, and declining them
-        // would silently change caching behavior, not abort the request.
-        self.inner.contributions(z)
-    }
-}
-
-impl Embedder for Gated<Box<dyn Embedder>> {
-    fn embed(&self, diss: &DissimilarityMatrix) -> Result<MdsSolution, CoplotError> {
-        self.check()?;
-        self.inner.embed(diss)
-    }
-}
-
-impl ArrowFitter for Gated<Box<dyn ArrowFitter>> {
-    fn fit(
-        &self,
-        name: &str,
-        coords: &Matrix,
-        z: &[f64],
-    ) -> Result<coplot::Arrow, CoplotError> {
-        self.check()?;
-        self.inner.fit(name, coords, z)
-    }
-}
-
-/// A stage sharing its output through a batch memo (see [`crate::batch`]).
-#[derive(Debug)]
-struct Memoized<S> {
-    memo: Arc<VarsMemo>,
-    inner: S,
-}
-
-impl Normalizer for Memoized<Box<dyn Normalizer>> {
-    fn normalize(&self, data: &DataMatrix) -> Result<NormalizedMatrix, CoplotError> {
-        // Sound without keying: the engine only calls this on the full
-        // matrix, which is equal across the batch members sharing this memo.
-        self.memo.normalized.get_or_try(|| self.inner.normalize(data))
-    }
-}
-
-impl DissimilarityStage for Memoized<Box<dyn DissimilarityStage>> {
-    fn compute(&self, z: &NormalizedMatrix) -> Result<DissimilarityMatrix, CoplotError> {
-        // NOT memoized: with contributions absent the engine calls this per
-        // variable selection, with different (reduced) matrices.
-        self.inner.compute(z)
-    }
-
-    fn contributions(&self, z: &NormalizedMatrix) -> Option<PairContributions> {
-        self.memo
-            .contributions
-            .get_or_try(|| Ok::<_, std::convert::Infallible>(self.inner.contributions(z)))
-            .expect("infallible")
-    }
+    Coplot::new()
+        .seed(seed)
+        .threads(cfg.threads)
+        .restart_range(restart_range)
+        .deadline(cfg.deadline)
+        .engine()
 }
 
 #[cfg(test)]
@@ -631,7 +475,7 @@ mod tests {
         let memo = BatchMemo::new();
         let cfg = ExecConfig::new(1);
         execute_with_memo(&models_request(Operation::Coplot), &cfg, Some(&memo)).unwrap();
-        // The second request finds the workloads (and stage outputs) ready.
+        // The second request finds the workloads (and the matrix) ready.
         let mut calls = 0;
         memo.workloads
             .get_or_try::<()>(|| {

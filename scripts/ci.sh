@@ -80,6 +80,23 @@ printf '\n' >> serve_body.json
 diff cli_body.json serve_body.json   # CLI --json == server body, byte for byte
 rm -f serve_body.json cli_body.json "$req_file"
 
+echo "== wl-serve deadline smoke (1 ms deadline -> typed 504) =="
+# The stage named in the body is not pinned: a descheduled worker may
+# legitimately stop at `load` before the engine starts.
+deadline_req=$(mktemp)
+deadline_err=$(mktemp)
+echo -n '{"op":"coplot","dataset":{"name":"table3"},"jobs":2000,"seed":9,"deadline_ms":1}' \
+  > "$deadline_req"
+if deadline_body=$(./target/release/wl-servectl POST \
+    "http://$serve_addr/v1/coplot" "$deadline_req" 2> "$deadline_err"); then
+  echo "a 1 ms deadline request succeeded: $deadline_body"; exit 1
+fi
+grep -q '^HTTP 504$' "$deadline_err" \
+  || { echo "expected HTTP 504, got: $(cat "$deadline_err")"; exit 1; }
+echo "$deadline_body" | grep -q '"kind":"deadline"' \
+  || { echo "504 body is not a deadline error: $deadline_body"; exit 1; }
+rm -f "$deadline_req" "$deadline_err"
+
 ./target/release/wl-servectl GET "http://$serve_addr/metrics" \
   | ./target/release/trace-check -
 
