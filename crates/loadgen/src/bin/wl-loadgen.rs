@@ -166,7 +166,7 @@ USAGE:
   --path P          endpoint (default /v1/coplot)
   --body JSON       body template; `{seed}` cycles 0..distinct (default a
                     models-dataset coplot request)
-  --distinct N      distinct `{seed}` values; 1 = maximal coalescing
+  --distinct N      distinct `{seed}` values; 1 = maximal sharing
                     (default 1)
   --api v1|v2       v2 wraps the body template in the versioned envelope
                     and targets POST /v2/analyze (default v1; an explicit

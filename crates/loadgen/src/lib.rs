@@ -155,7 +155,8 @@ pub struct LoadOptions {
     pub path: String,
     /// Request body template; `{seed}` is replaced by `request index %
     /// distinct`, controlling how many distinct datasets the run touches
-    /// (1 = everything cache/batch-coalesces, large = mostly misses).
+    /// (1 = every request hits the cache or shares an in-flight load,
+    /// large = mostly misses).
     pub body: String,
     /// Distinct `{seed}` substitutions to cycle through.
     pub distinct: u64,

@@ -141,7 +141,20 @@ pub fn period_suite(opts: &Options) -> Vec<Workload> {
 /// Jann's model is re-fitted to the synthesized CTC log, exactly as the
 /// original was fitted to the real CTC trace; the other four use their
 /// published-default parameters.
+///
+/// # Panics
+/// When the re-fit fails; see [`try_model_suite`].
 pub fn model_suite(opts: &Options) -> Vec<Workload> {
+    try_model_suite(opts).expect("CTC fit")
+}
+
+/// [`model_suite`], reporting a failed Jann re-fit as an error: below
+/// about 120 jobs the synthesized CTC log has too few jobs per size range
+/// to fit.
+///
+/// # Errors
+/// The re-fit's message, naming the job count.
+pub fn try_model_suite(opts: &Options) -> Result<Vec<Workload>, String> {
     use wl_models::{Jann, WorkloadModel};
     use wl_stats::rng::{derive_seed, seeded_rng};
     // Model trait objects are not Send, so each worker rebuilds the model
@@ -149,21 +162,27 @@ pub fn model_suite(opts: &Options) -> Vec<Workload> {
     // the output independent of the thread count.
     let n_models = all_models().len();
     let opts = *opts;
-    let mut out = wl_par::par_map_indexed(opts.threads, n_models, move |k| {
+    let out = wl_par::par_map_indexed(opts.threads, n_models, move |k| {
         let models = all_models();
         let model = &models[k];
         let mut rng = seeded_rng(derive_seed(opts.seed, 1000 + k as u64));
         if model.name() == "Jann" {
             let ctc = machines::MachineId::Ctc.generate(opts.jobs, opts.seed);
-            let fitted = Jann::fit_from_workload(&ctc).expect("CTC fit");
-            fitted.generate(opts.jobs, &mut rng)
+            let fitted = Jann::fit_from_workload(&ctc).map_err(|e| {
+                format!(
+                    "cannot re-fit the Jann model to a {}-job CTC log: {e}",
+                    opts.jobs
+                )
+            })?;
+            Ok(fitted.generate(opts.jobs, &mut rng))
         } else {
-            model.generate(opts.jobs, &mut rng)
+            Ok(model.generate(opts.jobs, &mut rng))
         }
     });
+    let mut out = out.into_iter().collect::<Result<Vec<_>, String>>()?;
     let order = ["Lublin", "Feitelson '97", "Feitelson '96", "Downey", "Jann"];
     out.sort_by_key(|w| order.iter().position(|&n| n == w.name).unwrap_or(usize::MAX));
-    out
+    Ok(out)
 }
 
 /// Compute each workload's stats with the paper's load-imputation rule.

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! wl-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!          [--deadline-ms N] [--idle-timeout-ms N] [--batch-max N]
-//!          [--stdin-shutdown]
+//!          [--deadline-ms N] [--idle-timeout-ms N] [--stdin-shutdown]
 //!          [--threads N] [--trace text|json] [--metrics-out PATH]
 //! ```
 //!
@@ -58,8 +57,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--addr" | "--workers" | "--queue" | "--cache" | "--deadline-ms"
-            | "--idle-timeout-ms" | "--batch-max" | "--worker" | "--probe-interval-ms"
-            | "--register" => {}
+            | "--idle-timeout-ms" | "--worker" | "--probe-interval-ms" | "--register" => {}
             other => return fail(&format!("unknown flag {other:?}\n{USAGE}")),
         }
         let Some(value) = args.get(i + 1) else {
@@ -92,10 +90,6 @@ fn main() -> ExitCode {
             "--idle-timeout-ms" => match value.parse() {
                 Ok(n) if n > 0 => config.idle_timeout_ms = n,
                 _ => return fail("--idle-timeout-ms needs a positive integer"),
-            },
-            "--batch-max" => match value.parse() {
-                Ok(n) if n > 0 => config.batch_max = n,
-                _ => return fail("--batch-max needs a positive integer"),
             },
             _ => unreachable!(),
         }
@@ -160,20 +154,19 @@ const USAGE: &str = "wl-serve — Co-plot analysis service
 
 USAGE:
   wl-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-           [--deadline-ms N] [--idle-timeout-ms N] [--batch-max N]
-           [--stdin-shutdown]
+           [--deadline-ms N] [--idle-timeout-ms N] [--stdin-shutdown]
            [--coordinator] [--worker HOST:PORT]... [--probe-interval-ms N]
            [--register HOST:PORT]
            [--threads N] [--trace text|json] [--metrics-out PATH]
 
   --addr HOST:PORT   bind address (default 127.0.0.1:1999; port 0 = ephemeral)
-  --workers N        request worker threads (default 2)
+  --workers N        request worker threads (default 2); requests queued or
+                     running together on one dataset load it once
   --queue N          admission queue capacity; full queue answers 503 (default 32)
   --cache N          result-cache entries, 0 disables (default 128)
   --deadline-ms N    default per-request deadline when the request has none
   --idle-timeout-ms N  evict idle connections (mid-request idlers get 408)
                      after this long (default 10000)
-  --batch-max N      most same-dataset requests coalesced per batch (default 8)
   --stdin-shutdown   drain gracefully when a byte arrives on stdin
   --coordinator      run as a fleet coordinator: analyses are sharded across
                      registered workers (results byte-identical to one node)

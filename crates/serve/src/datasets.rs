@@ -117,7 +117,27 @@ impl NamedDataset {
     /// bit-identical results for any count. The grid and web suites go the
     /// long way around — generate trace text, parse it back through the
     /// format's `TraceSource` — so the ingestion path itself is exercised.
+    ///
+    /// # Panics
+    /// When [`try_synthesize`](NamedDataset::try_synthesize) fails.
     pub fn synthesize(&self, jobs: usize, seed: u64, threads: usize) -> Vec<Workload> {
+        self.try_synthesize(jobs, seed, threads)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`synthesize`](NamedDataset::synthesize), reporting a suite that
+    /// cannot be built at this size as an error.
+    ///
+    /// # Errors
+    /// `models`, `table3` and `crossdomain` re-fit Jann's model to a
+    /// synthesized CTC log, which fails below about 120 jobs
+    /// ([`wl_repro::try_model_suite`]).
+    pub fn try_synthesize(
+        &self,
+        jobs: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<Vec<Workload>, String> {
         let opts = wl_repro::Options {
             paper_data: false,
             seed,
@@ -125,25 +145,25 @@ impl NamedDataset {
             threads,
             timings: false,
         };
-        match self {
+        Ok(match self {
             NamedDataset::Table1 => wl_repro::production_suite(&opts),
             NamedDataset::Table2 => wl_repro::period_suite(&opts),
-            NamedDataset::Models => wl_repro::model_suite(&opts),
+            NamedDataset::Models => wl_repro::try_model_suite(&opts)?,
             NamedDataset::Table3 => {
                 let mut out = wl_repro::production_suite(&opts);
-                out.extend(wl_repro::model_suite(&opts));
+                out.extend(wl_repro::try_model_suite(&opts)?);
                 out
             }
             NamedDataset::Grid => wl_trace::synth::grid_suite(jobs, seed, threads),
             NamedDataset::Web => wl_trace::synth::web_suite(jobs, seed, threads),
             NamedDataset::CrossDomain => {
                 let mut out = wl_repro::production_suite(&opts);
-                out.extend(wl_repro::model_suite(&opts));
+                out.extend(wl_repro::try_model_suite(&opts)?);
                 out.extend(wl_trace::synth::grid_suite(jobs, seed, threads));
                 out.extend(wl_trace::synth::web_suite(jobs, seed, threads));
                 out
             }
-        }
+        })
     }
 }
 

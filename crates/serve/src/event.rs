@@ -1,7 +1,6 @@
 //! The server's connection layer: one reactor thread drives every socket
-//! non-blocking through `poll(2)` ([`wl_par::poll`]), a worker pool
-//! executes fully-parsed requests, and requests sharing a dataset digest
-//! coalesce into batches (see [`crate::batch`]).
+//! non-blocking through `poll(2)` ([`wl_par::poll`]), and a worker pool
+//! executes fully-parsed requests.
 //!
 //! Division of labor:
 //!
@@ -9,14 +8,15 @@
 //!   polls for readiness, accepts, reads into per-connection buffers,
 //!   parses incrementally ([`crate::http::try_parse`] — pipelining falls
 //!   out of the `consumed` offset), answers cheap endpoints and 4xx
-//!   replies inline, and dispatches analysis/stream work to the queue.
-//!   It never blocks on a socket and never computes: a slow client costs
-//!   a table slot, not a thread.
-//! * **Workers** pop whole batches ([`crate::batch::take_batch`]), run
-//!   them against one [`BatchMemo`] so the dataset load and the variable
-//!   matrix are built once per batch, serialize each response, and hand
-//!   the bytes back through the completion list, waking the reactor via
-//!   its self-pipe ([`wl_par::poll::Waker`]).
+//!   replies inline, and dispatches analysis/stream work to the queue —
+//!   an analysis of a named dataset holding its digest's in-flight slot
+//!   from there on, so requests queued or running together on one digest
+//!   load it once (see [`crate::exec`]). It never blocks on a socket and
+//!   never computes: a slow client costs a table slot, not a thread.
+//! * **Workers** pop one job at a time from a plain FIFO, execute it,
+//!   serialize the response, and hand the bytes back through the
+//!   completion list, waking the reactor via its self-pipe
+//!   ([`wl_par::poll::Waker`]).
 //!
 //! Connection life cycle: accept → (read ⇄ parse ⇄ dispatch → write)* →
 //! close. One request per connection is outstanding at a time (pipelined
@@ -43,11 +43,11 @@ use std::time::{Duration, Instant};
 
 use wl_par::poll::{waker, PollSet, WakeReceiver, Waker};
 
-use crate::batch::{record_batch, take_batch, BatchKey, BatchMemo};
 use crate::cache::ResultCache;
 use crate::dist::coordinator::{aggregated_metrics, execute_via_fleet};
 use crate::dist::worker::{execute_prepared_shard, prepare_shard, PreparedShard};
 use crate::dist::Coordinator;
+use crate::exec::{DatasetSlot, InFlight};
 use crate::http::{try_parse, HttpError, ParseStatus, Request, Response};
 use crate::server::{
     classify, error_body, execute_prepared, fleet_response, own_metrics_response,
@@ -61,12 +61,13 @@ struct Job {
     keep_alive: bool,
     started: Instant,
     endpoint: Endpoint,
-    key: BatchKey,
     kind: JobKind,
 }
 
 enum JobKind {
-    Analysis(Prepared),
+    /// An analysis, with its dataset's in-flight slot when that was held
+    /// at admission ([`Prepared::named_dataset_digest`]).
+    Analysis(Prepared, Option<Arc<DatasetSlot>>),
     Stream(Request),
     /// A `/v2/shard` POST (workers in a fleet run these).
     Shard(PreparedShard),
@@ -92,6 +93,7 @@ pub(crate) struct EventShared {
     draining: AtomicBool,
     inflight: AtomicI64,
     cache: ResultCache,
+    datasets: InFlight,
     waker: Waker,
     coordinator: Option<Arc<Coordinator>>,
 }
@@ -151,6 +153,7 @@ pub(crate) fn start(
         completions: Mutex::new(Vec::new()),
         draining: AtomicBool::new(false),
         inflight: AtomicI64::new(0),
+        datasets: InFlight::default(),
         waker: wake_tx,
         coordinator,
     });
@@ -497,7 +500,6 @@ fn dispatch_buffered(
                             keep_alive,
                             started,
                             endpoint: Endpoint::Metrics,
-                            key: BatchKey::Solo,
                             kind: JobKind::FleetMetrics,
                         },
                     );
@@ -530,7 +532,6 @@ fn dispatch_buffered(
                             keep_alive,
                             started,
                             endpoint: Endpoint::Shard,
-                            key: BatchKey::Solo,
                             kind: JobKind::Shard(prepared),
                         },
                     );
@@ -551,7 +552,13 @@ fn dispatch_buffered(
                     conn.push_response(&response, keep_alive);
                 }
                 Ok(prepared) => {
-                    let key = prepared.batch_key();
+                    // Held while queued, so a request waiting behind
+                    // another on its digest finds the dataset loaded. A
+                    // coordinator never loads datasets.
+                    let slot = prepared
+                        .named_dataset_digest()
+                        .filter(|_| shared.coordinator.is_none())
+                        .map(|digest| shared.datasets.hold(digest));
                     enqueue(
                         conn,
                         shared,
@@ -560,8 +567,7 @@ fn dispatch_buffered(
                             keep_alive,
                             started,
                             endpoint,
-                            key,
-                            kind: JobKind::Analysis(prepared),
+                            kind: JobKind::Analysis(prepared, slot),
                         },
                     );
                 }
@@ -575,7 +581,6 @@ fn dispatch_buffered(
                         keep_alive,
                         started,
                         endpoint: Endpoint::Stream,
-                        key: BatchKey::Solo,
                         kind: JobKind::Stream(request),
                     },
                 );
@@ -617,17 +622,16 @@ fn enqueue(conn: &mut Conn, shared: &Arc<EventShared>, job: Job) {
     }
 }
 
-/// Worker: pop a batch of same-digest jobs, execute them against one
-/// shared memo, push the serialized responses back to the reactor.
+/// Worker: pop one job, execute it, push the serialized response back to
+/// the reactor.
 fn worker_loop(shared: &Arc<EventShared>) {
     loop {
-        let batch = {
+        let job = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if !queue.is_empty() {
-                    let batch = take_batch(&mut queue, |j: &Job| j.key, shared.config.batch_max);
+                if let Some(job) = queue.pop_front() {
                     wl_obs::gauge_set!("serve.queue.depth", queue.len() as i64);
-                    break batch;
+                    break job;
                 }
                 if shared.draining.load(Ordering::SeqCst) {
                     return;
@@ -639,34 +643,36 @@ fn worker_loop(shared: &Arc<EventShared>) {
                 queue = guard;
             }
         };
-        record_batch(batch.len());
-        let memo = BatchMemo::new();
-        for job in batch {
-            let response = match &job.kind {
-                JobKind::Analysis(prepared) => match shared.coordinator.as_deref() {
-                    Some(c) => execute_via_fleet(c, prepared, &shared.config, &shared.cache),
-                    None => execute_prepared(prepared, &shared.config, &shared.cache, &memo),
-                },
-                JobKind::Stream(request) => stream_response(request, shared.config.threads),
-                JobKind::Shard(prepared) => {
-                    execute_prepared_shard(prepared, &shared.config, &shared.cache)
-                }
-                JobKind::FleetMetrics => match shared.coordinator.as_deref() {
-                    Some(c) => aggregated_metrics(c),
-                    None => own_metrics_response(),
-                },
-            };
-            record_status(response.status);
-            job.endpoint
-                .record_latency(job.started.elapsed().as_micros() as u64);
-            shared.completions.lock().unwrap().push(Completion {
-                conn: job.conn,
-                bytes: response.to_bytes(job.keep_alive),
-                close: !job.keep_alive,
-            });
-            let inflight = shared.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-            wl_obs::gauge_set!("serve.inflight", inflight);
-            shared.waker.wake();
-        }
+        let response = match job.kind {
+            JobKind::Analysis(prepared, slot) => match shared.coordinator.as_deref() {
+                Some(c) => execute_via_fleet(c, &prepared, &shared.config, &shared.cache),
+                None => execute_prepared(
+                    &prepared,
+                    &shared.config,
+                    &shared.cache,
+                    &shared.datasets,
+                    slot,
+                ),
+            },
+            JobKind::Stream(request) => stream_response(&request, shared.config.threads),
+            JobKind::Shard(prepared) => {
+                execute_prepared_shard(&prepared, &shared.config, &shared.cache)
+            }
+            JobKind::FleetMetrics => match shared.coordinator.as_deref() {
+                Some(c) => aggregated_metrics(c),
+                None => own_metrics_response(),
+            },
+        };
+        record_status(response.status);
+        job.endpoint
+            .record_latency(job.started.elapsed().as_micros() as u64);
+        shared.completions.lock().unwrap().push(Completion {
+            conn: job.conn,
+            bytes: response.to_bytes(job.keep_alive),
+            close: !job.keep_alive,
+        });
+        let inflight = shared.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
+        wl_obs::gauge_set!("serve.inflight", inflight);
+        shared.waker.wake();
     }
 }

@@ -28,8 +28,10 @@
 //! the envelope's `op`.
 //!
 //! The layers, bottom up: [`exec`] executes one request (shared with the
-//! CLI — byte parity by construction), [`datasets`] names and digests the
-//! data, [`cache`] memoizes responses content-addressed by
+//! CLI — byte parity by construction; in the server, requests on one
+//! dataset digest that are queued or running together share its load),
+//! [`datasets`] names and digests the data, [`cache`] memoizes responses
+//! content-addressed by
 //! `(dataset digest, canonical request digest)`, [`server`] and its
 //! `poll(2)` reactor ([`event`]) wrap it all in bounded admission (full
 //! queue → 503 + `Retry-After`),
@@ -39,7 +41,6 @@
 //! across ordinary `wl-serve` workers with byte-identical results for
 //! any worker count.
 
-pub mod batch;
 pub mod cache;
 pub mod datasets;
 pub mod dist;
@@ -49,10 +50,9 @@ pub mod http;
 pub mod server;
 pub mod stream;
 
-pub use batch::{BatchKey, BatchMemo};
 pub use cache::ResultCache;
 pub use datasets::NamedDataset;
 pub use dist::{Coordinator, CoordinatorConfig};
-pub use exec::{execute, execute_shard, execute_with_memo, ExecConfig, ExecError, ExecOutcome};
+pub use exec::{execute, execute_shard, ExecConfig, ExecError, ExecOutcome};
 pub use server::{start, Drainer, ServerConfig, ServerHandle};
 pub use stream::{event_json, parse_stream_request, run_stream_text, StreamOptions};

@@ -1,10 +1,11 @@
 //! The `wl-serve` server: its public handle and configuration, plus the
 //! request logic its connection layer runs — the route table
 //! (`classify`), request preparation and execution (`prepare_analysis` /
-//! `execute_prepared`), typed error bodies, and per-endpoint metrics. The
-//! connection layer itself — one `poll(2)` reactor thread plus a worker
-//! pool, with bounded admission (a full queue answers 503 +
-//! `Retry-After`) and request batching — lives in [`crate::event`].
+//! `execute_prepared`, which runs each request against the in-flight slot
+//! of its dataset digest — see [`crate::exec`]), typed error bodies, and
+//! per-endpoint metrics. The connection layer itself — one `poll(2)`
+//! reactor thread plus a worker pool, with bounded admission (a full
+//! queue answers 503 + `Retry-After`) — lives in [`crate::event`].
 //!
 //! Graceful drain: `POST /v1/shutdown` (or [`ServerHandle::initiate_drain`])
 //! stops accepting; admitted requests finish and flush, and
@@ -13,20 +14,21 @@
 //! Instrumentation (all behind the `wl-obs` registry, scraped at
 //! `GET /metrics` as the same JSON-lines format `trace-check` validates):
 //! per-endpoint latency histograms (`serve.latency_us.*`), response-status
-//! counters (`serve.http.*`), cache counters (`serve.cache.*`), and the
+//! counters (`serve.http.*`), cache counters (`serve.cache.*`), in-flight
+//! sharing counters (`serve.dataset.{loads,shared}`), and the
 //! `serve.queue.depth` / `serve.inflight` gauges.
 
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coplot::{AnalysisRequest, Envelope, EnvelopePayload, ErrorBody, Operation};
+use coplot::{AnalysisRequest, DatasetSpec, Envelope, EnvelopePayload, ErrorBody, Operation};
 
-use crate::batch::{BatchKey, BatchMemo};
 use crate::cache::ResultCache;
 use crate::datasets;
 use crate::dist::{Coordinator, CoordinatorConfig};
 use crate::event::EventHandle;
-use crate::exec::{self, ExecConfig, ExecError};
+use crate::exec::{self, DatasetSlot, ExecConfig, ExecError, InFlight};
 use crate::http::{Request, Response};
 
 pub use crate::event::Drainer;
@@ -49,8 +51,6 @@ pub struct ServerConfig {
     /// Evict connections idle this long. Mid-request idlers (slowloris)
     /// get a 408; idle keep-alive connections close silently.
     pub idle_timeout_ms: u64,
-    /// Most requests coalesced into one batch.
-    pub batch_max: usize,
     /// Run as a fleet coordinator (`wl-serve --coordinator`): analyses are
     /// sharded across the configured workers instead of executed locally,
     /// `/v2/workers` accepts registrations and `/v2/fleet` reports status.
@@ -68,7 +68,6 @@ impl Default for ServerConfig {
             threads: wl_par::default_threads(),
             default_deadline_ms: None,
             idle_timeout_ms: 10_000,
-            batch_max: 8,
             coordinator: None,
         }
     }
@@ -337,23 +336,13 @@ pub(crate) struct Prepared {
 }
 
 impl Prepared {
-    /// How this request may batch: named datasets digest without I/O, so
-    /// the digest doubles as the batch key; path datasets would need file
-    /// reads to digest and stay solo.
-    pub(crate) fn batch_key(&self) -> BatchKey {
-        if !matches!(self.canonical.dataset, coplot::DatasetSpec::Named(_)) {
-            // Digesting a path dataset reads files — too slow for the
-            // reactor thread, and path requests rarely repeat anyway.
-            return BatchKey::Solo;
-        }
-        match datasets::dataset_digest(
-            &self.canonical.dataset,
-            self.canonical.jobs,
-            self.canonical.seed,
-            self.canonical.format.as_deref(),
-        ) {
-            Ok(d) => BatchKey::Shared(d),
-            Err(_) => BatchKey::Solo,
+    /// The dataset digest when it costs no I/O — a named dataset's is a
+    /// hash of its spec — so the reactor can hold the dataset's in-flight
+    /// slot from admission. Path datasets digest their files on a worker.
+    pub(crate) fn named_dataset_digest(&self) -> Option<u64> {
+        match self.canonical.dataset {
+            DatasetSpec::Named(_) => datasets_digest_of(&self.canonical).ok(),
+            DatasetSpec::Paths(_) => None,
         }
     }
 }
@@ -420,14 +409,16 @@ pub(crate) fn prepare_analysis(
 }
 
 /// Execute a prepared analysis request: digest the dataset, consult the
-/// result cache, run against the batch's memo, cache, respond. Never
+/// result cache, run against the dataset's in-flight slot — `held` since
+/// admission, or else taken from `in_flight` now — cache, respond. Never
 /// panics a worker and never answers 500 — every failure maps to a typed
 /// 4xx/5xx.
 pub(crate) fn execute_prepared(
     prepared: &Prepared,
     config: &ServerConfig,
     cache: &ResultCache,
-    memo: &BatchMemo,
+    in_flight: &InFlight,
+    held: Option<Arc<DatasetSlot>>,
 ) -> Response {
     let canonical = &prepared.canonical;
     let dataset_digest = match datasets_digest_of(canonical) {
@@ -443,7 +434,8 @@ pub(crate) fn execute_prepared(
         threads: config.threads,
         deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
     };
-    match exec::execute_with_memo(canonical, &cfg, Some(memo)) {
+    let slot = held.unwrap_or_else(|| in_flight.hold(dataset_digest));
+    match exec::execute_in(canonical, &cfg, &slot) {
         Ok(outcome) => {
             let body = outcome.response.to_json();
             cache.put(key, body.clone());

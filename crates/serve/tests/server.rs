@@ -10,7 +10,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use wl_serve::http::http_call;
+use wl_serve::http::{http_call, HttpClient};
 use wl_serve::{start, ServerConfig, ServerHandle};
 
 fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
@@ -236,6 +236,28 @@ fn expired_deadline_is_a_504() {
     let (status, _, resp) = post(addr, "/v1/coplot", body);
     assert_eq!(status, 504, "{resp}");
     assert_eq!(error_kind(&resp), "deadline");
+    server.shutdown();
+}
+
+#[test]
+fn undersized_named_dataset_is_a_422_and_the_worker_survives() {
+    // Jann's model cannot be re-fitted to a 50-job CTC log. With one
+    // worker, a load that killed it would leave the next request (and the
+    // drain) waiting forever; the read timeout turns that into a failure.
+    let server = test_server(|c| c.workers = 1);
+    let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let undersized = "{\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":50,\"seed\":3}";
+    let (status, _, body) = client
+        .call("POST", "/v1/coplot", Some(undersized))
+        .expect("a typed answer, not a dead worker");
+    assert_eq!(status, 422, "{body}");
+    assert_eq!(error_kind(&body), "analysis");
+    let (status, _, body) = client
+        .call("POST", "/v1/coplot", Some(&coplot_body(3)))
+        .expect("the worker still serves");
+    assert_eq!(status, 200, "{body}");
+    drop(client);
     server.shutdown();
 }
 

@@ -97,6 +97,26 @@ echo "$deadline_body" | grep -q '"kind":"deadline"' \
   || { echo "504 body is not a deadline error: $deadline_body"; exit 1; }
 rm -f "$deadline_req" "$deadline_err"
 
+echo "== wl-serve undersized dataset smoke (50-job models -> typed 422, twice) =="
+# Jann's model cannot be re-fitted to a 50-job CTC log. Two such requests
+# against the two workers: each must get a typed 422, and the stream,
+# loadgen and drain steps below need both workers still alive. `timeout`
+# turns a request that is never answered into a failure, not a hang.
+small_req=$(mktemp)
+small_err=$(mktemp)
+echo -n '{"op":"coplot","dataset":{"name":"models"},"jobs":50,"seed":3}' > "$small_req"
+for _ in 1 2; do
+  if small_body=$(timeout 60 ./target/release/wl-servectl POST \
+      "http://$serve_addr/v1/coplot" "$small_req" 2> "$small_err"); then
+    echo "a 50-job models request succeeded: $small_body"; exit 1
+  fi
+  grep -q '^HTTP 422$' "$small_err" \
+    || { echo "expected HTTP 422, got: $(cat "$small_err")"; exit 1; }
+  echo "$small_body" | grep -q '"kind":"analysis"' \
+    || { echo "422 body is not an analysis error: $small_body"; exit 1; }
+done
+rm -f "$small_req" "$small_err"
+
 ./target/release/wl-servectl GET "http://$serve_addr/metrics" \
   | ./target/release/trace-check -
 
