@@ -55,6 +55,12 @@ pub const DEFAULT_TOP: u64 = 5;
 /// integer fields above this would not round-trip.
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
+/// Largest `jobs` a named dataset may ask for (2^18). Synthesis allocates
+/// in proportion to it, so without a cap one request could exhaust the
+/// executor's memory; at the cap, `crossdomain` (the largest suite) peaks
+/// at about 1.25 GB resident and `table1` at about 362 MB.
+pub const MAX_NAMED_JOBS: u64 = 1 << 18;
+
 /// Trace formats a `Paths` dataset may declare via the request's `format`
 /// field. The labels mirror `wl_trace::TraceFormat::label()`; the list is
 /// duplicated here because the ingestion crate sits above this one in the
@@ -179,6 +185,12 @@ impl AnalysisRequest {
         check_int("seed", r.seed)?;
         if r.jobs == 0 {
             return Err(ApiError::value("jobs must be positive"));
+        }
+        if matches!(r.dataset, DatasetSpec::Named(_)) && r.jobs > MAX_NAMED_JOBS {
+            return Err(ApiError::value(format!(
+                "jobs must be at most {MAX_NAMED_JOBS} for a named dataset, got {}",
+                r.jobs
+            )));
         }
         if let Some(fmt) = &r.format {
             if !KNOWN_FORMATS.contains(&fmt.as_str()) {
@@ -1668,6 +1680,23 @@ mod tests {
         let mut r = AnalysisRequest::new(Operation::Subset, DatasetSpec::Named("x".into()));
         r.subset_size = 1;
         assert_eq!(r.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
+    }
+
+    #[test]
+    fn named_dataset_jobs_are_capped() {
+        let mut r = coplot_request();
+        r.jobs = MAX_NAMED_JOBS;
+        assert_eq!(r.canonicalize().unwrap().jobs, MAX_NAMED_JOBS);
+        r.jobs = MAX_NAMED_JOBS + 1;
+        assert_eq!(r.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
+        // A path dataset's files define its jobs, so its `jobs` is
+        // neutralized rather than checked.
+        let mut r = AnalysisRequest::new(
+            Operation::Coplot,
+            DatasetSpec::Paths(vec!["a.swf".into()]),
+        );
+        r.jobs = 1 << 45;
+        assert_eq!(r.canonicalize().unwrap().jobs, DEFAULT_JOBS);
     }
 
     #[test]

@@ -19,10 +19,19 @@
 //! The log synthesizer uses fGn to give production-log stand-ins the
 //! long-range dependence the paper measures in Table 3, and the estimator
 //! tests use it as ground truth.
+//!
+//! A Davies-Harte generator's circulant amplitudes depend only on `H` and
+//! the embedding size, and every synthesis of a named dataset asks for
+//! the same few pairs. So [`FgnDaviesHarte::new`] keeps them in a
+//! process-wide table bounded to 512 KiB, beside [`fft::plan`]'s table of
+//! FFT plans, and counts `fgn.amps.{hit,miss,evictions}`. A computed
+//! amplitude takes one `powf` per lag; its bits equal those of the
+//! three-`powf` [`fgn_autocovariance`] form.
 
 use crate::fft::{self, FftPlan};
 use rand::RngCore;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use wl_stats::dist::Normal;
 
 /// The fGn autocovariance `gamma(k)` for unit-variance noise.
@@ -45,8 +54,9 @@ pub fn fgn_autocovariance(h: f64, k: usize) -> f64 {
 pub struct FgnDaviesHarte {
     h: f64,
     n: usize,
-    /// sqrt(lambda_j / m), the per-bin amplitude.
-    amps: Vec<f64>,
+    /// sqrt(lambda_j / m) for j = 0..=m/2, the per-bin amplitudes
+    /// `generate` reads; shared through the process-wide amplitude table.
+    amps: Arc<[f64]>,
     /// Embedding size (power of two, >= 2n).
     m: usize,
     /// Shared FFT plan for the embedding size; every generated path reuses
@@ -58,6 +68,11 @@ impl FgnDaviesHarte {
     /// Prepare a generator for paths of length `n` with Hurst parameter
     /// `h` in `(0, 1)`.
     ///
+    /// The amplitudes depend only on `h` and the embedding size, so they
+    /// come from a bounded process-wide table when another generator
+    /// already computed them (`fgn.amps.{hit,miss,evictions}`); either way
+    /// they are bit-identical.
+    ///
     /// Returns an error when the circulant embedding has (numerically)
     /// negative eigenvalues — which does not happen for fGn's covariance,
     /// but the check guards the math.
@@ -65,34 +80,19 @@ impl FgnDaviesHarte {
     /// # Panics
     /// Panics for `n == 0` or `h` outside `(0, 1)`.
     pub fn new(h: f64, n: usize) -> Result<Self, String> {
+        Self::new_in(amp_table(), h, n)
+    }
+
+    /// [`new`](Self::new) with its amplitudes shared through `table`.
+    fn new_in(table: &Mutex<AmpTable>, h: f64, n: usize) -> Result<Self, String> {
         assert!(n > 0, "path length must be positive");
         assert!(h > 0.0 && h < 1.0, "H must be in (0,1), got {h}");
 
         // Power-of-two embedding size m >= 2n keeps the FFT radix-2.
         let m = (2 * n).next_power_of_two();
-        let half = m / 2;
-        // Circulant first row: gamma(0..=half), then mirrored.
-        let mut c = vec![0.0; m];
-        for (k, slot) in c.iter_mut().enumerate().take(half + 1) {
-            *slot = fgn_autocovariance(h, k);
-        }
-        for k in 1..half {
-            c[m - k] = c[k];
-        }
-        // Eigenvalues = FFT of the first row (real by symmetry).
         let plan = fft::plan(m);
-        let mut re = c;
-        let mut im = vec![0.0; m];
-        plan.process_pow2(&mut re, &mut im, false);
-        let mut amps = Vec::with_capacity(m);
-        for (j, &lambda) in re.iter().enumerate() {
-            if lambda < -1e-8 {
-                return Err(format!(
-                    "negative circulant eigenvalue {lambda} at bin {j} (H = {h})"
-                ));
-            }
-            amps.push((lambda.max(0.0) / m as f64).sqrt());
-        }
+        let amps =
+            shared_amplitudes(table, (h.to_bits(), m), || circulant_amplitudes(h, &plan))?;
         Ok(FgnDaviesHarte { h, n, amps, m, plan })
     }
 
@@ -141,6 +141,97 @@ impl FgnDaviesHarte {
         }
         re
     }
+}
+
+/// `sqrt(lambda_j / m)` for `j = 0..=m/2`, where `lambda` are the
+/// eigenvalues of the circulant embedding of fGn's covariance and
+/// `m = plan.len()`. Only that half is returned because `generate` reads
+/// only it; the negative-eigenvalue check still scans all `m` bins.
+fn circulant_amplitudes(h: f64, plan: &FftPlan) -> Result<Arc<[f64]>, String> {
+    let m = plan.len();
+    let half = m / 2;
+    // One powf per lag: gamma(k) then combines three neighbours in
+    // fgn_autocovariance's operation order, on the same powf inputs, so
+    // every bit matches it.
+    let two_h = 2.0 * h;
+    let pow: Vec<f64> = (0..=half + 1).map(|j| (j as f64).powf(two_h)).collect();
+    // Circulant first row: gamma(0..=half), then mirrored.
+    let mut re = vec![0.0; m];
+    re[0] = 1.0;
+    for k in 1..=half {
+        re[k] = 0.5 * (pow[k + 1] - 2.0 * pow[k] + pow[k - 1]);
+    }
+    for k in 1..half {
+        re[m - k] = re[k];
+    }
+    // Eigenvalues = FFT of the first row (real by symmetry).
+    let mut im = vec![0.0; m];
+    plan.process_pow2(&mut re, &mut im, false);
+    if let Some((j, lambda)) = re.iter().enumerate().find(|&(_, &l)| l < -1e-8) {
+        return Err(format!(
+            "negative circulant eigenvalue {lambda} at bin {j} (H = {h})"
+        ));
+    }
+    Ok(re[..=half]
+        .iter()
+        .map(|&lambda| (lambda.max(0.0) / m as f64).sqrt())
+        .collect())
+}
+
+/// Bytes of amplitudes the process-wide table retains. One `table1` load
+/// at 1024 jobs asks for 20 distinct `(H, m)` keys, about 127 KB, and
+/// `table3` at 2000 jobs for about 0.25 MB. On overflow the table is
+/// cleared, as the FFT plan cache is; an entry larger than the whole
+/// budget is never kept.
+const AMP_TABLE_BYTES: usize = 512 * 1024;
+
+/// Circulant amplitudes by `(H bits, embedding size)`, within
+/// [`AMP_TABLE_BYTES`].
+#[derive(Default)]
+struct AmpTable {
+    map: HashMap<(u64, usize), Arc<[f64]>>,
+    bytes: usize,
+}
+
+impl AmpTable {
+    fn insert(&mut self, key: (u64, usize), amps: &Arc<[f64]>) {
+        let bytes = std::mem::size_of_val::<[f64]>(amps);
+        // A concurrent miss on the same key may have stored it already.
+        if bytes > AMP_TABLE_BYTES || self.map.contains_key(&key) {
+            return;
+        }
+        if self.bytes + bytes > AMP_TABLE_BYTES {
+            wl_obs::counter!("fgn.amps.evictions", self.map.len() as u64);
+            self.map.clear();
+            self.bytes = 0;
+        }
+        self.bytes += bytes;
+        self.map.insert(key, Arc::clone(amps));
+    }
+}
+
+fn amp_table() -> &'static Mutex<AmpTable> {
+    static TABLE: OnceLock<Mutex<AmpTable>> = OnceLock::new();
+    TABLE.get_or_init(Mutex::default)
+}
+
+/// The amplitudes under `key` in `table`, or `compute`'s, kept when they
+/// fit. The lock is not held while computing, and an error is not kept.
+fn shared_amplitudes(
+    table: &Mutex<AmpTable>,
+    key: (u64, usize),
+    compute: impl FnOnce() -> Result<Arc<[f64]>, String>,
+) -> Result<Arc<[f64]>, String> {
+    // Every update leaves the map and its byte count consistent.
+    let lock = || table.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(amps) = lock().map.get(&key) {
+        wl_obs::counter!("fgn.amps.hit", 1u64);
+        return Ok(Arc::clone(amps));
+    }
+    wl_obs::counter!("fgn.amps.miss", 1u64);
+    let amps = compute()?;
+    lock().insert(key, &amps);
+    Ok(amps)
 }
 
 /// Hosking's exact sequential fGn generator (Durbin-Levinson recursion).
@@ -211,7 +302,129 @@ impl FgnHosking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wl_stats::rng::seeded_rng;
+
+    /// The constructor as it was before amplitudes were shared: three
+    /// `powf` per lag through [`fgn_autocovariance`], all `m` amplitudes,
+    /// no table.
+    fn oracle_new(h: f64, n: usize) -> Result<FgnDaviesHarte, String> {
+        assert!(n > 0, "path length must be positive");
+        assert!(h > 0.0 && h < 1.0, "H must be in (0,1), got {h}");
+
+        let m = (2 * n).next_power_of_two();
+        let half = m / 2;
+        let mut c = vec![0.0; m];
+        for (k, slot) in c.iter_mut().enumerate().take(half + 1) {
+            *slot = fgn_autocovariance(h, k);
+        }
+        for k in 1..half {
+            c[m - k] = c[k];
+        }
+        let plan = fft::plan(m);
+        let mut re = c;
+        let mut im = vec![0.0; m];
+        plan.process_pow2(&mut re, &mut im, false);
+        let mut amps = Vec::with_capacity(m);
+        for (j, &lambda) in re.iter().enumerate() {
+            if lambda < -1e-8 {
+                return Err(format!(
+                    "negative circulant eigenvalue {lambda} at bin {j} (H = {h})"
+                ));
+            }
+            amps.push((lambda.max(0.0) / m as f64).sqrt());
+        }
+        Ok(FgnDaviesHarte {
+            h,
+            n,
+            amps: amps.into(),
+            m,
+            plan,
+        })
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn shared_amplitudes_match_the_oracle_bit_for_bit(
+            h in prop_oneof![Just(0.05f64), Just(0.95f64), 0.05f64..0.95],
+            n in prop_oneof![Just(1usize), 1usize..=5000],
+            seed in 0u64..1000,
+        ) {
+            // Twice: the first call may compute, the second normally hits.
+            for _ in 0..2 {
+                let gen = FgnDaviesHarte::new(h, n).unwrap();
+                let oracle = oracle_new(h, n).unwrap();
+                prop_assert_eq!(gen.m, oracle.m);
+                prop_assert_eq!(bits(&gen.amps), bits(&oracle.amps[..=oracle.m / 2]));
+                prop_assert_eq!(
+                    bits(&gen.generate(&mut seeded_rng(seed))),
+                    bits(&oracle.generate(&mut seeded_rng(seed)))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lengths_with_one_embedding_share_one_entry() {
+        let table = Mutex::default();
+        // 2 * 300 and 2 * 500 both round up to m = 1024.
+        let a = FgnDaviesHarte::new_in(&table, 0.8, 300).unwrap();
+        let b = FgnDaviesHarte::new_in(&table, 0.8, 500).unwrap();
+        assert!(Arc::ptr_eq(&a.amps, &b.amps));
+        let table = table.into_inner().unwrap();
+        assert_eq!(table.map.len(), 1);
+        assert_eq!(table.bytes, 513 * 8);
+        assert_eq!((a.len(), b.len()), (300, 500));
+    }
+
+    #[test]
+    fn table_stays_within_its_byte_budget() {
+        let table = Mutex::default();
+        let zeros = |len: usize| move || Ok::<_, String>(vec![0.0; len].into());
+        // Each entry takes 3/8 of the budget: the third overflows it.
+        let len = 3 * AMP_TABLE_BYTES / 8 / 8;
+        for key in 0..3 {
+            shared_amplitudes(&table, (key, 0), zeros(len)).unwrap();
+            let t = table.lock().unwrap();
+            let held: usize = t.map.values().map(|a| a.len() * 8).sum();
+            assert_eq!(held, t.bytes);
+            assert!(t.bytes <= AMP_TABLE_BYTES, "{} bytes retained", t.bytes);
+        }
+        assert_eq!(table.lock().unwrap().map.len(), 1, "cleared on overflow");
+
+        // An entry larger than the whole budget is returned, never kept.
+        let oversized = AMP_TABLE_BYTES / 8 + 1;
+        let amps = shared_amplitudes(&table, (9, 0), zeros(oversized)).unwrap();
+        assert_eq!(amps.len(), oversized);
+        let t = table.lock().unwrap();
+        assert!(!t.map.contains_key(&(9, 0)));
+        assert_eq!(t.map.len(), 1, "the kept entry survives");
+    }
+
+    #[test]
+    fn errors_are_not_cached() {
+        let table = Mutex::default();
+        let err = shared_amplitudes(&table, (1, 2), || Err("negative".to_string()));
+        assert_eq!(err.unwrap_err(), "negative");
+        assert!(table.lock().unwrap().map.is_empty());
+        let mut computed = false;
+        let amps = shared_amplitudes(&table, (1, 2), || {
+            computed = true;
+            Ok(vec![1.0, 2.0].into())
+        })
+        .unwrap();
+        assert!(computed, "the next call computes afresh");
+        assert_eq!(&amps[..], &[1.0, 2.0]);
+        // ... and that value is kept.
+        let again = shared_amplitudes(&table, (1, 2), || panic!("should hit")).unwrap();
+        assert!(Arc::ptr_eq(&amps, &again));
+    }
 
     fn sample_autocov(x: &[f64], k: usize) -> f64 {
         let n = x.len();

@@ -8,6 +8,18 @@
 //! canonical request, so a hit can be served verbatim. Values are the
 //! exact serialized response bodies, keeping hits byte-identical to the
 //! miss that filled them.
+//!
+//! A request is looked up at most twice and counted once. The reactor
+//! looks a named dataset's request up when it admits it ([`lookup`],
+//! which counts only a hit) and answers a hit inline. A request it
+//! queues is looked up again by the worker that runs it ([`get`], which
+//! counts the hit or the miss), because a path dataset can only be
+//! digested there and a hit can appear while the request waits. So
+//! `serve.cache.hit / (hit + miss)` is the share of requests answered
+//! from the cache.
+//!
+//! [`lookup`]: ResultCache::lookup
+//! [`get`]: ResultCache::get
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -37,17 +49,23 @@ impl ResultCache {
     /// Look a body up, bumping the `serve.cache.hit`/`serve.cache.miss`
     /// counters.
     pub fn get(&self, key: (u64, u64)) -> Option<String> {
-        let inner = self.inner.lock().unwrap();
-        match inner.map.get(&key) {
-            Some(body) => {
-                wl_obs::counter!("serve.cache.hit", 1);
-                Some(body.clone())
-            }
-            None => {
-                wl_obs::counter!("serve.cache.miss", 1);
-                None
-            }
+        let body = self.lookup(key);
+        if body.is_none() {
+            wl_obs::counter!("serve.cache.miss", 1);
         }
+        body
+    }
+
+    /// Look a body up, bumping only `serve.cache.hit`: the reactor's
+    /// admission lookup, whose miss is counted by the worker's [`get`].
+    ///
+    /// [`get`]: ResultCache::get
+    pub(crate) fn lookup(&self, key: (u64, u64)) -> Option<String> {
+        let body = self.inner.lock().unwrap().map.get(&key).cloned();
+        if body.is_some() {
+            wl_obs::counter!("serve.cache.hit", 1);
+        }
+        body
     }
 
     /// Insert a body, evicting oldest-first past the capacity.

@@ -7,12 +7,13 @@
 //! * The **reactor** owns the listener and every connection. Per turn it
 //!   polls for readiness, accepts, reads into per-connection buffers,
 //!   parses incrementally ([`crate::http::try_parse`] — pipelining falls
-//!   out of the `consumed` offset), answers cheap endpoints and 4xx
-//!   replies inline, and dispatches analysis/stream work to the queue —
-//!   an analysis of a named dataset holding its digest's in-flight slot
-//!   from there on, so requests queued or running together on one digest
-//!   load it once (see [`crate::exec`]). It never blocks on a socket and
-//!   never computes: a slow client costs a table slot, not a thread.
+//!   out of the `consumed` offset), answers cheap endpoints, 4xx replies
+//!   and result-cache hits on named datasets inline, and dispatches the
+//!   remaining analysis/stream work to the queue — an analysis of a named
+//!   dataset holding its digest's in-flight slot from there on, so
+//!   requests queued or running together on one digest load it once (see
+//!   [`crate::exec`]). It never blocks on a socket and never runs an
+//!   analysis: a slow client costs a table slot, not a thread.
 //! * **Workers** pop one job at a time from a plain FIFO, execute it,
 //!   serialize the response, and hand the bytes back through the
 //!   completion list, waking the reactor via its self-pipe
@@ -24,7 +25,8 @@
 //! construction). Idle connections are evicted on a deadline: mid-request
 //! idlers (slowloris) get a typed 408, idle keep-alive connections close
 //! silently. Admission is bounded by `queue_capacity`; a full queue
-//! answers 503 + `Retry-After` inline without dropping the connection.
+//! answers 503 + `Retry-After` inline without dropping the connection. A
+//! result-cache hit needs no queue slot, so it is answered even then.
 //!
 //! Drain: stop accepting, drop idle connections, answer any further
 //! parsed requests 503 `draining`, let dispatched work finish and flush,
@@ -552,11 +554,22 @@ fn dispatch_buffered(
                     conn.push_response(&response, keep_alive);
                 }
                 Ok(prepared) => {
+                    let digest = prepared.named_dataset_digest();
+                    // A coordinator fills the same key, so it answers its
+                    // hits here too.
+                    let hit = digest
+                        .and_then(|d| shared.cache.lookup((d, prepared.request_digest)));
+                    if let Some(body) = hit {
+                        let response = Response::json(200, body);
+                        record_status(200);
+                        endpoint.record_latency(started.elapsed().as_micros() as u64);
+                        conn.push_response(&response, keep_alive);
+                        continue;
+                    }
                     // Held while queued, so a request waiting behind
                     // another on its digest finds the dataset loaded. A
                     // coordinator never loads datasets.
-                    let slot = prepared
-                        .named_dataset_digest()
+                    let slot = digest
                         .filter(|_| shared.coordinator.is_none())
                         .map(|digest| shared.datasets.hold(digest));
                     enqueue(

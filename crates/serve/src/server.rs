@@ -5,7 +5,9 @@
 //! of its dataset digest — see [`crate::exec`]), typed error bodies, and
 //! per-endpoint metrics. The connection layer itself — one `poll(2)`
 //! reactor thread plus a worker pool, with bounded admission (a full
-//! queue answers 503 + `Retry-After`) — lives in [`crate::event`].
+//! queue answers 503 + `Retry-After`) — lives in [`crate::event`]. The
+//! reactor answers a named dataset's result-cache hit at admission, and
+//! `execute_prepared` looks up again each request the reactor queued.
 //!
 //! Graceful drain: `POST /v1/shutdown` (or [`ServerHandle::initiate_drain`])
 //! stops accepting; admitted requests finish and flush, and
@@ -337,8 +339,9 @@ pub(crate) struct Prepared {
 
 impl Prepared {
     /// The dataset digest when it costs no I/O — a named dataset's is a
-    /// hash of its spec — so the reactor can hold the dataset's in-flight
-    /// slot from admission. Path datasets digest their files on a worker.
+    /// hash of its spec — so the reactor can answer a result-cache hit and
+    /// hold the dataset's in-flight slot from admission. Path datasets
+    /// digest their files on a worker.
     pub(crate) fn named_dataset_digest(&self) -> Option<u64> {
         match self.canonical.dataset {
             DatasetSpec::Named(_) => datasets_digest_of(&self.canonical).ok(),
@@ -409,10 +412,11 @@ pub(crate) fn prepare_analysis(
 }
 
 /// Execute a prepared analysis request: digest the dataset, consult the
-/// result cache, run against the dataset's in-flight slot — `held` since
-/// admission, or else taken from `in_flight` now — cache, respond. Never
-/// panics a worker and never answers 500 — every failure maps to a typed
-/// 4xx/5xx.
+/// result cache (a path dataset's first lookup, or a hit that appeared
+/// while the request was queued), run against the dataset's in-flight
+/// slot — `held` since admission, or else taken from `in_flight` now —
+/// cache, respond. Never panics a worker and never answers 500 — every
+/// failure maps to a typed 4xx/5xx.
 pub(crate) fn execute_prepared(
     prepared: &Prepared,
     config: &ServerConfig,

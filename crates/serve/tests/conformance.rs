@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use wl_serve::http::HttpClient;
+use wl_serve::http::{http_call, HttpClient};
 use wl_serve::{start, ServerConfig, ServerHandle};
 
 fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
@@ -66,14 +66,22 @@ fn pipelined_requests_answer_in_order() {
 #[test]
 fn pipelined_analysis_posts_answer_in_order() {
     let server = test_server(|_| {});
-    let body = "{\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":3}";
+    let addr = server.addr().to_string();
+    let body = |seed: u64| {
+        format!("{{\"op\":\"coplot\",\"dataset\":{{\"name\":\"models\"}},\"jobs\":150,\"seed\":{seed}}}")
+    };
+    // Seed 4 is cached, so the reactor answers it at admission; seed 3 is
+    // a miss that a worker computes. The hit must wait its turn.
+    let (status, _, hit_body) = http_call(&addr, "POST", "/v1/coplot", Some(&body(4))).unwrap();
+    assert_eq!(status, 200, "{hit_body}");
+    let (miss, hit) = (body(3), body(4));
     let one = format!(
-        "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
+        "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{miss}",
+        miss.len()
     );
     let two = format!(
-        "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
+        "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{hit}",
+        hit.len()
     );
     let mut stream = raw(server.addr());
     stream.write_all(format!("{one}{two}").as_bytes()).unwrap();
@@ -83,6 +91,10 @@ fn pipelined_analysis_posts_answer_in_order() {
         2,
         "both pipelined analyses answered: {raw}"
     );
+    let (_, _, miss_body) = http_call(&addr, "POST", "/v1/coplot", Some(&body(3))).unwrap();
+    let first = raw.find(&miss_body).expect("the miss is answered");
+    let second = raw.find(&hit_body).expect("the hit is answered");
+    assert!(first < second, "the hit waits behind the miss: {raw}");
     server.shutdown();
 }
 

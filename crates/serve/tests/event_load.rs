@@ -1,22 +1,45 @@
 //! Load-path behavior of the event-driven model: saturation (503 +
-//! `Retry-After` while admitted work completes), graceful drain
-//! mid-flight — via `POST /v1/shutdown`, via [`wl_serve::Drainer`], and
-//! via `--stdin-shutdown` on the real binary — always with connections
+//! `Retry-After` while admitted work completes, and result-cache hits
+//! answered at admission even then), graceful drain mid-flight — via
+//! `POST /v1/shutdown`, via [`wl_serve::Drainer`], and via
+//! `--stdin-shutdown` on the real binary — always with connections
 //! mid-read when the drain lands.
+//!
+//! The saturation tests hold the only worker on a FIFO
+//! ([`common::HeldDataset`]) and wait on the process-wide
+//! `serve.inflight` gauge, so every test that runs a server in this
+//! process takes one lock.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use common::{spawn_wl_serve, wait_for_inflight, HeldDataset};
 use wl_serve::http::{http_call, HttpClient};
 use wl_serve::{start, ServerConfig, ServerHandle};
 
-/// Slow enough (≈0.5 s release, ≈2.6 s debug) to hold a worker while the
-/// test probes the queue around it.
+/// Slow enough (≈0.2 s release) that the drain tests' connections are
+/// usually still busy when the drain lands; they pass either way.
 const SLOW_BODY: &str =
     "{\"op\":\"coplot\",\"dataset\":{\"name\":\"table3\"},\"jobs\":20000,\"seed\":7}";
 const FAST_BODY: &str =
     "{\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":3}";
+/// [`FAST_BODY`] on other seeds: misses when [`FAST_BODY`] is cached.
+const MISS_BODY: &str =
+    "{\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":4}";
+const OTHER_MISS_BODY: &str =
+    "{\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":5}";
+
+/// Serializes the in-process servers of this file around the
+/// process-wide gauges.
+static GAUGES: Mutex<()> = Mutex::new(());
+
+fn gauges() -> MutexGuard<'static, ()> {
+    GAUGES.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
@@ -31,25 +54,38 @@ fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     start(config).expect("bind test server")
 }
 
-fn post_coplot(addr: String, body: &'static str) -> std::thread::JoinHandle<(u16, String)> {
+/// A POST running on a thread of its own; joins to `(status, body)`.
+type Pending = std::thread::JoinHandle<(u16, String)>;
+
+fn post_coplot(addr: String, body: impl Into<String>) -> Pending {
+    let body = body.into();
     std::thread::spawn(move || {
-        let (status, _, body) = http_call(&addr, "POST", "/v1/coplot", Some(body)).unwrap();
+        let (status, _, body) = http_call(&addr, "POST", "/v1/coplot", Some(&body)).unwrap();
         (status, body)
     })
 }
 
+/// With one worker and a one-slot queue: the worker is held running `a`
+/// and the queue holds `b` (a miss), so the queue is full. Returns `a`'s
+/// FIFO for [`HeldDataset::release`].
+fn saturate(addr: &str, held: &HeldDataset) -> (std::fs::File, Pending, Pending) {
+    let a = post_coplot(addr.to_string(), held.body());
+    let fifo = held.wait_for_worker(); // the only worker is running `a`
+    let b = post_coplot(addr.to_string(), MISS_BODY);
+    wait_for_inflight(addr, 2); // `b` is queued
+    (fifo, a, b)
+}
+
 #[test]
 fn saturated_queue_answers_503_while_admitted_work_completes() {
+    let _gauges = gauges();
     let server = test_server(|c| {
         c.workers = 1;
         c.queue_capacity = 1;
     });
     let addr = server.addr().to_string();
-
-    let a = post_coplot(addr.clone(), SLOW_BODY); // taken by the only worker
-    std::thread::sleep(Duration::from_millis(250));
-    let b = post_coplot(addr.clone(), SLOW_BODY); // fills the queue
-    std::thread::sleep(Duration::from_millis(150));
+    let held = HeldDataset::new("saturated");
+    let (fifo, a, b) = saturate(&addr, &held);
 
     let mut c = HttpClient::connect(&addr).unwrap();
     c.set_timeout(Some(Duration::from_secs(60))).unwrap();
@@ -70,6 +106,7 @@ fn saturated_queue_answers_503_while_admitted_work_completes() {
     let (status, _, _) = c.call("GET", "/healthz", None).unwrap();
     assert_eq!(status, 200, "connection survives the 503");
 
+    held.release(fifo);
     let (status_a, body_a) = a.join().unwrap();
     let (status_b, body_b) = b.join().unwrap();
     assert_eq!(status_a, 200, "in-flight work unaffected: {body_a}");
@@ -82,7 +119,40 @@ fn saturated_queue_answers_503_while_admitted_work_completes() {
 }
 
 #[test]
+fn cache_hit_is_answered_while_the_queue_is_full() {
+    let _gauges = gauges();
+    let server = test_server(|c| {
+        c.workers = 1;
+        c.queue_capacity = 1;
+        c.cache_capacity = 16;
+    });
+    let addr = server.addr().to_string();
+    let mut c = HttpClient::connect(&addr).unwrap();
+    c.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let (status, _, warm) = c.call("POST", "/v1/coplot", Some(FAST_BODY)).unwrap();
+    assert_eq!(status, 200, "{warm}");
+
+    let held = HeldDataset::new("hit-while-full");
+    let (fifo, a, b) = saturate(&addr, &held);
+
+    // A miss needs a queue slot and bounces...
+    let (status, _, body) = c.call("POST", "/v1/coplot", Some(OTHER_MISS_BODY)).unwrap();
+    assert_eq!(status, 503, "a miss over capacity: {body}");
+    // ...but a hit needs none: the reactor answers it from the cache.
+    let (status, _, hit) = c.call("POST", "/v1/coplot", Some(FAST_BODY)).unwrap();
+    assert_eq!(status, 200, "a hit over capacity: {hit}");
+    assert_eq!(hit, warm, "the hit is the cached bytes");
+
+    held.release(fifo);
+    let (status_a, body_a) = a.join().unwrap();
+    let (status_b, body_b) = b.join().unwrap();
+    assert_eq!((status_a, status_b), (200, 200), "{body_a}\n{body_b}");
+    server.shutdown();
+}
+
+#[test]
 fn shutdown_endpoint_drains_gracefully_mid_flight() {
+    let _gauges = gauges();
     let server = test_server(|_| {});
     let addr = server.addr().to_string();
 
@@ -126,6 +196,7 @@ fn shutdown_endpoint_drains_gracefully_mid_flight() {
 #[test]
 fn drainer_initiated_drain_completes_in_flight_work() {
     // The same trigger the binary's --stdin-shutdown watcher uses.
+    let _gauges = gauges();
     let server = test_server(|_| {});
     let addr = server.addr().to_string();
 
@@ -150,39 +221,7 @@ fn drainer_initiated_drain_completes_in_flight_work() {
 
 #[test]
 fn stdin_shutdown_drains_under_load() {
-    use std::process::{Command, Stdio};
-    let mut child = Command::new(env!("CARGO_BIN_EXE_wl-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--stdin-shutdown",
-            "--workers",
-            "2",
-            "--cache",
-            "0",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn wl-serve");
-
-    // The banner line announces the ephemeral port.
-    let mut stdout = child.stdout.take().unwrap();
-    let mut banner = Vec::new();
-    let mut byte = [0u8; 1];
-    while !banner.ends_with(b"\n") {
-        let n = stdout.read(&mut byte).expect("read banner");
-        assert!(n > 0, "server exited before binding");
-        banner.push(byte[0]);
-    }
-    let banner = String::from_utf8(banner).unwrap();
-    let addr = banner
-        .rsplit("http://")
-        .next()
-        .expect("banner carries the address")
-        .trim()
-        .to_string();
+    let (mut child, addr) = spawn_wl_serve(&["--stdin-shutdown", "--workers", "2", "--cache", "0"]);
 
     let inflight = post_coplot(addr, SLOW_BODY);
     std::thread::sleep(Duration::from_millis(250));

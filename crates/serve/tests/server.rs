@@ -262,6 +262,29 @@ fn undersized_named_dataset_is_a_422_and_the_worker_survives() {
 }
 
 #[test]
+fn oversized_named_dataset_is_a_400_and_the_connection_serves_on() {
+    // Synthesis allocates in proportion to `jobs`: past the cap the
+    // reactor refuses the request before any worker sees it.
+    let server = test_server(|c| c.workers = 1);
+    let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    for jobs in [35_184_372_088_832u64, 262_145] {
+        let huge = format!(
+            "{{\"op\":\"coplot\",\"dataset\":{{\"name\":\"table1\"}},\"jobs\":{jobs},\"seed\":3}}"
+        );
+        let (status, _, body) = client.call("POST", "/v1/coplot", Some(&huge)).unwrap();
+        assert_eq!(status, 400, "jobs {jobs}: {body}");
+        assert_eq!(error_kind(&body), "bad-value");
+    }
+    let (status, _, body) = client
+        .call("POST", "/v1/coplot", Some(&coplot_body(3)))
+        .expect("the server still serves");
+    assert_eq!(status, 200, "{body}");
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
 fn metrics_are_a_valid_trace_document() {
     let server = test_server(|_| {});
     let addr = server.addr();

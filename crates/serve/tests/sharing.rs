@@ -1,11 +1,12 @@
-//! In-flight dataset sharing at the server boundary: requests on one
-//! dataset digest that are running or queued together load it once (and
-//! only those share), shared responses are byte-identical to in-process
-//! execution ([`wl_serve::execute`]), and the `serve.dataset.*` counters
-//! land in a `/metrics` export that passes trace validation.
+//! What requests share at the server boundary.
 //!
-//! Two scenario shapes, both with 10000-job datasets so the first request
-//! is still loading or analysing while the rest are admitted:
+//! In-flight dataset sharing: requests on one dataset digest that are
+//! running or queued together load it once (and only those share),
+//! shared responses are byte-identical to in-process execution
+//! ([`wl_serve::execute`]), and the `serve.dataset.*` counters land in a
+//! `/metrics` export that passes trace validation. Two scenario shapes,
+//! both with 10000-job datasets so the first request is still loading or
+//! analysing while the rest are admitted:
 //! * running together — one worker per request, so every request runs at
 //!   once; each digest group's leader goes first, and once both leaders
 //!   are admitted the followers join their leaders' live slots;
@@ -14,13 +15,23 @@
 //!   shares the load of an earlier one on its digest because its queued
 //!   requests held the slot meanwhile.
 //!
+//! Result-cache hits: identical requests count one miss and then only
+//! hits, on one node and on a coordinator, though the reactor and then a
+//! worker may look a request up.
+//!
+//! fGn amplitudes: a server whose amplitude table is warm answers with
+//! the bytes of one that computes every amplitude afresh.
+//!
 //! The `wl-obs` counters are process-wide, so the tests take one lock:
 //! nothing else in the process moves them between two snapshots.
 
-use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::sync::{Mutex, PoisonError};
+
+use common::{fetch_metrics, metric_value, shutdown_wl_serve, spawn_wl_serve, wait_for_inflight};
 use coplot::AnalysisRequest;
+use wl_serve::dist::CoordinatorConfig;
 use wl_serve::http::http_call;
 use wl_serve::{execute, start, ExecConfig, ServerConfig, ServerHandle};
 
@@ -73,32 +84,6 @@ fn server_with(workers: usize, threads: usize) -> ServerHandle {
     .expect("bind test server")
 }
 
-fn fetch_metrics(addr: &str) -> String {
-    let (status, _, body) = http_call(addr, "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    body
-}
-
-/// The integer `value` of the JSON-lines metric named `name` (0 when it
-/// has not been emitted yet).
-fn metric_value(metrics: &str, name: &str) -> i64 {
-    let Some(line) = metrics
-        .lines()
-        .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
-    else {
-        return 0;
-    };
-    let rest = line
-        .split("\"value\":")
-        .nth(1)
-        .unwrap_or_else(|| panic!("metric {name} has no value: {line}"));
-    rest.split(|c: char| c != '-' && !c.is_ascii_digit())
-        .next()
-        .unwrap()
-        .parse()
-        .unwrap()
-}
-
 fn spawn_posts(
     addr: &str,
     posts: &[(&'static str, &'static str)],
@@ -113,15 +98,6 @@ fn spawn_posts(
             })
         })
         .collect()
-}
-
-/// Block until `n` requests are admitted (`serve.inflight` reaches `n`).
-fn wait_for_inflight(addr: &str, n: i64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while metric_value(&fetch_metrics(addr), "serve.inflight") < n {
-        assert!(Instant::now() < deadline, "{n} requests were never in flight");
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 /// Golden answers from in-process execution: every request alone, with no
@@ -222,4 +198,99 @@ fn queued_requests_share_the_load_of_a_request_ahead() {
         "one load per digest, though no two requests ever ran at once"
     );
     server.shutdown();
+}
+
+/// `n` identical POSTs of `body` to `addr`: every answer 200 with the
+/// first answer's bytes. Returns the `serve.cache.{miss,hit}` growth in
+/// this process's registry.
+fn post_identical(addr: &str, body: &str, n: i64) -> (i64, i64) {
+    let own = || wl_obs::export_json_lines(&wl_obs::registry().snapshot(), &[]);
+    let before = own();
+    let mut first: Option<String> = None;
+    for _ in 0..n {
+        let (status, _, resp) = http_call(addr, "POST", "/v1/coplot", Some(body)).unwrap();
+        assert_eq!(status, 200, "{resp}");
+        assert_eq!(first.get_or_insert_with(|| resp.clone()), &resp);
+    }
+    let after = own();
+    let delta = |name| metric_value(&after, name) - metric_value(&before, name);
+    (delta("serve.cache.miss"), delta("serve.cache.hit"))
+}
+
+#[test]
+fn identical_requests_count_one_miss_then_hits() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    const N: i64 = 5;
+    let body = "{\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":21}";
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        cache_capacity: 16,
+        threads: 2,
+        ..ServerConfig::default()
+    };
+
+    let server = start(config.clone()).expect("bind test server");
+    assert_eq!(
+        post_identical(&server.addr().to_string(), body, N),
+        (1, N - 1),
+        "one node"
+    );
+    server.shutdown();
+
+    // The coordinator's worker runs in a process of its own, so only the
+    // coordinator's lookups reach this process's counters.
+    let (worker, worker_addr) = spawn_wl_serve(&["--workers", "1", "--threads", "2"]);
+    let coordinator = start(ServerConfig {
+        coordinator: Some(CoordinatorConfig {
+            workers: vec![worker_addr.clone()],
+            probe_interval_ms: 3_600_000,
+        }),
+        ..config
+    })
+    .expect("bind test coordinator");
+    assert_eq!(
+        post_identical(&coordinator.addr().to_string(), body, N),
+        (1, N - 1),
+        "coordinator"
+    );
+    coordinator.shutdown();
+    shutdown_wl_serve(worker, &worker_addr);
+}
+
+#[test]
+fn warm_amplitude_table_answers_the_bytes_of_a_cold_one() {
+    // Each wl-serve process starts with an empty amplitude table, and
+    // `--cache 0` makes every answer a fresh synthesis.
+    let body = |seed: u64| {
+        format!("{{\"op\":\"coplot\",\"dataset\":{{\"name\":\"table1\"}},\"jobs\":1024,\"seed\":{seed}}}")
+    };
+    let serve = |seeds: &[u64]| -> (Vec<String>, String, String) {
+        let (child, addr) = spawn_wl_serve(&["--workers", "1", "--threads", "2", "--cache", "0"]);
+        let mut bodies = Vec::new();
+        let mut after_first = String::new();
+        for &seed in seeds {
+            let (status, _, resp) = http_call(&addr, "POST", "/v1/coplot", Some(&body(seed))).unwrap();
+            assert_eq!(status, 200, "{resp}");
+            bodies.push(resp);
+            if after_first.is_empty() {
+                after_first = fetch_metrics(&addr);
+            }
+        }
+        let after_all = fetch_metrics(&addr);
+        shutdown_wl_serve(child, &addr);
+        (bodies, after_first, after_all)
+    };
+    let (cold_a, _, _) = serve(&[1999]);
+    let (cold_b, _, _) = serve(&[7]);
+    let (warm, after_first, after_all) = serve(&[1999, 7, 1999, 7]);
+    // table1's seeds share their (H, m) keys: after the first load,
+    // every amplitude comes from the table.
+    let delta = |name| metric_value(&after_all, name) - metric_value(&after_first, name);
+    assert_eq!(delta("fgn.amps.miss"), 0, "warm loads compute no amplitudes");
+    assert!(delta("fgn.amps.hit") > 0);
+    assert_eq!(warm[0], cold_a[0]);
+    for (i, cold) in [(1, &cold_b[0]), (2, &cold_a[0]), (3, &cold_b[0])] {
+        assert_eq!(&warm[i], cold, "request {i} with the table warm");
+    }
 }

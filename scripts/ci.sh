@@ -10,9 +10,15 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 # The shipped binaries are release builds; run the bit-exact kernel oracles
-# (SMACOF majorization, PAVA, the mu/Theta kernels) with optimizations on too.
+# (SMACOF majorization, PAVA, the mu/Theta kernels, the fGn amplitudes)
+# with optimizations on too.
 echo "== kernel oracles (release) =="
-cargo test --release -q -p coplot -p wl-stats
+cargo test --release -q -p coplot -p wl-stats -p wl-selfsim
+
+# The saturation tests hold a worker on a FIFO, not on a slow request, so
+# they must pass at release speed too.
+echo "== wl-serve load path (release) =="
+cargo test --release -q -p wl-serve --test event_load
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -75,10 +81,31 @@ req_file=$(mktemp)
 echo -n "$request" > "$req_file"
 ./target/release/wl-servectl POST "http://$serve_addr/v1/coplot" "$req_file" \
   > serve_body.json
+# The same request again is a result-cache hit, answered by the reactor.
+./target/release/wl-servectl POST "http://$serve_addr/v1/coplot" "$req_file" \
+  > serve_hit.json
 ./target/release/wl coplot @table1 --jobs 1024 --seed 1999 --json > cli_body.json
 printf '\n' >> serve_body.json
+printf '\n' >> serve_hit.json
 diff cli_body.json serve_body.json   # CLI --json == server body, byte for byte
-rm -f serve_body.json cli_body.json "$req_file"
+diff cli_body.json serve_hit.json    # ... and == the cached body
+rm -f serve_body.json serve_hit.json cli_body.json "$req_file"
+
+echo "== wl-serve job cap smoke (262145-job named dataset -> typed 400) =="
+# The server must refuse, not try to synthesize; the steps below show it
+# is still alive.
+cap_req=$(mktemp)
+cap_err=$(mktemp)
+echo -n '{"op":"coplot","dataset":{"name":"table1"},"jobs":262145,"seed":3}' > "$cap_req"
+if cap_body=$(./target/release/wl-servectl POST \
+    "http://$serve_addr/v1/coplot" "$cap_req" 2> "$cap_err"); then
+  echo "a 262145-job request succeeded: $cap_body"; exit 1
+fi
+grep -q '^HTTP 400$' "$cap_err" \
+  || { echo "expected HTTP 400, got: $(cat "$cap_err")"; exit 1; }
+echo "$cap_body" | grep -q '"kind":"bad-value"' \
+  || { echo "400 body is not a bad-value error: $cap_body"; exit 1; }
+rm -f "$cap_req" "$cap_err"
 
 echo "== wl-serve deadline smoke (1 ms deadline -> typed 504) =="
 # The stage named in the body is not pinned: a descheduled worker may
@@ -153,6 +180,12 @@ echo "== wl-loadgen smoke (Poisson + fGn bursts: zero 5xx, bounded p99) =="
   --expect-no-5xx --max-p99-ms 2000
 ./target/release/wl-loadgen --addr "$serve_addr" --requests 30 --connections 2 \
   --process fgn:0.8 --rate 300 --seed 7 --distinct 2 --expect-no-5xx
+# Every miss after the first re-synthesizes a dataset whose fGn amplitudes
+# the process already computed.
+amp_hits=$(./target/release/wl-servectl GET "http://$serve_addr/metrics" \
+  | sed -n 's/.*"name":"fgn.amps.hit","value":\([0-9]*\).*/\1/p' | head -1)
+test -n "$amp_hits" && test "$amp_hits" -gt 0 \
+  || { echo "fGn amplitude table recorded no hits"; exit 1; }
 
 printf 'q' >&9   # one stdin byte initiates graceful drain
 for _ in $(seq 1 100); do
