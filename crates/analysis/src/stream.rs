@@ -16,8 +16,10 @@
 //!   matrix is assembled from cached per-window stats, never recomputed
 //!   from records.
 //! * **Online Hurst** — the cumulative inter-arrival series feeds a
-//!   [`wl_selfsim::OnlineHurst`], whose prefix sums extend in O(window)
-//!   and re-estimate H bit-identically to the batch estimator.
+//!   [`wl_selfsim::OnlineHurst`], which plots a fixed grid of block sizes
+//!   and scores each block once over the stream's life, so re-estimating
+//!   H after a seal costs O(window × grid sizes). Its estimate is R/S on
+//!   that grid, not the batch `rs_hurst` estimate of the same series.
 //! * **Warm-started MDS** — each frame's embedding starts from the
 //!   previous frame's aligned coordinates ([`coplot::nonmetric_mds_warm`]:
 //!   one refinement descent, no RNG), **falling back to a cold
@@ -172,8 +174,10 @@ pub struct Frame {
     pub mds_iterations: usize,
     /// Drift against the previous embedded frame (`None` for the first).
     pub drift: Option<Drift>,
-    /// Online R/S Hurst estimate of the cumulative inter-arrival series,
-    /// when enabled and long enough.
+    /// Online R/S Hurst estimate of the cumulative inter-arrival series
+    /// over [`wl_selfsim::OnlineHurst`]'s fixed block-size grid, when
+    /// enabled, long enough (32 inter-arrivals) and finite. Reported only:
+    /// it never feeds back into the embedding.
     pub hurst: Option<f64>,
     /// Variables dropped from this frame because they were constant over
     /// the retained windows (the streaming analogue of
@@ -277,7 +281,7 @@ impl WindowedCoplot {
     /// order — the order every [`NormalizedTrace`] guarantees). Returns an
     /// event when this record seals a window.
     pub fn push_job(&mut self, job: &JobRecord) -> Option<WindowEvent> {
-        if let Some(prev) = self.last_submit {
+        if let (true, Some(prev)) = (self.config.hurst, self.last_submit) {
             self.hurst.extend(&[job.submit_time - prev]);
         }
         self.last_submit = Some(job.submit_time);

@@ -128,7 +128,7 @@ fn drift_sequence_prefix_is_pinned() {
     );
     assert_eq!(
         prefix[2],
-        "{\"type\":\"frame\",\"window\":3,\"name\":\"w3\",\"jobs\":30,\"theta\":0,\"warm\":false,\"iterations\":191,\"observations\":[\"w1\",\"w2\",\"w3\"],\"coords\":[[-0.407893999253851,-0.731154109088207],[-0.7551617478063029,0.5987883883149158],[1.1630557470601537,0.1323657207732912]],\"arrows\":[{\"name\":\"Rm\",\"angle\":3.11218657206968,\"correlation\":1},{\"name\":\"Ri\",\"angle\":0.8756890177011771,\"correlation\":1.0000000000000002},{\"name\":\"Ni\",\"angle\":-2.3494598554005317,\"correlation\":1.0000000000000002},{\"name\":\"Cm\",\"angle\":-0.5122945817735162,\"correlation\":1},{\"name\":\"Ci\",\"angle\":1.8130382382869414,\"correlation\":1},{\"name\":\"Im\",\"angle\":-0.8601018649885751,\"correlation\":1},{\"name\":\"Ii\",\"angle\":-2.3833666012431367,\"correlation\":1}],\"removed\":[\"Nm\"],\"drift\":null,\"hurst\":0.47546726504809717}"
+        "{\"type\":\"frame\",\"window\":3,\"name\":\"w3\",\"jobs\":30,\"theta\":0,\"warm\":false,\"iterations\":191,\"observations\":[\"w1\",\"w2\",\"w3\"],\"coords\":[[-0.407893999253851,-0.731154109088207],[-0.7551617478063029,0.5987883883149158],[1.1630557470601537,0.1323657207732912]],\"arrows\":[{\"name\":\"Rm\",\"angle\":3.11218657206968,\"correlation\":1},{\"name\":\"Ri\",\"angle\":0.8756890177011771,\"correlation\":1.0000000000000002},{\"name\":\"Ni\",\"angle\":-2.3494598554005317,\"correlation\":1.0000000000000002},{\"name\":\"Cm\",\"angle\":-0.5122945817735162,\"correlation\":1},{\"name\":\"Ci\",\"angle\":1.8130382382869414,\"correlation\":1},{\"name\":\"Im\",\"angle\":-0.8601018649885751,\"correlation\":1},{\"name\":\"Ii\",\"angle\":-2.3833666012431367,\"correlation\":1}],\"removed\":[\"Nm\"],\"drift\":null,\"hurst\":0.5543466019201924}"
     );
     // Every later window warm-starts from this frame and reports drift.
     for line in stdout.lines().skip(3) {

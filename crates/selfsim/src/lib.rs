@@ -42,5 +42,5 @@ pub use fgn::{FgnDaviesHarte, FgnHosking};
 pub use hurst::{HurstEstimate, HurstEstimator};
 pub use online::OnlineHurst;
 pub use periodogram::periodogram_hurst;
-pub use rs::{pox_plot_with_prefix, rs_hurst};
+pub use rs::rs_hurst;
 pub use vartime::variance_time_hurst;

@@ -56,55 +56,15 @@ pub fn rescaled_range(block: &[f64]) -> Option<f64> {
 ///
 /// One upfront pass builds prefix sums of the series and its squares, so
 /// each block's mean and variance are O(1) lookups and only the
-/// adjusted-range extrema need a per-element pass — one sweep per block
-/// size instead of the naive three. That remaining sweep reads the partial
-/// sums `W_k = p[lo+k] - p[lo] - k A` straight off the prefix array, so it
-/// is a plain (reassociable, vectorizable) max/min reduction rather than a
-/// loop-carried accumulation.
+/// adjusted-range extrema need a per-element pass (`block_rs`).
 pub fn pox_plot(x: &[f64], min_block: usize, points: usize) -> Vec<PoxPoint> {
     let n = x.len();
-    // p[i] = sum of x[..i], q[i] = sum of squares of x[..i].
-    let mut p = Vec::with_capacity(n + 1);
-    let mut q = Vec::with_capacity(n + 1);
-    p.push(0.0);
-    q.push(0.0);
-    let (mut ps, mut qs) = (0.0, 0.0);
-    for &v in x {
-        ps += v;
-        qs += v * v;
-        p.push(ps);
-        q.push(qs);
-    }
-    pox_plot_with_prefix(&p, &q, min_block, points)
-}
-
-/// [`pox_plot`] over caller-maintained prefix sums: `p[i]` is the sum of
-/// the first `i` series values and `q[i]` the sum of their squares (so
-/// `p[0] == q[0] == 0.0` and both arrays have `series length + 1` entries).
-///
-/// This is the streaming entry point: a consumer re-estimating H after
-/// every window appends the new window's values to its prefix arrays in
-/// O(new values) and re-plots without touching the earlier series — the
-/// append performs the same left-to-right accumulation [`pox_plot`]'s
-/// upfront pass does, so the result is bit-identical to handing the whole
-/// series to [`pox_plot`] (see `online::OnlineHurst`).
-///
-/// # Panics
-/// Panics when the arrays disagree in length or are empty.
-pub fn pox_plot_with_prefix(
-    p: &[f64],
-    q: &[f64],
-    min_block: usize,
-    points: usize,
-) -> Vec<PoxPoint> {
-    assert_eq!(p.len(), q.len(), "prefix arrays must agree in length");
-    assert!(!p.is_empty(), "prefix arrays carry a leading zero entry");
-    let n = p.len() - 1;
     let min_block = min_block.max(4);
     let max_block = n / 2;
     if max_block < min_block || points == 0 {
         return Vec::new();
     }
+    let (p, q) = prefix_sums(x);
     let ratio = (max_block as f64 / min_block as f64).powf(1.0 / (points.max(2) - 1) as f64);
 
     let mut out: Vec<PoxPoint> = Vec::new();
@@ -112,38 +72,7 @@ pub fn pox_plot_with_prefix(
     for _ in 0..points {
         let size = (size_f.round() as usize).clamp(min_block, max_block);
         if out.last().map(|p| p.block_size) != Some(size) {
-            let s = size as f64;
-            let mut sum = 0.0;
-            let mut count = 0;
-            for b in 0..n / size {
-                let (lo, hi) = (b * size, (b + 1) * size);
-                let mean = (p[hi] - p[lo]) / s;
-                // E[x^2] - mean^2; cancellation can push a (near-)constant
-                // block to <= 0, which the direct two-pass variance reports
-                // as degenerate too — skip either way.
-                let var = (q[hi] - q[lo]) / s - mean * mean;
-                if var <= 0.0 {
-                    continue;
-                }
-                let sdev = var.sqrt();
-                let base = p[lo];
-                let win = &p[lo + 1..=hi];
-                // Four independent extrema lanes break the loop-carried
-                // max/min dependency; merging them at the end is exact, so
-                // the result matches a single-lane scan bit for bit.
-                // W_0 = 0 participates in both extrema via the lane seeds.
-                let (max_w, min_w) = wl_linalg::vecops::affine_extrema4(win, base, mean);
-                let r = max_w - min_w;
-                sum += r / sdev;
-                count += 1;
-            }
-            if count > 0 {
-                out.push(PoxPoint {
-                    block_size: size,
-                    mean_rs: sum / count as f64,
-                    blocks: count,
-                });
-            }
+            out.extend(pox_point(&p, &q, size));
         }
         size_f *= ratio;
     }
@@ -156,17 +85,111 @@ pub fn pox_plot_with_prefix(
     out
 }
 
-/// Estimate the Hurst parameter by R/S analysis: slope of the pox plot in
-/// log-log coordinates. Returns `None` when fewer than 3 pox points are
-/// available (series too short or degenerate).
-pub fn rs_hurst(x: &[f64]) -> Option<f64> {
-    let points = pox_plot(x, DEFAULT_MIN_BLOCK, DEFAULT_POINTS);
+/// Prefix sums of a series and of its squares: `p[i]` is the sum of
+/// `x[..i]` and `q[i]` the sum of their squares, so both start at 0.0 and
+/// are one longer than `x`.
+fn prefix_sums(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let mut p = Vec::with_capacity(x.len() + 1);
+    let mut q = Vec::with_capacity(x.len() + 1);
+    p.push(0.0);
+    q.push(0.0);
+    extend_prefix_sums(&mut p, &mut q, x);
+    (p, q)
+}
+
+/// Append `values` to prefix sums built by [`prefix_sums`], in the same
+/// left-to-right accumulation, so arrays extended window by window hold
+/// the same bits as arrays built over the whole series at once.
+pub(crate) fn extend_prefix_sums(p: &mut Vec<f64>, q: &mut Vec<f64>, values: &[f64]) {
+    p.reserve(values.len());
+    q.reserve(values.len());
+    let mut ps = *p.last().expect("prefix sums start with a leading zero");
+    let mut qs = *q.last().expect("prefix sums start with a leading zero");
+    for &v in values {
+        ps += v;
+        qs += v * v;
+        p.push(ps);
+        q.push(qs);
+    }
+}
+
+/// The rescaled adjusted range of the block `x[lo..lo + size]`, read off
+/// the prefix sums `p` and `q` of [`prefix_sums`]: the mean from `p`, the
+/// variance as E[x²] − mean², and the extrema of the partial sums
+/// `W_k = p[lo+k] − p[lo] − k·mean`. That last sweep is a plain
+/// (reassociable, vectorizable) max/min reduction rather than a
+/// loop-carried accumulation.
+///
+/// `None` when the variance comes out ≤ 0: cancellation can push a
+/// (near-)constant block there, which the direct two-pass variance of
+/// [`rescaled_range`] reports as degenerate too.
+pub(crate) fn block_rs(p: &[f64], q: &[f64], lo: usize, size: usize) -> Option<f64> {
+    let hi = lo + size;
+    let s = size as f64;
+    let mean = (p[hi] - p[lo]) / s;
+    let var = (q[hi] - q[lo]) / s - mean * mean;
+    if var <= 0.0 {
+        return None;
+    }
+    // Four independent extrema lanes break the loop-carried max/min
+    // dependency; merging them at the end is exact, so the result matches
+    // a single-lane scan bit for bit. W_0 = 0 participates in both
+    // extrema via the lane seeds.
+    let (max_w, min_w) = wl_linalg::vecops::affine_extrema4(&p[lo + 1..=hi], p[lo], mean);
+    Some((max_w - min_w) / var.sqrt())
+}
+
+/// The pox point of one block size: mean R/S over the complete blocks of
+/// the series behind `p` and `q`, left to right. `None` when every block is
+/// degenerate.
+fn pox_point(p: &[f64], q: &[f64], size: usize) -> Option<PoxPoint> {
+    let n = p.len() - 1;
+    let mut sum = 0.0;
+    let mut count = 0;
+    for b in 0..n / size {
+        if let Some(rs) = block_rs(p, q, b * size, size) {
+            sum += rs;
+            count += 1;
+        }
+    }
+    (count > 0).then(|| PoxPoint {
+        block_size: size,
+        mean_rs: sum / count as f64,
+        blocks: count,
+    })
+}
+
+/// The R/S Hurst estimate of a pox plot: the slope of `ln(mean R/S)` on
+/// `ln(block size)`. `None` below 3 points.
+pub(crate) fn pox_slope(points: &[PoxPoint]) -> Option<f64> {
     if points.len() < 3 {
         return None;
     }
     let logs_n: Vec<f64> = points.iter().map(|p| (p.block_size as f64).ln()).collect();
     let logs_rs: Vec<f64> = points.iter().map(|p| p.mean_rs.ln()).collect();
     linear_fit(&logs_n, &logs_rs).map(|f| f.slope)
+}
+
+/// Estimate the Hurst parameter by R/S analysis: slope of the pox plot in
+/// log-log coordinates. Returns `None` when fewer than 3 pox points are
+/// available (series too short or degenerate).
+pub fn rs_hurst(x: &[f64]) -> Option<f64> {
+    pox_slope(&pox_plot(x, DEFAULT_MIN_BLOCK, DEFAULT_POINTS))
+}
+
+/// Batch R/S over an explicit list of block sizes, kept as the test oracle
+/// of [`crate::online::OnlineHurst`]: every listed size up to `len / 2` is
+/// plotted, each block scored once, left to right, and a non-finite slope
+/// is `None`.
+#[cfg(test)]
+pub(crate) fn rs_hurst_on_grid(x: &[f64], grid: &[usize]) -> Option<f64> {
+    let (p, q) = prefix_sums(x);
+    let points: Vec<PoxPoint> = grid
+        .iter()
+        .filter(|&&size| size <= x.len() / 2)
+        .filter_map(|&size| pox_point(&p, &q, size))
+        .collect();
+    pox_slope(&points).filter(|h| h.is_finite())
 }
 
 /// The pre-prefix-sum pox plot, kept as the test oracle: per block it

@@ -375,6 +375,47 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_interarrivals_print_null_hurst() {
+        // Inter-arrivals near 1e200 overflow the sums of squares behind the
+        // R/S variance. Run times and processor counts vary, so the frames
+        // embed on Rm, Ri, Cm and Ci (Im and Ii would overflow
+        // normalization first); every `hurst` must stay valid JSON.
+        let text: String = (0..150)
+            .map(|i| {
+                let run = 10 + (i * 37) % 97;
+                let procs = 1 + (i * 13) % 31;
+                format!(
+                    "{} {:e} 0 {run} {procs} {run} -1 {procs} {} -1 1 1 1 1 1 -1{}\n",
+                    i + 1,
+                    i as f64 * 1e200,
+                    2 * run,
+                    " -1".repeat(13)
+                )
+            })
+            .collect();
+        let mut options = StreamOptions {
+            format: Some(TraceFormat::Gwf),
+            ..StreamOptions::default()
+        };
+        options.config.jobs_per_window = 30;
+        options.config.variables = ["Rm", "Ri", "Cm", "Ci"].map(String::from).to_vec();
+        let out = run_stream_text(&text, &options, 1).unwrap();
+        let mut frames = 0;
+        for line in out.lines() {
+            let v = parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            if v.get("type").and_then(|t| t.as_str()) == Some("frame") {
+                frames += 1;
+                let hurst = v.get("hurst").expect("frames carry hurst");
+                assert!(
+                    matches!(hurst, JsonValue::Null) || hurst.as_f64().is_some_and(f64::is_finite),
+                    "{line}"
+                );
+            }
+        }
+        assert_eq!(frames, 3, "{out}");
+    }
+
+    #[test]
     fn threads_do_not_change_the_bytes() {
         let text = trace_text(300);
         let options = {

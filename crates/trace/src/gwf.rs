@@ -13,7 +13,9 @@
 use std::collections::BTreeMap;
 
 use crate::record::{JobRecord, JobStatus};
-use crate::report::{meta_from_header, parse_lines, ParseError, ParseErrorKind, ParseReport};
+use crate::report::{
+    meta_from_header, parse_lines, split_fields, ParseError, ParseErrorKind, ParseReport,
+};
 use crate::swf::{fmt_f, integer_field, numeric_field};
 use crate::trace::{NormalizedTrace, TraceMeta};
 use crate::{TraceFormat, TraceSource};
@@ -65,14 +67,11 @@ pub fn parse_gwf_lenient(text: &str) -> (GwfDocument, ParseReport) {
 }
 
 fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    if fields.len() != GWF_FIELDS {
-        return Err(ParseError {
-            line: lineno,
-            kind: ParseErrorKind::FieldCount,
-            message: format!("expected {GWF_FIELDS} fields, found {}", fields.len()),
-        });
-    }
+    let fields: [&str; GWF_FIELDS] = split_fields(line).map_err(|found| ParseError {
+        line: lineno,
+        kind: ParseErrorKind::FieldCount,
+        message: format!("expected {GWF_FIELDS} fields, found {found}"),
+    })?;
     let f = |i: usize| numeric_field(&fields, i, lineno);
     let int = |i: usize| integer_field(&fields, i, lineno);
     let id = int(0)?;
@@ -223,6 +222,21 @@ mod tests {
         let err = parse_gwf("1 0 5 100 4 90 -1 4 200 -1 1 3 1 7 1 -1 -1 -1\n").unwrap_err();
         assert_eq!(err.kind, ParseErrorKind::FieldCount);
         assert!(err.message.contains("29 fields"));
+        assert!(err.message.ends_with("found 18"), "{}", err.message);
+        // Over-long and short lines report the count they hold, Unicode
+        // whitespace separating fields as `split_whitespace` does.
+        for (line, found) in [
+            (format!("{}\u{2003}7 8", good_line(1)), 31),
+            ("1\u{a0}2 3".to_string(), 3),
+        ] {
+            let err = parse_gwf(&line).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::FieldCount);
+            assert!(
+                err.message.ends_with(&format!("found {found}")),
+                "{}",
+                err.message
+            );
+        }
     }
 
     #[test]

@@ -194,6 +194,26 @@ pub(crate) fn parse_lines<R>(
     (header, records, report, None)
 }
 
+/// Split a job line into its `N` whitespace-separated fields without
+/// allocating, by the rule of [`str::split_whitespace`] (Unicode whitespace
+/// included). When the line does not hold exactly `N` fields, the error is
+/// the number it does hold.
+pub(crate) fn split_fields<const N: usize>(line: &str) -> Result<[&str; N], usize> {
+    let mut fields = [""; N];
+    let mut found = 0;
+    for field in line.split_whitespace() {
+        if let Some(slot) = fields.get_mut(found) {
+            *slot = field;
+        }
+        found += 1;
+    }
+    if found == N {
+        Ok(fields)
+    } else {
+        Err(found)
+    }
+}
+
 /// Read the machine metadata this workspace encodes in header comments
 /// (`MaxNodes`/`MaxProcs`, plus the `SchedulerRank` / `AllocationRank`
 /// extension keys), falling back to the supplied defaults.

@@ -7,7 +7,9 @@
 use std::collections::BTreeMap;
 
 use crate::record::{JobRecord, JobStatus};
-use crate::report::{meta_from_header, parse_lines, ParseError, ParseErrorKind, ParseReport};
+use crate::report::{
+    meta_from_header, parse_lines, split_fields, ParseError, ParseErrorKind, ParseReport,
+};
 use crate::trace::{NormalizedTrace, TraceMeta};
 use crate::{TraceFormat, TraceSource};
 
@@ -64,14 +66,11 @@ pub fn parse_swf_lenient(text: &str) -> (SwfDocument, ParseReport) {
 }
 
 fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    if fields.len() != 18 {
-        return Err(ParseError {
-            line: lineno,
-            kind: ParseErrorKind::FieldCount,
-            message: format!("expected 18 fields, found {}", fields.len()),
-        });
-    }
+    let fields: [&str; 18] = split_fields(line).map_err(|found| ParseError {
+        line: lineno,
+        kind: ParseErrorKind::FieldCount,
+        message: format!("expected 18 fields, found {found}"),
+    })?;
     let f = |i: usize| numeric_field(&fields, i, lineno);
     let int = |i: usize| integer_field(&fields, i, lineno);
     let id = int(0)?;
@@ -254,6 +253,19 @@ mod tests {
         assert_eq!(err.line, 1);
         assert_eq!(err.kind, ParseErrorKind::FieldCount);
         assert!(err.message.contains("18 fields"));
+        assert!(err.message.ends_with("found 3"), "{}", err.message);
+        for (line, found) in [
+            ("1 0 5 100 4 90 -1 4 200 -1 1 3 1 7 1 -1 -1 -1 9 9\n", 20),
+            ("1\t0 5 100 4 90 -1 4 200 -1 1 3 1 7 1 -1 -1\n", 17),
+        ] {
+            let err = parse_swf(line).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::FieldCount);
+            assert!(
+                err.message.ends_with(&format!("found {found}")),
+                "{}",
+                err.message
+            );
+        }
         // The conversion into the pipeline's error type keeps location and
         // kind.
         let converted: coplot::CoplotError = err.into();

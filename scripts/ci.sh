@@ -10,8 +10,8 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 # The shipped binaries are release builds; run the bit-exact kernel oracles
-# (SMACOF majorization, PAVA, the mu/Theta kernels, the fGn amplitudes)
-# with optimizations on too.
+# (SMACOF majorization, PAVA, the mu/Theta kernels, the fGn amplitudes, the
+# online R/S grid) with optimizations on too.
 echo "== kernel oracles (release) =="
 cargo test --release -q -p coplot -p wl-stats -p wl-selfsim
 
@@ -172,6 +172,18 @@ echo "$stream_trace" | grep -q '"stream.windows_sealed"' \
   || { echo "missing stream.windows_sealed counter"; exit 1; }
 echo "$stream_trace" | grep -q '"mds.warm_starts"' \
   || { echo "missing mds.warm_starts counter"; exit 1; }
+# The online Hurst estimate scores each block once over the stream's life,
+# so across all frames it scores fewer blocks than the trace has
+# inter-arrivals (19,999 here); re-scoring every block per frame would not.
+./target/release/wl generate grid --site 0 --jobs 20000 --seed 42 \
+  --out "$stream_dir/site0_20k.gwf"
+long_trace=$(./target/release/wl stream "$stream_dir/site0_20k.gwf" --window 256 \
+  --threads 2 --trace json 2>&1 >/dev/null)
+echo "$long_trace" | ./target/release/trace-check -
+online_blocks=$(echo "$long_trace" \
+  | sed -n 's/.*"selfsim.online.blocks","value":\([0-9]*\).*/\1/p' | head -1)
+test -n "$online_blocks" && test "$online_blocks" -lt 19999 \
+  || { echo "online Hurst scored ${online_blocks:-no} blocks (want < 19999)"; exit 1; }
 rm -rf "$stream_dir"
 
 echo "== wl-loadgen smoke (Poisson + fGn bursts: zero 5xx, bounded p99) =="
