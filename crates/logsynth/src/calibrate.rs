@@ -111,17 +111,11 @@ pub fn parallelism_distribution(atoms: &[u64], median: f64, interval: f64) -> Di
     DiscreteWeighted::new(&pairs)
 }
 
-/// Empirical (median, 90% interval) of a sample — the verification
-/// counterpart of the calibrators.
-pub fn median_interval(xs: &[f64]) -> (f64, f64) {
-    let p = wl_stats::order::Percentiles::new(xs);
-    (p.median(), p.interval(0.90))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wl_stats::dist::Distribution;
+    use wl_stats::order::median_interval;
     use wl_stats::rng::seeded_rng;
 
     #[test]
@@ -145,7 +139,7 @@ mod tests {
         let d = lognormal_from_median_interval(68.0, 9064.0);
         let mut rng = seeded_rng(101);
         let xs = d.sample_n(&mut rng, 200_000);
-        let (med, int) = median_interval(&xs);
+        let (med, int) = median_interval(&xs, 0.90);
         assert!((med - 68.0).abs() / 68.0 < 0.03, "median {med}");
         assert!((int - 9064.0).abs() / 9064.0 < 0.08, "interval {int}");
     }
@@ -158,7 +152,7 @@ mod tests {
         let d = parallelism_distribution(&atoms, 64.0, 224.0);
         let mut rng = seeded_rng(102);
         let xs = d.sample_n(&mut rng, 100_000);
-        let (med, int) = median_interval(&xs);
+        let (med, int) = median_interval(&xs, 0.90);
         assert_eq!(med, 64.0);
         assert!((int - 224.0).abs() <= 32.0, "interval {int}");
     }
@@ -170,7 +164,7 @@ mod tests {
         let d = parallelism_distribution(&atoms, 1.0, 31.0);
         let mut rng = seeded_rng(103);
         let xs = d.sample_n(&mut rng, 100_000);
-        let (med, int) = median_interval(&xs);
+        let (med, int) = median_interval(&xs, 0.90);
         assert_eq!(med, 1.0);
         assert!((int - 31.0).abs() <= 4.0, "interval {int}");
     }

@@ -34,6 +34,6 @@ pub mod machines;
 pub mod periods;
 pub mod stream;
 
-pub use machines::{production_workloads, production_workloads_par, MachineId};
+pub use machines::{machine_observations, production_workloads, production_workloads_par, MachineId};
 pub use periods::{lanl_over_time, sdsc_over_time};
 pub use stream::{HurstTargets, StreamSpec};

@@ -88,6 +88,7 @@ impl MachineId {
     }
 
     fn generate_with_rng(&self, n_jobs: usize, rng: &mut dyn RngCore) -> Workload {
+        wl_obs::counter!("logsynth.machine_logs", 1u64);
         let jobs = match self {
             MachineId::Lanl => {
                 let ni = n_jobs / 2;
@@ -327,18 +328,25 @@ pub fn production_workloads(seed: u64, n_per_log: usize) -> Vec<Workload> {
 pub fn production_workloads_par(seed: u64, n_per_log: usize, threads: usize) -> Vec<Workload> {
     let _span = wl_obs::span!("logsynth.production_workloads");
     let per_machine = wl_par::par_map(threads, &MachineId::ALL, |&id| {
-        let mut rng = seeded_rng(derive_seed(seed, id as u64));
-        let w = id.generate_with_rng(n_per_log, &mut rng);
-        match id {
-            MachineId::Lanl | MachineId::Sdsc => {
-                let i = w.interactive_only();
-                let b = w.batch_only();
-                vec![w, i, b]
-            }
-            _ => vec![w],
-        }
+        machine_observations(id, seed, n_per_log)
     });
-    let out: Vec<Workload> = per_machine.into_iter().flatten().collect();
+    per_machine.into_iter().flatten().collect()
+}
+
+/// One machine's Table 1 observations: its full log (about `n_per_log`
+/// jobs, seeded from `(seed, machine id)` alone), then for LANL and SDSC
+/// that log's interactive-only and batch-only halves. Counts them in
+/// `logsynth.workloads` and their jobs in `logsynth.jobs`.
+pub fn machine_observations(id: MachineId, seed: u64, n_per_log: usize) -> Vec<Workload> {
+    let w = id.generate(n_per_log, seed);
+    let out = match id {
+        MachineId::Lanl | MachineId::Sdsc => {
+            let i = w.interactive_only();
+            let b = w.batch_only();
+            vec![w, i, b]
+        }
+        _ => vec![w],
+    };
     wl_obs::counter!("logsynth.workloads", out.len() as u64);
     wl_obs::counter!(
         "logsynth.jobs",

@@ -221,7 +221,7 @@ pub fn merge_streams(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibrate::median_interval;
+    use wl_stats::order::median_interval;
     use wl_stats::rng::seeded_rng;
     use wl_swf::job::QUEUE_BATCH;
 
@@ -254,17 +254,17 @@ mod tests {
         let mut rng = seeded_rng(201);
         let jobs = spec().generate(20_000, 1, 0.0, &mut rng);
         let runtimes: Vec<f64> = jobs.iter().map(|j| j.run_time).collect();
-        let (med, int) = median_interval(&runtimes);
+        let (med, int) = median_interval(&runtimes, 0.90);
         assert!((med - 960.0).abs() / 960.0 < 0.08, "runtime median {med}");
         assert!((int - 57216.0).abs() / 57216.0 < 0.25, "runtime interval {int}");
 
         let gaps: Vec<f64> = jobs.windows(2).map(|w| w[1].submit_time - w[0].submit_time).collect();
-        let (gmed, gint) = median_interval(&gaps);
+        let (gmed, gint) = median_interval(&gaps, 0.90);
         assert!((gmed - 64.0).abs() / 64.0 < 0.1, "gap median {gmed}");
         assert!((gint - 1472.0).abs() / 1472.0 < 0.25, "gap interval {gint}");
 
         let procs: Vec<f64> = jobs.iter().map(|j| j.used_procs as f64).collect();
-        let (pmed, _) = median_interval(&procs);
+        let (pmed, _) = median_interval(&procs, 0.90);
         assert_eq!(pmed, 2.0);
     }
 

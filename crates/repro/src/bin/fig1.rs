@@ -3,14 +3,14 @@
 //! 0.88 (min 0.83), four variable clusters, and LANLb/SDSCb as outliers.
 
 use wl_repro::paper::{fit_claims, FIG1_VARIABLES};
-use wl_repro::{paper_table1_matrix, production_suite, report_figure, stats_matrix, suite_stats, Options};
+use wl_repro::{paper_table1_matrix, report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
     let data = if opts.paper_data {
         paper_table1_matrix(&FIG1_VARIABLES)
     } else {
-        stats_matrix(&suite_stats(&production_suite(&opts)), &FIG1_VARIABLES)
+        stats_matrix(&run_suite(&opts, Suite::Production, |w| stats_row(&w)), &FIG1_VARIABLES)
     };
     let result = wl_repro::run_coplot(&opts, &data);
     report_figure(

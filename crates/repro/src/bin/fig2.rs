@@ -3,14 +3,14 @@
 //! and the interactive workloads plus NASA form the only natural cluster.
 
 use wl_repro::paper::{fit_claims, FIG2_DROPPED, FIG2_VARIABLES};
-use wl_repro::{paper_table1_matrix, production_suite, report_figure, stats_matrix, suite_stats, Options};
+use wl_repro::{paper_table1_matrix, report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
     let full = if opts.paper_data {
         paper_table1_matrix(&FIG2_VARIABLES)
     } else {
-        stats_matrix(&suite_stats(&production_suite(&opts)), &FIG2_VARIABLES)
+        stats_matrix(&run_suite(&opts, Suite::Production, |w| stats_row(&w)), &FIG2_VARIABLES)
     };
     let data = full
         .drop_observations_by_name(&FIG2_DROPPED)

@@ -5,7 +5,7 @@
 //! CTC (and KTH); LANL/SDSC/batch workloads have no model near them.
 
 use wl_repro::paper::{fit_claims, FIG4_VARIABLES};
-use wl_repro::{model_suite, production_suite, report_figure, stats_matrix, suite_stats, Options};
+use wl_repro::{report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
@@ -15,9 +15,8 @@ fn main() {
              --paper is unavailable here, running on synthesized data"
         );
     }
-    let mut workloads = production_suite(&opts);
-    workloads.extend(model_suite(&opts));
-    let data = stats_matrix(&suite_stats(&workloads), &FIG4_VARIABLES);
+    let stats = run_suite(&opts, Suite::Table3, |w| stats_row(&w));
+    let data = stats_matrix(&stats, &FIG4_VARIABLES);
     let result = wl_repro::run_coplot(&opts, &data);
     report_figure(
         "Figure 4 (production + synthetic models)",

@@ -4,16 +4,15 @@
 //! models are not — and Lublin sits isolated with the lowest estimates.
 
 use wl_repro::paper::{fit_claims, FIG5_VARIABLES};
-use wl_repro::{hurst_matrix, model_suite, paper_table3_matrix, production_suite, report_figure, Options};
+use wl_repro::{hurst_matrix, hurst_row, paper_table3_matrix, report_figure, run_suite, Options, Suite};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
     let data = if opts.paper_data {
         paper_table3_matrix(&FIG5_VARIABLES)
     } else {
-        let mut workloads = production_suite(&opts);
-        workloads.extend(model_suite(&opts));
-        hurst_matrix(&workloads, &FIG5_VARIABLES, opts.threads)
+        let rows = run_suite(&opts, Suite::Table3, |w| (w.name.clone(), hurst_row(&w)));
+        hurst_matrix(&rows, &FIG5_VARIABLES)
     };
     let result = wl_repro::run_coplot(&opts, &data);
     report_figure(

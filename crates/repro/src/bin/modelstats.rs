@@ -1,14 +1,12 @@
 //! Diagnostic: the eight Figure 4 variables for every observation, with the
 //! ensemble mean/std — used to calibrate model parameters.
 
-use wl_repro::{model_suite, production_suite, suite_stats, Options};
+use wl_repro::{run_suite, stats_row, Options, Suite};
 use wl_swf::Variable;
 
 fn main() {
     let (opts, _obs) = Options::from_args();
-    let mut workloads = production_suite(&opts);
-    workloads.extend(model_suite(&opts));
-    let stats = suite_stats(&workloads);
+    let stats = run_suite(&opts, Suite::Table3, |w| stats_row(&w));
     let codes = ["Rm", "Ri", "Nm", "Ni", "Cm", "Ci", "Im", "Ii"];
     print!("{:<16}", "obs");
     for c in codes {

@@ -4,14 +4,14 @@
 //! map with theta = 0.02 and mean correlation 0.94.
 
 use wl_repro::paper::{fit_claims, SEC8_VARIABLES};
-use wl_repro::{paper_table1_matrix, production_suite, report_figure, stats_matrix, suite_stats, Options};
+use wl_repro::{paper_table1_matrix, report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
     let data = if opts.paper_data {
         paper_table1_matrix(&SEC8_VARIABLES)
     } else {
-        stats_matrix(&suite_stats(&production_suite(&opts)), &SEC8_VARIABLES)
+        stats_matrix(&run_suite(&opts, Suite::Production, |w| stats_row(&w)), &SEC8_VARIABLES)
     };
     let result = wl_repro::run_coplot(&opts, &data);
     report_figure(

@@ -2,13 +2,12 @@
 //! paper values vs values measured on the synthesized logs.
 
 use wl_repro::paper::{TABLE1, TABLE1_OBSERVATIONS, TABLE1_VARIABLES};
-use wl_repro::{print_comparison, production_suite, suite_stats, Options};
+use wl_repro::{print_comparison, run_suite, stats_row, Options, Suite};
 use wl_swf::Variable;
 
 fn main() {
     let (opts, _obs) = Options::from_args();
-    let workloads = production_suite(&opts);
-    let stats = suite_stats(&workloads);
+    let stats = run_suite(&opts, Suite::Production, |w| stats_row(&w));
 
     let names: Vec<String> = TABLE1_OBSERVATIONS.iter().map(|s| s.to_string()).collect();
     print_comparison(

@@ -2,12 +2,14 @@
 //! (10 production + 5 models), three estimators per series.
 
 use wl_repro::paper::{TABLE3, TABLE3_COLUMNS, TABLE3_OBSERVATIONS};
-use wl_repro::{cell, hurst_row, hurst_rows, model_suite, production_suite, Options};
+use wl_logsynth::MachineId;
+use wl_repro::{cell, hurst_row, run_suite, Options, Suite};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
-    let mut workloads = production_suite(&opts);
-    workloads.extend(model_suite(&opts));
+    // Each log is reduced to its row of estimates in the worker that
+    // synthesized it, over --threads workers; its jobs go with it.
+    let rows = run_suite(&opts, Suite::Table3, |w| (w.name.clone(), hurst_row(&w)));
 
     println!("== Table 3: estimations of self-similarity ==");
     print!("{:<16}", "workload");
@@ -16,10 +18,8 @@ fn main() {
     }
     println!();
 
-    // All 15 rows estimated up front, fanned out over --threads workers.
-    let rows = hurst_rows(&workloads, opts.threads);
     let mut measured_means = Vec::new();
-    for ((oi, w), row) in workloads.iter().enumerate().zip(rows) {
+    for (oi, (name, row)) in rows.into_iter().enumerate() {
         print!("{:<16}", format!("{} paper", TABLE3_OBSERVATIONS[oi]));
         for v in TABLE3[oi] {
             print!("{:>8}", format!("{v:.2}"));
@@ -32,12 +32,13 @@ fn main() {
         println!();
         let known: Vec<f64> = row.iter().flatten().copied().collect();
         let mean = known.iter().sum::<f64>() / known.len().max(1) as f64;
-        measured_means.push((w.name.clone(), mean));
+        measured_means.push((name, mean));
     }
 
     if opts.timings {
+        // The CTC log is long gone; synthesize it again.
         println!();
-        wl_repro::print_estimator_work(&workloads[0]);
+        wl_repro::print_estimator_work(&MachineId::Ctc.generate(opts.jobs, opts.seed));
     }
 
     // The paper's headline: production logs are self-similar (H > 0.5),

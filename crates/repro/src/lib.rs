@@ -23,8 +23,8 @@ pub mod paper;
 
 use coplot::render::render_svg;
 use coplot::{CoplotResult, DataMatrix};
-use wl_logsynth::{machines, periods};
-use wl_models::all_models;
+use wl_logsynth::{machines, periods, MachineId};
+use wl_models::{all_models, Jann, WorkloadModel};
 use wl_selfsim::HurstEstimator;
 use wl_swf::{JobSeries, Workload, WorkloadStats};
 
@@ -56,6 +56,10 @@ impl Default for Options {
     }
 }
 
+/// The flags every binary accepts, for the usage line.
+const USAGE_FLAGS: &str = "[--paper] [--timings] [--seed N] [--jobs N] [--threads N] \
+                           [--trace text|json] [--metrics-out PATH]";
+
 impl Options {
     /// Parse the common flags from `std::env::args`, plus the global
     /// observability flags `--trace <text|json>` / `--metrics-out <path>`.
@@ -63,45 +67,73 @@ impl Options {
     /// `main`: it arms the metric registry when either flag is present and
     /// exports the trace (to stderr) / metrics file when dropped. Stdout is
     /// untouched either way, keeping golden snapshots byte-identical.
+    ///
+    /// `--help` or `-h` prints the usage line to stdout and exits 0. A bad
+    /// command line (an unknown flag, a missing or non-integer value,
+    /// `--jobs 0`) prints `<bin>: <message>` and the usage to stderr and
+    /// exits 2.
     pub fn from_args() -> (Options, wl_obs::ObsSession) {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let usage = format!(
+            "usage: {} {USAGE_FLAGS}\n(--threads defaults to WL_THREADS, then the available \
+             parallelism)",
+            program()
+        );
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Options::parse(args).unwrap_or_else(|e| {
+            eprintln!("{}: {e}\n{usage}", program());
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(mut args: Vec<String>) -> Result<(Options, wl_obs::ObsSession), String> {
         // --threads / --trace / --metrics-out are the shared runtime flags,
         // parsed by the same coplot::Runtime as the wl CLI and wl-serve.
-        let rt = coplot::Runtime::extract(&mut args).unwrap_or_else(|e| panic!("{e}"));
+        let rt = coplot::Runtime::extract(&mut args).map_err(|e| e.to_string())?;
         let mut opts = Options {
             threads: rt.threads,
             ..Options::default()
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut integer = || -> Result<u64, String> {
+                let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                value
+                    .parse()
+                    .map_err(|_| format!("{flag} needs an integer, got {value:?}"))
+            };
+            match flag.as_str() {
                 "--paper" => opts.paper_data = true,
                 "--timings" => opts.timings = true,
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
-                }
+                "--seed" => opts.seed = integer()?,
                 "--jobs" => {
-                    i += 1;
-                    opts.jobs = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--jobs needs an integer");
+                    opts.jobs = integer()?
+                        .try_into()
+                        .ok()
+                        .filter(|&n: &usize| n > 0)
+                        .ok_or("--jobs needs a positive integer")?;
                 }
-                other => panic!(
-                    "unknown flag {other:?} (use --paper, --timings, --seed N, --jobs N, \
-                     --threads N, --trace text|json, --metrics-out PATH; --threads defaults \
-                     to WL_THREADS, then the available parallelism)"
-                ),
+                other => return Err(format!("unknown flag {other:?}")),
             }
-            i += 1;
         }
-        let session = rt.obs_session().unwrap_or_else(|e| panic!("{e}"));
-        (opts, session)
+        let session = rt.obs_session().map_err(|e| e.to_string())?;
+        Ok((opts, session))
     }
+}
+
+/// The running binary's name, for messages.
+fn program() -> String {
+    std::env::args()
+        .next()
+        .and_then(|a| {
+            std::path::Path::new(&a)
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+        })
+        .unwrap_or_else(|| "wl-repro".to_string())
 }
 
 /// Run the Co-plot engine on `data` with this run's seed/thread options,
@@ -122,10 +154,162 @@ pub fn run_coplot(opts: &Options, data: &DataMatrix) -> CoplotResult {
     result
 }
 
+/// Which synthesized observations [`reduce_suite`] makes. Rows come back
+/// in Table 3's listing order: Table 1's ten production observations, then
+/// the models as Lublin, Feitelson '97, Feitelson '96, Downey, Jann.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// The ten production observations of Table 1.
+    Production,
+    /// The five models; CTC is synthesized only to re-fit Jann.
+    Models,
+    /// Table 3's fifteen observations: production, then models.
+    Table3,
+}
+
+impl Suite {
+    /// The suite's observation names, in row order.
+    fn observations(self) -> &'static [&'static str] {
+        match self {
+            Suite::Production => &paper::TABLE3_OBSERVATIONS[..10],
+            Suite::Models => &paper::TABLE3_OBSERVATIONS[10..],
+            Suite::Table3 => &paper::TABLE3_OBSERVATIONS,
+        }
+    }
+}
+
+/// One unit of synthesis work: a machine's log with its halves (CTC also
+/// re-fits and generates Jann when the suite has models), or one of the
+/// other four models by its [`all_models`] index.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    Machine(MachineId),
+    Model(usize),
+}
+
+/// Every task, heaviest first so the pool's claim order balances the
+/// load: the six machines, CTC first, then Lublin, Feitelson '96,
+/// Feitelson '97 and Downey.
+const TASKS: [Task; 10] = [
+    Task::Machine(MachineId::Ctc),
+    Task::Machine(MachineId::Lanl),
+    Task::Machine(MachineId::Sdsc),
+    Task::Machine(MachineId::Kth),
+    Task::Machine(MachineId::Llnl),
+    Task::Machine(MachineId::Nasa),
+    Task::Model(4),
+    Task::Model(0),
+    Task::Model(1),
+    Task::Model(2),
+];
+
+/// [`all_models`] index of Jann; model `k` draws from
+/// `derive_seed(seed, 1000 + k)`.
+const JANN: usize = 3;
+
+/// Synthesize `suite` on `opts.threads` workers and hand each workload by
+/// value to `reduce` in the worker that made it, so a caller that keeps
+/// only a row per log never holds more than a few logs at once. Jann's
+/// model is re-fitted inside the CTC task to the log it has just made, as
+/// the original was fitted to the real CTC trace. Rows come back in the
+/// [`Suite`]'s order, bit-identical for any thread count.
+///
+/// # Errors
+/// A failed Jann re-fit: below about 120 jobs the CTC log has too few
+/// jobs per size range to fit.
+pub fn reduce_suite<R, F>(opts: &Options, suite: Suite, reduce: F) -> Result<Vec<R>, String>
+where
+    R: Send,
+    F: Fn(Workload) -> R + Sync,
+{
+    let _span = wl_obs::span!("repro.reduce_suite");
+    let names = suite.observations();
+    let tasks: Vec<Task> = TASKS
+        .into_iter()
+        .filter(|task| match (suite, task) {
+            (Suite::Production, Task::Model(_)) => false,
+            (Suite::Models, Task::Machine(id)) => *id == MachineId::Ctc,
+            _ => true,
+        })
+        .collect();
+    let per_task = wl_par::par_map(opts.threads, &tasks, |&task| {
+        let mut rows = Vec::new();
+        let mut emit = |w: Workload| {
+            let row = names
+                .iter()
+                .position(|&n| n == w.name)
+                .unwrap_or_else(|| panic!("{} is not an observation of {suite:?}", w.name));
+            rows.push((row, reduce(w)));
+        };
+        run_task(opts, suite, task, &mut emit).map(|()| rows)
+    });
+    let mut rows: Vec<Option<R>> = names.iter().map(|_| None).collect();
+    for task_rows in per_task {
+        for (row, r) in task_rows? {
+            rows[row] = Some(r);
+        }
+    }
+    Ok(rows
+        .into_iter()
+        .map(|r| r.expect("every observation synthesized"))
+        .collect())
+}
+
+/// Synthesize one task's workloads into `emit`, each as soon as it exists.
+fn run_task(
+    opts: &Options,
+    suite: Suite,
+    task: Task,
+    emit: &mut dyn FnMut(Workload),
+) -> Result<(), String> {
+    use wl_stats::rng::{derive_seed, seeded_rng};
+    let model_rng = |k: usize| seeded_rng(derive_seed(opts.seed, 1000 + k as u64));
+    match task {
+        Task::Machine(id) => {
+            let logs = if suite == Suite::Models {
+                vec![id.generate(opts.jobs, opts.seed)]
+            } else {
+                machines::machine_observations(id, opts.seed, opts.jobs)
+            };
+            let jann = if id == MachineId::Ctc && suite != Suite::Production {
+                Some(Jann::fit_from_workload(&logs[0]).map_err(|e| {
+                    format!(
+                        "cannot re-fit the Jann model to a {}-job CTC log: {e}",
+                        opts.jobs
+                    )
+                })?)
+            } else {
+                None
+            };
+            if suite != Suite::Models {
+                logs.into_iter().for_each(&mut *emit);
+            }
+            if let Some(jann) = jann {
+                emit(jann.generate(opts.jobs, &mut model_rng(JANN)));
+            }
+        }
+        Task::Model(k) => emit(all_models()[k].generate(opts.jobs, &mut model_rng(k))),
+    }
+    Ok(())
+}
+
+/// [`reduce_suite`] for the binaries: a failed Jann re-fit prints
+/// `<bin>: <message>` to stderr and exits with status 1.
+pub fn run_suite<R, F>(opts: &Options, suite: Suite, reduce: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Workload) -> R + Sync,
+{
+    reduce_suite(opts, suite, reduce).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", program());
+        std::process::exit(1)
+    })
+}
+
 /// The ten production observations, synthesized (Table 1 column order).
 /// The per-machine synthesis fans out over `opts.threads` workers.
 pub fn production_suite(opts: &Options) -> Vec<Workload> {
-    machines::production_workloads_par(opts.seed, opts.jobs, opts.threads)
+    reduce_suite(opts, Suite::Production, |w| w).expect("the production suite has no re-fit")
 }
 
 /// The eight Table 2 period observations: L1..L4 then S1..S4.
@@ -155,42 +339,18 @@ pub fn model_suite(opts: &Options) -> Vec<Workload> {
 /// # Errors
 /// The re-fit's message, naming the job count.
 pub fn try_model_suite(opts: &Options) -> Result<Vec<Workload>, String> {
-    use wl_models::{Jann, WorkloadModel};
-    use wl_stats::rng::{derive_seed, seeded_rng};
-    // Model trait objects are not Send, so each worker rebuilds the model
-    // list and picks its index; seeds derive from the index alone, keeping
-    // the output independent of the thread count.
-    let n_models = all_models().len();
-    let opts = *opts;
-    let out = wl_par::par_map_indexed(opts.threads, n_models, move |k| {
-        let models = all_models();
-        let model = &models[k];
-        let mut rng = seeded_rng(derive_seed(opts.seed, 1000 + k as u64));
-        if model.name() == "Jann" {
-            let ctc = machines::MachineId::Ctc.generate(opts.jobs, opts.seed);
-            let fitted = Jann::fit_from_workload(&ctc).map_err(|e| {
-                format!(
-                    "cannot re-fit the Jann model to a {}-job CTC log: {e}",
-                    opts.jobs
-                )
-            })?;
-            Ok(fitted.generate(opts.jobs, &mut rng))
-        } else {
-            Ok(model.generate(opts.jobs, &mut rng))
-        }
-    });
-    let mut out = out.into_iter().collect::<Result<Vec<_>, String>>()?;
-    let order = ["Lublin", "Feitelson '97", "Feitelson '96", "Downey", "Jann"];
-    out.sort_by_key(|w| order.iter().position(|&n| n == w.name).unwrap_or(usize::MAX));
-    Ok(out)
+    reduce_suite(opts, Suite::Models, |w| w)
 }
 
-/// Compute each workload's stats with the paper's load-imputation rule.
+/// One workload's Table-1 statistics with the paper's load-imputation
+/// rule: the row a binary keeps per synthesized log.
+pub fn stats_row(w: &Workload) -> WorkloadStats {
+    WorkloadStats::compute(w).with_load_imputation()
+}
+
+/// [`stats_row`] for each workload.
 pub fn suite_stats(workloads: &[Workload]) -> Vec<WorkloadStats> {
-    workloads
-        .iter()
-        .map(|w| WorkloadStats::compute(w).with_load_imputation())
-        .collect()
+    workloads.iter().map(stats_row).collect()
 }
 
 /// Build a Co-plot data matrix from measured stats for the given variable
@@ -245,8 +405,8 @@ pub fn hurst_rows(workloads: &[Workload], threads: usize) -> Vec<Vec<Option<f64>
 }
 
 /// Build the Figure 5 data matrix (measured Hurst estimates, selected
-/// columns) for the given workloads, estimating on `threads` workers.
-pub fn hurst_matrix(workloads: &[Workload], codes: &[&str], threads: usize) -> DataMatrix {
+/// columns) from `(observation name, hurst_row)` rows.
+pub fn hurst_matrix(rows: &[(String, Vec<Option<f64>>)], codes: &[&str]) -> DataMatrix {
     let col_idx: Vec<usize> = codes
         .iter()
         .map(|c| {
@@ -256,13 +416,13 @@ pub fn hurst_matrix(workloads: &[Workload], codes: &[&str], threads: usize) -> D
                 .unwrap_or_else(|| panic!("unknown Table 3 code {c:?}"))
         })
         .collect();
-    let rows: Vec<Vec<Option<f64>>> = hurst_rows(workloads, threads)
-        .into_iter()
-        .map(|full| col_idx.iter().map(|&i| full[i]).collect())
+    let cells: Vec<Vec<Option<f64>>> = rows
+        .iter()
+        .map(|(_, full)| col_idx.iter().map(|&i| full[i]).collect())
         .collect();
-    let row_refs: Vec<&[Option<f64>]> = rows.iter().map(|r| r.as_slice()).collect();
+    let row_refs: Vec<&[Option<f64>]> = cells.iter().map(|r| r.as_slice()).collect();
     DataMatrix::from_optional_rows(
-        workloads.iter().map(|w| w.name.clone()).collect(),
+        rows.iter().map(|(name, _)| name.clone()).collect(),
         codes.iter().map(|c| c.to_string()).collect(),
         &row_refs,
     )
@@ -454,17 +614,122 @@ mod tests {
         };
         let mut workloads = production_suite(&base);
         workloads.extend(model_suite(&base));
-        let reference = hurst_matrix(&workloads, &["rp", "vr", "pc"], 1);
+        let matrix = |ws: &[Workload], threads: usize| {
+            let names = ws.iter().map(|w| w.name.clone());
+            let rows: Vec<_> = names.zip(hurst_rows(ws, threads)).collect();
+            hurst_matrix(&rows, &["rp", "vr", "pc"])
+        };
+        let reference = matrix(&workloads, 1);
         for threads in [2, 3, 8] {
             let opts = Options { threads, ..base };
             let mut ws = production_suite(&opts);
             ws.extend(model_suite(&opts));
             assert_eq!(ws, workloads, "suite at threads = {threads}");
             assert_eq!(
-                hurst_matrix(&ws, &["rp", "vr", "pc"], threads),
+                matrix(&ws, threads),
                 reference,
                 "hurst matrix at threads = {threads}"
             );
+        }
+    }
+
+    /// The model suite as it was made before `reduce_suite`, kept as the
+    /// oracle: each model from its own `all_models` seed, Jann re-fitted to
+    /// a CTC log of its own, then sorted into Table 3's order.
+    fn reference_models(opts: &Options) -> Result<Vec<Workload>, String> {
+        use wl_stats::rng::{derive_seed, seeded_rng};
+        let mut out = Vec::new();
+        for (k, model) in all_models().iter().enumerate() {
+            let mut rng = seeded_rng(derive_seed(opts.seed, 1000 + k as u64));
+            if model.name() == "Jann" {
+                let ctc = MachineId::Ctc.generate(opts.jobs, opts.seed);
+                let fitted = Jann::fit_from_workload(&ctc).map_err(|e| {
+                    format!(
+                        "cannot re-fit the Jann model to a {}-job CTC log: {e}",
+                        opts.jobs
+                    )
+                })?;
+                out.push(fitted.generate(opts.jobs, &mut rng));
+            } else {
+                out.push(model.generate(opts.jobs, &mut rng));
+            }
+        }
+        let order = ["Lublin", "Feitelson '97", "Feitelson '96", "Downey", "Jann"];
+        out.sort_by_key(|w| order.iter().position(|&n| n == w.name));
+        Ok(out)
+    }
+
+    fn digests(ws: &[Workload]) -> Vec<u64> {
+        ws.iter().map(Workload::canonical_digest).collect()
+    }
+
+    #[test]
+    fn reduce_suite_matches_the_separate_suites_at_every_thread_count() {
+        for jobs in [120, 300, 1024] {
+            let base = Options {
+                jobs,
+                threads: 1,
+                ..Options::default()
+            };
+            let production = machines::production_workloads_par(base.seed, jobs, 1);
+            let models = reference_models(&base).expect("re-fit");
+            let table3: Vec<Workload> = production.iter().chain(&models).cloned().collect();
+            for threads in [1, 2, 3, 8] {
+                let opts = Options { threads, ..base };
+                let at = format!("jobs = {jobs}, threads = {threads}");
+                let identity = |suite| reduce_suite(&opts, suite, |w| w).expect("re-fit");
+                assert_eq!(identity(Suite::Production), production, "production, {at}");
+                assert_eq!(identity(Suite::Models), models, "models, {at}");
+                let t3 = identity(Suite::Table3);
+                assert_eq!(t3, table3, "table3, {at}");
+                assert_eq!(digests(&t3), digests(&table3), "table3 bits, {at}");
+                assert_eq!(
+                    reduce_suite(&opts, Suite::Table3, |w| w.len()).expect("re-fit"),
+                    table3.iter().map(Workload::len).collect::<Vec<_>>(),
+                    "lengths, {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn undersized_model_suites_fail_with_the_reference_error() {
+        let opts = Options {
+            jobs: 50,
+            ..Options::default()
+        };
+        let want = reference_models(&opts).expect_err("50 jobs are too few to fit");
+        assert!(want.starts_with("cannot re-fit the Jann model to a 50-job CTC log: "));
+        for threads in [1, 2, 8] {
+            let opts = Options { threads, ..opts };
+            assert_eq!(try_model_suite(&opts).unwrap_err(), want, "threads = {threads}");
+            for suite in [Suite::Models, Suite::Table3] {
+                let got = reduce_suite(&opts, suite, |w| w.len()).unwrap_err();
+                assert_eq!(got, want, "{suite:?}, threads = {threads}");
+            }
+        }
+        assert_eq!(reduce_suite(&opts, Suite::Production, |w| w.len()).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn jann_is_refitted_to_the_ctc_log_the_suite_emits() {
+        use wl_stats::rng::{derive_seed, seeded_rng};
+        for (jobs, seed) in [(300, 1999), (1024, 5)] {
+            let ctc = MachineId::Ctc.generate(jobs, seed);
+            let jann = Jann::fit_from_workload(&ctc)
+                .expect("re-fit")
+                .generate(jobs, &mut seeded_rng(derive_seed(seed, 1000 + JANN as u64)));
+            let opts = Options {
+                jobs,
+                seed,
+                threads: 2,
+                ..Options::default()
+            };
+            let rows = reduce_suite(&opts, Suite::Table3, |w| w).expect("re-fit");
+            assert_eq!(rows[0].canonical_digest(), ctc.canonical_digest());
+            assert_eq!(rows[14].name, "Jann");
+            assert_eq!(rows[14], jann);
+            assert_eq!(rows[14].canonical_digest(), jann.canonical_digest());
         }
     }
 

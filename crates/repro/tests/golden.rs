@@ -2,18 +2,20 @@
 //! byte-exact, at every thread count.
 //!
 //! The snapshots under `tests/golden/` (repo root) pin `table1`, `table3`,
-//! and `subset_search` stdout for the canonical run (`--seed 1999
-//! --jobs 8192`). Every pipeline behind them — synthesis, statistics,
-//! Hurst estimation, the shared-cache Co-plot subset search — is seeded
-//! and thread-count-invariant, so the snapshot holds for `--threads 1`
-//! and `--threads 8` alike. A diff here means an intentional output
-//! change (regenerate the snapshot and say so in the PR) or a real
-//! determinism regression.
+//! `fig4`, `modelstats` and `subset_search` stdout for the canonical run
+//! (`--seed 1999 --jobs 8192`). Every pipeline behind them — synthesis,
+//! statistics, Hurst estimation, the Co-plot engine, the shared-cache
+//! subset search — is seeded and thread-count-invariant, so the snapshot
+//! holds for `--threads 1` and `--threads 8` alike. A diff here means an
+//! intentional output change (regenerate the snapshot and say so in the
+//! change description) or a real determinism regression.
 //!
 //! Regenerate with:
 //! ```text
 //! cargo run --bin table1 -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/table1.txt
 //! cargo run --bin table3 -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/table3.txt
+//! cargo run --bin fig4 -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/fig4.txt
+//! cargo run --bin modelstats -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/modelstats.txt
 //! cargo run --bin subset_search -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/subset_search.txt
 //! ```
 
@@ -91,6 +93,26 @@ fn table3_matches_golden_eight_threads() {
 }
 
 #[test]
+fn fig4_matches_golden_single_thread() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig4"), "fig4", "1");
+}
+
+#[test]
+fn fig4_matches_golden_eight_threads() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_fig4"), "fig4", "8");
+}
+
+#[test]
+fn modelstats_matches_golden_single_thread() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_modelstats"), "modelstats", "1");
+}
+
+#[test]
+fn modelstats_matches_golden_eight_threads() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_modelstats"), "modelstats", "8");
+}
+
+#[test]
 fn subset_search_matches_golden_single_thread() {
     assert_matches_golden(env!("CARGO_BIN_EXE_subset_search"), "subset_search", "1");
 }
@@ -122,4 +144,29 @@ fn trace_does_not_perturb_stdout() {
         !out.stderr.is_empty(),
         "--trace json produced no trace on stderr"
     );
+}
+
+/// Figure 4 needs the CTC log twice (a row, and the log Jann is re-fitted
+/// to) but synthesizes it once: six machine logs in all.
+#[test]
+fn fig4_synthesizes_each_machine_log_once() {
+    let scratch = std::env::temp_dir().join("wl-golden-machine-logs");
+    std::fs::create_dir_all(&scratch).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fig4"))
+        .args(["--jobs", "512", "--threads", "2", "--trace", "json"])
+        .current_dir(&scratch)
+        .output()
+        .expect("run fig4 --trace json");
+    assert!(out.status.success());
+    let trace = String::from_utf8(out.stderr).expect("trace is UTF-8");
+    let counter = |name: &str| {
+        let prefix = format!("{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":");
+        trace
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .and_then(|rest| rest.trim_end_matches('}').parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {name} counter in the trace"))
+    };
+    assert_eq!(counter("logsynth.machine_logs"), 6);
+    assert_eq!(counter("logsynth.workloads"), 10);
 }

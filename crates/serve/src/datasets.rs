@@ -13,6 +13,7 @@
 use crate::exec::ExecError;
 use coplot::api::fnv1a;
 use coplot::DatasetSpec;
+use wl_repro::Suite;
 use wl_swf::workload::{AllocationFlexibility, MachineInfo, SchedulerFlexibility};
 use wl_swf::Workload;
 use wl_trace::TraceFormat;
@@ -131,7 +132,7 @@ impl NamedDataset {
     /// # Errors
     /// `models`, `table3` and `crossdomain` re-fit Jann's model to a
     /// synthesized CTC log, which fails below about 120 jobs
-    /// ([`wl_repro::try_model_suite`]).
+    /// ([`wl_repro::reduce_suite`]).
     pub fn try_synthesize(
         &self,
         jobs: usize,
@@ -145,20 +146,18 @@ impl NamedDataset {
             threads,
             timings: false,
         };
+        // The dataset slot shares the workloads across requests, so these
+        // keep every log (the identity reduce).
+        let suite = |suite| wl_repro::reduce_suite(&opts, suite, |w| w);
         Ok(match self {
-            NamedDataset::Table1 => wl_repro::production_suite(&opts),
+            NamedDataset::Table1 => suite(Suite::Production)?,
             NamedDataset::Table2 => wl_repro::period_suite(&opts),
-            NamedDataset::Models => wl_repro::try_model_suite(&opts)?,
-            NamedDataset::Table3 => {
-                let mut out = wl_repro::production_suite(&opts);
-                out.extend(wl_repro::try_model_suite(&opts)?);
-                out
-            }
+            NamedDataset::Models => suite(Suite::Models)?,
+            NamedDataset::Table3 => suite(Suite::Table3)?,
             NamedDataset::Grid => wl_trace::synth::grid_suite(jobs, seed, threads),
             NamedDataset::Web => wl_trace::synth::web_suite(jobs, seed, threads),
             NamedDataset::CrossDomain => {
-                let mut out = wl_repro::production_suite(&opts);
-                out.extend(wl_repro::try_model_suite(&opts)?);
+                let mut out = suite(Suite::Table3)?;
                 out.extend(wl_trace::synth::grid_suite(jobs, seed, threads));
                 out.extend(wl_trace::synth::web_suite(jobs, seed, threads));
                 out

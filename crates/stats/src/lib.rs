@@ -41,7 +41,7 @@ pub use dist::Distribution;
 pub use error::StatsError;
 pub use isotonic::{isotonic_regression, try_isotonic_regression};
 pub use ks::{ks_statistic, ks_two_sample, ks_two_sample_pvalue};
-pub use order::{interval, median, percentile, Percentiles};
+pub use order::{interval, median, median_interval, percentile, Percentiles};
 pub use rank::ranks;
 pub use regress::{linear_fit, LinearFit};
 pub use rng::seeded_rng;

@@ -7,7 +7,7 @@
 //! runtime load when CPU load is missing) are applied by analysis code, not
 //! here, so the raw facts stay inspectable.
 
-use wl_stats::order::Percentiles;
+use wl_stats::order::CentralOrder;
 
 use crate::record::JobStatus;
 use crate::trace::NormalizedTrace;
@@ -138,6 +138,41 @@ impl Variable {
     }
 }
 
+/// The `(median, 90% interval)` pairs of runtime, parallelism, normalized
+/// parallelism, CPU work and inter-arrival time, `(None, None)` for an
+/// attribute no job records. Shared by [`TraceStats::compute`] and the
+/// streaming window accumulator.
+///
+/// Normalized parallelism is read at the ranks selected for parallelism:
+/// `p / processors * 128` is non-decreasing and never a negative zero, so
+/// the normalized sample sorts into the same ranks and each order
+/// statistic is the normalized one, bit for bit.
+pub(crate) fn order_statistics(
+    runtimes: &[f64],
+    procs: &[f64],
+    work: &[f64],
+    interarrivals: &[f64],
+    processors: u64,
+) -> [(Option<f64>, Option<f64>); 5] {
+    let select = |xs: &[f64]| (!xs.is_empty()).then(|| CentralOrder::select(xs, INTERVAL_WIDTH));
+    let pair = |order: Option<CentralOrder>| match order {
+        Some(o) => {
+            let (median, interval) = o.median_interval();
+            (Some(median), Some(interval))
+        }
+        None => (None, None),
+    };
+    let procs = select(procs);
+    let norm_procs = procs.map(|o| o.map(|p| p / processors as f64 * NORMALIZED_MACHINE));
+    [
+        pair(select(runtimes)),
+        pair(procs),
+        pair(norm_procs),
+        pair(select(work)),
+        pair(select(interarrivals)),
+    ]
+}
+
 /// All Table 1 / Table 2 characteristics of one trace.
 /// `None` fields are the paper's "N/A" cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,30 +273,19 @@ impl TraceStats {
             .iter()
             .filter_map(|j| j.used_procs_opt().map(|p| p as f64))
             .collect();
-        let norm_procs: Vec<f64> = procs
-            .iter()
-            .map(|p| p / w.machine.processors as f64 * NORMALIZED_MACHINE)
-            .collect();
         let work: Vec<f64> = w.jobs().iter().filter_map(|j| j.total_cpu_work()).collect();
         let interarrivals: Vec<f64> = w
             .jobs()
             .windows(2)
             .map(|pair| pair[1].submit_time - pair[0].submit_time)
             .collect();
-
-        let med_int = |xs: &[f64]| -> (Option<f64>, Option<f64>) {
-            if xs.is_empty() {
-                (None, None)
-            } else {
-                let p = Percentiles::new(xs);
-                (Some(p.median()), Some(p.interval(INTERVAL_WIDTH)))
-            }
-        };
-        let (runtime_median, runtime_interval) = med_int(&runtimes);
-        let (procs_median, procs_interval) = med_int(&procs);
-        let (norm_procs_median, norm_procs_interval) = med_int(&norm_procs);
-        let (cpu_work_median, cpu_work_interval) = med_int(&work);
-        let (interarrival_median, interarrival_interval) = med_int(&interarrivals);
+        let [
+            (runtime_median, runtime_interval),
+            (procs_median, procs_interval),
+            (norm_procs_median, norm_procs_interval),
+            (cpu_work_median, cpu_work_interval),
+            (interarrival_median, interarrival_interval),
+        ] = order_statistics(&runtimes, &procs, &work, &interarrivals, w.machine.processors);
 
         TraceStats {
             name: w.name.clone(),
@@ -479,6 +503,98 @@ mod tests {
         assert_eq!(s.get(Variable::SchedulerFlexibility), Some(2.0));
         for v in Variable::ALL {
             let _ = s.get(v); // no panics for any variable
+        }
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use wl_stats::order::Percentiles;
+
+        /// The order statistics as they were computed by sorting: each
+        /// attribute sorted on its own, normalized parallelism materialized.
+        fn sorted_order_stats(w: &NormalizedTrace) -> Vec<(Option<u64>, Option<u64>)> {
+            let procs: Vec<f64> = w
+                .jobs()
+                .iter()
+                .filter_map(|j| j.used_procs_opt().map(|p| p as f64))
+                .collect();
+            let norm: Vec<f64> = procs
+                .iter()
+                .map(|p| p / w.machine.processors as f64 * NORMALIZED_MACHINE)
+                .collect();
+            let samples = [
+                w.jobs().iter().filter_map(|j| j.run_time_opt()).collect(),
+                procs,
+                norm,
+                w.jobs().iter().filter_map(|j| j.total_cpu_work()).collect(),
+                w.jobs()
+                    .windows(2)
+                    .map(|pair| pair[1].submit_time - pair[0].submit_time)
+                    .collect::<Vec<f64>>(),
+            ];
+            samples
+                .iter()
+                .map(|xs| {
+                    if xs.is_empty() {
+                        (None, None)
+                    } else {
+                        let p = Percentiles::new(xs);
+                        (Some(p.median().to_bits()), Some(p.interval(INTERVAL_WIDTH).to_bits()))
+                    }
+                })
+                .collect()
+        }
+
+        fn computed_order_stats(s: &TraceStats) -> Vec<(Option<u64>, Option<u64>)> {
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            [
+                (s.runtime_median, s.runtime_interval),
+                (s.procs_median, s.procs_interval),
+                (s.norm_procs_median, s.norm_procs_interval),
+                (s.cpu_work_median, s.cpu_work_interval),
+                (s.interarrival_median, s.interarrival_interval),
+            ]
+            .iter()
+            .map(|&(m, i)| (bits(m), bits(i)))
+            .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200))]
+
+            /// Selection (with normalized parallelism read at parallelism's
+            /// ranks) equals sorting every attribute, bit for bit, on
+            /// machines of odd sizes, with unknown fields, zero runtimes
+            /// and simultaneous submissions.
+            #[test]
+            fn order_statistics_match_sorting(
+                processors in prop_oneof![
+                    Just(1u64), Just(3), Just(10), Just(100), Just(416), Just(1024),
+                    1u64..100_000, Just(1 << 40),
+                ],
+                raw in proptest::collection::vec(
+                    (0u32..4, 0u32..2000, -1i64..1100, 0u32..3, 0u32..4),
+                    0..400,
+                ),
+            ) {
+                let mut submit = 0.0;
+                let jobs: Vec<JobRecord> = raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(gap, run, procs, cpu, scale))| {
+                        submit += gap as f64 * 10f64.powi(scale as i32 - 1);
+                        let mut j = job(i as u64 + 1, submit, run as f64 - 5.0, procs);
+                        j.avg_cpu_time = if cpu == 0 { -1.0 } else { j.run_time / cpu as f64 };
+                        j
+                    })
+                    .collect();
+                let w = NormalizedTrace::new("P", machine(processors), jobs);
+                prop_assert_eq!(
+                    computed_order_stats(&TraceStats::compute(&w)),
+                    sorted_order_stats(&w)
+                );
+            }
         }
     }
 

@@ -19,10 +19,8 @@
 
 use std::collections::BTreeSet;
 
-use wl_stats::order::Percentiles;
-
 use crate::record::{JobRecord, JobStatus};
-use crate::stats::{TraceStats, INTERVAL_WIDTH, NORMALIZED_MACHINE};
+use crate::stats::{order_statistics, TraceStats};
 use crate::trace::TraceMeta;
 
 /// Streaming accumulator for one window's [`TraceStats`].
@@ -47,7 +45,6 @@ pub struct WindowStatsBuilder {
     completed: usize,
     runtimes: Vec<f64>,
     procs: Vec<f64>,
-    norm_procs: Vec<f64>,
     work: Vec<f64>,
     interarrivals: Vec<f64>,
     last_submit: Option<f64>,
@@ -72,7 +69,6 @@ impl WindowStatsBuilder {
             completed: 0,
             runtimes: Vec::new(),
             procs: Vec::new(),
-            norm_procs: Vec::new(),
             work: Vec::new(),
             interarrivals: Vec::new(),
             last_submit: None,
@@ -111,10 +107,7 @@ impl WindowStatsBuilder {
             self.runtimes.push(rt);
         }
         if let Some(p) = j.used_procs_opt() {
-            let p = p as f64;
-            self.procs.push(p);
-            self.norm_procs
-                .push(p / self.machine.processors as f64 * NORMALIZED_MACHINE);
+            self.procs.push(p as f64);
         }
         if let Some(w) = j.total_cpu_work() {
             self.work.push(w);
@@ -178,19 +171,19 @@ impl WindowStatsBuilder {
             Some(self.completed as f64 / self.known_status as f64)
         };
 
-        let med_int = |xs: &[f64]| -> (Option<f64>, Option<f64>) {
-            if xs.is_empty() {
-                (None, None)
-            } else {
-                let p = Percentiles::new(xs);
-                (Some(p.median()), Some(p.interval(INTERVAL_WIDTH)))
-            }
-        };
-        let (runtime_median, runtime_interval) = med_int(&self.runtimes);
-        let (procs_median, procs_interval) = med_int(&self.procs);
-        let (norm_procs_median, norm_procs_interval) = med_int(&self.norm_procs);
-        let (cpu_work_median, cpu_work_interval) = med_int(&self.work);
-        let (interarrival_median, interarrival_interval) = med_int(&self.interarrivals);
+        let [
+            (runtime_median, runtime_interval),
+            (procs_median, procs_interval),
+            (norm_procs_median, norm_procs_interval),
+            (cpu_work_median, cpu_work_interval),
+            (interarrival_median, interarrival_interval),
+        ] = order_statistics(
+            &self.runtimes,
+            &self.procs,
+            &self.work,
+            &self.interarrivals,
+            self.machine.processors,
+        );
 
         TraceStats {
             name: self.name.clone(),

@@ -39,6 +39,49 @@ echo "== trace smoke run (--trace json | trace-check) =="
 ./target/release/table3 --jobs 512 --threads 8 --trace json 2>&1 >/dev/null \
   | ./target/release/trace-check -
 
+# The repro binaries reduce each synthesized log to its row in the worker
+# that made it; none of that may change a byte across thread counts.
+echo "== repro determinism (--jobs 2048: --threads 1 and 2 print the same bytes) =="
+repro_bin="$PWD/target/release"
+repro_dir=$(mktemp -d)   # fig4 writes its SVG under repro-out/ in the cwd
+trap 'rm -rf "$repro_dir"' EXIT
+for bin in table1 fig4 table3 modelstats; do
+  for t in 1 2; do
+    (cd "$repro_dir" && "$repro_bin/$bin" --jobs 2048 --threads "$t") > "$repro_dir/$bin.t$t"
+  done
+  cmp "$repro_dir/$bin.t1" "$repro_dir/$bin.t2" \
+    || { echo "$bin output depends on --threads"; exit 1; }
+done
+
+echo "== repro machine logs (traced fig4: trace-check, each machine log made once) =="
+fig4_trace=$(cd "$repro_dir" && "$repro_bin/fig4" --jobs 512 --trace json 2>&1 >/dev/null)
+echo "$fig4_trace" | ./target/release/trace-check -
+machine_logs=$(echo "$fig4_trace" \
+  | sed -n 's/.*"logsynth.machine_logs","value":\([0-9]*\).*/\1/p' | head -1)
+test "$machine_logs" = 6 \
+  || { echo "fig4 synthesized ${machine_logs:-no} machine logs (want 6: CTC once)"; exit 1; }
+
+echo "== repro memory (table3 at 8192 jobs peaks below 20 MB) =="
+# ru_maxrss of a child includes the resident set it was forked with, so
+# this bounds python's own footprint plus table3's growth.
+table3_mb=$(python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+' "$repro_bin/table3" --seed 1999 --jobs 8192 --threads 2)
+test "$table3_mb" -lt 20 \
+  || { echo "table3 peaked at $table3_mb MB (want < 20)"; exit 1; }
+
+echo "== repro bad flag (table1 --bogus exits 2 with a message, no panic) =="
+bogus_rc=0
+bogus_err=$("$repro_bin/table1" --bogus 2>&1 >/dev/null) || bogus_rc=$?
+test "$bogus_rc" = 2 || { echo "table1 --bogus exited $bogus_rc (want 2)"; exit 1; }
+if echo "$bogus_err" | grep -q panicked; then
+  echo "table1 --bogus panicked: $bogus_err"; exit 1
+fi
+rm -rf "$repro_dir"
+trap - EXIT
+
 echo "== kernel smoke (traced wl subset: fast-theta + incremental counters) =="
 subset_trace=$(./target/release/wl subset @table1 --size 3 --threads 2 \
   --trace json 2>&1 >/dev/null)
