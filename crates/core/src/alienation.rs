@@ -22,10 +22,10 @@
 //!
 //! * Below [`SWEEP_MIN_PAIRS`] the textbook double sum is kept but run
 //!   through [`QUAD_LANES`] independent accumulator lanes over contiguous
-//!   tails (`mu_quadratic`), vectorized explicitly (AVX-512/AVX2 with a
-//!   scalar-lane fallback, all bit-identical). Each lane owns a fixed
-//!   subset of terms, so the result is deterministic, and since `|t|` is
-//!   accumulated through the same lanes as `t`, perfectly concordant
+//!   tails (`mu_quadratic`), in portable code the compiler vectorizes; no
+//!   CPU dispatch, so every machine runs the same kernel. Each lane owns a
+//!   fixed subset of terms, so the result is deterministic, and since `|t|`
+//!   is accumulated through the same lanes as `t`, perfectly concordant
 //!   (discordant) inputs give `mu` exactly `1.0` (`-1.0`) bit for bit,
 //!   like the scalar loop.
 //! * From [`SWEEP_MIN_PAIRS`] up, a Kendall-style `O(P log P)` sweep
@@ -101,10 +101,14 @@ impl Fenwick {
 }
 
 /// Pair counts below this run the lane-blocked quadratic kernel; the sweep's
-/// sort + Fenwick constant amortizes past roughly this many pairs. Measured
-/// break-even on the dev machine is P around 150-200 (`n` around 18-20
-/// observations) — see the `theta_kernel` bench and the `theta_profile`
-/// example used to place it.
+/// sort + Fenwick constant amortizes past roughly this many pairs. 160 was
+/// tuned against an AVX-512/AVX2 copy of the quadratic kernel, which broke
+/// even with the sweep at P around 150-200 (`n` around 18-20 observations).
+/// The portable kernel breaks even lower: `theta_profile` medians on a
+/// 2-vCPU Xeon give quadratic 6.1 / 14.4 / 22.0 µs against sweep 5.6 / 9.5 /
+/// 13.9 µs at P = 100 / 153 / 190. The goldens now pin 160: moving it would
+/// switch fig4 (P = 105) or crossdomain (P = 276) to the other kernel and
+/// change last digits.
 const SWEEP_MIN_PAIRS: usize = 160;
 
 /// Map `f64` bits to `u64` such that unsigned integer order equals
@@ -155,9 +159,10 @@ pub fn mu_statistic(s: &[f64], d: &[f64]) -> f64 {
 }
 
 /// Accumulator lanes for the quadratic kernel. 16 gives the vectorizer
-/// four 256-bit (or two 512-bit) independent accumulation chains, enough
-/// to hide floating-point add latency. The lane count is FIXED — never
-/// CPU-dependent — so results are bit-identical on every machine.
+/// independent accumulation chains (eight 128-bit registers on baseline
+/// x86-64), enough to hide floating-point add latency. The lane count is
+/// FIXED — never CPU-dependent — so results are bit-identical on every
+/// machine.
 const QUAD_LANES: usize = 16;
 
 /// The textbook double sum, restructured into [`QUAD_LANES`] independent
@@ -165,9 +170,10 @@ const QUAD_LANES: usize = 16;
 /// vectorize it. Lane `j` always owns tail offsets `j mod QUAD_LANES` (the
 /// remainder loop keeps the same assignment), so the accumulation order is
 /// a pure function of the input length — deterministic, and bit-identical
-/// from run to run.
-#[inline(always)]
-fn mu_quadratic_lanes(s: &[f64], d: &[f64]) -> f64 {
+/// on every machine. Exposed (doc-hidden) for the `theta_profile` example;
+/// use [`mu_statistic`] everywhere else.
+#[doc(hidden)]
+pub fn mu_quadratic(s: &[f64], d: &[f64]) -> f64 {
     let p = s.len();
     let mut num = [0.0f64; QUAD_LANES];
     let mut den = [0.0f64; QUAD_LANES];
@@ -209,166 +215,6 @@ fn mu_quadratic_lanes(s: &[f64], d: &[f64]) -> f64 {
     } else {
         rn[0] / rd[0]
     }
-}
-
-/// AVX-512 version of [`mu_quadratic_lanes`]: two 8-wide accumulator
-/// vectors per sum hold the same 16 lanes with the same lane-to-term
-/// mapping, the tail is handled with zero-masked loads and a zero-masked
-/// multiply (adding an exact `+0.0` to the untouched lanes, which is a
-/// bitwise no-op on these accumulators), and the final reduction performs
-/// the identical pairwise tree — so the result matches the scalar kernel
-/// bit for bit on every input.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn mu_quadratic_avx512(s: &[f64], d: &[f64]) -> f64 {
-    use core::arch::x86_64::*;
-    let p = s.len();
-    let abs_mask = _mm512_castsi512_pd(_mm512_set1_epi64(i64::MAX));
-    let mut num = [_mm512_setzero_pd(); 2];
-    let mut den = [_mm512_setzero_pd(); 2];
-    for a in 0..p {
-        let sa = _mm512_set1_pd(s[a]);
-        let da = _mm512_set1_pd(d[a]);
-        let ts = &s[a + 1..];
-        let td = &d[a + 1..];
-        let n = ts.len();
-        let mut k = 0usize;
-        while k + QUAD_LANES <= n {
-            for v in 0..2 {
-                let xs = _mm512_loadu_pd(ts.as_ptr().add(k + 8 * v));
-                let xd = _mm512_loadu_pd(td.as_ptr().add(k + 8 * v));
-                let t = _mm512_mul_pd(_mm512_sub_pd(sa, xs), _mm512_sub_pd(da, xd));
-                num[v] = _mm512_add_pd(num[v], t);
-                den[v] = _mm512_add_pd(den[v], _mm512_and_pd(t, abs_mask));
-            }
-            k += QUAD_LANES;
-        }
-        let rem = n - k;
-        for v in 0..2 {
-            let lanes = rem.saturating_sub(8 * v).min(8);
-            if lanes == 0 {
-                break;
-            }
-            let m = ((1u16 << lanes) - 1) as __mmask8;
-            let xs = _mm512_maskz_loadu_pd(m, ts.as_ptr().add(k + 8 * v));
-            let xd = _mm512_maskz_loadu_pd(m, td.as_ptr().add(k + 8 * v));
-            let t = _mm512_maskz_mul_pd(m, _mm512_sub_pd(sa, xs), _mm512_sub_pd(da, xd));
-            num[v] = _mm512_add_pd(num[v], t);
-            den[v] = _mm512_add_pd(den[v], _mm512_and_pd(t, abs_mask));
-        }
-    }
-    // Pairwise tree in the exact order of the scalar reduction:
-    // width 8 (acc0 + acc1), 4 (low half + high half), 2, then 1.
-    let n8 = _mm512_add_pd(num[0], num[1]);
-    let d8 = _mm512_add_pd(den[0], den[1]);
-    let n4 = _mm256_add_pd(_mm512_castpd512_pd256(n8), _mm512_extractf64x4_pd(n8, 1));
-    let d4 = _mm256_add_pd(_mm512_castpd512_pd256(d8), _mm512_extractf64x4_pd(d8, 1));
-    let n2 = _mm_add_pd(_mm256_castpd256_pd128(n4), _mm256_extractf128_pd(n4, 1));
-    let d2 = _mm_add_pd(_mm256_castpd256_pd128(d4), _mm256_extractf128_pd(d4, 1));
-    let num = _mm_cvtsd_f64(n2) + _mm_cvtsd_f64(_mm_unpackhi_pd(n2, n2));
-    let den = _mm_cvtsd_f64(d2) + _mm_cvtsd_f64(_mm_unpackhi_pd(d2, d2));
-    if den == 0.0 {
-        1.0
-    } else {
-        num / den
-    }
-}
-
-/// Per-lane load/zero masks for the AVX2 tail: entry `r` activates the
-/// first `r` lanes (all-ones doubles double as both the maskload control,
-/// which keys on the sign bit, and the product AND mask).
-#[cfg(target_arch = "x86_64")]
-const AVX2_TAIL_MASKS: [[i64; 4]; 5] = [
-    [0, 0, 0, 0],
-    [-1, 0, 0, 0],
-    [-1, -1, 0, 0],
-    [-1, -1, -1, 0],
-    [-1, -1, -1, -1],
-];
-
-/// AVX2 version of [`mu_quadratic_lanes`]: four 4-wide accumulator vectors
-/// per sum, same lane mapping, masked-load tail with the product ANDed to
-/// an exact `+0.0` in inactive lanes, identical pairwise reduction — bit
-/// for bit the scalar result.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mu_quadratic_avx2(s: &[f64], d: &[f64]) -> f64 {
-    use core::arch::x86_64::*;
-    let p = s.len();
-    let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
-    let mut num = [_mm256_setzero_pd(); 4];
-    let mut den = [_mm256_setzero_pd(); 4];
-    for a in 0..p {
-        let sa = _mm256_set1_pd(s[a]);
-        let da = _mm256_set1_pd(d[a]);
-        let ts = &s[a + 1..];
-        let td = &d[a + 1..];
-        let n = ts.len();
-        let mut k = 0usize;
-        while k + QUAD_LANES <= n {
-            for v in 0..4 {
-                let xs = _mm256_loadu_pd(ts.as_ptr().add(k + 4 * v));
-                let xd = _mm256_loadu_pd(td.as_ptr().add(k + 4 * v));
-                let t = _mm256_mul_pd(_mm256_sub_pd(sa, xs), _mm256_sub_pd(da, xd));
-                num[v] = _mm256_add_pd(num[v], t);
-                den[v] = _mm256_add_pd(den[v], _mm256_and_pd(t, abs_mask));
-            }
-            k += QUAD_LANES;
-        }
-        let rem = n - k;
-        for v in 0..4 {
-            let lanes = rem.saturating_sub(4 * v).min(4);
-            if lanes == 0 {
-                break;
-            }
-            let mask_i = _mm256_loadu_si256(AVX2_TAIL_MASKS[lanes].as_ptr().cast());
-            let lane_mask = _mm256_castsi256_pd(mask_i);
-            let xs = _mm256_maskload_pd(ts.as_ptr().add(k + 4 * v), mask_i);
-            let xd = _mm256_maskload_pd(td.as_ptr().add(k + 4 * v), mask_i);
-            let t = _mm256_and_pd(
-                _mm256_mul_pd(_mm256_sub_pd(sa, xs), _mm256_sub_pd(da, xd)),
-                lane_mask,
-            );
-            num[v] = _mm256_add_pd(num[v], t);
-            den[v] = _mm256_add_pd(den[v], _mm256_and_pd(t, abs_mask));
-        }
-    }
-    // Same pairwise tree: width 8 pairs acc v with acc v+2, width 4 merges
-    // the two survivors, then halves within the vector.
-    let n4a = _mm256_add_pd(num[0], num[2]);
-    let n4b = _mm256_add_pd(num[1], num[3]);
-    let d4a = _mm256_add_pd(den[0], den[2]);
-    let d4b = _mm256_add_pd(den[1], den[3]);
-    let n4 = _mm256_add_pd(n4a, n4b);
-    let d4 = _mm256_add_pd(d4a, d4b);
-    let n2 = _mm_add_pd(_mm256_castpd256_pd128(n4), _mm256_extractf128_pd(n4, 1));
-    let d2 = _mm_add_pd(_mm256_castpd256_pd128(d4), _mm256_extractf128_pd(d4, 1));
-    let num = _mm_cvtsd_f64(n2) + _mm_cvtsd_f64(_mm_unpackhi_pd(n2, n2));
-    let den = _mm_cvtsd_f64(d2) + _mm_cvtsd_f64(_mm_unpackhi_pd(d2, d2));
-    if den == 0.0 {
-        1.0
-    } else {
-        num / den
-    }
-}
-
-/// Quadratic-kernel entry with CPU-feature dispatch. Exposed (doc-hidden)
-/// so the `theta_kernel` bench can pit the kernels against each other; use
-/// [`mu_statistic`] everywhere else.
-#[doc(hidden)]
-pub fn mu_quadratic(s: &[f64], d: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: guarded by runtime detection of the enabled feature.
-            return unsafe { mu_quadratic_avx512(s, d) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by runtime detection of the enabled feature.
-            return unsafe { mu_quadratic_avx2(s, d) };
-        }
-    }
-    mu_quadratic_lanes(s, d)
 }
 
 /// The `O(P log P)` Kendall-style sweep over `(s, d)` sorted as `u128` bit
@@ -594,25 +440,27 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn simd_paths_match_scalar_lanes_bitwise() {
-        // The intrinsic kernels perform the identical IEEE op sequence as
-        // the 16-lane scalar kernel, so every path must agree bit for bit
-        // across sizes that exercise full blocks and every tail length.
-        for p in [2usize, 5, 15, 16, 17, 31, 33, 190, 200] {
+    fn quadratic_mu_bits_are_pinned() {
+        // Printed by the AVX-512 path of the removed CPU dispatch, which
+        // matched this kernel bit for bit: sizes cover full 16-lane blocks
+        // and every tail length.
+        let pinned: [(usize, u64); 9] = [
+            (2, 0xbff0000000000000),
+            (5, 0x3fe2cb430081ef2f),
+            (15, 0x3feb7030dfb374e6),
+            (16, 0x3fec647f0b913439),
+            (17, 0x3febb7fe5e10949c),
+            (31, 0x3fec5b5a3854103f),
+            (33, 0x3fec19910ff62519),
+            (190, 0x3fec5cf8ebaa2a72),
+            (200, 0x3fec59c905faee8a),
+        ];
+        for (p, bits) in pinned {
             let s: Vec<f64> = (0..p).map(|i| (i as f64 * 0.917).sin() * 30.0).collect();
             let d: Vec<f64> = (0..p)
                 .map(|i| (i as f64 * 2.13).cos() * 12.0 + s[i] * 0.4)
                 .collect();
-            let scalar = mu_quadratic_lanes(&s, &d);
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let v = unsafe { mu_quadratic_avx2(&s, &d) };
-                assert_eq!(v.to_bits(), scalar.to_bits(), "avx2 p={p}");
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                let v = unsafe { mu_quadratic_avx512(&s, &d) };
-                assert_eq!(v.to_bits(), scalar.to_bits(), "avx512 p={p}");
-            }
+            assert_eq!(mu_quadratic(&s, &d).to_bits(), bits, "p={p}");
         }
     }
 

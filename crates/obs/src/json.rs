@@ -73,11 +73,19 @@ pub fn escape_str(s: &str) -> String {
     out
 }
 
-/// Parse a complete JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level, so without a bound 10,000 `[` overflow a thread's stack.
+/// The deepest document the workspace writes nests 6 levels: a worker's
+/// shard reply wrapping a five-level coplot response.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document; trailing non-whitespace and nesting
+/// deeper than [`MAX_DEPTH`] are errors.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -91,6 +99,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -121,8 +131,22 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
@@ -329,6 +353,27 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 1 MB of openers on a 256 KiB stack: unbounded recursion would
+        // abort the process long before the end of the input.
+        let docs = ["[".repeat(1 << 20), "{\"a\":".repeat((1 << 20) / 5)];
+        let results = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || docs.map(|doc| parse_json(&doc)))
+            .unwrap()
+            .join()
+            .unwrap();
+        for result in results {
+            let err = result.unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(parse_json(&past_limit).is_err());
     }
 
     #[test]

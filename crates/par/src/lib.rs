@@ -13,8 +13,9 @@
 //! item indices from a shared atomic counter, so a slow item (one workload
 //! synthesizes slower, one MDS start converges later) never idles the other
 //! workers the way fixed chunking would. Claim order varies run to run;
-//! results cannot, because each index is computed exactly once and written
-//! to its own slot.
+//! results cannot, because each index is computed exactly once and each
+//! worker hands its `(index, result)` pairs back through the join, where
+//! they are put in index order.
 //!
 //! There is deliberately no registry dependency (the build environment has
 //! no crates.io access — see `vendor/README.md`), no global pool, and no
@@ -46,10 +47,10 @@
 //! * every item is evaluated exactly once;
 //! * the output is byte-identical for every `threads >= 1`.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(unix)]
+#[allow(unsafe_code)] // the poll(2) FFI call; the only `unsafe` in the workspace
 pub mod poll;
 #[cfg(unix)]
 pub use poll::{waker, PollSet, Readiness, WakeReceiver, Waker};
@@ -68,16 +69,6 @@ pub fn default_threads() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
 }
-
-/// Result slots shared across workers, one cell per item so writes never
-/// form a reference to the whole collection. Each index is claimed by
-/// exactly one worker (via the atomic counter in [`par_map_indexed`]), so
-/// each cell is written at most once and never read before the scope joins.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: workers only write disjoint cells (one per claimed index), and
-// reads happen strictly after all writers have joined.
-unsafe impl<T: Send> Sync for Slots<T> {}
 
 /// Map `f` over `0..n` on up to `threads` workers, returning results in
 /// index order.
@@ -103,68 +94,60 @@ where
     wl_obs::counter!("par.items", n as u64);
     wl_obs::hist_record!("par.workers_per_job", workers as u64);
 
-    let slots = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
     let next = AtomicUsize::new(0);
-    let f = &f;
-    let slots_ref = &slots;
-    let next_ref = &next;
+    let (f, next) = (&f, &next);
 
-    let mut claims: Vec<usize> = Vec::with_capacity(workers);
+    let mut parts: Vec<Vec<(usize, U)>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         // The calling thread is worker 0; spawn the other workers.
         let handles: Vec<_> = (1..workers)
-            .map(|_| scope.spawn(move || worker_loop(slots_ref, next_ref, n, f)))
+            .map(|_| scope.spawn(move || worker_loop(next, n, f)))
             .collect();
-        claims.push(worker_loop(slots_ref, next_ref, n, f));
+        parts.push(worker_loop(next, n, f));
         // Re-raise a worker panic with its original payload (plain scope
         // exit would replace it with "a scoped thread panicked").
         for handle in handles {
             match handle.join() {
-                Ok(claimed) => claims.push(claimed),
+                Ok(part) => parts.push(part),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
 
     if wl_obs::enabled() {
-        for claimed in &claims {
-            wl_obs::hist_record!("par.tasks_per_worker", *claimed as u64);
-            if *claimed == 0 {
+        for part in &parts {
+            wl_obs::hist_record!("par.tasks_per_worker", part.len() as u64);
+            if part.is_empty() {
                 wl_obs::counter!("par.idle_workers", 1u64);
             }
         }
     }
 
+    // Every index in 0..n was claimed exactly once: put each result back
+    // at its index.
+    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    for (i, result) in parts.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
     slots
-        .0
         .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("every index claimed and computed")
-        })
+        .map(|slot| slot.expect("every index claimed and computed"))
         .collect()
 }
 
 /// Claim indices from the shared counter until they run out; returns the
-/// number of items this worker computed.
-fn worker_loop<U, F>(slots: &Slots<U>, next: &AtomicUsize, n: usize, f: &F) -> usize
+/// `(index, result)` pairs this worker computed, in claim order.
+fn worker_loop<U, F>(next: &AtomicUsize, n: usize, f: &F) -> Vec<(usize, U)>
 where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
+    F: Fn(usize) -> U,
 {
-    let mut claimed = 0usize;
+    let mut part = Vec::new();
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
-            return claimed;
+            return part;
         }
-        let result = f(i);
-        // SAFETY: index i was claimed by this worker alone (fetch_add hands
-        // each index out once), so this is the only access to cell i.
-        unsafe {
-            *slots.0[i].get() = Some(result);
-        }
-        claimed += 1;
+        part.push((i, f(i)));
     }
 }
 

@@ -132,6 +132,9 @@ impl PollSet {
                 .min(i32::MAX as u128) as i32,
         };
         loop {
+            // SAFETY: the pointer and length describe `self.fds`, a live,
+            // exclusively borrowed buffer of `#[repr(C)]` pollfds, which is
+            // all poll(2) reads and writes.
             let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as _, timeout_ms) };
             if rc >= 0 {
                 return Ok(rc as usize);

@@ -5,8 +5,8 @@
 
 use wl_repro::paper::{fit_claims, FIG3_VARIABLES, TABLE2, TABLE2_OBSERVATIONS, TABLE2_VARIABLES};
 use wl_repro::{
-    paper_table1_matrix, period_suite, production_suite, report_figure, stats_matrix,
-    suite_stats, Options,
+    paper_table1_matrix, period_suite, report_figure, run_suite, stats_matrix, stats_row,
+    suite_stats, Options, Suite,
 };
 use coplot::DataMatrix;
 
@@ -40,9 +40,9 @@ fn main() {
     let data = if opts.paper_data {
         paper_matrix()
     } else {
-        let mut workloads = production_suite(&opts);
-        workloads.extend(period_suite(&opts));
-        stats_matrix(&suite_stats(&workloads), &FIG3_VARIABLES)
+        let mut stats = run_suite(&opts, Suite::Production, |w| stats_row(&w));
+        stats.extend(suite_stats(&period_suite(&opts)));
+        stats_matrix(&stats, &FIG3_VARIABLES)
     };
     let result = wl_repro::run_coplot(&opts, &data);
     report_figure(

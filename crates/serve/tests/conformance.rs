@@ -151,6 +151,24 @@ fn oversized_announced_body_is_rejected_before_upload() {
 }
 
 #[test]
+fn deeply_nested_json_body_is_a_typed_400() {
+    let server = test_server(|_| {});
+    let addr = server.addr().to_string();
+    // 20 KB of `[`: a parser recursing once per level without a limit
+    // overflows its thread's stack and aborts the whole server.
+    let deep = "[".repeat(20_000);
+    let (status, _, body) = http_call(&addr, "POST", "/v1/coplot", Some(&deep)).unwrap();
+    assert_eq!(status, 400, "deep body: {body}");
+    assert!(
+        body.contains("\"kind\":\"bad-json\""),
+        "typed error: {body}"
+    );
+    let (status, _, body) = http_call(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "the server still serves: {body}");
+    server.shutdown();
+}
+
+#[test]
 fn malformed_request_lines_get_typed_400s() {
     let server = test_server(|_| {});
     for garbage in [

@@ -11,9 +11,9 @@ cargo test --workspace -q
 
 # The shipped binaries are release builds; run the bit-exact kernel oracles
 # (SMACOF majorization, PAVA, the mu/Theta kernels, the fGn amplitudes, the
-# online R/S grid) with optimizations on too.
+# online R/S grid) and the order-preserving pool with optimizations on too.
 echo "== kernel oracles (release) =="
-cargo test --release -q -p coplot -p wl-stats -p wl-selfsim
+cargo test --release -q -p coplot -p wl-stats -p wl-selfsim -p wl-par
 
 # The saturation tests hold a worker on a FIFO, not on a slow request, so
 # they must pass at release speed too.
@@ -45,7 +45,7 @@ echo "== repro determinism (--jobs 2048: --threads 1 and 2 print the same bytes)
 repro_bin="$PWD/target/release"
 repro_dir=$(mktemp -d)   # fig4 writes its SVG under repro-out/ in the cwd
 trap 'rm -rf "$repro_dir"' EXIT
-for bin in table1 fig4 table3 modelstats; do
+for bin in table1 fig3 fig4 table3 modelstats; do
   for t in 1 2; do
     (cd "$repro_dir" && "$repro_bin/$bin" --jobs 2048 --threads "$t") > "$repro_dir/$bin.t$t"
   done
@@ -71,6 +71,30 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
 ' "$repro_bin/table3" --seed 1999 --jobs 8192 --threads 2)
 test "$table3_mb" -lt 20 \
   || { echo "table3 peaked at $table3_mb MB (want < 20)"; exit 1; }
+
+echo "== repro memory (fig3 at 8192 jobs: its own peak below 14 MB) =="
+# fig3 peaks below python's resident set, which ru_maxrss would report, so
+# poll the program's own high-water mark (VmHWM); polling may miss a late
+# peak but never over-reads one.
+fig3_mb=$(cd "$repro_dir" && python3 -c '
+import subprocess, sys, time
+p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+peak = 0
+while p.poll() is None:
+    try:
+        with open(f"/proc/{p.pid}/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    peak = max(peak, int(line.split()[1]))
+    except OSError:
+        pass
+    time.sleep(0.005)
+if p.returncode:
+    sys.exit(p.returncode)
+print(peak // 1024)
+' "$repro_bin/fig3" --seed 1999 --jobs 8192 --threads 2)
+test "$fig3_mb" -lt 14 \
+  || { echo "fig3 peaked at $fig3_mb MB (want < 14)"; exit 1; }
 
 echo "== repro bad flag (table1 --bogus exits 2 with a message, no panic) =="
 bogus_rc=0
@@ -149,6 +173,22 @@ grep -q '^HTTP 400$' "$cap_err" \
 echo "$cap_body" | grep -q '"kind":"bad-value"' \
   || { echo "400 body is not a bad-value error: $cap_body"; exit 1; }
 rm -f "$cap_req" "$cap_err"
+
+echo "== wl-serve deep JSON smoke (20,000 nested [ -> typed 400) =="
+# Without a nesting limit the parser overflows its stack and aborts the
+# server; the steps below show it is still alive.
+deep_req=$(mktemp)
+deep_err=$(mktemp)
+python3 -c 'print("[" * 20000, end="")' > "$deep_req"
+if deep_body=$(./target/release/wl-servectl POST \
+    "http://$serve_addr/v1/coplot" "$deep_req" 2> "$deep_err"); then
+  echo "a 20,000-deep JSON body succeeded: $deep_body"; exit 1
+fi
+grep -q '^HTTP 400$' "$deep_err" \
+  || { echo "expected HTTP 400, got: $(cat "$deep_err")"; exit 1; }
+echo "$deep_body" | grep -q '"kind":"bad-json"' \
+  || { echo "400 body is not a bad-json error: $deep_body"; exit 1; }
+rm -f "$deep_req" "$deep_err"
 
 echo "== wl-serve deadline smoke (1 ms deadline -> typed 504) =="
 # The stage named in the body is not pinned: a descheduled worker may
