@@ -50,10 +50,16 @@ pub struct HomogeneityReport {
     pub threshold: f64,
 }
 
+/// Most periods [`test_homogeneity`] accepts (see
+/// [`HomogeneityConfig::periods`]).
+const MAX_PERIODS: usize = 256;
+
 /// Configuration for the homogeneity test.
 #[derive(Debug, Clone, Copy)]
 pub struct HomogeneityConfig {
-    /// Number of consecutive periods to split into (the paper used 4).
+    /// Number of consecutive periods to split into (the paper used 4);
+    /// from 2 to 256, because each period is one observation of the map
+    /// and the map's pair tables grow with the square of their count.
     pub periods: usize,
     /// Relative margin above the median period distance before a period is
     /// flagged (the threshold is median + max(3*MAD, margin*median,
@@ -83,8 +89,8 @@ impl Default for HomogeneityConfig {
 /// `["Rm", "Ri", "Nm", "Ni", "Cm", "Ci", "Im"]`.
 ///
 /// # Errors
-/// [`CoplotError::InvalidConfig`] for fewer than two periods, plus any
-/// error from the underlying analysis.
+/// [`CoplotError::InvalidConfig`] for fewer than two or more than 256
+/// periods, plus any error from the underlying analysis.
 pub fn test_homogeneity(
     log: &Workload,
     references: &[Workload],
@@ -94,6 +100,12 @@ pub fn test_homogeneity(
     if config.periods < 2 {
         return Err(CoplotError::InvalidConfig(format!(
             "need at least two periods, got {}",
+            config.periods
+        )));
+    }
+    if config.periods > MAX_PERIODS {
+        return Err(CoplotError::InvalidConfig(format!(
+            "at most {MAX_PERIODS} periods, got {}",
             config.periods
         )));
     }
@@ -214,6 +226,17 @@ mod tests {
         let log = MachineId::Kth.generate(500, 1);
         let config = HomogeneityConfig {
             periods: 1,
+            ..Default::default()
+        };
+        let err = test_homogeneity(&log, &[], &CODES, &config).unwrap_err();
+        assert!(matches!(err, CoplotError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn too_many_periods_rejected() {
+        let log = MachineId::Kth.generate(500, 1);
+        let config = HomogeneityConfig {
+            periods: 257,
             ..Default::default()
         };
         let err = test_homogeneity(&log, &[], &CODES, &config).unwrap_err();

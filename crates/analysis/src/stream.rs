@@ -10,9 +10,10 @@
 //!
 //! The incremental machinery, layer by layer:
 //!
-//! * **Per-window Table 1** — [`wl_trace::WindowStatsBuilder`] folds each
-//!   record into the open window as it arrives; sealing is O(reduced
-//!   state), and retiring a window just drops its cached row — the frame
+//! * **Per-window Table 1** — the open window keeps its records until it
+//!   seals; sealing computes its row once with
+//!   [`wl_trace::TraceStats::compute`] over those records alone and drops
+//!   them, and retiring a window just drops its cached row — the frame
 //!   matrix is assembled from cached per-window stats, never recomputed
 //!   from records.
 //! * **Online Hurst** — the cumulative inter-arrival series feeds a
@@ -46,7 +47,7 @@ use coplot::{
 };
 use wl_linalg::{procrustes_transform, Matrix};
 use wl_selfsim::OnlineHurst;
-use wl_trace::{JobRecord, NormalizedTrace, TraceMeta, WindowStatsBuilder};
+use wl_trace::{JobRecord, NormalizedTrace, TraceMeta, TraceStats};
 
 use crate::matrix::{try_stats_matrix, JOB_STREAM_VARIABLES};
 
@@ -232,10 +233,11 @@ struct PrevFrame {
 pub struct WindowedCoplot {
     config: StreamConfig,
     machine: TraceMeta,
-    builder: WindowStatsBuilder,
+    /// Records of the open (unsealed) window, in arrival order.
+    open: Vec<JobRecord>,
     sealed: usize,
     /// Cached per-window rows of the rolling frame: (name, jobs, stats).
-    rows: VecDeque<(String, usize, wl_trace::TraceStats)>,
+    rows: VecDeque<(String, usize, TraceStats)>,
     prev: Option<PrevFrame>,
     hurst: OnlineHurst,
     last_submit: Option<f64>,
@@ -264,11 +266,10 @@ impl WindowedCoplot {
                 "stream: at least one variable is required".into(),
             ));
         }
-        let builder = WindowStatsBuilder::new("w1", machine);
         Ok(WindowedCoplot {
             config,
             machine,
-            builder,
+            open: Vec::new(),
             sealed: 0,
             rows: VecDeque::new(),
             prev: None,
@@ -285,8 +286,8 @@ impl WindowedCoplot {
             self.hurst.extend(&[job.submit_time - prev]);
         }
         self.last_submit = Some(job.submit_time);
-        self.builder.push(job);
-        if self.builder.len() >= self.config.jobs_per_window {
+        self.open.push(job.clone());
+        if self.open.len() >= self.config.jobs_per_window {
             Some(self.seal())
         } else {
             None
@@ -300,10 +301,11 @@ impl WindowedCoplot {
     pub fn seal(&mut self) -> WindowEvent {
         let _span = wl_obs::span!("stream.seal");
         self.sealed += 1;
-        let jobs = self.builder.len();
-        let name = self.builder.name().to_string();
-        let stats = self.builder.stats().with_load_imputation();
-        self.builder = WindowStatsBuilder::new(format!("w{}", self.sealed + 1), self.machine);
+        let jobs = self.open.len();
+        let name = format!("w{}", self.sealed);
+        let records = std::mem::take(&mut self.open);
+        let stats = TraceStats::compute(&NormalizedTrace::new(name.clone(), self.machine, records))
+            .with_load_imputation();
         self.rows.push_back((name.clone(), jobs, stats));
         if self.rows.len() > self.config.max_windows {
             self.rows.pop_front();
@@ -355,7 +357,7 @@ impl WindowedCoplot {
 
     /// Seal the final partial window, if it holds any records.
     pub fn finish(&mut self) -> Option<WindowEvent> {
-        if self.builder.is_empty() {
+        if self.open.is_empty() {
             None
         } else {
             Some(self.seal())
@@ -369,13 +371,12 @@ impl WindowedCoplot {
 
     /// Records in the currently open (unsealed) window.
     pub fn open_window_jobs(&self) -> usize {
-        self.builder.len()
+        self.open.len()
     }
 
     /// Embed the current frame, align it, and measure drift.
     fn embed_frame(&mut self) -> Result<EmbeddedFrame, CoplotError> {
-        let stats: Vec<wl_trace::TraceStats> =
-            self.rows.iter().map(|(_, _, s)| s.clone()).collect();
+        let stats: Vec<TraceStats> = self.rows.iter().map(|(_, _, s)| s.clone()).collect();
         let codes: Vec<&str> = self.config.variables.iter().map(|s| s.as_str()).collect();
         let full = try_stats_matrix(&stats, &codes)?;
 

@@ -37,12 +37,11 @@ pub struct SubsetSearchResult {
 /// contributions computed exactly once; the subsets only re-embed, spread
 /// over `threads` workers. Each worker walks a contiguous run of the
 /// lexicographic combination order through one
-/// [`coplot::SharedSubsetSession`], whose incremental combiner reuses the
-/// dissimilarity prefix shared by consecutive combos instead of recombining
-/// every variable from scratch. Each subset's map depends only on the
-/// cached intermediates and the engine seed — never on which combos a
-/// worker scored before it — so the ranking is bit-identical for any
-/// thread count.
+/// [`coplot::SharedSubsetSession`], which sums each subset's
+/// dissimilarities from the cached contributions. Each subset's map
+/// depends only on the cached intermediates and the engine seed — never on
+/// which combos a worker scored before it — so the ranking is
+/// bit-identical for any thread count.
 ///
 /// # Errors
 /// [`CoplotError::InvalidConfig`] when `k` is outside `2..=p` or the search
@@ -138,14 +137,13 @@ pub fn score_combination_range(
             map_conservation_rmsd: fit.rmsd,
         })
     };
-    // Contiguous chunks keep lexicographic neighbours (which share long
-    // variable prefixes) on the same worker's incremental session; a few
-    // chunks per worker smooths load imbalance without shrinking the runs.
+    // Contiguous chunks, a few per worker, smooth load imbalance; each
+    // chunk takes the engine's cache read-lock once for its whole run.
     let chunk = combos.len().div_ceil(threads.max(1) * 4).max(1);
     let starts: Vec<usize> = (0..combos.len()).step_by(chunk).collect();
     let scored = wl_par::par_map(threads, &starts, |&start| {
         let run = &combos[start..combos.len().min(start + chunk)];
-        let mut session = engine.shared_session(data)?;
+        let session = engine.shared_session(data)?;
         Ok::<_, CoplotError>(
             run.iter()
                 .filter_map(|combo| session.run_subset(combo).ok().and_then(&score))

@@ -1,17 +1,14 @@
-//! Benchmarks of the alienation and subset-scoring kernels.
+//! Benchmarks of the alienation kernel.
 //!
 //! `theta_mu` pits the O(P log P) Fenwick-sweep `mu_statistic` against a
 //! local copy of the naive O(P^2) pairs-of-pairs loop it replaced (the
 //! in-crate naive oracle is `#[cfg(test)]`-gated, so the bench carries its
-//! own). `subset_combine` compares incremental prefix-reuse combining over
-//! a lexicographic combination walk against recombining every subset from
-//! scratch — the access pattern `best_variable_subset` actually issues.
+//! own).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use coplot::{mu_statistic, Imputation, Metric, PairContributions, SubsetCombiner};
-use wl_bench::synthetic_matrix;
+use coplot::mu_statistic;
 
 /// Deterministic pseudo-random pair vectors of length `pairs`, loosely
 /// monotone with noise so the sweep sees realistic rank structure.
@@ -65,54 +62,5 @@ fn bench_theta_mu(c: &mut Criterion) {
     group.finish();
 }
 
-/// Every k-combination of `0..p`, lexicographic — mirrors the subset
-/// search's enumeration so consecutive combos share long prefixes.
-fn combinations(p: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut combos = Vec::new();
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        combos.push(idx.clone());
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return combos;
-            }
-            i -= 1;
-            if idx[i] < p - (k - i) {
-                idx[i] += 1;
-                for j in (i + 1)..k {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break;
-            }
-        }
-    }
-}
-
-fn bench_subset_combine(c: &mut Criterion) {
-    let z = synthetic_matrix(20, 12)
-        .normalize(Imputation::Forbid)
-        .unwrap();
-    let contribs = PairContributions::compute(&z, Metric::CityBlock);
-    let combos = combinations(12, 3); // C(12,3) = 220 subsets
-    let mut group = c.benchmark_group("subset_combine");
-    group.bench_function("fresh", |b| {
-        b.iter(|| {
-            for keep in &combos {
-                black_box(contribs.combine(black_box(keep)));
-            }
-        })
-    });
-    group.bench_function("incremental", |b| {
-        b.iter(|| {
-            let mut combiner = SubsetCombiner::new();
-            for keep in &combos {
-                black_box(combiner.combine(black_box(&contribs), black_box(keep)));
-            }
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_theta_mu, bench_subset_combine);
+criterion_group!(benches, bench_theta_mu);
 criterion_main!(benches);

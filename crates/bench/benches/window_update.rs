@@ -8,10 +8,11 @@
 //!   cold multi-restart solver on the *same* next-frame dissimilarities.
 //!   The previous frame is almost always in the right basin, so one
 //!   RNG-free descent replaces the whole restart sweep.
-//! * `window_stats` — what one seal costs: incrementally maintained
-//!   Table-1 statistics (`WindowStatsBuilder` touches only the fresh
-//!   window's jobs) vs recomputing every retained window's statistics
-//!   from scratch, which is what a batch re-run per seal would do.
+//! * `window_stats` — what one seal costs: the fresh window's Table-1
+//!   statistics (`TraceStats::compute` over its jobs alone; the stream
+//!   caches every retained window's row) vs recomputing every retained
+//!   window's statistics from scratch, which is what a batch re-run per
+//!   seal would do.
 //! * `stream_end_to_end` — the full `run_stream` event sequence over a
 //!   multi-window trace, the number an operator sizing a live monitor
 //!   cares about.
@@ -27,7 +28,7 @@ use wl_analysis::{run_stream, try_stats_matrix, StreamConfig};
 use wl_linalg::Matrix;
 use wl_logsynth::machines::MachineId;
 use wl_swf::Workload;
-use wl_trace::{TraceStats, WindowStatsBuilder};
+use wl_trace::{NormalizedTrace, TraceStats};
 
 const WINDOW: usize = 512;
 const FRAME: usize = 8;
@@ -38,11 +39,9 @@ fn trace() -> Workload {
 
 /// Table-1 statistics of window `w` (jobs `[w*WINDOW, (w+1)*WINDOW)`).
 fn window_stats(t: &Workload, w: usize) -> TraceStats {
-    let mut b = WindowStatsBuilder::new(format!("w{w}"), t.machine);
-    for j in &t.jobs()[w * WINDOW..(w + 1) * WINDOW] {
-        b.push(j);
-    }
-    b.stats().with_load_imputation()
+    let jobs = t.jobs()[w * WINDOW..(w + 1) * WINDOW].to_vec();
+    TraceStats::compute(&NormalizedTrace::new(format!("w{w}"), t.machine, jobs))
+        .with_load_imputation()
 }
 
 /// Dissimilarities of the rolling frame holding windows
@@ -96,13 +95,13 @@ fn bench_mds_update(c: &mut Criterion) {
     group.finish();
 }
 
-/// What one seal costs on the statistics side: the incremental design
-/// computes the fresh window only; a naive batch re-run recomputes all
-/// retained windows.
+/// What one seal costs on the statistics side: the stream computes the
+/// fresh window only; a naive batch re-run recomputes all retained
+/// windows.
 fn bench_window_stats(c: &mut Criterion) {
     let t = trace();
     let mut group = c.benchmark_group("window_update_stats");
-    group.bench_with_input(BenchmarkId::new("incremental", WINDOW), &t, |b, t| {
+    group.bench_with_input(BenchmarkId::new("fresh_window", WINDOW), &t, |b, t| {
         b.iter(|| window_stats(black_box(t), FRAME))
     });
     group.bench_with_input(

@@ -1,16 +1,12 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
 //! The benches measure the performance of every pipeline stage the paper's
-//! tables and figures rely on:
+//! tables and figures rely on, for example:
 //!
 //! * `coplot_bench` — normalization, dissimilarities, MDS, alienation, and
 //!   arrow fitting, including the MDS restart ablation;
 //! * `hurst_bench` — the three Hurst estimators and both fGn generators
-//!   (the Davies-Harte vs Hosking ablation);
-//! * `workload_bench` — model generation throughput, log synthesis, SWF
-//!   round trips, and the Table 1/2 statistics engine;
-//! * `figures_bench` — the end-to-end per-figure pipelines (one benchmark
-//!   per table/figure of the paper).
+//!   (the Davies-Harte vs Hosking ablation).
 
 use coplot::DataMatrix;
 use wl_swf::{Variable, Workload, WorkloadStats};

@@ -81,9 +81,12 @@ fn parse_dataset(positional: &[String]) -> Result<DatasetSpec, String> {
 /// trip through the versioned v2 [`coplot::Envelope`] first, so the CLI
 /// exercises the exact wire encoding a `/v2/analyze` client would send
 /// (and any envelope regression breaks the CLI tests, not just the
-/// server's).
+/// server's). The request is canonicalized before that round trip, so an
+/// out-of-range flag such as `--min-corr nan` is a typed `bad-value`
+/// error rather than JSON the encoder cannot write.
 fn run_request(req: &AnalysisRequest, threads: usize) -> Result<ExecOutcome, String> {
-    let envelope = coplot::Envelope::v2(req.clone());
+    let req = req.canonicalize().map_err(|e| e.to_string())?;
+    let envelope = coplot::Envelope::v2(req);
     let req = coplot::Envelope::from_json(&envelope.to_json())
         .and_then(coplot::Envelope::into_analysis)
         .map_err(|e| e.to_string())?;

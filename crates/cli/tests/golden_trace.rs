@@ -114,3 +114,19 @@ fn bad_trace_format_is_rejected_up_front() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("invalid --trace format"), "stderr: {err}");
 }
+
+/// A non-finite float flag is a typed `bad-value` error: the request is
+/// canonicalized before the v2 envelope, whose encoder cannot write NaN or
+/// infinity.
+#[test]
+fn non_finite_float_flags_are_bad_values() {
+    for args in [
+        ["coplot", "@table1", "--min-corr", "nan"],
+        ["subset", "@table1", "--max-alienation", "inf"],
+    ] {
+        let out = wl().args(args).output().expect("run wl");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("wl: bad-value: "), "{args:?} stderr: {err}");
+    }
+}

@@ -8,9 +8,18 @@
 //!    same trace and options (both run `wl_serve::run_stream_text`), and
 //! 3. the opening of the drift sequence for a fixed synthetic grid trace
 //!    is pinned byte-for-byte: two pending windows, then the first (cold)
-//!    frame with its dropped constant variable. Any change to window
-//!    sealing, normalization, MDS, Procrustes alignment, or the JSON field
-//!    order shows up as a diff in this literal — update it deliberately.
+//!    frame with its dropped constant variable, and
+//! 4. a whole 32-window stream (warm frames, cold fallbacks, a short final
+//!    window) equals `tests/golden/stream.txt` at `--threads 1` and `8`.
+//!
+//! Any change to window sealing, normalization, MDS, Procrustes alignment,
+//! or the JSON field order shows up as a diff in these pins — update them
+//! deliberately. The golden is regenerated with
+//!
+//! ```text
+//! wl generate grid --site 0 --jobs 4000 --seed 42 --out site0.gwf
+//! wl stream site0.gwf --window 128 --seed 1999 --threads 1 > tests/golden/stream.txt
+//! ```
 
 use std::process::Command;
 
@@ -45,16 +54,17 @@ fn parity_server() -> (ServerHandle, String) {
     (server, addr)
 }
 
-/// Synthesize the fixture trace into a directory of the calling test's
-/// own (the tests run in parallel, so a shared path would let one test
-/// read the file while another rewrites it) and return its path.
-fn fixture_trace(test: &str) -> String {
+/// Synthesize a `jobs`-job grid site-0 trace (seed 42) into a directory
+/// of the calling test's own (the tests run in parallel, so a shared path
+/// would let one test read the file while another rewrites it) and return
+/// its path.
+fn grid_trace(test: &str, jobs: &str) -> String {
     let dir = std::env::temp_dir().join(format!("wl_stream_parity_{test}"));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("site0.gwf");
     let path = path.to_str().expect("UTF-8 temp path").to_string();
     wl_stdout(&[
-        "generate", "grid", "--site", "0", "--jobs", "150", "--seed", "42", "--out", &path,
+        "generate", "grid", "--site", "0", "--jobs", jobs, "--seed", "42", "--out", &path,
     ]);
     path
 }
@@ -63,7 +73,7 @@ const STREAM_ARGS: [&str; 4] = ["--window", "30", "--seed", "1999"];
 
 #[test]
 fn stream_is_thread_invariant() {
-    let path = fixture_trace("stream_is_thread_invariant");
+    let path = grid_trace("stream_is_thread_invariant", "150");
     let mut one = vec!["stream", path.as_str()];
     one.extend(STREAM_ARGS);
     let mut eight = one.clone();
@@ -80,7 +90,7 @@ fn stream_is_thread_invariant() {
 
 #[test]
 fn stream_cli_matches_server_body() {
-    let path = fixture_trace("stream_cli_matches_server_body");
+    let path = grid_trace("stream_cli_matches_server_body", "150");
     let mut cli = vec!["stream", path.as_str()];
     cli.extend(STREAM_ARGS);
     cli.extend(["--threads", "2"]);
@@ -112,7 +122,7 @@ fn stream_cli_matches_server_body() {
 /// drift block yet.
 #[test]
 fn drift_sequence_prefix_is_pinned() {
-    let path = fixture_trace("drift_sequence_prefix_is_pinned");
+    let path = grid_trace("drift_sequence_prefix_is_pinned", "150");
     let mut cli = vec!["stream", path.as_str()];
     cli.extend(STREAM_ARGS);
     cli.extend(["--threads", "2"]);
@@ -134,5 +144,25 @@ fn drift_sequence_prefix_is_pinned() {
     for line in stdout.lines().skip(3) {
         assert!(line.contains("\"warm\":true"), "{line}");
         assert!(line.contains("\"drift\":{"), "{line}");
+    }
+}
+
+/// The whole stream of a 4000-job trace in 128-job windows: 2 pending
+/// lines and 30 frames, 19 of them cold, 7 dropping the constant `Nm`, and
+/// a final window of 32 jobs — byte for byte, at one and at eight threads.
+#[test]
+fn whole_stream_matches_golden() {
+    let path = grid_trace("whole_stream_matches_golden", "4000");
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/stream.txt");
+    let want = std::fs::read_to_string(golden_path).expect("read tests/golden/stream.txt");
+    assert_eq!(want.lines().count(), 32);
+    for threads in ["1", "8"] {
+        let mut args = vec!["stream", path.as_str()];
+        args.extend(["--window", "128", "--seed", "1999", "--threads", threads]);
+        let got = wl_stdout(&args);
+        assert!(
+            got == want,
+            "wl stream --threads {threads} diverges from tests/golden/stream.txt"
+        );
     }
 }

@@ -59,7 +59,7 @@
 //!
 //! // Cache-only subset analyses, bit-identical to a fresh engine run on
 //! // `data.select_variables(&[0, 2, 3])`.
-//! let mut session = engine.shared_session(&data)?;
+//! let session = engine.shared_session(&data)?;
 //! let subset = session.run_subset(&[0, 2, 3])?;
 //! assert_eq!(subset.arrows.len(), 3);
 //! # Ok::<(), coplot::CoplotError>(())
@@ -175,13 +175,6 @@ impl PairContributions {
                 *s += c;
             }
         }
-        self.apply_root(sums)
-    }
-
-    /// Apply the metric's outer root to summed contributions and wrap them
-    /// as a matrix — the shared tail of [`combine`](Self::combine) and
-    /// [`SubsetCombiner::combine`].
-    fn apply_root(&self, mut sums: Vec<f64>) -> DissimilarityMatrix {
         if self.order == 2.0 {
             // `.sqrt()` rather than `.powf(0.5)`: same choice as vecops.
             for s in &mut sums {
@@ -193,95 +186,6 @@ impl PairContributions {
             }
         }
         DissimilarityMatrix::from_pairs(self.n, sums)
-    }
-}
-
-/// Incrementally recombines dissimilarities across a *sequence* of variable
-/// subsets, reusing the partial sums of the longest shared ascending prefix
-/// between consecutive subsets.
-///
-/// `prefix[j]` caches the element-wise contribution sum of `keep[..=j]`.
-/// Because [`PairContributions::combine`] adds variables in ascending order
-/// starting from zeros — and `0.0 + x == x` bitwise for the non-negative
-/// contributions — extending a cached prefix performs the *same* additions
-/// in the same order as a fresh combine, so every result is bit-identical
-/// to `contribs.combine(keep)` regardless of what the combiner saw before.
-/// Lexicographic subset enumeration and elimination rounds share long
-/// prefixes, turning the O(k·n²) fresh combine into O(changed-levels·n²).
-///
-/// A combiner must only ever be fed one `PairContributions` value; the
-/// engine's [`SharedSubsetSession`] and elimination loop each own one for
-/// exactly that reason.
-#[derive(Debug, Default)]
-pub struct SubsetCombiner {
-    keep: Vec<usize>,
-    prefix: Vec<Vec<f64>>,
-}
-
-impl SubsetCombiner {
-    /// An empty combiner (no cached levels).
-    pub fn new() -> SubsetCombiner {
-        SubsetCombiner::default()
-    }
-
-    /// Dissimilarities over `keep` (ascending), bit-identical to
-    /// `contribs.combine(keep)`.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range variable index or an empty `keep` — caller
-    /// bugs, like [`PairContributions::combine`].
-    pub fn combine(&mut self, contribs: &PairContributions, keep: &[usize]) -> DissimilarityMatrix {
-        assert!(!keep.is_empty(), "SubsetCombiner: empty variable subset");
-        // Defensive: a contributions value of a different shape invalidates
-        // every cached level (the documented contract is one combiner per
-        // PairContributions; this catches the shape-changing misuse).
-        if self
-            .prefix
-            .first()
-            .is_some_and(|row| row.len() != contribs.n_pairs())
-        {
-            self.keep.clear();
-            self.prefix.clear();
-        }
-        let shared = self
-            .keep
-            .iter()
-            .zip(keep)
-            .take_while(|(a, b)| a == b)
-            .count();
-        if shared > 0 {
-            wl_obs::counter!("engine.subset.incremental.hits", 1u64);
-            wl_obs::counter!("engine.subset.incremental.levels_reused", shared as u64);
-        } else {
-            wl_obs::counter!("engine.subset.incremental.misses", 1u64);
-        }
-        wl_obs::counter!(
-            "engine.subset.incremental.levels_computed",
-            (keep.len() - shared) as u64
-        );
-        self.keep.truncate(shared);
-        self.prefix.truncate(shared);
-        for &v in &keep[shared..] {
-            let next = match self.prefix.last() {
-                // Extending: prev already equals the fresh sum over
-                // keep[..j], so prev + contribs[v] is the fresh combine's
-                // next addition verbatim.
-                Some(prev) => {
-                    let mut sums = prev.clone();
-                    for (s, &c) in sums.iter_mut().zip(&contribs.per_variable[v]) {
-                        *s += c;
-                    }
-                    sums
-                }
-                // First level: 0.0 + c == c bitwise for the non-negative
-                // contributions, so the plain copy matches a fresh combine.
-                None => contribs.per_variable[v].clone(),
-            };
-            self.keep.push(v);
-            self.prefix.push(next);
-        }
-        let sums = self.prefix.last().expect("non-empty keep").clone();
-        contribs.apply_root(sums)
     }
 }
 
@@ -516,7 +420,7 @@ impl CoplotEngine {
             Selection::All => {
                 this.reports.lock().expect("engine reports lock").clear();
                 let keep: Vec<usize> = (0..cache.z.n_variables()).collect();
-                this.run_selection(cache, &keep, info, None)
+                this.run_selection(cache, &keep, info)
             }
             Selection::Eliminate { min_correlation } => {
                 this.run_elimination(cache, info, *min_correlation)
@@ -536,12 +440,10 @@ impl CoplotEngine {
     /// Each [`SharedSubsetSession::run_subset`] call is bit-identical to a
     /// fresh engine's `run(&data.select_variables(keep), &Selection::All)`,
     /// but is served from this engine's cache: the session holds the cache
-    /// read-lock once for its whole lifetime and threads a
-    /// [`SubsetCombiner`] through the calls, so consecutive subsets that
-    /// share an ascending keep-prefix (lexicographic subset enumeration,
-    /// elimination-style nested subsets) only recombine the changed
-    /// levels. Reports are never touched, so any number of sessions can
-    /// proceed concurrently against one engine.
+    /// read-lock once for its whole lifetime, and each subset's
+    /// dissimilarities are summed from the cached per-variable
+    /// contributions. Reports are never touched, so any number of sessions
+    /// can proceed concurrently against one engine.
     ///
     /// Note the session keeps the engine's cache read-locked: runs on *new*
     /// data (which must write the cache) block until every open session
@@ -563,7 +465,6 @@ impl CoplotEngine {
         Ok(SharedSubsetSession {
             engine: self,
             guard,
-            combiner: SubsetCombiner::new(),
         })
     }
 
@@ -640,18 +541,14 @@ impl CoplotEngine {
     }
 
     /// Run stages 1'–4 for one variable selection against the cache, timing
-    /// each stage and appending its report. `pre` optionally supplies an
-    /// already-combined dissimilarity matrix (the elimination loop's
-    /// incremental combiner); it must be bit-identical to what the cache
-    /// would produce for `keep`.
+    /// each stage and appending its report.
     fn run_selection(
         &self,
         cache: &EngineCache,
         keep: &[usize],
         info: PrepareInfo,
-        pre: Option<PreDiss>,
     ) -> Result<CoplotResult, CoplotError> {
-        let (result, t) = self.compute_selection(cache, keep, pre)?;
+        let (result, t) = self.compute_selection(cache, keep)?;
         let mut reports = self.reports.lock().expect("engine reports lock");
         reports.push(StageReport {
             stage: Stage::Normalize,
@@ -710,13 +607,8 @@ impl CoplotEngine {
         let mut info = info;
         let mut keep: Vec<usize> = (0..cache.z.n_variables()).collect();
         let mut removed = Vec::new();
-        // Successive rounds differ by one removed variable, so an
-        // incremental combiner reuses every contribution level below the
-        // removal point instead of re-summing the whole keep set.
-        let mut combiner = SubsetCombiner::new();
         loop {
-            let pre = PreDiss::combine(&mut combiner, &cache.contributions, &keep);
-            let mut result = self.run_selection(cache, &keep, info, Some(pre))?;
+            let mut result = self.run_selection(cache, &keep, info)?;
             info = PrepareInfo::cached();
             if keep.len() <= 2 {
                 result.removed = removed;
@@ -754,7 +646,6 @@ impl CoplotEngine {
         &self,
         cache: &EngineCache,
         keep: &[usize],
-        pre: Option<PreDiss>,
     ) -> Result<(CoplotResult, SelectionTimings), CoplotError> {
         let _span = wl_obs::span!("engine.selection");
         wl_obs::counter!("engine.selections", 1u64);
@@ -770,18 +661,12 @@ impl CoplotEngine {
         let select = t.elapsed();
 
         let t = Instant::now();
-        let (diss, pre_time) = {
+        let diss = {
             let _span = wl_obs::span!("engine.dissimilarity");
             wl_obs::counter!("engine.selection.diss.cached", 1u64);
-            match pre {
-                // An incremental combiner already produced this subset's
-                // matrix (bit-identical to the cache path by the combiner's
-                // contract); only fold its measured time in.
-                Some(p) => (p.diss, p.combine_time),
-                None => (cache.contributions.combine(keep), Duration::ZERO),
-            }
+            cache.contributions.combine(keep)
         };
-        let diss_time = t.elapsed() + pre_time;
+        let diss_time = t.elapsed();
 
         self.check_deadline("embed")?;
         let t = Instant::now();
@@ -866,59 +751,34 @@ struct SelectionTimings {
     theta_time: Duration,
 }
 
-/// A dissimilarity matrix combined ahead of the selection core (by an
-/// incremental [`SubsetCombiner`]), plus the wall time the combine took so
-/// the dissimilarity stage report stays honest.
-struct PreDiss {
-    diss: DissimilarityMatrix,
-    combine_time: Duration,
-}
-
-impl PreDiss {
-    /// Time `combiner.combine(contribs, keep)`.
-    fn combine(combiner: &mut SubsetCombiner, contribs: &PairContributions, keep: &[usize]) -> PreDiss {
-        let t = Instant::now();
-        let diss = combiner.combine(contribs, keep);
-        PreDiss {
-            diss,
-            combine_time: t.elapsed(),
-        }
-    }
-}
-
 /// A batch of cache-only subset analyses against one engine (see
 /// [`CoplotEngine::shared_session`]). Holds the engine's cache read-lock
-/// for its lifetime and an incremental [`SubsetCombiner`] keyed to the
-/// cached contributions.
+/// for its lifetime.
 pub struct SharedSubsetSession<'e> {
     engine: &'e CoplotEngine,
     guard: RwLockReadGuard<'e, Option<EngineCache>>,
-    combiner: SubsetCombiner,
 }
 
 impl SharedSubsetSession<'_> {
     /// Analyze one strictly ascending variable subset from the session's
     /// cache.
     ///
-    /// The dissimilarity matrix comes from the incremental combiner, whose
-    /// output matches [`PairContributions::combine`] exactly, and
-    /// everything downstream is the engine's one selection core.
+    /// The dissimilarity matrix is [`PairContributions::combine`] over the
+    /// cached contributions, and everything downstream is the engine's one
+    /// selection core.
     ///
     /// # Errors
     /// Any stage's [`CoplotError`]; [`CoplotError::EmptyInput`],
     /// [`CoplotError::DimensionMismatch`] or [`CoplotError::InvalidConfig`]
     /// for an empty, out-of-range or not strictly ascending `keep`.
-    pub fn run_subset(&mut self, keep: &[usize]) -> Result<CoplotResult, CoplotError> {
+    pub fn run_subset(&self, keep: &[usize]) -> Result<CoplotResult, CoplotError> {
         let cache = self
             .guard
             .as_ref()
             .expect("session cache validated at construction");
         validate_keep(cache.z.n_variables(), keep)?;
         wl_obs::counter!("engine.shared_selections", 1u64);
-        let pre = PreDiss::combine(&mut self.combiner, &cache.contributions, keep);
-        self.engine
-            .compute_selection(cache, keep, Some(pre))
-            .map(|(r, _)| r)
+        self.engine.compute_selection(cache, keep).map(|(r, _)| r)
     }
 }
 
@@ -1030,34 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_combiner_is_bit_identical_to_fresh_combine() {
-        let data = structured_data();
-        let z = data.normalize(Imputation::ColumnMean).unwrap();
-        for metric in [Metric::CityBlock, Metric::Euclidean, Metric::Minkowski(3.0)] {
-            let contribs = PairContributions::compute(&z, metric);
-            let mut combiner = SubsetCombiner::new();
-            // A history of overlapping, shrinking, and disjoint ascending
-            // subsets: every result must equal the fresh combine bitwise,
-            // no matter what the combiner cached before.
-            let history: [&[usize]; 8] = [
-                &[0, 1, 2, 3],
-                &[0, 1, 2],
-                &[0, 1, 3],
-                &[0, 1, 3], // identical to previous: full prefix reuse
-                &[2, 3],
-                &[0],
-                &[1, 2, 3],
-                &[0, 1, 2, 3],
-            ];
-            for keep in history {
-                let incremental = combiner.combine(&contribs, keep);
-                let fresh = contribs.combine(keep);
-                assert_eq!(incremental, fresh, "{metric:?} keep={keep:?}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_session_requires_populated_cache() {
         let engine = Coplot::new().seed(14).engine();
         match engine.shared_session(&structured_data()) {
@@ -1083,32 +915,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_counters_record_prefix_reuse() {
-        wl_obs::set_enabled(true);
-        let before = wl_obs::registry().snapshot();
-        let data = structured_data();
-        let engine = Coplot::new().seed(33).engine();
-        engine.run(&data, &Selection::All).unwrap();
-        let mut session = engine.shared_session(&data).unwrap();
-        session.run_subset(&[0, 1, 2]).unwrap();
-        session.run_subset(&[0, 1, 3]).unwrap(); // shares the [0, 1] prefix
-        drop(session);
-        let after = wl_obs::registry().snapshot();
-        let delta = |name: &str| after.counter(name) - before.counter(name);
-        assert!(delta("engine.subset.incremental.hits") >= 1);
-        assert!(delta("engine.subset.incremental.levels_reused") >= 2);
-        assert!(delta("engine.subset.incremental.levels_computed") >= 4);
-    }
-
-    #[test]
     fn subset_selection_matches_fresh_analysis_of_the_subset() {
         let data = structured_data();
         let engine = Coplot::new().seed(14).engine();
         engine.run(&data, &Selection::All).unwrap();
-        // Lexicographic neighbours share prefixes, so later subsets come
-        // from the session's incremental combiner.
         let subsets: [&[usize]; 5] = [&[0, 1, 2], &[0, 1, 3], &[0, 2, 3], &[1, 3], &[0, 1, 2, 3]];
-        let mut session = engine.shared_session(&data).unwrap();
+        let session = engine.shared_session(&data).unwrap();
         for keep in subsets {
             let sub = session.run_subset(keep).unwrap();
             let fresh = Coplot::new()
@@ -1125,7 +937,7 @@ mod tests {
         let data = structured_data();
         let engine = Coplot::new().engine();
         engine.run(&data, &Selection::All).unwrap();
-        let mut session = engine.shared_session(&data).unwrap();
+        let session = engine.shared_session(&data).unwrap();
         assert!(matches!(
             session.run_subset(&[]).unwrap_err(),
             CoplotError::EmptyInput { .. }

@@ -77,7 +77,7 @@ pub use data::{DataMatrix, Imputation, NormalizedMatrix};
 pub use dissimilarity::{DissimilarityMatrix, Metric};
 pub use engine::{
     CoplotEngine, PairContributions, Selection, SharedSubsetSession, Stage, StageReport,
-    StageReportTable, SubsetCombiner,
+    StageReportTable,
 };
 pub use error::{CoplotError, ParseKind};
 pub use mds::{nonmetric_mds, nonmetric_mds_warm, restart_seed, MdsConfig, MdsSolution};

@@ -8,10 +8,9 @@
 //! instrumentation site costs one atomic load and a predictable branch, so the
 //! bit-identity and bench guarantees of the numeric code are untouched.
 //!
-//! Worker threads that must not contend on the global registry (the `wl-par`
-//! pool) record into a local [`Shard`] and flush once at the end; shard merges
-//! are associative and order-independent, so metric totals do not depend on
-//! worker interleaving.
+//! Worker threads record straight into the registry: counter adds and
+//! histogram records are relaxed atomic read-modify-writes that commute, so
+//! metric totals do not depend on worker interleaving.
 //!
 //! Output goes through [`ObsSession`], which arms the registry from
 //! `--trace <text|json>` / `--metrics-out <path>` flags and exports on drop.
@@ -24,7 +23,6 @@ mod export;
 mod json;
 mod registry;
 mod session;
-mod shard;
 mod span;
 
 pub use check::{check_trace, TraceStats};
@@ -35,7 +33,6 @@ pub use registry::{
     Registry, HIST_BUCKETS,
 };
 pub use session::{ObsSession, TraceFormat};
-pub use shard::{HistData, Shard};
 pub use span::{
     current_thread_id, events_dropped, events_snapshot, reset_events, SpanEvent, SpanEventKind,
     SpanGuard,

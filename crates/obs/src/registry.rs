@@ -4,7 +4,6 @@
 //! cache the returned `&'static` handle in a `OnceLock`), after which every
 //! update is a relaxed atomic RMW — no locks on the hot path.
 
-use crate::shard::Shard;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -51,8 +50,7 @@ impl Gauge {
 
 /// Log2-bucketed histogram with exact count/sum and min/max.
 ///
-/// All fields update with relaxed atomics; counts and sums wrap on overflow
-/// (matching [`crate::HistData`] so shard flushes agree with direct records).
+/// All fields update with relaxed atomics; counts and sums wrap on overflow.
 pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
@@ -168,30 +166,6 @@ impl Registry {
             .unwrap()
             .entry(name)
             .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
-    }
-
-    /// Fold a per-thread [`Shard`] into the registry. Counter adds and
-    /// histogram merges are commutative, so flush order across workers does
-    /// not affect totals.
-    pub fn flush_shard(&self, shard: &Shard) {
-        for (name, delta) in shard.counters() {
-            self.counter(name).add(*delta);
-        }
-        for (name, data) in shard.hists() {
-            if data.count == 0 {
-                continue;
-            }
-            let h = self.histogram(name);
-            h.count.fetch_add(data.count, Ordering::Relaxed);
-            h.sum.fetch_add(data.sum, Ordering::Relaxed);
-            h.min.fetch_min(data.min, Ordering::Relaxed);
-            h.max.fetch_max(data.max, Ordering::Relaxed);
-            for (i, b) in data.buckets.iter().enumerate() {
-                if *b != 0 {
-                    h.buckets[i].fetch_add(*b, Ordering::Relaxed);
-                }
-            }
-        }
     }
 
     /// Sorted point-in-time copy of every registered metric.

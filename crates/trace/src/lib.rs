@@ -28,7 +28,6 @@ pub mod swf;
 pub mod synth;
 pub mod trace;
 pub mod weblog;
-pub mod window;
 
 pub use gwf::{parse_gwf, parse_gwf_lenient, write_gwf, GwfDocument, GwfSource};
 pub use record::{JobRecord, JobStatus, MISSING, QUEUE_BATCH, QUEUE_INTERACTIVE};
@@ -42,7 +41,6 @@ pub use weblog::{
     parse_weblog, parse_weblog_lenient, sessions_to_trace, WebRequest, WeblogDocument,
     WeblogSource, SESSION_GAP,
 };
-pub use window::WindowStatsBuilder;
 
 /// A trace file format with a registered adapter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

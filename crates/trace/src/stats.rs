@@ -140,14 +140,13 @@ impl Variable {
 
 /// The `(median, 90% interval)` pairs of runtime, parallelism, normalized
 /// parallelism, CPU work and inter-arrival time, `(None, None)` for an
-/// attribute no job records. Shared by [`TraceStats::compute`] and the
-/// streaming window accumulator.
+/// attribute no job records.
 ///
 /// Normalized parallelism is read at the ranks selected for parallelism:
 /// `p / processors * 128` is non-decreasing and never a negative zero, so
 /// the normalized sample sorts into the same ranks and each order
 /// statistic is the normalized one, bit for bit.
-pub(crate) fn order_statistics(
+fn order_statistics(
     runtimes: &[f64],
     procs: &[f64],
     work: &[f64],

@@ -106,18 +106,24 @@ fi
 rm -rf "$repro_dir"
 trap - EXIT
 
-echo "== kernel smoke (traced wl subset: fast-theta + incremental counters) =="
+echo "== kernel smoke (traced wl subset: fast-theta, one contributions pass for all 56 candidates) =="
 subset_trace=$(./target/release/wl subset @table1 --size 3 --threads 2 \
   --trace json 2>&1 >/dev/null)
 echo "$subset_trace" | ./target/release/trace-check -
 echo "$subset_trace" | grep -q '"alienation.fast_mu"' \
   || { echo "missing alienation.fast_mu counter"; exit 1; }
-# The lexicographic walk must actually reuse dissimilarity prefixes.
-hits=$(echo "$subset_trace" \
-  | sed -n 's/.*"engine.subset.incremental.hits","value":\([0-9]*\).*/\1/p' \
-  | head -1)
-test -n "$hits" && test "$hits" -gt 0 \
-  || { echo "incremental subset scoring recorded no cache hits"; exit 1; }
+subset_counter() {
+  echo "$subset_trace" | sed -n "s/.*\"$1\",\"value\":\([0-9]*\).*/\1/p" | head -1
+}
+# The walk computes the pair contributions once and scores every one of
+# the C(8,3) = 56 candidates from them through the engine's shared session.
+contrib_misses=$(subset_counter engine.cache.contributions.miss)
+test "$contrib_misses" = 1 \
+  || { echo "pair contributions computed ${contrib_misses:-no} times (want 1)"; exit 1; }
+candidates=$(subset_counter subset.candidates)
+shared=$(subset_counter engine.shared_selections)
+test "$candidates" = 56 && test "$shared" = "$candidates" \
+  || { echo "${shared:-no} shared selections for ${candidates:-no} candidates (want 56)"; exit 1; }
 
 echo "== protocol conformance (wl-serve connection layer) =="
 cargo test -q -p wl-serve --test conformance
@@ -267,6 +273,16 @@ online_blocks=$(echo "$long_trace" \
   | sed -n 's/.*"selfsim.online.blocks","value":\([0-9]*\).*/\1/p' | head -1)
 test -n "$online_blocks" && test "$online_blocks" -lt 19999 \
   || { echo "online Hurst scored ${online_blocks:-no} blocks (want < 19999)"; exit 1; }
+# Each homogeneity period is one map observation, and the map's pair tables
+# grow as n(n-1)/2, so a huge --periods must be a typed error up front, not
+# an allocation that aborts the process.
+homog_rc=0
+homog_err=$(./target/release/wl homogeneity "$stream_dir/site0_20k.gwf" \
+  --periods 100000 2>&1 >/dev/null) || homog_rc=$?
+test "$homog_rc" = 1 \
+  || { echo "wl homogeneity --periods 100000 exited $homog_rc (want 1)"; exit 1; }
+echo "$homog_err" | grep -q '^wl: invalid configuration: at most 256 periods' \
+  || { echo "wl homogeneity --periods 100000: $homog_err"; exit 1; }
 rm -rf "$stream_dir"
 
 echo "== wl-loadgen smoke (Poisson + fGn bursts: zero 5xx, bounded p99) =="
