@@ -13,9 +13,9 @@
 //! year.
 
 use coplot::{Coplot, CoplotError, CoplotResult};
-use wl_swf::Workload;
+use wl_swf::{Workload, WorkloadStats};
 
-use crate::matrix::trace_matrix;
+use crate::matrix::varying_stats_matrix;
 
 /// Verdict for one period.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +46,10 @@ pub struct HomogeneityReport {
     pub verdict: HomogeneityVerdict,
     /// The underlying Co-plot result (periods + full log + references).
     pub coplot: CoplotResult,
+    /// Requested variables left off the map because they take one value
+    /// across the log, its periods and the references (z-scores are
+    /// undefined for them), in request order.
+    pub dropped: Vec<String>,
     /// The outlier threshold used (median period distance x the factor).
     pub threshold: f64,
 }
@@ -86,11 +90,14 @@ impl Default for HomogeneityConfig {
 /// space, as the paper's Figure 3 kept all of Table 1's observations).
 ///
 /// `codes` selects the variables; the paper's Figure 3 set was
-/// `["Rm", "Ri", "Nm", "Ni", "Cm", "Ci", "Im"]`.
+/// `["Rm", "Ri", "Nm", "Ni", "Cm", "Ci", "Im"]`. Codes that take one value
+/// across every mapped workload are dropped and reported, as
+/// [`crate::stream`] drops them per frame.
 ///
 /// # Errors
 /// [`CoplotError::InvalidConfig`] for fewer than two or more than 256
-/// periods, plus any error from the underlying analysis.
+/// periods or an unknown code, [`CoplotError::Normalization`] when fewer
+/// than two codes vary, plus any error from the underlying analysis.
 pub fn test_homogeneity(
     log: &Workload,
     references: &[Workload],
@@ -116,7 +123,11 @@ pub fn test_homogeneity(
     all.extend(parts.iter().cloned());
     all.extend(references.iter().cloned());
 
-    let data = trace_matrix(&all, codes);
+    let stats: Vec<WorkloadStats> = all
+        .iter()
+        .map(|w| WorkloadStats::compute(w).with_load_imputation())
+        .collect();
+    let (data, dropped) = varying_stats_matrix(&stats, codes)?;
     let result = Coplot::new().seed(config.seed).analyze(&data)?;
 
     let mut distances: Vec<(String, f64)> = parts
@@ -156,6 +167,7 @@ pub fn test_homogeneity(
         periods,
         verdict,
         coplot: result,
+        dropped,
         threshold,
     })
 }
@@ -219,6 +231,26 @@ mod tests {
         for p in &report.periods {
             assert!(p.distance_from_full.is_finite());
         }
+    }
+
+    #[test]
+    fn constant_variables_are_dropped_and_reported() {
+        // CTC's median parallelism is the same in every period, so `Pm`
+        // cannot be z-scored across the log and its periods.
+        let log = MachineId::Ctc.generate(4000, 3);
+        let codes = ["Rm", "Ri", "Pm", "Pi", "Cm", "Ci", "Im"];
+        let config = HomogeneityConfig::default();
+        let report = test_homogeneity(&log, &[], &codes, &config).unwrap();
+        let dropped = &report.dropped;
+        assert!(dropped.contains(&"Pm".to_string()), "{dropped:?}");
+        assert_eq!(report.periods.len(), 4);
+        for d in dropped {
+            assert!(report.coplot.arrow(d).is_none(), "{d} is mapped");
+        }
+
+        // With fewer than two varying codes, normalization reports it.
+        let err = test_homogeneity(&log, &[], &["Pm", "Rm"], &config).unwrap_err();
+        assert!(matches!(err, CoplotError::Normalization(_)), "{err}");
     }
 
     #[test]

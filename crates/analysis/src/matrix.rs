@@ -73,6 +73,32 @@ pub fn try_stats_matrix(
     )
 }
 
+/// [`try_stats_matrix`] over the `codes` that vary across `stats`, and the
+/// codes dropped because they do not: z-scores are undefined for a column
+/// that is constant or missing everywhere. With fewer than two varying
+/// codes the matrix keeps every code, so normalization reports the typed
+/// error.
+///
+/// # Errors
+/// [`CoplotError::InvalidConfig`] on an unknown variable code.
+pub(crate) fn varying_stats_matrix(
+    stats: &[WorkloadStats],
+    codes: &[&str],
+) -> Result<(DataMatrix, Vec<String>), CoplotError> {
+    let full = try_stats_matrix(stats, codes)?;
+    let varies = |v: usize| {
+        let mut vals = (0..full.n_observations()).filter_map(|i| full.get(i, v));
+        vals.next().is_some_and(|first| vals.any(|x| x != first))
+    };
+    let (keep, dropped): (Vec<usize>, Vec<usize>) = (0..codes.len()).partition(|&v| varies(v));
+    let dropped = dropped.into_iter().map(|v| codes[v].to_string()).collect();
+    if keep.len() < 2 {
+        return Ok((full, dropped));
+    }
+    let keep: Vec<&str> = keep.into_iter().map(|v| codes[v]).collect();
+    Ok((try_stats_matrix(stats, &keep)?, dropped))
+}
+
 /// The eight job-stream variables shared by logs and pure models (the
 /// Figure 4 set).
 pub const JOB_STREAM_VARIABLES: [&str; 8] = ["Rm", "Ri", "Nm", "Ni", "Cm", "Ci", "Im", "Ii"];

@@ -49,7 +49,7 @@ use wl_linalg::{procrustes_transform, Matrix};
 use wl_selfsim::OnlineHurst;
 use wl_trace::{JobRecord, NormalizedTrace, TraceMeta, TraceStats};
 
-use crate::matrix::{try_stats_matrix, JOB_STREAM_VARIABLES};
+use crate::matrix::{varying_stats_matrix, JOB_STREAM_VARIABLES};
 
 /// What to do when the record stream is not sorted by submit time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -378,38 +378,16 @@ impl WindowedCoplot {
     fn embed_frame(&mut self) -> Result<EmbeddedFrame, CoplotError> {
         let stats: Vec<TraceStats> = self.rows.iter().map(|(_, _, s)| s.clone()).collect();
         let codes: Vec<&str> = self.config.variables.iter().map(|s| s.as_str()).collect();
-        let full = try_stats_matrix(&stats, &codes)?;
-
         // Windows of one machine are far more alike than the paper's
         // cross-machine observations, so a variable can easily go constant
         // over the retained frame (z-scores undefined). Drop such
         // variables for this frame only, recording them — the streaming
-        // analogue of the batch pipeline's `CoplotResult::removed`.
-        let keep: Vec<&str> = (0..codes.len())
-            .filter(|&v| {
-                let mut vals = (0..full.n_observations()).filter_map(|i| full.get(i, v));
-                match vals.next() {
-                    Some(first) => vals.any(|x| x != first),
-                    None => false,
-                }
-            })
-            .map(|v| codes[v])
-            .collect();
-        let removed: Vec<String> = codes
-            .iter()
-            .filter(|c| !keep.contains(c))
-            .map(|c| c.to_string())
-            .collect();
+        // analogue of the batch pipeline's `CoplotResult::removed`. Too
+        // few informative variables left make the whole frame degenerate.
+        let (data, removed) = varying_stats_matrix(&stats, &codes)?;
         if !removed.is_empty() {
             wl_obs::counter!("stream.variables_dropped", removed.len() as u64);
         }
-        // Too few informative variables left: let normalization produce
-        // the typed error (the whole frame is degenerate).
-        let data = if keep.len() >= 2 {
-            try_stats_matrix(&stats, &keep)?
-        } else {
-            full
-        };
         let z = data.normalize(Imputation::ColumnMean)?;
         let diss = DissimilarityMatrix::compute(&z, Metric::CityBlock);
         let observations: Vec<String> = z.observations().to_vec();

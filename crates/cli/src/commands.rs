@@ -122,42 +122,42 @@ fn load_all(paths: &[String], format: Option<&str>) -> Result<Vec<Workload>, Str
 }
 
 /// `wl stats` — Table-1 characteristics per file.
-pub fn stats(args: &[String]) -> Result<(), String> {
+pub fn stats(args: &[String]) -> Result<String, String> {
     let (paths, flags) = split_args(args)?;
     let workloads = load_all(&paths, flag(&flags, "format"))?;
-    print!("{:<20}", "variable");
+    let mut out = format!("{:<20}", "variable");
     for w in &workloads {
-        print!("{:>14}", truncate(&w.name, 13));
+        out.push_str(&format!("{:>14}", truncate(&w.name, 13)));
     }
-    println!();
+    out.push('\n');
     let all: Vec<WorkloadStats> = workloads.iter().map(WorkloadStats::compute).collect();
     for var in Variable::ALL {
-        print!("{:<20}", format!("{} ({})", var.code(), var.name()));
+        let label = format!("{} ({})", var.code(), var.name());
+        out.push_str(&format!("{label:<20}"));
         for s in &all {
             match s.get(var) {
-                Some(v) => print!("{:>14}", format_value(v)),
-                None => print!("{:>14}", "N/A"),
+                Some(v) => out.push_str(&format!("{:>14}", format_value(v))),
+                None => out.push_str(&format!("{:>14}", "N/A")),
             }
         }
-        println!();
+        out.push('\n');
     }
-    println!();
-    for (w, s) in workloads.iter().zip(&all) {
-        let _ = s;
-        println!(
-            "{}: {} jobs over {:.1} days",
+    out.push('\n');
+    for w in &workloads {
+        out.push_str(&format!(
+            "{}: {} jobs over {:.1} days\n",
             w.name,
             w.len(),
             w.duration() / 86_400.0
-        );
+        ));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `wl coplot` — map several workloads together. A thin adapter over the
 /// unified analysis API: builds an [`AnalysisRequest`], executes it through
 /// the shared `wl-serve` executor, renders the [`AnalysisResponse`].
-pub fn coplot(args: &[String], threads: usize) -> Result<(), String> {
+pub fn coplot(args: &[String], threads: usize) -> Result<String, String> {
     let (positional, flags) = split_args(args)?;
     let mut req = AnalysisRequest::new(Operation::Coplot, parse_dataset(&positional)?);
     if let Some(v) = flag(&flags, "format") {
@@ -178,34 +178,38 @@ pub fn coplot(args: &[String], threads: usize) -> Result<(), String> {
 
     let outcome = run_request(&req, threads)?;
     if flag(&flags, "json").is_some() {
-        println!("{}", outcome.response.to_json());
-        return Ok(());
+        return Ok(format!("{}\n", outcome.response.to_json()));
     }
-    let AnalysisResponse::Coplot(out) = &outcome.response else {
+    let AnalysisResponse::Coplot(response) = &outcome.response else {
         return Err("executor returned a non-coplot response".into());
     };
-    if !out.removed.is_empty() {
-        println!("removed low-correlation variables: {:?}", out.removed);
+    let mut out = String::new();
+    if !response.removed.is_empty() {
+        out.push_str(&format!(
+            "removed low-correlation variables: {:?}\n",
+            response.removed
+        ));
     }
 
-    let result = out.to_result().map_err(|e| e.to_string())?;
-    println!("{}", coplot::render::render_text(&result, 72, 28));
+    let result = response.to_result().map_err(|e| e.to_string())?;
+    out.push_str(&coplot::render::render_text(&result, 72, 28));
+    out.push('\n');
     if flag(&flags, "timings").is_some() {
-        println!("per-stage timings:");
-        print!("{}", coplot::StageReportTable(&outcome.reports));
+        out.push_str("per-stage timings:\n");
+        out.push_str(&coplot::StageReportTable(&outcome.reports).to_string());
     }
     if let Some(svg_path) = flag(&flags, "svg") {
         std::fs::write(svg_path, coplot::render::render_svg(&result, "wl coplot"))
             .map_err(|e| format!("cannot write {svg_path}: {e}"))?;
-        println!("SVG written to {svg_path}");
+        out.push_str(&format!("SVG written to {svg_path}\n"));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `wl hurst` — self-similarity estimates per file, the per-workload
 /// estimation fanned out over `--threads` workers. Adapter over the
 /// unified analysis API.
-pub fn hurst(args: &[String], threads: usize) -> Result<(), String> {
+pub fn hurst(args: &[String], threads: usize) -> Result<String, String> {
     let (positional, flags) = split_args(args)?;
     let mut req = AnalysisRequest::new(Operation::Hurst, parse_dataset(&positional)?);
     if let Some(v) = flag(&flags, "format") {
@@ -220,36 +224,34 @@ pub fn hurst(args: &[String], threads: usize) -> Result<(), String> {
 
     let outcome = run_request(&req, threads)?;
     if flag(&flags, "json").is_some() {
-        println!("{}", outcome.response.to_json());
-        return Ok(());
+        return Ok(format!("{}\n", outcome.response.to_json()));
     }
-    let AnalysisResponse::Hurst(out) = &outcome.response else {
+    let AnalysisResponse::Hurst(response) = &outcome.response else {
         return Err("executor returned a non-hurst response".into());
     };
-    print!("{:<20}", "workload");
-    for c in &out.columns {
-        print!("{c:>9}");
+    let mut out = format!("{:<20}", "workload");
+    for c in &response.columns {
+        out.push_str(&format!("{c:>9}"));
     }
-    println!();
-    for (name, row) in out.workloads.iter().zip(&out.rows) {
-        print!("{:<20}", truncate(name, 19));
+    out.push('\n');
+    for (name, row) in response.workloads.iter().zip(&response.rows) {
+        out.push_str(&format!("{:<20}", truncate(name, 19)));
         for h in row {
             match h {
-                Some(h) => print!("{h:>9.2}"),
-                None => print!("{:>9}", "-"),
+                Some(h) => out.push_str(&format!("{h:>9.2}")),
+                None => out.push_str(&format!("{:>9}", "-")),
             }
         }
-        println!();
+        out.push('\n');
     }
-    println!();
-    println!("H = 0.5: no long-range dependence; H -> 1: strongly self-similar.");
-    Ok(())
+    out.push_str("\nH = 0.5: no long-range dependence; H -> 1: strongly self-similar.\n");
+    Ok(out)
 }
 
 /// `wl subset` — section 8's representative-variable search: rank the
 /// variable subsets of a given size by arrow correlation among those whose
 /// map stays a good fit. Adapter over the unified analysis API.
-pub fn subset(args: &[String], threads: usize) -> Result<(), String> {
+pub fn subset(args: &[String], threads: usize) -> Result<String, String> {
     let (positional, flags) = split_args(args)?;
     let mut req = AnalysisRequest::new(Operation::Subset, parse_dataset(&positional)?);
     if let Some(v) = flag(&flags, "format") {
@@ -276,41 +278,39 @@ pub fn subset(args: &[String], threads: usize) -> Result<(), String> {
 
     let outcome = run_request(&req, threads)?;
     if flag(&flags, "json").is_some() {
-        println!("{}", outcome.response.to_json());
-        return Ok(());
+        return Ok(format!("{}\n", outcome.response.to_json()));
     }
-    let AnalysisResponse::Subset(out) = &outcome.response else {
+    let AnalysisResponse::Subset(response) = &outcome.response else {
         return Err("executor returned a non-subset response".into());
     };
-    if out.results.is_empty() {
-        println!(
-            "no variable subset of size {} keeps alienation <= {}",
+    if response.results.is_empty() {
+        return Ok(format!(
+            "no variable subset of size {} keeps alienation <= {}\n",
             req.subset_size, req.max_alienation
-        );
-        return Ok(());
+        ));
     }
-    println!(
-        "{:<5} {:<28} {:>10} {:>10} {:>9}",
+    let mut out = format!(
+        "{:<5} {:<28} {:>10} {:>10} {:>9}\n",
         "rank", "variables", "alienation", "mean corr", "map rmsd"
     );
-    for (i, e) in out.results.iter().enumerate() {
-        println!(
-            "{:<5} {:<28} {:>10.3} {:>10.3} {:>9.2}",
+    for (i, e) in response.results.iter().enumerate() {
+        out.push_str(&format!(
+            "{:<5} {:<28} {:>10.3} {:>10.3} {:>9.2}\n",
             i + 1,
             e.variables.join(","),
             e.alienation,
             e.mean_correlation,
             e.map_conservation_rmsd
-        );
+        ));
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `wl stream` — replay a trace through the streaming windowed Co-plot
 /// driver, printing the same JSON lines `POST /v1/stream` would answer
 /// for the same trace and options (both run
 /// [`wl_serve::run_stream_text`], so the bytes agree by construction).
-pub fn stream(args: &[String], threads: usize) -> Result<(), String> {
+pub fn stream(args: &[String], threads: usize) -> Result<String, String> {
     let (paths, flags) = split_args(args)?;
     if paths.len() != 1 {
         return Err("stream takes exactly one trace file".into());
@@ -361,13 +361,11 @@ pub fn stream(args: &[String], threads: usize) -> Result<(), String> {
     if flag(&flags, "no-hurst").is_some() {
         options.config.hurst = false;
     }
-    let lines = wl_serve::run_stream_text(&text, &options, threads).map_err(|e| e.to_string())?;
-    print!("{lines}");
-    Ok(())
+    wl_serve::run_stream_text(&text, &options, threads).map_err(|e| e.to_string())
 }
 
 /// `wl homogeneity` — section 6's over-time stability test.
-pub fn homogeneity(args: &[String]) -> Result<(), String> {
+pub fn homogeneity(args: &[String]) -> Result<String, String> {
     let (paths, flags) = split_args(args)?;
     if paths.len() != 1 {
         return Err("homogeneity takes exactly one file".into());
@@ -390,35 +388,44 @@ pub fn homogeneity(args: &[String]) -> Result<(), String> {
     let codes = ["Rm", "Ri", "Pm", "Pi", "Cm", "Ci", "Im"];
     let report =
         test_homogeneity(&log, &[], &codes, &config).map_err(|e| e.to_string())?;
-    println!(
-        "log {}: {} jobs in {} periods",
+    let mut out = format!(
+        "log {}: {} jobs in {} periods\n",
         log.name,
         log.len(),
         periods
     );
+    if !report.dropped.is_empty() {
+        out.push_str(&format!(
+            "dropped constant variables: {}\n",
+            report.dropped.join(",")
+        ));
+    }
     for p in &report.periods {
-        println!(
-            "  {:<4} distance from full log {:.3}{}",
-            p.name,
-            p.distance_from_full,
-            if p.outlier { "  << unusual interval" } else { "" }
-        );
+        let mark = if p.outlier {
+            "  << unusual interval"
+        } else {
+            ""
+        };
+        out.push_str(&format!(
+            "  {:<4} distance from full log {:.3}{mark}\n",
+            p.name, p.distance_from_full
+        ));
     }
-    println!("threshold: {:.3}", report.threshold);
-    match report.verdict {
+    out.push_str(&format!("threshold: {:.3}\n", report.threshold));
+    out.push_str(match report.verdict {
         HomogeneityVerdict::Homogeneous => {
-            println!("verdict: homogeneous — past periods predict future ones here")
+            "verdict: homogeneous — past periods predict future ones here\n"
         }
-        HomogeneityVerdict::Heterogeneous => println!(
+        HomogeneityVerdict::Heterogeneous => {
             "verdict: HETEROGENEOUS — the log contains unusual intervals; \
-             using it whole as a model would mislead"
-        ),
-    }
-    Ok(())
+             using it whole as a model would mislead\n"
+        }
+    });
+    Ok(out)
 }
 
 /// `wl generate` — synthesize a workload.
-pub fn generate(args: &[String]) -> Result<(), String> {
+pub fn generate(args: &[String]) -> Result<String, String> {
     let (positional, flags) = split_args(args)?;
     let Some(model_name) = positional.first() else {
         return Err("generate needs a model name".into());
@@ -493,10 +500,10 @@ pub fn generate(args: &[String]) -> Result<(), String> {
         Some(path) => {
             std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("{summary} written to {path}");
+            Ok(String::new())
         }
-        None => print!("{text}"),
+        None => Ok(text),
     }
-    Ok(())
 }
 
 fn truncate(s: &str, n: usize) -> String {

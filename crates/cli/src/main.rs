@@ -24,6 +24,7 @@
 //! `lanl`, `llnl`, `nasa`, `sdsc`), and the cross-domain families `grid`
 //! (GWF text, `--site 0..4`) and `web` (access-log text, `--site 0..3`).
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 mod commands;
@@ -51,7 +52,9 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
+    // Each command returns its whole stdout text.
     let result = match command.as_str() {
+        _ if rest.iter().any(|a| a == "--help" || a == "-h") => Ok(format!("{}\n", usage())),
         "stats" => commands::stats(rest),
         "coplot" => commands::coplot(rest, rt.threads),
         "hurst" => commands::hurst(rest, rt.threads),
@@ -59,20 +62,32 @@ fn main() -> ExitCode {
         "homogeneity" => commands::homogeneity(rest),
         "stream" => commands::stream(rest, rt.threads),
         "generate" => commands::generate(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
+        "help" | "--help" | "-h" => Ok(format!("{}\n", usage())),
         other => Err(format!("unknown command {other:?}\n{}", usage())),
     };
+    let written = result.map(|text| write_stdout(&text));
     session.finish();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
+    match written {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        // The reader closed early (`wl ... | head`) and has what it wanted.
+        Ok(Err(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
+            eprintln!("wl: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
         Err(msg) => {
             eprintln!("wl: {msg}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// The one place `wl` writes to stdout, so that a closed reader is an
+/// `io::Error` to handle rather than a panic in `print!`.
+fn write_stdout(text: &str) -> io::Result<()> {
+    let mut stdout = io::stdout().lock();
+    stdout.write_all(text.as_bytes())?;
+    stdout.flush()
 }
 
 fn usage() -> &'static str {

@@ -130,3 +130,79 @@ fn non_finite_float_flags_are_bad_values() {
         assert!(err.starts_with("wl: bad-value: "), "{args:?} stderr: {err}");
     }
 }
+
+/// A reader that closes early (`wl ... | head -1`) ends the run quietly:
+/// exit 0, no panic from a failed stdout write.
+#[test]
+fn closed_reader_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = wl()
+        .args(["generate", "ctc", "--jobs", "20000", "--seed", "3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run wl generate");
+    // About 1.5 MB of SWF: far more than a pipe buffers, so `wl` is still
+    // writing when the pipe closes.
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with(';'), "first line: {line:?}");
+    let out = child.wait_with_output().expect("wait for wl");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
+/// `--help` after a subcommand prints the usage and succeeds, as `wl
+/// --help` does, instead of being read as a flag that takes a value.
+#[test]
+fn subcommand_help_prints_the_usage() {
+    for command in ["stream", "coplot"] {
+        for help in ["--help", "-h"] {
+            let out = wl().args([command, help]).output().expect("run wl");
+            assert_eq!(out.status.code(), Some(0), "wl {command} {help}");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                text.starts_with("wl — parallel workload analysis"),
+                "{text}"
+            );
+            assert!(text.contains("wl stream <file>"), "{text}");
+        }
+    }
+}
+
+/// `wl homogeneity` maps only the variables that vary across the log and
+/// its periods and names the ones it dropped: CTC's median parallelism
+/// `Pm` is the same in every period.
+#[test]
+fn homogeneity_drops_constant_variables() {
+    let dir = std::env::temp_dir().join("wl-golden-trace-homogeneity");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ctc.swf");
+    let out = wl()
+        .args(["generate", "ctc", "--jobs", "4000", "--seed", "3"])
+        .args(["--out", path.to_str().unwrap()])
+        .output()
+        .expect("run wl generate");
+    assert!(out.status.success());
+    let out = wl()
+        .args(["homogeneity", path.to_str().unwrap()])
+        .output()
+        .expect("run wl homogeneity");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let dropped = text
+        .lines()
+        .find_map(|l| l.strip_prefix("dropped constant variables: "))
+        .unwrap_or_else(|| panic!("no dropped variables reported: {text}"));
+    assert!(dropped.split(',').any(|v| v == "Pm"), "{text}");
+    assert!(text.contains("verdict: "), "{text}");
+}

@@ -6,19 +6,17 @@
 //! enough; Bluestein's chirp-z trick reduces any length to a power-of-two
 //! convolution. The Davies-Harte fGn generator also runs on these kernels.
 //!
-//! Transforms of one length recur constantly — every fGn path of a
-//! generator reuses one embedding size, every periodogram of an 8192-job
-//! log is the same length — so [`FftPlan`] precomputes the per-length
-//! tables (bit-reversal permutation, butterfly twiddles, Bluestein chirp
-//! and B-spectrum) once, and [`plan`] caches plans by length for the whole
-//! process. Planned transforms are **bit-identical** to the planless
-//! [`fft_pow2`]/[`fft_any`] paths: the tables are filled by exactly the
-//! code the planless kernels run inline (same twiddle recurrence, same
-//! chirp expressions), so only the wall time changes.
+//! Transforms of one length recur constantly, so [`FftPlan`] precomputes a
+//! length's tables once and [`plan`] keeps plans in a 64 MiB process-wide
+//! table. A plan holds only what its callers read: one twiddle set per
+//! radix-2 size, read conjugated for the inverse, and forward Bluestein
+//! tables. Planned transforms are **bit-identical** to the planless
+//! [`fft_pow2`]/[`fft_any`] paths, whose recurrences and chirp they store.
 
-use std::collections::HashMap;
+use crate::table::Table;
+use std::convert::Infallible;
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// In-place radix-2 FFT over split real/imaginary arrays.
 ///
@@ -89,20 +87,24 @@ pub fn fft_any(re_in: &[f64], im_in: &[f64], inverse: bool) -> (Vec<f64>, Vec<f6
         return (re, im);
     }
 
-    // Bluestein: x_k * chirp_k convolved with conjugate chirp.
-    let sign = if inverse { 1.0 } else { -1.0 };
     let m = (2 * n - 1).next_power_of_two();
+    let (chirp, mut bre, mut bim) = chirp_and_b(n, m, if inverse { 1.0 } else { -1.0 });
+    fft_pow2(&mut bre, &mut bim, false);
+    chirp_convolve(re_in, im_in, &chirp, &bre, &bim, fft_pow2)
+}
 
-    // chirp_k = exp(sign * i * pi * k^2 / n)
-    let chirp: Vec<(f64, f64)> = (0..n)
-        .map(|k| {
-            // k^2 mod 2n avoids precision loss for large k.
-            let k2 = ((k as u128 * k as u128) % (2 * n as u128)) as f64;
-            let ang = sign * PI * k2 / n as f64;
-            (ang.cos(), ang.sin())
-        })
-        .collect();
-
+/// Bluestein: `x_k * chirp_k` convolved with the conjugate chirp, whose
+/// spectrum `(bre, bim)` is given, through `fft` at the convolution size;
+/// then the final chirp product. The DFT of `x` for the chirp's sign.
+fn chirp_convolve(
+    re_in: &[f64],
+    im_in: &[f64],
+    chirp: &[(f64, f64)],
+    bre: &[f64],
+    bim: &[f64],
+    fft: impl Fn(&mut [f64], &mut [f64], bool),
+) -> (Vec<f64>, Vec<f64>) {
+    let (n, m) = (chirp.len(), bre.len());
     let mut are = vec![0.0; m];
     let mut aim = vec![0.0; m];
     for k in 0..n {
@@ -110,22 +112,7 @@ pub fn fft_any(re_in: &[f64], im_in: &[f64], inverse: bool) -> (Vec<f64>, Vec<f6
         are[k] = re_in[k] * cr - im_in[k] * ci;
         aim[k] = re_in[k] * ci + im_in[k] * cr;
     }
-
-    let mut bre = vec![0.0; m];
-    let mut bim = vec![0.0; m];
-    // b_k = conj(chirp_k), wrapped for negative indices.
-    bre[0] = chirp[0].0;
-    bim[0] = -chirp[0].1;
-    for k in 1..n {
-        let (cr, ci) = chirp[k];
-        bre[k] = cr;
-        bim[k] = -ci;
-        bre[m - k] = cr;
-        bim[m - k] = -ci;
-    }
-
-    fft_pow2(&mut are, &mut aim, false);
-    fft_pow2(&mut bre, &mut bim, false);
+    fft(&mut are, &mut aim, false);
     // Pointwise product.
     for i in 0..m {
         let r = are[i] * bre[i] - aim[i] * bim[i];
@@ -133,7 +120,7 @@ pub fn fft_any(re_in: &[f64], im_in: &[f64], inverse: bool) -> (Vec<f64>, Vec<f6
         are[i] = r;
         aim[i] = im_;
     }
-    fft_pow2(&mut are, &mut aim, true);
+    fft(&mut are, &mut aim, true);
     // Unscaled inverse: divide by m, then multiply by chirp again.
     let scale = 1.0 / m as f64;
     let mut out_re = Vec::with_capacity(n);
@@ -148,10 +135,35 @@ pub fn fft_any(re_in: &[f64], im_in: &[f64], inverse: bool) -> (Vec<f64>, Vec<f6
     (out_re, out_im)
 }
 
+/// Bluestein's chirp `exp(sign * i * pi * k^2 / n)` for `k < n`, and the B
+/// array of length `m`: the conjugate chirp, wrapped for negative indices.
+fn chirp_and_b(n: usize, m: usize, sign: f64) -> (Vec<(f64, f64)>, Vec<f64>, Vec<f64>) {
+    let chirp: Vec<(f64, f64)> = (0..n)
+        .map(|k| {
+            // k^2 mod 2n avoids precision loss for large k.
+            let k2 = ((k as u128 * k as u128) % (2 * n as u128)) as f64;
+            let ang = sign * PI * k2 / n as f64;
+            (ang.cos(), ang.sin())
+        })
+        .collect();
+    let mut bre = vec![0.0; m];
+    let mut bim = vec![0.0; m];
+    bre[0] = chirp[0].0;
+    bim[0] = -chirp[0].1;
+    for k in 1..n {
+        let (cr, ci) = chirp[k];
+        bre[k] = cr;
+        bim[k] = -ci;
+        bre[m - k] = cr;
+        bim[m - k] = -ci;
+    }
+    (chirp, bre, bim)
+}
+
 /// DFT of a real series: returns `(re, im)` of all `n` bins.
 pub fn rfft(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let zeros = vec![0.0; x.len()];
-    plan(x.len()).process_any(x, &zeros, false)
+    plan(x.len()).process_any(x, &zeros)
 }
 
 /// Precomputed tables for one radix-2 size.
@@ -163,9 +175,10 @@ struct Pow2Tables {
     /// Forward twiddles, one vector of `w^k` per butterfly level
     /// (`len = 2, 4, ..., n`), filled with the same running recurrence
     /// [`fft_pow2`] uses inline so the planned transform is bit-identical.
-    fwd: Vec<Vec<(f64, f64)>>,
-    /// The inverse-transform twiddles (conjugate sign).
-    inv: Vec<Vec<(f64, f64)>>,
+    /// The inverse reads their conjugates: the recurrence at +θ negates the
+    /// one at −θ exactly (`sin` is odd, `cos` even, IEEE rounding
+    /// sign-symmetric), and `0.0 - ci` keeps `w^0`'s `+0.0`.
+    twiddles: Vec<Vec<(f64, f64)>>,
 }
 
 impl Pow2Tables {
@@ -181,31 +194,23 @@ impl Pow2Tables {
                 }
             }
         }
-        let levels = |sign: f64| -> Vec<Vec<(f64, f64)>> {
-            let mut out = Vec::new();
-            let mut len = 2;
-            while len <= n {
-                let ang = sign * 2.0 * PI / len as f64;
-                let (wr, wi) = (ang.cos(), ang.sin());
-                let mut tw = Vec::with_capacity(len / 2);
-                let (mut cr, mut ci) = (1.0, 0.0);
-                for _ in 0..len / 2 {
-                    tw.push((cr, ci));
-                    let ncr = cr * wr - ci * wi;
-                    ci = cr * wi + ci * wr;
-                    cr = ncr;
-                }
-                out.push(tw);
-                len <<= 1;
+        let mut twiddles = Vec::new();
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * PI / len as f64;
+            let (wr, wi) = (ang.cos(), ang.sin());
+            let mut tw = Vec::with_capacity(len / 2);
+            let (mut cr, mut ci) = (1.0, 0.0);
+            for _ in 0..len / 2 {
+                tw.push((cr, ci));
+                let ncr = cr * wr - ci * wi;
+                ci = cr * wi + ci * wr;
+                cr = ncr;
             }
-            out
-        };
-        Pow2Tables {
-            n,
-            swaps,
-            fwd: levels(-1.0),
-            inv: levels(1.0),
+            twiddles.push(tw);
+            len <<= 1;
         }
+        Pow2Tables { n, swaps, twiddles }
     }
 
     /// The planned equivalent of [`fft_pow2`]: same butterflies, twiddles
@@ -221,11 +226,11 @@ impl Pow2Tables {
             re.swap(i as usize, j as usize);
             im.swap(i as usize, j as usize);
         }
-        let levels = if inverse { &self.inv } else { &self.fwd };
         let mut len = 2;
-        for tw in levels {
+        for tw in &self.twiddles {
             for start in (0..n).step_by(len) {
                 for (k, &(cr, ci)) in tw.iter().enumerate() {
+                    let ci = if inverse { 0.0 - ci } else { ci };
                     let a = start + k;
                     let b = a + len / 2;
                     let tr = re[b] * cr - im[b] * ci;
@@ -241,39 +246,28 @@ impl Pow2Tables {
     }
 }
 
-/// One transform direction's Bluestein tables: the chirp sequence and the
-/// FFT of the (input-independent) B array.
+/// Forward Bluestein tables for one length `n`: the radix-2 tables of the
+/// convolution size `m`, the chirp, and the FFT of the B array.
 #[derive(Debug)]
-struct BluesteinSide {
+struct Bluestein {
+    pow2: Pow2Tables,
     chirp: Vec<(f64, f64)>,
     bre: Vec<f64>,
     bim: Vec<f64>,
 }
 
-impl BluesteinSide {
-    fn new(n: usize, m: usize, sign: f64, pow2: &Pow2Tables) -> BluesteinSide {
-        // Same chirp expression as fft_any: k^2 mod 2n avoids precision
-        // loss for large k.
-        let chirp: Vec<(f64, f64)> = (0..n)
-            .map(|k| {
-                let k2 = ((k as u128 * k as u128) % (2 * n as u128)) as f64;
-                let ang = sign * PI * k2 / n as f64;
-                (ang.cos(), ang.sin())
-            })
-            .collect();
-        let mut bre = vec![0.0; m];
-        let mut bim = vec![0.0; m];
-        bre[0] = chirp[0].0;
-        bim[0] = -chirp[0].1;
-        for k in 1..n {
-            let (cr, ci) = chirp[k];
-            bre[k] = cr;
-            bim[k] = -ci;
-            bre[m - k] = cr;
-            bim[m - k] = -ci;
-        }
+impl Bluestein {
+    fn new(n: usize) -> Bluestein {
+        let m = (2 * n - 1).next_power_of_two();
+        let pow2 = Pow2Tables::new(m);
+        let (chirp, mut bre, mut bim) = chirp_and_b(n, m, -1.0);
         pow2.fft(&mut bre, &mut bim, false);
-        BluesteinSide { chirp, bre, bim }
+        Bluestein {
+            pow2,
+            chirp,
+            bre,
+            bim,
+        }
     }
 }
 
@@ -281,20 +275,15 @@ impl BluesteinSide {
 enum PlanKind {
     Empty,
     Pow2(Pow2Tables),
-    Bluestein {
-        pow2: Pow2Tables,
-        fwd: BluesteinSide,
-        inv: BluesteinSide,
-    },
+    Bluestein(Bluestein),
 }
 
-/// Precomputed transform tables for one length.
-///
-/// Power-of-two lengths hold bit-reversal swaps and butterfly twiddles;
-/// other lengths additionally hold both directions' Bluestein chirp tables
-/// and B-array spectra (the B array does not depend on the input, so its
-/// FFT is paid once per length instead of once per call). Construction is
-/// O(m log m); every transform after that skips all trigonometry.
+/// Precomputed transform tables for one length: the radix-2 tables, plus
+/// for other lengths the forward Bluestein chirp and B-array spectrum (the
+/// B array does not depend on the input, so its FFT is paid once per
+/// length). No caller transforms those lengths inversely; [`fft_any`]
+/// still does. Construction is O(m log m); every transform after that
+/// skips all trigonometry.
 ///
 /// Obtain plans through [`plan`], which caches them by length.
 #[derive(Debug)]
@@ -311,11 +300,7 @@ impl FftPlan {
         } else if n.is_power_of_two() {
             PlanKind::Pow2(Pow2Tables::new(n))
         } else {
-            let m = (2 * n - 1).next_power_of_two();
-            let pow2 = Pow2Tables::new(m);
-            let fwd = BluesteinSide::new(n, m, -1.0, &pow2);
-            let inv = BluesteinSide::new(n, m, 1.0, &pow2);
-            PlanKind::Bluestein { pow2, fwd, inv }
+            PlanKind::Bluestein(Bluestein::new(n))
         };
         FftPlan { n, kind }
     }
@@ -328,6 +313,20 @@ impl FftPlan {
     /// True for the zero-length plan.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Bytes of the plan's tables, by which [`plan`]'s table weighs it.
+    pub(crate) fn bytes(&self) -> usize {
+        let pow2 = |t: &Pow2Tables| {
+            8 * t.swaps.len() + 16 * t.twiddles.iter().map(Vec::len).sum::<usize>()
+        };
+        match &self.kind {
+            PlanKind::Empty => 0,
+            PlanKind::Pow2(t) => pow2(t),
+            PlanKind::Bluestein(b) => {
+                pow2(&b.pow2) + 16 * b.chirp.len() + 8 * (b.bre.len() + b.bim.len())
+            }
+        }
     }
 
     /// In-place radix-2 transform; bit-identical to [`fft_pow2`].
@@ -345,16 +344,12 @@ impl FftPlan {
         }
     }
 
-    /// Out-of-place transform of any length; bit-identical to [`fft_any`].
+    /// Out-of-place forward transform of any length; bit-identical to
+    /// [`fft_any`] with `inverse = false`.
     ///
     /// # Panics
     /// Panics when the input length does not match the plan.
-    pub fn process_any(
-        &self,
-        re_in: &[f64],
-        im_in: &[f64],
-        inverse: bool,
-    ) -> (Vec<f64>, Vec<f64>) {
+    pub fn process_any(&self, re_in: &[f64], im_in: &[f64]) -> (Vec<f64>, Vec<f64>) {
         assert_eq!(re_in.len(), self.n, "re length does not match plan");
         assert_eq!(im_in.len(), self.n, "im length does not match plan");
         match &self.kind {
@@ -362,70 +357,29 @@ impl FftPlan {
             PlanKind::Pow2(t) => {
                 let mut re = re_in.to_vec();
                 let mut im = im_in.to_vec();
-                t.fft(&mut re, &mut im, inverse);
+                t.fft(&mut re, &mut im, false);
                 (re, im)
             }
-            PlanKind::Bluestein { pow2, fwd, inv } => {
-                let side = if inverse { inv } else { fwd };
-                let n = self.n;
-                let m = pow2.n;
-
-                let mut are = vec![0.0; m];
-                let mut aim = vec![0.0; m];
-                for k in 0..n {
-                    let (cr, ci) = side.chirp[k];
-                    are[k] = re_in[k] * cr - im_in[k] * ci;
-                    aim[k] = re_in[k] * ci + im_in[k] * cr;
-                }
-                pow2.fft(&mut are, &mut aim, false);
-                for i in 0..m {
-                    let r = are[i] * side.bre[i] - aim[i] * side.bim[i];
-                    let im_ = are[i] * side.bim[i] + aim[i] * side.bre[i];
-                    are[i] = r;
-                    aim[i] = im_;
-                }
-                pow2.fft(&mut are, &mut aim, true);
-                let scale = 1.0 / m as f64;
-                let mut out_re = Vec::with_capacity(n);
-                let mut out_im = Vec::with_capacity(n);
-                for k in 0..n {
-                    let (cr, ci) = side.chirp[k];
-                    let r = are[k] * scale;
-                    let i = aim[k] * scale;
-                    out_re.push(r * cr - i * ci);
-                    out_im.push(r * ci + i * cr);
-                }
-                (out_re, out_im)
+            PlanKind::Bluestein(b) => {
+                let fft = |re: &mut [f64], im: &mut [f64], inverse| b.pow2.fft(re, im, inverse);
+                chirp_convolve(re_in, im_in, &b.chirp, &b.bre, &b.bim, fft)
             }
         }
     }
 }
 
-/// Plans kept alive at once; enough for every distinct length a repro run
-/// touches (a handful of embedding sizes plus the log lengths). On
-/// overflow the cache is cleared rather than evicted piecemeal — plans are
-/// cheap to rebuild and the limit only guards against unbounded growth
-/// under adversarial length patterns.
-const PLAN_CACHE_CAP: usize = 64;
+/// Bytes of plans the process-wide table keeps: `table3` at 8192 jobs plans
+/// seven lengths in 3.1 MB, and this keeps about a dozen of the 5.4 MB
+/// Bluestein plans of 40,000-job traces (see [`crate::table`]).
+const PLAN_TABLE_BYTES: usize = 64 << 20;
 
 /// The process-wide plan for length `n`, building and caching it on first
 /// use. Thread-safe; concurrent callers share one plan per length.
 pub fn plan(n: usize) -> Arc<FftPlan> {
-    static PLANS: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
-    let cache = PLANS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(p) = map.get(&n) {
-        wl_obs::counter!("fft.plan.hit", 1u64);
-        return Arc::clone(p);
-    }
-    wl_obs::counter!("fft.plan.miss", 1u64);
-    if map.len() >= PLAN_CACHE_CAP {
-        wl_obs::counter!("fft.plan.evictions", map.len() as u64);
-        map.clear();
-    }
-    let p = Arc::new(FftPlan::new(n));
-    map.insert(n, Arc::clone(&p));
-    p
+    static PLANS: LazyLock<Table<usize, FftPlan>> =
+        LazyLock::new(|| Table::new("fft.plan", PLAN_TABLE_BYTES, FftPlan::bytes));
+    let Ok(plan) = PLANS.get(n, || Ok::<_, Infallible>(Arc::new(FftPlan::new(n))));
+    plan
 }
 
 #[cfg(test)]
@@ -555,36 +509,56 @@ mod tests {
         assert_eq!(im, vec![0.0]);
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Test inputs of length `n`: smooth values with signed zeros mixed
+    /// in, and all zeros (`-0.0` real, `+0.0` imaginary), where the sign of
+    /// every zero a twiddle produces reaches the output.
+    fn inputs(n: usize) -> [(Vec<f64>, Vec<f64>); 2] {
+        let zero_or = |i: usize, x: f64| match i % 7 {
+            3 => -0.0,
+            5 => 0.0,
+            _ => x,
+        };
+        let re = (0..n)
+            .map(|i| zero_or(i, (i as f64 * 0.7).sin() * 3.0))
+            .collect();
+        let im = (0..n)
+            .map(|i| zero_or(i + 1, (i as f64 * 1.3).cos() - 0.25))
+            .collect();
+        [(re, im), (vec![-0.0; n], vec![0.0; n])]
+    }
+
     #[test]
     fn planned_pow2_bit_identical_to_planless() {
-        for n in [1usize, 2, 8, 64, 1024] {
-            let re: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
-            let im: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() - 0.25).collect();
+        for n in (0..=20).map(|b| 1usize << b) {
             let p = plan(n);
-            for inverse in [false, true] {
-                let (mut re_a, mut im_a) = (re.clone(), im.clone());
-                fft_pow2(&mut re_a, &mut im_a, inverse);
-                let (mut re_b, mut im_b) = (re.clone(), im.clone());
-                p.process_pow2(&mut re_b, &mut im_b, inverse);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&re_a), bits(&re_b), "n {n} inverse {inverse}");
-                assert_eq!(bits(&im_a), bits(&im_b), "n {n} inverse {inverse}");
+            for (re, im) in inputs(n) {
+                for inverse in [false, true] {
+                    let (mut re_a, mut im_a) = (re.clone(), im.clone());
+                    fft_pow2(&mut re_a, &mut im_a, inverse);
+                    let (mut re_b, mut im_b) = (re.clone(), im.clone());
+                    p.process_pow2(&mut re_b, &mut im_b, inverse);
+                    assert_eq!(bits(&re_a), bits(&re_b), "n {n} inverse {inverse}");
+                    assert_eq!(bits(&im_a), bits(&im_b), "n {n} inverse {inverse}");
+                }
             }
         }
     }
 
     #[test]
     fn planned_any_bit_identical_to_planless() {
-        for n in [3usize, 5, 7, 12, 13, 100, 1009] {
-            let re: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-            let im: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() * 0.5).collect();
+        for n in [
+            3usize, 5, 7, 12, 13, 100, 1009, 4095, 8179, 8180, 8191, 40001,
+        ] {
             let p = plan(n);
-            for inverse in [false, true] {
-                let (re_a, im_a) = fft_any(&re, &im, inverse);
-                let (re_b, im_b) = p.process_any(&re, &im, inverse);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&re_a), bits(&re_b), "n {n} inverse {inverse}");
-                assert_eq!(bits(&im_a), bits(&im_b), "n {n} inverse {inverse}");
+            for (re, im) in inputs(n) {
+                let (re_a, im_a) = fft_any(&re, &im, false);
+                let (re_b, im_b) = p.process_any(&re, &im);
+                assert_eq!(bits(&re_a), bits(&re_b), "n {n}");
+                assert_eq!(bits(&im_a), bits(&im_b), "n {n}");
             }
         }
     }

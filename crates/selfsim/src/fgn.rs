@@ -22,17 +22,22 @@
 //!
 //! A Davies-Harte generator's circulant amplitudes depend only on `H` and
 //! the embedding size, and every synthesis of a named dataset asks for
-//! the same few pairs. So [`FgnDaviesHarte::new`] keeps them in a
-//! process-wide table bounded to 512 KiB, beside [`fft::plan`]'s table of
-//! FFT plans, and counts `fgn.amps.{hit,miss,evictions}`. A computed
-//! amplitude takes one `powf` per lag; its bits equal those of the
-//! three-`powf` [`fgn_autocovariance`] form.
+//! the same few pairs. So [`FgnDaviesHarte::new`] keeps them in a 512 KiB
+//! process-wide table of the same type as [`fft::plan`]'s, counted as
+//! `fgn.amps.{hit,miss,evictions,bytes}`. A computed amplitude takes one
+//! `powf` per lag; its bits equal those of the three-`powf`
+//! [`fgn_autocovariance`] form.
 
 use crate::fft::{self, FftPlan};
+use crate::table::Table;
 use rand::RngCore;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, LazyLock};
 use wl_stats::dist::Normal;
+
+/// Bytes of amplitudes the process-wide table keeps. One `table1` load at
+/// 1024 jobs asks for 20 distinct `(H, m)` keys, about 127 KB, and `table3`
+/// at 2000 jobs for about 0.25 MB.
+const AMP_TABLE_BYTES: usize = 512 * 1024;
 
 /// The fGn autocovariance `gamma(k)` for unit-variance noise.
 ///
@@ -69,9 +74,9 @@ impl FgnDaviesHarte {
     /// `h` in `(0, 1)`.
     ///
     /// The amplitudes depend only on `h` and the embedding size, so they
-    /// come from a bounded process-wide table when another generator
-    /// already computed them (`fgn.amps.{hit,miss,evictions}`); either way
-    /// they are bit-identical.
+    /// come from a byte-budgeted process-wide table when another generator
+    /// already computed them (`fgn.amps.*`); either way they are
+    /// bit-identical.
     ///
     /// Returns an error when the circulant embedding has (numerically)
     /// negative eigenvalues — which does not happen for fGn's covariance,
@@ -80,19 +85,15 @@ impl FgnDaviesHarte {
     /// # Panics
     /// Panics for `n == 0` or `h` outside `(0, 1)`.
     pub fn new(h: f64, n: usize) -> Result<Self, String> {
-        Self::new_in(amp_table(), h, n)
-    }
-
-    /// [`new`](Self::new) with its amplitudes shared through `table`.
-    fn new_in(table: &Mutex<AmpTable>, h: f64, n: usize) -> Result<Self, String> {
+        static AMPS: LazyLock<Table<(u64, usize), [f64]>> =
+            LazyLock::new(|| Table::new("fgn.amps", AMP_TABLE_BYTES, size_of_val));
         assert!(n > 0, "path length must be positive");
         assert!(h > 0.0 && h < 1.0, "H must be in (0,1), got {h}");
 
         // Power-of-two embedding size m >= 2n keeps the FFT radix-2.
         let m = (2 * n).next_power_of_two();
         let plan = fft::plan(m);
-        let amps =
-            shared_amplitudes(table, (h.to_bits(), m), || circulant_amplitudes(h, &plan))?;
+        let amps = AMPS.get((h.to_bits(), m), || circulant_amplitudes(h, &plan))?;
         Ok(FgnDaviesHarte { h, n, amps, m, plan })
     }
 
@@ -176,62 +177,6 @@ fn circulant_amplitudes(h: f64, plan: &FftPlan) -> Result<Arc<[f64]>, String> {
         .iter()
         .map(|&lambda| (lambda.max(0.0) / m as f64).sqrt())
         .collect())
-}
-
-/// Bytes of amplitudes the process-wide table retains. One `table1` load
-/// at 1024 jobs asks for 20 distinct `(H, m)` keys, about 127 KB, and
-/// `table3` at 2000 jobs for about 0.25 MB. On overflow the table is
-/// cleared, as the FFT plan cache is; an entry larger than the whole
-/// budget is never kept.
-const AMP_TABLE_BYTES: usize = 512 * 1024;
-
-/// Circulant amplitudes by `(H bits, embedding size)`, within
-/// [`AMP_TABLE_BYTES`].
-#[derive(Default)]
-struct AmpTable {
-    map: HashMap<(u64, usize), Arc<[f64]>>,
-    bytes: usize,
-}
-
-impl AmpTable {
-    fn insert(&mut self, key: (u64, usize), amps: &Arc<[f64]>) {
-        let bytes = std::mem::size_of_val::<[f64]>(amps);
-        // A concurrent miss on the same key may have stored it already.
-        if bytes > AMP_TABLE_BYTES || self.map.contains_key(&key) {
-            return;
-        }
-        if self.bytes + bytes > AMP_TABLE_BYTES {
-            wl_obs::counter!("fgn.amps.evictions", self.map.len() as u64);
-            self.map.clear();
-            self.bytes = 0;
-        }
-        self.bytes += bytes;
-        self.map.insert(key, Arc::clone(amps));
-    }
-}
-
-fn amp_table() -> &'static Mutex<AmpTable> {
-    static TABLE: OnceLock<Mutex<AmpTable>> = OnceLock::new();
-    TABLE.get_or_init(Mutex::default)
-}
-
-/// The amplitudes under `key` in `table`, or `compute`'s, kept when they
-/// fit. The lock is not held while computing, and an error is not kept.
-fn shared_amplitudes(
-    table: &Mutex<AmpTable>,
-    key: (u64, usize),
-    compute: impl FnOnce() -> Result<Arc<[f64]>, String>,
-) -> Result<Arc<[f64]>, String> {
-    // Every update leaves the map and its byte count consistent.
-    let lock = || table.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(amps) = lock().map.get(&key) {
-        wl_obs::counter!("fgn.amps.hit", 1u64);
-        return Ok(Arc::clone(amps));
-    }
-    wl_obs::counter!("fgn.amps.miss", 1u64);
-    let amps = compute()?;
-    lock().insert(key, &amps);
-    Ok(amps)
 }
 
 /// Hosking's exact sequential fGn generator (Durbin-Levinson recursion).
@@ -368,62 +313,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn lengths_with_one_embedding_share_one_entry() {
-        let table = Mutex::default();
-        // 2 * 300 and 2 * 500 both round up to m = 1024.
-        let a = FgnDaviesHarte::new_in(&table, 0.8, 300).unwrap();
-        let b = FgnDaviesHarte::new_in(&table, 0.8, 500).unwrap();
-        assert!(Arc::ptr_eq(&a.amps, &b.amps));
-        let table = table.into_inner().unwrap();
-        assert_eq!(table.map.len(), 1);
-        assert_eq!(table.bytes, 513 * 8);
-        assert_eq!((a.len(), b.len()), (300, 500));
-    }
-
-    #[test]
-    fn table_stays_within_its_byte_budget() {
-        let table = Mutex::default();
-        let zeros = |len: usize| move || Ok::<_, String>(vec![0.0; len].into());
-        // Each entry takes 3/8 of the budget: the third overflows it.
-        let len = 3 * AMP_TABLE_BYTES / 8 / 8;
-        for key in 0..3 {
-            shared_amplitudes(&table, (key, 0), zeros(len)).unwrap();
-            let t = table.lock().unwrap();
-            let held: usize = t.map.values().map(|a| a.len() * 8).sum();
-            assert_eq!(held, t.bytes);
-            assert!(t.bytes <= AMP_TABLE_BYTES, "{} bytes retained", t.bytes);
-        }
-        assert_eq!(table.lock().unwrap().map.len(), 1, "cleared on overflow");
-
-        // An entry larger than the whole budget is returned, never kept.
-        let oversized = AMP_TABLE_BYTES / 8 + 1;
-        let amps = shared_amplitudes(&table, (9, 0), zeros(oversized)).unwrap();
-        assert_eq!(amps.len(), oversized);
-        let t = table.lock().unwrap();
-        assert!(!t.map.contains_key(&(9, 0)));
-        assert_eq!(t.map.len(), 1, "the kept entry survives");
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let table = Mutex::default();
-        let err = shared_amplitudes(&table, (1, 2), || Err("negative".to_string()));
-        assert_eq!(err.unwrap_err(), "negative");
-        assert!(table.lock().unwrap().map.is_empty());
-        let mut computed = false;
-        let amps = shared_amplitudes(&table, (1, 2), || {
-            computed = true;
-            Ok(vec![1.0, 2.0].into())
-        })
-        .unwrap();
-        assert!(computed, "the next call computes afresh");
-        assert_eq!(&amps[..], &[1.0, 2.0]);
-        // ... and that value is kept.
-        let again = shared_amplitudes(&table, (1, 2), || panic!("should hit")).unwrap();
-        assert!(Arc::ptr_eq(&amps, &again));
     }
 
     fn sample_autocov(x: &[f64], k: usize) -> f64 {

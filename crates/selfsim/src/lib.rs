@@ -35,6 +35,7 @@ pub mod hurst;
 pub mod online;
 pub mod periodogram;
 pub mod rs;
+mod table;
 pub mod vartime;
 
 pub use aggregate::{aggregate_series, autocorrelation};

@@ -61,6 +61,20 @@ machine_logs=$(echo "$fig4_trace" \
 test "$machine_logs" = 6 \
   || { echo "fig4 synthesized ${machine_logs:-no} machine logs (want 6: CTC once)"; exit 1; }
 
+echo "== repro FFT plans (traced table3 at 8192 jobs: trace-check, 7 plans, none evicted) =="
+# table3's series have seven transform lengths, and the byte-budgeted plan
+# table keeps every one of them, so each is planned once.
+table3_trace=$(cd "$repro_dir" && "$repro_bin/table3" --seed 1999 --jobs 8192 \
+  --threads 1 --trace json 2>&1 >/dev/null)
+echo "$table3_trace" | ./target/release/trace-check -
+plan_misses=$(echo "$table3_trace" \
+  | sed -n 's/.*"fft.plan.miss","value":\([0-9]*\).*/\1/p' | head -1)
+test "$plan_misses" = 7 \
+  || { echo "table3 planned ${plan_misses:-no} FFT lengths (want 7)"; exit 1; }
+if echo "$table3_trace" | grep -q '"fft.plan.evictions"'; then
+  echo "table3 evicted FFT plans"; exit 1
+fi
+
 echo "== repro memory (table3 at 8192 jobs peaks below 20 MB) =="
 # ru_maxrss of a child includes the resident set it was forked with, so
 # this bounds python's own footprint plus table3's growth.
@@ -72,11 +86,15 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
 test "$table3_mb" -lt 20 \
   || { echo "table3 peaked at $table3_mb MB (want < 20)"; exit 1; }
 
-echo "== repro memory (fig3 at 8192 jobs: its own peak below 14 MB) =="
-# fig3 peaks below python's resident set, which ru_maxrss would report, so
-# poll the program's own high-water mark (VmHWM); polling may miss a late
-# peak but never over-reads one.
-fig3_mb=$(cd "$repro_dir" && python3 -c '
+echo "== repro memory (own peaks at 8192 jobs: fig3 below 14 MB, table3 and fig5 below 13 MB) =="
+# These programs peak below python's resident set, which ru_maxrss would
+# report, so poll each program's own high-water mark (VmHWM); polling may
+# miss a late peak but never over-reads one. table3 and fig5 keep 3.1 MB of
+# FFT plans and read 11.7-12.2 MB.
+for bound in fig3:14 table3:13 fig5:13; do
+  bin=${bound%%:*}
+  limit=${bound#*:}
+  peak_mb=$(cd "$repro_dir" && python3 -c '
 import subprocess, sys, time
 p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 peak = 0
@@ -92,9 +110,10 @@ while p.poll() is None:
 if p.returncode:
     sys.exit(p.returncode)
 print(peak // 1024)
-' "$repro_bin/fig3" --seed 1999 --jobs 8192 --threads 2)
-test "$fig3_mb" -lt 14 \
-  || { echo "fig3 peaked at $fig3_mb MB (want < 14)"; exit 1; }
+' "$repro_bin/$bin" --seed 1999 --jobs 8192 --threads 2)
+  test "$peak_mb" -lt "$limit" \
+    || { echo "$bin peaked at $peak_mb MB (want < $limit)"; exit 1; }
+done
 
 echo "== repro bad flag (table1 --bogus exits 2 with a message, no panic) =="
 bogus_rc=0
@@ -124,6 +143,20 @@ candidates=$(subset_counter subset.candidates)
 shared=$(subset_counter engine.shared_selections)
 test "$candidates" = 56 && test "$shared" = "$candidates" \
   || { echo "${shared:-no} shared selections for ${candidates:-no} candidates (want 56)"; exit 1; }
+
+echo "== wl closed reader (generate | head -1 exits 0, no panic) =="
+# 1.5 MB of SWF into a reader that takes one line: the write fails with a
+# broken pipe, which wl treats as the end of the run.
+pipe_err=$(mktemp)
+pipe_rc=0
+./target/release/wl generate ctc --jobs 20000 --seed 3 2> "$pipe_err" \
+  | head -1 > /dev/null || pipe_rc=$?
+test "$pipe_rc" = 0 \
+  || { echo "wl generate | head -1 exited $pipe_rc (want 0): $(cat "$pipe_err")"; exit 1; }
+if grep -q panicked "$pipe_err"; then
+  echo "wl generate | head -1 panicked: $(cat "$pipe_err")"; exit 1
+fi
+rm -f "$pipe_err"
 
 echo "== protocol conformance (wl-serve connection layer) =="
 cargo test -q -p wl-serve --test conformance
@@ -310,6 +343,35 @@ wait "$serve_pid"
 exec 9>&-
 rm -f "$serve_log" "$serve_fifo"
 trap - EXIT
+
+echo "== wl-serve plan memory (10 hurst requests at 40,000-40,009 jobs: VmHWM below 180 MB) =="
+# Each new trace length plans a 5.4 MB Bluestein table; the plan table is
+# weighed in bytes (64 MiB), so the server's memory stays bounded however
+# many lengths it sees. Reads 130-144 MB; a 64-plan count cap read 210-211.
+plan_dir=$(mktemp -d)
+./target/release/wl-serve --addr 127.0.0.1:0 --workers 1 --threads 2 --cache 0 \
+  > "$plan_dir/serve.log" &
+plan_pid=$!
+trap 'kill "$plan_pid" 2>/dev/null || true; rm -rf "$plan_dir"' EXIT
+for _ in $(seq 1 100); do
+  grep -q "listening on" "$plan_dir/serve.log" 2>/dev/null && break
+  sleep 0.1
+done
+plan_addr=$(sed -n 's|.*listening on http://||p' "$plan_dir/serve.log")
+test -n "$plan_addr" || { echo "wl-serve did not start"; exit 1; }
+for jobs in $(seq 40000 40009); do
+  echo -n "{\"op\":\"hurst\",\"dataset\":{\"name\":\"table1\"},\"jobs\":$jobs,\"seed\":7}" \
+    > "$plan_dir/req.json"
+  ./target/release/wl-servectl POST "http://$plan_addr/v1/hurst" "$plan_dir/req.json" \
+    > /dev/null 2>&1
+done
+plan_kb=$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$plan_pid/status")
+kill "$plan_pid"
+wait "$plan_pid" 2>/dev/null || true
+rm -rf "$plan_dir"
+trap - EXIT
+test "$((plan_kb / 1024))" -lt 180 \
+  || { echo "wl-serve peaked at $((plan_kb / 1024)) MB (want < 180)"; exit 1; }
 
 echo "== multi-format smoke (generate GWF + web logs, coplot, parse counters) =="
 fmt_dir=$(mktemp -d)
