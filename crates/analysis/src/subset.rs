@@ -9,7 +9,7 @@
 //! return the one with the best fit, optionally requiring the subset's map
 //! to agree with the full map (Procrustes residual).
 
-use coplot::{Coplot, CoplotError, Selection};
+use coplot::{Coplot, CoplotError};
 use wl_linalg::procrustes_align;
 
 /// One scored subset.
@@ -33,13 +33,12 @@ pub struct SubsetSearchResult {
 ///
 /// Complexity: `C(p, k)` embeddings — fine for the paper's p <= 18 and
 /// k <= 4; guard rails reject larger searches. All subsets share one
-/// [`coplot::CoplotEngine`], so the data is normalized and its dissimilarity
-/// contributions computed exactly once; the subsets only re-embed, spread
-/// over `threads` workers. Each worker walks a contiguous run of the
-/// lexicographic combination order through one
-/// [`coplot::SharedSubsetSession`], which sums each subset's
-/// dissimilarities from the cached contributions. Each subset's map
-/// depends only on the cached intermediates and the engine seed — never on
+/// [`coplot::SharedSubsetSession`], so the data is normalized and its
+/// dissimilarity contributions computed exactly once; the subsets only
+/// re-embed, spread over `threads` workers. Each worker walks contiguous
+/// runs of the lexicographic combination order, and the session sums each
+/// subset's dissimilarities from the shared contributions. Each subset's
+/// map depends only on those intermediates and the engine seed — never on
 /// which combos a worker scored before it — so the ranking is
 /// bit-identical for any thread count.
 ///
@@ -65,12 +64,12 @@ pub fn best_variable_subset(
 /// **in combination order, unranked**.
 ///
 /// This is the distribution primitive behind [`best_variable_subset`]:
-/// each combination's score depends only on the engine seed and cached
-/// intermediates — never on which other combinations were scored alongside
-/// it — so concatenating the results of contiguous windows covering
-/// `0..C(p, k)` reproduces the full enumeration exactly, and one
-/// [`rank_subset_results`] pass over the concatenation yields the same
-/// ranking bytes as a single-node run.
+/// each combination's score depends only on the engine seed and the
+/// session's intermediates — never on which other combinations were
+/// scored alongside it — so concatenating the results of contiguous
+/// windows covering `0..C(p, k)` reproduces the full enumeration exactly,
+/// and one [`rank_subset_results`] pass over the concatenation yields the
+/// same ranking bytes as a single-node run.
 ///
 /// # Errors
 /// [`CoplotError::InvalidConfig`] for the same guard rails as
@@ -109,13 +108,15 @@ pub fn score_combination_range(
     let _span = wl_obs::span!("subset.search");
     wl_obs::counter!("subset.candidates", (win_hi - win_lo) as u64);
 
-    // Reference map from all variables; this also fills the engine's
-    // normalization/contribution caches for all the subset runs below.
+    // One stages-1/2 pass serves the reference map from all variables (the
+    // computation `run(All)` makes) and every subset below.
     let engine = Coplot::new().seed(seed).engine();
-    let full = engine.run(data, &Selection::All)?;
+    let session = engine.shared_session(data)?;
+    let all: Vec<usize> = (0..p).collect();
+    let full = session.run_subset(&all)?;
 
     // Enumerate every combination up front (lexicographic), then score
-    // the window concurrently against the shared read-only engine cache.
+    // the window concurrently against the shared session.
     let mut combos: Vec<Vec<usize>> = Vec::with_capacity(n_subsets);
     let mut indices: Vec<usize> = (0..k).collect();
     loop {
@@ -137,23 +138,16 @@ pub fn score_combination_range(
             map_conservation_rmsd: fit.rmsd,
         })
     };
-    // Contiguous chunks, a few per worker, smooth load imbalance; each
-    // chunk takes the engine's cache read-lock once for its whole run.
+    // Contiguous chunks, a few per worker, smooth load imbalance.
     let chunk = combos.len().div_ceil(threads.max(1) * 4).max(1);
     let starts: Vec<usize> = (0..combos.len()).step_by(chunk).collect();
     let scored = wl_par::par_map(threads, &starts, |&start| {
-        let run = &combos[start..combos.len().min(start + chunk)];
-        let session = engine.shared_session(data)?;
-        Ok::<_, CoplotError>(
-            run.iter()
-                .filter_map(|combo| session.run_subset(combo).ok().and_then(&score))
-                .collect::<Vec<_>>(),
-        )
+        combos[start..combos.len().min(start + chunk)]
+            .iter()
+            .filter_map(|combo| session.run_subset(combo).ok().and_then(&score))
+            .collect::<Vec<_>>()
     });
-    let mut results = Vec::new();
-    for part in scored {
-        results.extend(part?);
-    }
+    let results: Vec<SubsetSearchResult> = scored.into_iter().flatten().collect();
     wl_obs::counter!("subset.kept", results.len() as u64);
     Ok(results)
 }

@@ -1,27 +1,15 @@
 //! The `wl` subcommand implementations.
 
-use std::path::Path;
-
 use coplot::{AnalysisRequest, AnalysisResponse, DatasetSpec, Operation};
 use wl_analysis::homogeneity::{test_homogeneity, HomogeneityConfig, HomogeneityVerdict};
 use wl_logsynth::machines::MachineId;
 use wl_models::{
     Downey, Feitelson96, Feitelson97, Jann, Lublin, SelfSimilarModel, WorkloadModel,
 };
+use wl_serve::datasets::{read_trace, trace_format, trace_name};
 use wl_serve::exec::{execute, ExecConfig, ExecOutcome};
 use wl_stats::rng::seeded_rng;
-use wl_swf::workload::{AllocationFlexibility, MachineInfo, SchedulerFlexibility};
 use wl_swf::{write_swf, Variable, Workload, WorkloadStats};
-use wl_trace::TraceFormat;
-
-/// Default machine when a trace file carries no metadata header.
-fn default_machine() -> MachineInfo {
-    MachineInfo::new(
-        128,
-        SchedulerFlexibility::Backfilling,
-        AllocationFlexibility::Unlimited,
-    )
-}
 
 /// Parsed CLI arguments: positional values plus `(name, value)` flags.
 type ParsedArgs = (Vec<String>, Vec<(String, String)>);
@@ -93,32 +81,16 @@ fn run_request(req: &AnalysisRequest, threads: usize) -> Result<ExecOutcome, Str
     execute(&req, &ExecConfig::new(threads)).map_err(|e| e.to_string())
 }
 
-/// Resolve a `--format` label, or auto-detect from the path and contents.
-fn resolve_format(path: &str, text: &str, format: Option<&str>) -> Result<TraceFormat, String> {
-    match format {
-        Some(label) => TraceFormat::from_label(label)
-            .ok_or_else(|| format!("unknown format {label:?} (swf, gwf, weblog)")),
-        None => Ok(TraceFormat::detect(path, text)),
-    }
-}
-
-fn load_workload(path: &str, format: Option<&str>) -> Result<Workload, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let fmt = resolve_format(path, &text, format)?;
-    let name = Path::new(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.to_string());
-    fmt.source()
-        .read(&name, &text, default_machine())
-        .map_err(|e| format!("{path}: {e}"))
-}
-
+/// Load trace files through `wl-serve`'s loader, the one every front end
+/// shares.
 fn load_all(paths: &[String], format: Option<&str>) -> Result<Vec<Workload>, String> {
     if paths.is_empty() {
         return Err("no input files given".into());
     }
-    paths.iter().map(|p| load_workload(p, format)).collect()
+    paths
+        .iter()
+        .map(|p| read_trace(p, format).map_err(|e| e.to_string()))
+        .collect()
 }
 
 /// `wl stats` — Table-1 characteristics per file.
@@ -318,13 +290,10 @@ pub fn stream(args: &[String], threads: usize) -> Result<String, String> {
     let path = &paths[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut options = wl_serve::StreamOptions {
-        name: Path::new(path)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.to_string()),
+        name: trace_name(path),
         // Resolve the format here so extension-based detection sees the
         // real path (the server only sees the display name).
-        format: Some(resolve_format(path, &text, flag(&flags, "format"))?),
+        format: Some(trace_format(path, &text, flag(&flags, "format")).map_err(|e| e.to_string())?),
         ..wl_serve::StreamOptions::default()
     };
     if let Some(v) = flag(&flags, "window") {
@@ -370,7 +339,7 @@ pub fn homogeneity(args: &[String]) -> Result<String, String> {
     if paths.len() != 1 {
         return Err("homogeneity takes exactly one file".into());
     }
-    let log = load_workload(&paths[0], flag(&flags, "format"))?;
+    let log = read_trace(&paths[0], flag(&flags, "format")).map_err(|e| e.to_string())?;
     let periods: usize = flag(&flags, "periods")
         .map(|v| v.parse().map_err(|_| "--periods needs an integer"))
         .transpose()?
@@ -586,7 +555,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         generate(&args).unwrap();
-        let w = load_workload(path.to_str().unwrap(), None).unwrap();
+        let w = read_trace(path.to_str().unwrap(), None).unwrap();
         assert_eq!(w.len(), 200);
         std::fs::remove_file(&path).ok();
     }
@@ -613,9 +582,9 @@ mod tests {
             .collect();
             generate(&args).unwrap();
             // Auto-detection and an explicit label load the same trace.
-            let auto = load_workload(path.to_str().unwrap(), None).unwrap();
+            let auto = read_trace(path.to_str().unwrap(), None).unwrap();
             let label = if family == "grid" { "gwf" } else { "weblog" };
-            let explicit = load_workload(path.to_str().unwrap(), Some(label)).unwrap();
+            let explicit = read_trace(path.to_str().unwrap(), Some(label)).unwrap();
             assert!(!auto.is_empty(), "{family}");
             assert_eq!(auto.canonical_digest(), explicit.canonical_digest());
             std::fs::remove_file(&path).ok();

@@ -43,7 +43,7 @@ impl Metric {
     }
 
     /// The Minkowski order `p` of this metric. All three metrics are
-    /// `(sum_v |a_v - b_v|^p)^(1/p)`, which is what lets the engine cache
+    /// `(sum_v |a_v - b_v|^p)^(1/p)`, which is what lets the engine keep
     /// per-variable contributions `|a_v - b_v|^p` and rebuild distances for
     /// any variable subset by summing (see `engine`).
     pub fn order(&self) -> f64 {
@@ -72,8 +72,8 @@ impl DissimilarityMatrix {
     /// pair's accumulation chain — and therefore every stored value —
     /// bit-identical to the plain per-pair loop while the four chains
     /// pipeline. That bitwise guarantee is what lets the engine's
-    /// per-variable contribution cache (`engine::PairContributions`)
-    /// reproduce this matrix exactly.
+    /// per-variable contributions (`engine::PairContributions`) reproduce
+    /// this matrix exactly.
     pub fn compute(z: &NormalizedMatrix, metric: Metric) -> DissimilarityMatrix {
         let n = z.n_observations();
         let mut upper = Vec::with_capacity(n * (n - 1) / 2);
@@ -134,7 +134,7 @@ impl DissimilarityMatrix {
         Ok(DissimilarityMatrix { n, upper })
     }
 
-    /// Build from an already-flattened upper triangle (the engine's cached
+    /// Build from an already-flattened upper triangle (the engine's
     /// contribution path). Callers guarantee the length invariant.
     pub(crate) fn from_pairs(n: usize, upper: Vec<f64>) -> DissimilarityMatrix {
         debug_assert_eq!(upper.len(), n * (n - 1) / 2, "pair count mismatch");

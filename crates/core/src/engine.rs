@@ -1,5 +1,5 @@
 //! The staged Co-plot engine: one concrete four-stage pipeline with
-//! intermediate-result caching and per-stage instrumentation.
+//! per-stage instrumentation.
 //!
 //! [`CoplotEngine`] runs the paper's fixed algorithm, one direct call per
 //! stage:
@@ -12,24 +12,22 @@
 //! 4. one regression arrow per variable ([`try_fit_arrow`]).
 //!
 //! [`Coplot`] is the engine's only configuration: build one with
-//! [`Coplot::engine`]. Unlike the one-shot [`Coplot::analyze`], which builds
-//! a fresh engine per call, the engine is stateful: it caches the
-//! normalized matrix and the per-variable dissimilarity contributions of
-//! the last input, so variable elimination and subset searches re-embed
-//! without re-normalizing or recomputing distances from scratch.
+//! [`Coplot::engine`]. The engine holds no data between calls: each
+//! [`CoplotEngine::run`] computes stages 1–2 once, and the paper's
+//! variable-elimination rounds re-embed from them without re-normalizing.
 //!
 //! [`CoplotEngine::run`] takes the data and a [`Selection`] — all
 //! variables, or the paper's variable-elimination workflow.
-//! [`CoplotEngine::shared_session`] opens cache-only analyses of variable
-//! subsets. The engine takes `&self`: the cache sits behind an `RwLock` and
-//! the stage reports behind a `Mutex`, so one engine can serve many
-//! concurrent sessions (this is what the parallel subset search relies
-//! on).
+//! [`CoplotEngine::shared_session`] computes stages 1–2 once and opens
+//! analyses of variable subsets over them. The engine takes `&self` (the
+//! stage reports sit behind a `Mutex`), and a session is shared by `&`, so
+//! many workers can score subsets at once (this is what the parallel subset
+//! search relies on).
 //!
 //! Every `run` records a [`StageReport`] per stage — wall time, iteration
-//! counts, the per-restart MDS thetas, and whether the stage was served
-//! from cache — retrievable via [`CoplotEngine::reports`] and printable
-//! with [`StageReportTable`].
+//! counts, the per-restart MDS thetas, and whether the stage reused the
+//! run's stages 1–2 — retrievable via [`CoplotEngine::reports`] and
+//! printable with [`StageReportTable`].
 //!
 //! ```
 //! use coplot::{Coplot, DataMatrix, Selection, StageReportTable};
@@ -50,15 +48,14 @@
 //!     .seed(7)
 //!     .threads(4) // parallel MDS restarts, bit-identical results
 //!     .engine();
-//! engine.run(&data, &Selection::All)?;
-//! let full = engine.run(&data, &Selection::All)?; // stages 1-2 from the cache
+//! let full = engine.run(&data, &Selection::All)?;
 //! print!("{}", StageReportTable(&engine.reports()));
 //! let hits: Vec<bool> = engine.reports().iter().map(|r| r.cache_hit).collect();
-//! assert_eq!(hits, [true, true, false, false]);
+//! assert_eq!(hits, [false, false, false, false]);
 //! assert_eq!(full.arrows.len(), 4);
 //!
-//! // Cache-only subset analyses, bit-identical to a fresh engine run on
-//! // `data.select_variables(&[0, 2, 3])`.
+//! // Subset analyses over one stages-1/2 pass, bit-identical to a fresh
+//! // engine run on `data.select_variables(&[0, 2, 3])`.
 //! let session = engine.shared_session(&data)?;
 //! let subset = session.run_subset(&[0, 2, 3])?;
 //! assert_eq!(subset.arrows.len(), 3);
@@ -69,24 +66,24 @@
 //!
 //! With [`Coplot::deadline`] set, the engine refuses to *start* a stage
 //! past it, with [`CoplotError::DeadlineExceeded`] naming the stage that
-//! was about to run: `normalize` before stage 1 of each `run`, `embed`
-//! before each embedding and `arrows` before each arrow stage. A stage
-//! that has started runs to completion, so a run that finishes returns
-//! exactly what it would have returned without a deadline.
+//! was about to run: `normalize` before stages 1–2 of each `run` or
+//! `shared_session`, `embed` before each embedding and `arrows` before each
+//! arrow stage. A stage that has started runs to completion, so a run that
+//! finishes returns exactly what it would have returned without a deadline.
 //!
-//! # Caching and exactness
+//! # Subsets and exactness
 //!
-//! Z-scores are per-column, so a column subset of the cached normalized
-//! matrix equals the normalization of the subset. All three [`Metric`]s are
-//! Minkowski distances `(sum_v |dz_v|^p)^(1/p)`, so the engine caches the
+//! Z-scores are per-column, so a column subset of the normalized matrix
+//! equals the normalization of the subset. All three [`Metric`]s are
+//! Minkowski distances `(sum_v |dz_v|^p)^(1/p)`, so the engine keeps the
 //! per-variable contributions `|dz_v|^p` for every observation pair and
-//! rebuilds the dissimilarities of any variable subset by summing the active
+//! builds the dissimilarities of any variable subset by summing the active
 //! contributions in ascending variable order — the same floating-point
 //! additions, in the same order, as a direct computation, hence
 //! bit-identical results.
 
 use std::fmt;
-use std::sync::{Mutex, RwLock, RwLockReadGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::arrows::try_fit_arrow;
@@ -97,7 +94,7 @@ use crate::mds::nonmetric_mds;
 use crate::pipeline::{Coplot, CoplotResult};
 
 /// Per-variable dissimilarity contributions `|dz_v|^p` for every observation
-/// pair, cached so any variable subset's dissimilarities can be rebuilt by
+/// pair, kept so any variable subset's dissimilarities can be rebuilt by
 /// summation instead of a fresh pass over the data.
 #[derive(Debug, Clone)]
 pub struct PairContributions {
@@ -151,7 +148,7 @@ impl PairContributions {
         }
     }
 
-    /// Number of variables with cached contributions.
+    /// Number of variables with contributions.
     pub fn n_variables(&self) -> usize {
         self.per_variable.len()
     }
@@ -259,8 +256,8 @@ pub struct StageReport {
     /// plus coefficient of alienation (embedding stage only; zero
     /// elsewhere).
     pub theta_time: Duration,
-    /// Whether the stage reused a cached intermediate instead of computing
-    /// from the raw input.
+    /// Whether the stage reused the run's stages-1/2 intermediates instead
+    /// of computing them (elimination rounds after the first).
     pub cache_hit: bool,
 }
 
@@ -317,16 +314,15 @@ impl fmt::Display for StageReportTable<'_> {
     }
 }
 
-/// Cached intermediates of the engine's last input.
-#[derive(Debug, Clone)]
-struct EngineCache {
-    fingerprint: u64,
+/// Stages 1–2 of one input: its z-scores and the per-variable pair
+/// contributions every selection sums its dissimilarities from.
+struct Prepared {
     z: NormalizedMatrix,
     contributions: PairContributions,
 }
 
-/// How much prepare-time work the current pass inherited (threaded into the
-/// stage reports of the first selection it serves).
+/// How the stage-1/2 work of one selection was paid for (threaded into its
+/// stage reports).
 #[derive(Clone, Copy)]
 struct PrepareInfo {
     cache_hit: bool,
@@ -335,7 +331,8 @@ struct PrepareInfo {
 }
 
 impl PrepareInfo {
-    fn cached() -> PrepareInfo {
+    /// A later elimination round, which reuses the run's stages 1–2.
+    fn reused() -> PrepareInfo {
         PrepareInfo {
             cache_hit: true,
             normalize_time: Duration::ZERO,
@@ -344,44 +341,7 @@ impl PrepareInfo {
     }
 }
 
-/// FNV-1a over the data matrix's names and cells; a content fingerprint for
-/// the cache (collisions are astronomically unlikely at the scale of tens of
-/// workloads, and a false hit only ever reuses a *valid* normalization of
-/// the colliding data).
-fn fingerprint(data: &DataMatrix) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for name in data.observations() {
-        eat(name.as_bytes());
-        eat(&[0xff]);
-    }
-    eat(&[0xfe]);
-    for name in data.variables() {
-        eat(name.as_bytes());
-        eat(&[0xff]);
-    }
-    for i in 0..data.n_observations() {
-        for v in 0..data.n_variables() {
-            match data.get(i, v) {
-                Some(x) => {
-                    eat(&[1]);
-                    eat(&x.to_bits().to_le_bytes());
-                }
-                None => eat(&[0]),
-            }
-        }
-    }
-    h
-}
-
-/// The staged, caching, instrumented Co-plot pipeline.
+/// The staged, instrumented Co-plot pipeline.
 ///
 /// Build one with [`Coplot::engine`]; run analyses with
 /// [`run`](CoplotEngine::run) and a [`Selection`] or through a
@@ -390,42 +350,39 @@ fn fingerprint(data: &DataMatrix) -> u64 {
 #[derive(Debug)]
 pub struct CoplotEngine {
     config: Coplot,
-    cache: RwLock<Option<EngineCache>>,
     reports: Mutex<Vec<StageReport>>,
 }
 
 impl CoplotEngine {
-    /// An engine with a cold cache, configured by `config`.
+    /// An engine configured by `config`.
     pub(crate) fn new(config: Coplot) -> CoplotEngine {
         CoplotEngine {
             config,
-            cache: RwLock::new(None),
             reports: Mutex::new(Vec::new()),
         }
     }
 
     /// Run the pipeline for one [`Selection`].
     ///
-    /// Populates the cache for `data` when it is cold and records per-stage
-    /// [`StageReport`]s (replacing the previous run's reports); re-running
-    /// on the same data reuses the cached normalization and dissimilarity
-    /// contributions, visible as `cache_hit` in the reports.
+    /// Computes stages 1–2 once and records per-stage [`StageReport`]s
+    /// (replacing the previous run's reports); elimination rounds after the
+    /// first reuse them, visible as `cache_hit` in the reports.
     ///
     /// # Errors
     /// Any stage's [`CoplotError`], including
     /// [`CoplotError::DeadlineExceeded`] past the configured deadline.
     pub fn run(&self, data: &DataMatrix, selection: &Selection) -> Result<CoplotResult, CoplotError> {
-        self.check_deadline("normalize")?;
-        self.with_cache(data, fingerprint(data), |this, cache, info| match selection {
+        let (prepared, info) = self.prepare(data)?;
+        self.reports.lock().expect("engine reports lock").clear();
+        match selection {
             Selection::All => {
-                this.reports.lock().expect("engine reports lock").clear();
-                let keep: Vec<usize> = (0..cache.z.n_variables()).collect();
-                this.run_selection(cache, &keep, info)
+                let keep: Vec<usize> = (0..prepared.z.n_variables()).collect();
+                self.run_selection(&prepared, &keep, info)
             }
             Selection::Eliminate { min_correlation } => {
-                this.run_elimination(cache, info, *min_correlation)
+                self.run_elimination(&prepared, info, *min_correlation)
             }
-        })
+        }
     }
 
     /// Per-stage instrumentation of the last `run`, in execution order.
@@ -435,36 +392,23 @@ impl CoplotEngine {
         self.reports.lock().expect("engine reports lock").clone()
     }
 
-    /// Open a batch of cache-only subset analyses against this engine.
+    /// Compute `data`'s stages 1–2 once and open a batch of subset analyses
+    /// over them.
     ///
     /// Each [`SharedSubsetSession::run_subset`] call is bit-identical to a
-    /// fresh engine's `run(&data.select_variables(keep), &Selection::All)`,
-    /// but is served from this engine's cache: the session holds the cache
-    /// read-lock once for its whole lifetime, and each subset's
-    /// dissimilarities are summed from the cached per-variable
-    /// contributions. Reports are never touched, so any number of sessions
-    /// can proceed concurrently against one engine.
-    ///
-    /// Note the session keeps the engine's cache read-locked: runs on *new*
-    /// data (which must write the cache) block until every open session
-    /// drops.
+    /// fresh engine's `run(&data.select_variables(keep), &Selection::All)`:
+    /// the session owns the z-scores and pair contributions, and sums each
+    /// subset's dissimilarities from the contributions. Reports are never
+    /// touched, so worker threads share one session by `&`.
     ///
     /// # Errors
-    /// [`CoplotError::InvalidConfig`] when the cache does not hold this
-    /// data's intermediates (run [`Selection::All`] first).
+    /// [`CoplotError::DeadlineExceeded`] (stage `normalize`) past the
+    /// configured deadline, or a normalization error.
     pub fn shared_session(&self, data: &DataMatrix) -> Result<SharedSubsetSession<'_>, CoplotError> {
-        let fp = fingerprint(data);
-        let guard = self.cache.read().expect("engine cache lock");
-        if guard.as_ref().filter(|c| c.fingerprint == fp).is_none() {
-            return Err(CoplotError::InvalidConfig(
-                "shared_session: engine cache does not hold this data's \
-                 intermediates; run Selection::All on it first"
-                    .into(),
-            ));
-        }
+        let (prepared, _) = self.prepare(data)?;
         Ok(SharedSubsetSession {
             engine: self,
-            guard,
+            prepared,
         })
     }
 
@@ -478,43 +422,11 @@ impl CoplotEngine {
         }
     }
 
-    /// Run `f` against a cache guaranteed to hold `data`'s intermediates.
-    ///
-    /// `prepare` populates the cache, but another thread may replace it
-    /// between preparing and re-acquiring the read lock (the engine is
-    /// `&self`-shared); the loop re-prepares until the fingerprint under
-    /// the read lock is ours, so concurrent runs on different data are
-    /// slow (they evict each other) but never wrong.
-    fn with_cache<T>(
-        &self,
-        data: &DataMatrix,
-        fp: u64,
-        f: impl FnOnce(&CoplotEngine, &EngineCache, PrepareInfo) -> Result<T, CoplotError>,
-    ) -> Result<T, CoplotError> {
-        let mut f = Some(f);
-        loop {
-            let info = self.prepare(data, fp)?;
-            let guard = self.cache.read().expect("engine cache lock");
-            if let Some(cache) = guard.as_ref().filter(|c| c.fingerprint == fp) {
-                let f = f.take().expect("closure consumed once");
-                return f(self, cache, info);
-            }
-        }
-    }
-
-    /// Make sure the cache holds this data's normalization and
-    /// contributions, computing them if the fingerprint changed.
-    fn prepare(&self, data: &DataMatrix, fp: u64) -> Result<PrepareInfo, CoplotError> {
+    /// Stages 1–2: normalize `data` and compute its pair contributions.
+    fn prepare(&self, data: &DataMatrix) -> Result<(Prepared, PrepareInfo), CoplotError> {
+        self.check_deadline("normalize")?;
         let _span = wl_obs::span!("engine.prepare");
-        {
-            let guard = self.cache.read().expect("engine cache lock");
-            if guard.as_ref().is_some_and(|c| c.fingerprint == fp) {
-                wl_obs::counter!("engine.cache.normalized.hit", 1u64);
-                wl_obs::counter!("engine.cache.contributions.hit", 1u64);
-                return Ok(PrepareInfo::cached());
-            }
-        }
-        wl_obs::counter!("engine.cache.normalized.miss", 1u64);
+        wl_obs::counter!("engine.prepared", 1u64);
         let t = Instant::now();
         let z = {
             let _span = wl_obs::span!("engine.normalize");
@@ -527,28 +439,25 @@ impl CoplotEngine {
             PairContributions::compute(&z, self.config.metric)
         };
         let contrib_time = t.elapsed();
-        wl_obs::counter!("engine.cache.contributions.miss", 1u64);
-        *self.cache.write().expect("engine cache lock") = Some(EngineCache {
-            fingerprint: fp,
-            z,
-            contributions,
-        });
-        Ok(PrepareInfo {
-            cache_hit: false,
-            normalize_time,
-            contrib_time,
-        })
+        Ok((
+            Prepared { z, contributions },
+            PrepareInfo {
+                cache_hit: false,
+                normalize_time,
+                contrib_time,
+            },
+        ))
     }
 
-    /// Run stages 1'–4 for one variable selection against the cache, timing
-    /// each stage and appending its report.
+    /// Run stages 1'–4 for one variable selection, timing each stage and
+    /// appending its report.
     fn run_selection(
         &self,
-        cache: &EngineCache,
+        prepared: &Prepared,
         keep: &[usize],
         info: PrepareInfo,
     ) -> Result<CoplotResult, CoplotError> {
-        let (result, t) = self.compute_selection(cache, keep)?;
+        let (result, t) = self.compute_selection(prepared, keep)?;
         let mut reports = self.reports.lock().expect("engine reports lock");
         reports.push(StageReport {
             stage: Stage::Normalize,
@@ -599,17 +508,16 @@ impl CoplotEngine {
     /// re-embeds and re-fits arrows.
     fn run_elimination(
         &self,
-        cache: &EngineCache,
+        prepared: &Prepared,
         info: PrepareInfo,
         min_correlation: f64,
     ) -> Result<CoplotResult, CoplotError> {
-        self.reports.lock().expect("engine reports lock").clear();
         let mut info = info;
-        let mut keep: Vec<usize> = (0..cache.z.n_variables()).collect();
+        let mut keep: Vec<usize> = (0..prepared.z.n_variables()).collect();
         let mut removed = Vec::new();
         loop {
-            let mut result = self.run_selection(cache, &keep, info)?;
-            info = PrepareInfo::cached();
+            let mut result = self.run_selection(prepared, &keep, info)?;
+            info = PrepareInfo::reused();
             if keep.len() <= 2 {
                 result.removed = removed;
                 return Ok(result);
@@ -638,33 +546,32 @@ impl CoplotEngine {
         }
     }
 
-    /// The shared selection core: stages 1'–4 against a populated cache,
+    /// The shared selection core: stages 1'–4 over prepared stages 1–2,
     /// with per-stage timings returned rather than recorded. Both reported
     /// runs and shared sessions run exactly this code, so their results are
     /// bit-identical by construction.
     fn compute_selection(
         &self,
-        cache: &EngineCache,
+        prepared: &Prepared,
         keep: &[usize],
     ) -> Result<(CoplotResult, SelectionTimings), CoplotError> {
         let _span = wl_obs::span!("engine.selection");
         wl_obs::counter!("engine.selections", 1u64);
-        let full = keep.len() == cache.z.n_variables()
+        let full = keep.len() == prepared.z.n_variables()
             && keep.iter().enumerate().all(|(i, &v)| i == v);
 
         let t = Instant::now();
         let z = if full {
-            cache.z.clone()
+            prepared.z.clone()
         } else {
-            cache.z.select_variables(keep)
+            prepared.z.select_variables(keep)
         };
         let select = t.elapsed();
 
         let t = Instant::now();
         let diss = {
             let _span = wl_obs::span!("engine.dissimilarity");
-            wl_obs::counter!("engine.selection.diss.cached", 1u64);
-            cache.contributions.combine(keep)
+            prepared.contributions.combine(keep)
         };
         let diss_time = t.elapsed();
 
@@ -751,34 +658,36 @@ struct SelectionTimings {
     theta_time: Duration,
 }
 
-/// A batch of cache-only subset analyses against one engine (see
-/// [`CoplotEngine::shared_session`]). Holds the engine's cache read-lock
-/// for its lifetime.
+/// A batch of subset analyses over one input's stages 1–2 (see
+/// [`CoplotEngine::shared_session`]). Owns the z-scores and pair
+/// contributions; worker threads share it by `&`.
 pub struct SharedSubsetSession<'e> {
     engine: &'e CoplotEngine,
-    guard: RwLockReadGuard<'e, Option<EngineCache>>,
+    prepared: Prepared,
 }
 
 impl SharedSubsetSession<'_> {
-    /// Analyze one strictly ascending variable subset from the session's
-    /// cache.
+    /// Analyze one strictly ascending variable subset.
     ///
     /// The dissimilarity matrix is [`PairContributions::combine`] over the
-    /// cached contributions, and everything downstream is the engine's one
-    /// selection core.
+    /// session's contributions, and everything downstream is the engine's
+    /// one selection core. All variables (`0..p`) is the computation
+    /// `run(&data, &Selection::All)` makes; `engine.shared_selections`
+    /// counts the proper subsets.
     ///
     /// # Errors
     /// Any stage's [`CoplotError`]; [`CoplotError::EmptyInput`],
     /// [`CoplotError::DimensionMismatch`] or [`CoplotError::InvalidConfig`]
     /// for an empty, out-of-range or not strictly ascending `keep`.
     pub fn run_subset(&self, keep: &[usize]) -> Result<CoplotResult, CoplotError> {
-        let cache = self
-            .guard
-            .as_ref()
-            .expect("session cache validated at construction");
-        validate_keep(cache.z.n_variables(), keep)?;
-        wl_obs::counter!("engine.shared_selections", 1u64);
-        self.engine.compute_selection(cache, keep).map(|(r, _)| r)
+        let p = self.prepared.z.n_variables();
+        validate_keep(p, keep)?;
+        if keep.len() < p {
+            wl_obs::counter!("engine.shared_selections", 1u64);
+        }
+        self.engine
+            .compute_selection(&self.prepared, keep)
+            .map(|(r, _)| r)
     }
 }
 
@@ -851,28 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn second_run_hits_the_cache_with_identical_results() {
-        let data = structured_data();
-        let engine = Coplot::new().seed(12).engine();
-        let first = engine.run(&data, &Selection::All).unwrap();
-        assert!(engine.reports().iter().all(|r| !r.cache_hit));
-        let second = engine.run(&data, &Selection::All).unwrap();
-        let hits: Vec<bool> = engine.reports().iter().map(|r| r.cache_hit).collect();
-        assert_eq!(hits, [true, true, false, false]);
-        assert_bit_identical(&first, &second, "cold vs cached");
-    }
-
-    #[test]
-    fn cache_invalidates_on_new_data() {
-        let engine = Coplot::new().seed(13).engine();
-        engine.run(&structured_data(), &Selection::All).unwrap();
-        let mut other = structured_data();
-        other = other.select_observations(&[0, 1, 2, 3, 4]);
-        engine.run(&other, &Selection::All).unwrap();
-        assert!(engine.reports().iter().all(|r| !r.cache_hit));
-    }
-
-    #[test]
     fn contributions_combine_is_bit_identical_to_direct_compute() {
         let data = structured_data();
         let z = data.normalize(Imputation::ColumnMean).unwrap();
@@ -890,35 +777,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_requires_populated_cache() {
-        let engine = Coplot::new().seed(14).engine();
-        match engine.shared_session(&structured_data()) {
-            Err(CoplotError::InvalidConfig(msg)) => {
-                assert!(msg.contains("Selection::All"), "{msg}")
-            }
-            Err(other) => panic!("unexpected error: {other}"),
-            Ok(_) => panic!("session opened without a populated cache"),
-        };
-
-        // A cache of *different* data is also rejected.
-        engine
-            .run(
-                &structured_data().select_observations(&[0, 1, 2, 3, 4]),
-                &Selection::All,
-            )
-            .unwrap();
-        let err = engine.shared_session(&structured_data()).err();
-        assert!(
-            matches!(err, Some(CoplotError::InvalidConfig(_))),
-            "session opened against another data set's cache: {err:?}"
-        );
-    }
-
-    #[test]
     fn subset_selection_matches_fresh_analysis_of_the_subset() {
         let data = structured_data();
         let engine = Coplot::new().seed(14).engine();
-        engine.run(&data, &Selection::All).unwrap();
         let subsets: [&[usize]; 5] = [&[0, 1, 2], &[0, 1, 3], &[0, 2, 3], &[1, 3], &[0, 1, 2, 3]];
         let session = engine.shared_session(&data).unwrap();
         for keep in subsets {
@@ -933,10 +794,32 @@ mod tests {
     }
 
     #[test]
+    fn full_subset_is_bit_identical_to_run_all() {
+        let data = structured_data();
+        let engine = Coplot::new().seed(15).engine();
+        let all = engine.run(&data, &Selection::All).unwrap();
+        let session = engine.shared_session(&data).unwrap();
+        let full = session.run_subset(&[0, 1, 2, 3]).unwrap();
+        assert_bit_identical(&all, &full, "run(All) vs run_subset(0..p)");
+        assert_eq!(all.stress.to_bits(), full.stress.to_bits());
+        assert_eq!(all.dissimilarities, full.dissimilarities);
+    }
+
+    #[test]
+    fn shared_session_checks_the_deadline() {
+        // A deadline of "now" has passed by the time the session checks it.
+        let engine = Coplot::new().deadline(Some(Instant::now())).engine();
+        match engine.shared_session(&structured_data()) {
+            Err(CoplotError::DeadlineExceeded { stage }) => assert_eq!(stage, "normalize"),
+            Err(other) => panic!("expected a deadline error, got {other}"),
+            Ok(_) => panic!("session opened past its deadline"),
+        }
+    }
+
+    #[test]
     fn subset_selection_rejects_bad_selections() {
         let data = structured_data();
         let engine = Coplot::new().engine();
-        engine.run(&data, &Selection::All).unwrap();
         let session = engine.shared_session(&data).unwrap();
         assert!(matches!(
             session.run_subset(&[]).unwrap_err(),
@@ -958,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn elimination_reuses_the_cache_across_rounds() {
+    fn elimination_rounds_reuse_stages_one_and_two() {
         let engine = Coplot::new().seed(5).engine();
         let result = engine
             .run(&elimination_data(), &Selection::Eliminate { min_correlation: 0.95 })
@@ -998,14 +881,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_increment_for_shared_selections() {
+    fn prepared_counter_counts_each_run_and_session() {
         wl_obs::set_enabled(true);
         let before = wl_obs::registry().snapshot();
         let data = structured_data();
         let engine = Coplot::new().seed(21).engine();
-        engine.run(&data, &Selection::All).unwrap(); // cold: normalized miss
-        engine.run(&data, &Selection::All).unwrap(); // warm: normalized + contributions hit
-        engine.shared_session(&data).unwrap().run_subset(&[0, 2]).unwrap();
+        engine.run(&data, &Selection::All).unwrap();
+        engine
+            .run(&data, &Selection::Eliminate { min_correlation: 0.95 })
+            .unwrap();
+        let session = engine.shared_session(&data).unwrap();
+        session.run_subset(&[0, 2]).unwrap();
+        session.run_subset(&[1, 3]).unwrap();
         let after = wl_obs::registry().snapshot();
         // Delta assertions — the registry is global and tests run
         // concurrently, so check growth by at least this test's activity.
@@ -1017,13 +904,11 @@ mod tests {
                 after.counter(name)
             );
         };
-        grew("engine.cache.normalized.miss", 1);
-        grew("engine.cache.normalized.hit", 1);
-        grew("engine.cache.contributions.hit", 1);
-        grew("engine.cache.contributions.miss", 1);
-        grew("engine.shared_selections", 1);
-        // All three selections combined cached contributions.
-        grew("engine.selection.diss.cached", 3);
+        // One stages-1/2 pass per run (elimination rounds included) and one
+        // per session, however many subsets the session scores.
+        grew("engine.prepared", 3);
+        grew("engine.shared_selections", 2);
+        grew("engine.selections", 4);
     }
 
     #[test]

@@ -28,12 +28,13 @@
 //! The [`pipeline`] module ties the stages into the [`pipeline::Coplot`]
 //! builder, including the paper's variable-elimination workflow, and
 //! [`render`] draws the result as text or SVG. `Coplot` configures the one
-//! engine, [`engine::CoplotEngine`]: the four stages as direct calls,
-//! caching of the normalized matrix and dissimilarity contributions between
-//! re-runs (the one stage-1/2 cache; `wl-serve`'s batches share only the
-//! dataset load and the variable matrix), parallel deterministic MDS
-//! restarts, and per-stage [`engine::StageReport`] instrumentation. Invalid
-//! inputs are reported as [`error::CoplotError`] values, never panics.
+//! engine, [`engine::CoplotEngine`]: the four stages as direct calls, the
+//! normalized matrix and dissimilarity contributions computed once per run
+//! or subset session and reused by every elimination round or subset,
+//! parallel deterministic MDS restarts, and per-stage
+//! [`engine::StageReport`] instrumentation. The engine holds no data
+//! between calls. Invalid inputs are reported as [`error::CoplotError`]
+//! values, never panics.
 //!
 //! ```
 //! use coplot::{DataMatrix, Coplot};

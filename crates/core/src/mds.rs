@@ -2,10 +2,10 @@
 //!
 //! The paper uses Guttman's Smallest Space Analysis (SSA) in two dimensions.
 //! The modern formulation implemented here produces the same kind of
-//! solution — a configuration whose inter-point distances preserve the
-//! *order* of the input dissimilarities, scored by Guttman's coefficient of
-//! alienation — in any embedding dimension (`MdsConfig::dims`, default 2;
-//! the Co-plot pipeline always uses 2 because the arrows live in a plane).
+//! solution — a planar configuration whose inter-point distances preserve
+//! the *order* of the input dissimilarities, scored by Guttman's coefficient
+//! of alienation. The embedding is always two-dimensional, because the
+//! arrows of stage 4 live in the plane.
 //!
 //! The optimizer combines three standard ingredients:
 //!
@@ -56,11 +56,6 @@ pub struct MdsConfig {
     pub restarts: usize,
     /// RNG seed for the restarts.
     pub seed: u64,
-    /// Embedding dimension (the paper uses 2; higher dimensions resolve
-    /// structure two cannot hold — see its section 9 remark that "two
-    /// dimensions are just not enough" for too many weakly related
-    /// variables).
-    pub dims: usize,
     /// Worker threads for the restarts (1 = run them sequentially on the
     /// calling thread). Results are bit-identical for any thread count.
     pub threads: usize,
@@ -80,7 +75,6 @@ impl Default for MdsConfig {
             tolerance: 1e-9,
             restarts: 8,
             seed: 0x5EED,
-            dims: 2,
             threads: 1,
             restart_range: None,
         }
@@ -90,7 +84,7 @@ impl Default for MdsConfig {
 /// A converged configuration.
 #[derive(Debug, Clone)]
 pub struct MdsSolution {
-    /// `n x dims` coordinates, centered with unit RMS radius.
+    /// `n x 2` coordinates, centered with unit RMS radius.
     pub coords: Matrix,
     /// Guttman's coefficient of alienation against the input
     /// dissimilarities (lower is better; < 0.15 is "good").
@@ -135,10 +129,8 @@ struct StartOutcome {
 ///
 /// # Errors
 /// Returns [`CoplotError::TooFewObservations`] for fewer than 3
-/// observations, [`CoplotError::DimensionMismatch`] when the embedding
-/// dimension is not in `1..n`, [`CoplotError::NonFinite`] when a
-/// dissimilarity is NaN or infinite, and propagates kernel errors from the
-/// classical-scaling start.
+/// observations, [`CoplotError::NonFinite`] when a dissimilarity is NaN or
+/// infinite, and propagates kernel errors from the classical-scaling start.
 pub fn nonmetric_mds(
     diss: &DissimilarityMatrix,
     config: &MdsConfig,
@@ -146,14 +138,6 @@ pub fn nonmetric_mds(
     let n = diss.n();
     if n < 3 {
         return Err(CoplotError::TooFewObservations { n, min: 3 });
-    }
-    let dims = config.dims;
-    if !(1..n).contains(&dims) {
-        return Err(CoplotError::DimensionMismatch {
-            context: format!("nonmetric_mds: embedding dims must be in 1..{n}"),
-            expected: n - 1,
-            got: dims,
-        });
     }
     if diss.pairs().iter().any(|d| !d.is_finite()) {
         return Err(CoplotError::NonFinite(
@@ -251,7 +235,7 @@ pub fn nonmetric_mds(
 ///
 /// # Errors
 /// Same input validation as [`nonmetric_mds`], plus
-/// [`CoplotError::DimensionMismatch`] when `init` is not `n x dims` and
+/// [`CoplotError::DimensionMismatch`] when `init` is not `n x 2` and
 /// [`CoplotError::NonFinite`] when `init` contains NaN or infinite
 /// coordinates.
 pub fn nonmetric_mds_warm(
@@ -263,14 +247,6 @@ pub fn nonmetric_mds_warm(
     if n < 3 {
         return Err(CoplotError::TooFewObservations { n, min: 3 });
     }
-    let dims = config.dims;
-    if !(1..n).contains(&dims) {
-        return Err(CoplotError::DimensionMismatch {
-            context: format!("nonmetric_mds_warm: embedding dims must be in 1..{n}"),
-            expected: n - 1,
-            got: dims,
-        });
-    }
     if init.rows() != n {
         return Err(CoplotError::DimensionMismatch {
             context: "nonmetric_mds_warm: init rows must match observations".into(),
@@ -278,10 +254,10 @@ pub fn nonmetric_mds_warm(
             got: init.rows(),
         });
     }
-    if init.cols() != dims {
+    if init.cols() != 2 {
         return Err(CoplotError::DimensionMismatch {
-            context: "nonmetric_mds_warm: init columns must match dims".into(),
-            expected: dims,
+            context: "nonmetric_mds_warm: init must be planar".into(),
+            expected: 2,
             got: init.cols(),
         });
     }
@@ -345,14 +321,13 @@ fn run_start(
     config: &MdsConfig,
 ) -> Result<StartOutcome, CoplotError> {
     let n = diss.n();
-    let dims = config.dims;
     let mut coords = if start == 0 {
-        classical_init(diss, dims)?
+        classical_init(diss)?
     } else {
         let mut rng = ChaCha12Rng::seed_from_u64(restart_seed(config.seed, start));
-        let mut m = Matrix::zeros(n, dims);
+        let mut m = Matrix::zeros(n, 2);
         for i in 0..n {
-            for c in 0..dims {
+            for c in 0..2 {
                 m[(i, c)] = rng.gen_range(-1.0..1.0);
             }
         }
@@ -387,9 +362,9 @@ fn run_start(
     })
 }
 
-/// Classical (Torgerson) scaling of the dissimilarities into `dims`
-/// dimensions.
-fn classical_init(diss: &DissimilarityMatrix, dims: usize) -> Result<Matrix, CoplotError> {
+/// Classical (Torgerson) scaling of the dissimilarities into the plane: the
+/// top two eigenpairs of the double-centered squared dissimilarities.
+fn classical_init(diss: &DissimilarityMatrix) -> Result<Matrix, CoplotError> {
     let n = diss.n();
     let mut d2 = Matrix::zeros(n, n);
     for i in 0..n {
@@ -400,8 +375,8 @@ fn classical_init(diss: &DissimilarityMatrix, dims: usize) -> Result<Matrix, Cop
     }
     let b = double_center(&d2)?;
     let eig = jacobi_eigen(&b, 1e-12, 100)?;
-    let mut coords = Matrix::zeros(n, dims);
-    for j in 0..dims.min(eig.values.len()) {
+    let mut coords = Matrix::zeros(n, 2);
+    for j in 0..2 {
         let scale = eig.values[j].max(0.0).sqrt();
         for i in 0..n {
             coords[(i, j)] = eig.vectors[(i, j)] * scale;
@@ -432,7 +407,6 @@ fn refine(
     n: usize,
     config: &MdsConfig,
 ) -> (f64, usize) {
-    let dims = coords.cols();
     let p = deltas.len();
     let mut last_stress = f64::INFINITY;
     let mut iters = 0;
@@ -472,7 +446,7 @@ fn refine(
     // are ever written, so the diagonal and the padding stay +0.0.
     let padded = n.next_multiple_of(GATHER_ROWS);
     let mut ratio = vec![0.0; padded * n];
-    let mut updated = Matrix::zeros(n, dims);
+    let mut updated = Matrix::zeros(n, 2);
 
     for it in 0..config.max_iterations {
         iters = it + 1;
@@ -527,26 +501,22 @@ fn refine(
         let out = updated.as_mut_slice();
         for (step, rows) in ratio.chunks_exact(GATHER_ROWS * n).enumerate() {
             let j0 = step * GATHER_ROWS;
-            // Two coordinate columns per pass (an odd last column is
-            // gathered twice), so the planar case takes one pass.
-            for c0 in (0..dims).step_by(2) {
-                let c1 = (c0 + 1).min(dims - 1);
-                let mut row_sum = [0.0; GATHER_ROWS];
-                let mut cross0 = [0.0; GATHER_ROWS];
-                let mut cross1 = [0.0; GATHER_ROWS];
-                for (k, x) in xs.chunks_exact(dims).enumerate() {
-                    for l in 0..GATHER_ROWS {
-                        let r = rows[l * n + k];
-                        row_sum[l] += r;
-                        cross0[l] += r * x[c0];
-                        cross1[l] += r * x[c1];
-                    }
+            // Both coordinate columns in one pass over the points.
+            let mut row_sum = [0.0; GATHER_ROWS];
+            let mut cross0 = [0.0; GATHER_ROWS];
+            let mut cross1 = [0.0; GATHER_ROWS];
+            for (k, x) in xs.chunks_exact(2).enumerate() {
+                for l in 0..GATHER_ROWS {
+                    let r = rows[l * n + k];
+                    row_sum[l] += r;
+                    cross0[l] += r * x[0];
+                    cross1[l] += r * x[1];
                 }
-                for l in 0..GATHER_ROWS.min(n - j0) {
-                    let j = (j0 + l) * dims;
-                    out[j + c0] = (row_sum[l] * xs[j + c0] - cross0[l]) / n as f64;
-                    out[j + c1] = (row_sum[l] * xs[j + c1] - cross1[l]) / n as f64;
-                }
+            }
+            for l in 0..GATHER_ROWS.min(n - j0) {
+                let j = (j0 + l) * 2;
+                out[j] = (row_sum[l] * xs[j] - cross0[l]) / n as f64;
+                out[j + 1] = (row_sum[l] * xs[j + 1] - cross1[l]) / n as f64;
             }
         }
         // `updated` is fully overwritten next iteration, so the old coords
@@ -563,40 +533,28 @@ fn pair_distances(coords: &Matrix, pair_idx: &[(usize, usize)]) -> Vec<f64> {
     dists
 }
 
-/// [`pair_distances`] into a reused buffer. The planar (dims == 2) case —
-/// the Co-plot pipeline's only case — runs four pairs per step with
-/// independent accumulation chains; `0.0 + x == x` for the non-negative
-/// squares, so each distance is bit-identical to the generic loop.
+/// [`pair_distances`] of a planar configuration into a reused buffer, four
+/// pairs per step with independent chains; `0.0 + x == x` for the
+/// non-negative squares, so each distance is bit-identical to a per-pair
+/// loop over the two columns.
 fn pair_distances_into(coords: &Matrix, pair_idx: &[(usize, usize)], out: &mut Vec<f64>) {
-    let dims = coords.cols();
     out.clear();
-    if dims == 2 {
-        let xs = coords.as_slice();
-        let mut chunks = pair_idx.chunks_exact(4);
-        for quad in &mut chunks {
-            let mut block = [0.0f64; 4];
-            for (b, &(i, k)) in block.iter_mut().zip(quad) {
-                let dx = xs[2 * i] - xs[2 * k];
-                let dy = xs[2 * i + 1] - xs[2 * k + 1];
-                *b = (dx * dx + dy * dy).sqrt();
-            }
-            out.extend_from_slice(&block);
-        }
-        for &(i, k) in chunks.remainder() {
+    let xs = coords.as_slice();
+    let mut chunks = pair_idx.chunks_exact(4);
+    for quad in &mut chunks {
+        let mut block = [0.0f64; 4];
+        for (b, &(i, k)) in block.iter_mut().zip(quad) {
             let dx = xs[2 * i] - xs[2 * k];
             let dy = xs[2 * i + 1] - xs[2 * k + 1];
-            out.push((dx * dx + dy * dy).sqrt());
+            *b = (dx * dx + dy * dy).sqrt();
         }
-        return;
+        out.extend_from_slice(&block);
     }
-    out.extend(pair_idx.iter().map(|&(i, k)| {
-        let mut s = 0.0;
-        for c in 0..dims {
-            let d = coords[(i, c)] - coords[(k, c)];
-            s += d * d;
-        }
-        s.sqrt()
-    }));
+    for &(i, k) in chunks.remainder() {
+        let dx = xs[2 * i] - xs[2 * k];
+        let dy = xs[2 * i + 1] - xs[2 * k + 1];
+        out.push((dx * dx + dy * dy).sqrt());
+    }
 }
 
 /// Center at the origin and scale to unit RMS radius.
@@ -757,63 +715,6 @@ mod tests {
         let b = nonmetric_mds(&diss, &MdsConfig::default()).unwrap();
         assert_eq!(a.coords.as_slice(), b.coords.as_slice());
         assert_eq!(a.alienation, b.alienation);
-    }
-
-    #[test]
-    fn one_dimensional_embedding_of_a_line() {
-        // Collinear data embeds perfectly in 1-D.
-        let pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.5, 0.0), (5.0, 0.0)];
-        let diss = planted(&pts);
-        let sol = nonmetric_mds(
-            &diss,
-            &MdsConfig {
-                dims: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sol.coords.cols(), 1);
-        assert!(sol.alienation < 1e-6, "theta = {}", sol.alienation);
-    }
-
-    #[test]
-    fn extra_dimensions_never_hurt() {
-        // A 4-point simplex (all pairwise distances equal) needs 3
-        // dimensions; the 3-D fit must be at least as good as the 2-D one.
-        let n = 4;
-        let mut full = vec![vec![1.0; n]; n];
-        for (i, row) in full.iter_mut().enumerate() {
-            row[i] = 0.0;
-        }
-        // Break the ties slightly so 2-D genuinely struggles.
-        full[0][1] = 1.05;
-        full[1][0] = 1.05;
-        full[2][3] = 0.95;
-        full[3][2] = 0.95;
-        let diss = DissimilarityMatrix::from_full(&full).unwrap();
-        let d2 = nonmetric_mds(&diss, &MdsConfig { dims: 2, ..Default::default() }).unwrap();
-        let d3 = nonmetric_mds(&diss, &MdsConfig { dims: 3, ..Default::default() }).unwrap();
-        assert_eq!(d3.coords.cols(), 3);
-        assert!(d3.alienation <= d2.alienation + 1e-9);
-        assert!(d3.alienation < 1e-6, "3-D fit should be exact: {}", d3.alienation);
-    }
-
-    #[test]
-    fn dims_out_of_range_is_an_error() {
-        let full = vec![
-            vec![0.0, 1.0, 1.0],
-            vec![1.0, 0.0, 1.0],
-            vec![1.0, 1.0, 0.0],
-        ];
-        let diss = DissimilarityMatrix::from_full(&full).unwrap();
-        for dims in [0, 3, 10] {
-            let err = nonmetric_mds(&diss, &MdsConfig { dims, ..Default::default() })
-                .unwrap_err();
-            assert!(
-                matches!(err, CoplotError::DimensionMismatch { got, .. } if got == dims),
-                "dims = {dims}: {err}"
-            );
-        }
     }
 
     #[test]
@@ -1196,10 +1097,9 @@ mod tests {
     }
 
     /// A refinement problem for the oracle check: `n` observations,
-    /// `dims`, tie-forcing dissimilarities and an initial configuration.
+    /// tie-forcing dissimilarities and an initial planar configuration.
     fn refine_problem(
         n: usize,
-        dims: usize,
         delta_kind: usize,
         init_kind: usize,
         seed: u64,
@@ -1222,17 +1122,16 @@ mod tests {
             _ => vec![1.0; p],
         };
         let diss = DissimilarityMatrix::from_pairs(n, deltas.clone());
-        let mut random = Matrix::zeros(n, dims);
+        let mut random = Matrix::zeros(n, 2);
         for v in random.as_mut_slice() {
             *v = rng.gen_range(-1.0..1.0);
         }
         let init = match init_kind {
-            0 => classical_init(&diss, dims).expect("finite dissimilarities"),
+            0 => classical_init(&diss).expect("finite dissimilarities"),
             1 => random,
             // Warm: a converged, normalized solution.
             2 => {
                 let config = MdsConfig {
-                    dims,
                     restarts: 1,
                     ..Default::default()
                 };
@@ -1242,7 +1141,7 @@ mod tests {
             // diagonal too.
             3 => {
                 for i in 1..n.div_ceil(2) {
-                    for c in 0..dims {
+                    for c in 0..2 {
                         random[(i, c)] = random[(0, c)];
                     }
                 }
@@ -1267,25 +1166,23 @@ mod tests {
         #[test]
         fn gather_refine_matches_scatter_oracle_bit_for_bit(
             n_idx in 0usize..5,
-            dims in 1usize..4,
             delta_kind in 0usize..4,
             init_kind in 0usize..5,
             seed in 0u64..1 << 32,
         ) {
             let n = [3, 4, 10, 15, 31][n_idx];
-            let dims = dims.min(n - 1);
-            let (deltas, init) = refine_problem(n, dims, delta_kind, init_kind, seed);
+            let (deltas, init) = refine_problem(n, delta_kind, init_kind, seed);
             let pair_idx: Vec<(usize, usize)> = (0..n)
                 .flat_map(|i| ((i + 1)..n).map(move |k| (i, k)))
                 .collect();
-            let config = MdsConfig { dims, ..Default::default() };
+            let config = MdsConfig::default();
             let mut fast = init.clone();
             let (stress, iters) = refine(&mut fast, &deltas, &pair_idx, n, &config);
             let mut oracle = init;
             let (oracle_stress, oracle_iters) =
                 refine_oracle(&mut oracle, &deltas, &pair_idx, n, &config);
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            let case = format!("n {n} dims {dims} deltas {delta_kind} init {init_kind} seed {seed}");
+            let case = format!("n {n} deltas {delta_kind} init {init_kind} seed {seed}");
             proptest::prop_assert_eq!(bits(&fast), bits(&oracle), "{}", case);
             proptest::prop_assert_eq!(stress.to_bits(), oracle_stress.to_bits(), "{}", case);
             proptest::prop_assert_eq!(iters, oracle_iters, "{}", case);

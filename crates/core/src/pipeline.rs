@@ -1,11 +1,10 @@
 //! The full four-stage Co-plot pipeline behind a builder API.
 //!
-//! [`Coplot`] is the one configuration of the pipeline. Its `analyze*`
-//! calls are stateless: each builds a [`CoplotEngine`] and runs it, so the
-//! engine's caching still benefits multi-round workflows such as variable
-//! elimination within one call. Callers that want caching *across* calls,
-//! cache-only subset sessions or per-stage instrumentation hold an engine
-//! directly (see [`Coplot::engine`]).
+//! [`Coplot`] is the one configuration of the pipeline. [`Coplot::analyze`]
+//! builds a [`CoplotEngine`] and runs it on all variables. Callers that want
+//! the paper's variable elimination ([`Selection::Eliminate`]), subset
+//! sessions or per-stage instrumentation hold an engine directly (see
+//! [`Coplot::engine`]).
 
 use std::time::Instant;
 
@@ -103,10 +102,9 @@ impl Coplot {
         self
     }
 
-    /// A [`CoplotEngine`] with this builder's configuration — the way to
-    /// keep the normalization/dissimilarity caches warm across calls, open
-    /// cache-only subset sessions and read per-stage
-    /// [`StageReport`](crate::engine::StageReport)s.
+    /// A [`CoplotEngine`] with this builder's configuration — the way to run
+    /// the paper's variable elimination, open subset sessions and read
+    /// per-stage [`StageReport`](crate::engine::StageReport)s.
     pub fn engine(&self) -> CoplotEngine {
         CoplotEngine::new(self.clone())
     }
@@ -118,31 +116,6 @@ impl Coplot {
     /// inputs, non-finite data, or a degenerate arrow fit.
     pub fn analyze(&self, data: &DataMatrix) -> Result<CoplotResult, CoplotError> {
         self.engine().run(data, &Selection::All)
-    }
-
-    /// The paper's variable-elimination workflow: run the analysis, drop the
-    /// worst variable while any arrow correlation is below
-    /// `min_correlation`, re-run, repeat. Returns the final result plus the
-    /// names of removed variables, in removal order.
-    ///
-    /// At least two variables are always kept; if even those fall below the
-    /// threshold the last result is returned anyway (matching how the paper
-    /// reports maps with a few weaker variables noted). Data is normalized
-    /// and its dissimilarity contributions computed once; each round only
-    /// re-embeds (see [`crate::engine`]).
-    ///
-    /// # Errors
-    /// Any stage's [`CoplotError`].
-    pub fn analyze_with_elimination(
-        &self,
-        data: &DataMatrix,
-        min_correlation: f64,
-    ) -> Result<(CoplotResult, Vec<String>), CoplotError> {
-        let result = self
-            .engine()
-            .run(data, &Selection::Eliminate { min_correlation })?;
-        let removed = result.removed.clone();
-        Ok((result, removed))
     }
 }
 
@@ -331,13 +304,14 @@ mod tests {
         // With seed 5 the four structure variables fit with r >= 0.985
         // while the extra variable only reaches ~0.91: a threshold between
         // the two eliminates exactly it.
-        let (r, removed) = Coplot::new()
-            .seed(5)
-            .analyze_with_elimination(&d, 0.95)
-            .unwrap();
+        let eliminate = Selection::Eliminate {
+            min_correlation: 0.95,
+        };
+        let r = Coplot::new().seed(5).engine().run(&d, &eliminate).unwrap();
         assert!(
-            removed.contains(&"noise".to_string()),
-            "removed = {removed:?}"
+            r.removed.contains(&"noise".to_string()),
+            "removed = {:?}",
+            r.removed
         );
         assert!(r.arrow("x").is_some() && r.arrow("y").is_some());
         assert!(r.min_arrow_correlation() >= 0.95 || r.arrows.len() == 2);
@@ -351,12 +325,12 @@ mod tests {
             &[&[1.0, 3.0], &[2.0, 1.0], &[3.0, 4.0], &[4.0, 2.0]],
         );
         // Absurd threshold: still returns a 2-variable result.
-        let (r, removed) = Coplot::new()
-            .seed(6)
-            .analyze_with_elimination(&d, 0.9999)
-            .unwrap();
+        let eliminate = Selection::Eliminate {
+            min_correlation: 0.9999,
+        };
+        let r = Coplot::new().seed(6).engine().run(&d, &eliminate).unwrap();
         assert!(r.arrows.len() >= 2);
-        assert!(removed.is_empty());
+        assert!(r.removed.is_empty());
     }
 
     #[test]

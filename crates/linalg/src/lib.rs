@@ -10,7 +10,7 @@
 //! * symmetric eigendecomposition via the cyclic Jacobi method ([`eigen`]),
 //! * double centering of squared-distance matrices for classical
 //!   (Torgerson) scaling ([`center`]),
-//! * small linear solves and Cholesky factorization ([`solve`]),
+//! * the closed-form 2x2 solve behind the arrow fit ([`solve`]),
 //! * orthogonal Procrustes alignment of 2-D configurations, used to compare
 //!   MDS outputs that are only defined up to rotation/reflection
 //!   ([`procrustes`]).
@@ -31,4 +31,4 @@ pub use eigen::{jacobi_eigen, Eigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use procrustes::{procrustes_align, procrustes_transform, ProcrustesFit, ProcrustesTransform};
-pub use solve::{cholesky, solve_gauss, solve2};
+pub use solve::solve2;

@@ -172,22 +172,6 @@ impl Matrix {
         m
     }
 
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// True if the matrix is square and symmetric to within `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -341,13 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let v = vec![5.0, 6.0];
-        assert_eq!(m.matvec(&v), vec![17.0, 39.0]);
-    }
-
-    #[test]
     fn symmetry_check() {
         let s = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 5.0]]);
         assert!(s.is_symmetric(0.0));
@@ -363,11 +340,5 @@ mod tests {
         assert_eq!((&a + &b).as_slice(), &[4.0, 7.0]);
         assert_eq!((&b - &a).as_slice(), &[2.0, 3.0]);
         assert_eq!(a.scaled(2.0).as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -1,7 +1,4 @@
-//! Small dense linear solves: 2x2 closed form, Gaussian elimination with
-//! partial pivoting, and Cholesky factorization for SPD matrices.
-
-use crate::matrix::Matrix;
+//! The closed-form 2x2 linear solve behind the Co-plot arrow fit.
 
 /// Solve the 2x2 system `[[a,b],[c,d]] x = rhs` in closed form.
 ///
@@ -20,93 +17,6 @@ pub fn solve2(a: f64, b: f64, c: f64, d: f64, rhs: [f64; 2]) -> Option<[f64; 2]>
     ])
 }
 
-/// Solve `A x = b` by Gaussian elimination with partial pivoting.
-///
-/// Returns `None` for (numerically) singular systems.
-///
-/// # Panics
-/// Panics if `a` is not square or `b.len() != a.rows()`.
-pub fn solve_gauss(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(a.rows(), a.cols(), "solve_gauss requires a square matrix");
-    assert_eq!(b.len(), a.rows(), "rhs length mismatch");
-    let n = a.rows();
-    let mut m = a.clone();
-    let mut x: Vec<f64> = b.to_vec();
-
-    for col in 0..n {
-        // Partial pivot.
-        let mut pivot_row = col;
-        let mut pivot_val = m[(col, col)].abs();
-        for r in (col + 1)..n {
-            if m[(r, col)].abs() > pivot_val {
-                pivot_val = m[(r, col)].abs();
-                pivot_row = r;
-            }
-        }
-        if pivot_val < 1e-300 {
-            return None;
-        }
-        if pivot_row != col {
-            for c in 0..n {
-                let tmp = m[(col, c)];
-                m[(col, c)] = m[(pivot_row, c)];
-                m[(pivot_row, c)] = tmp;
-            }
-            x.swap(col, pivot_row);
-        }
-        // Eliminate below.
-        for r in (col + 1)..n {
-            let f = m[(r, col)] / m[(col, col)];
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                let v = m[(col, c)];
-                m[(r, c)] -= f * v;
-            }
-            x[r] -= f * x[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        let mut s = x[col];
-        for c in (col + 1)..n {
-            s -= m[(col, c)] * x[c];
-        }
-        x[col] = s / m[(col, col)];
-    }
-    Some(x)
-}
-
-/// Cholesky factorization of a symmetric positive-definite matrix:
-/// returns lower-triangular `L` with `A = L L^T`, or `None` if `a` is not
-/// (numerically) positive definite.
-///
-/// # Panics
-/// Panics if `a` is not square.
-pub fn cholesky(a: &Matrix) -> Option<Matrix> {
-    assert_eq!(a.rows(), a.cols(), "cholesky requires a square matrix");
-    let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return None;
-                }
-                l[(i, j)] = s.sqrt();
-            } else {
-                l[(i, j)] = s / l[(j, j)];
-            }
-        }
-    }
-    Some(l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,56 +33,5 @@ mod tests {
     fn solve2_singular_returns_none() {
         assert!(solve2(1.0, 2.0, 2.0, 4.0, [1.0, 2.0]).is_none());
         assert!(solve2(0.0, 0.0, 0.0, 0.0, [0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn gauss_matches_hand_solution() {
-        let a = Matrix::from_rows(&[
-            vec![2.0, 1.0, -1.0],
-            vec![-3.0, -1.0, 2.0],
-            vec![-2.0, 1.0, 2.0],
-        ]);
-        let x = solve_gauss(&a, &[8.0, -11.0, -3.0]).unwrap();
-        // Known solution: x=2, y=3, z=-1.
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 3.0).abs() < 1e-10);
-        assert!((x[2] + 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn gauss_singular_none() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(solve_gauss(&a, &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn gauss_requires_pivoting() {
-        // Zero on the diagonal forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let x = solve_gauss(&a, &[2.0, 3.0]).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = Matrix::from_rows(&[
-            vec![4.0, 2.0, 0.0],
-            vec![2.0, 5.0, 1.0],
-            vec![0.0, 1.0, 3.0],
-        ]);
-        let l = cholesky(&a).unwrap();
-        let r = l.matmul(&l.transpose());
-        assert!(a.max_abs_diff(&r) < 1e-10);
-        // L is lower triangular.
-        assert_eq!(l[(0, 1)], 0.0);
-        assert_eq!(l[(0, 2)], 0.0);
-        assert_eq!(l[(1, 2)], 0.0);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]); // eigenvalues 3, -1
-        assert!(cholesky(&a).is_none());
     }
 }

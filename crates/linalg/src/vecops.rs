@@ -53,17 +53,6 @@ pub fn minkowski_distance(a: &[f64], b: &[f64], p: f64) -> f64 {
         .powf(1.0 / p)
 }
 
-/// `y += alpha * x`, element-wise.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -227,13 +216,6 @@ mod tests {
         let d2 = minkowski_distance(&a, &b, 2.0);
         let d3 = minkowski_distance(&a, &b, 3.0);
         assert!(d1 >= d2 && d2 >= d3);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[10.0, 20.0], &mut y);
-        assert_eq!(y, vec![21.0, 41.0]);
     }
 
     #[test]

@@ -203,7 +203,7 @@ mod tests {
 
     fn sample_snapshot() -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: vec![("engine.cache.hit".into(), 3)],
+            counters: vec![("engine.prepared".into(), 3)],
             gauges: vec![("pool.threads".into(), 8)],
             histograms: vec![(
                 "mds.iters".into(),
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn text_export_mentions_every_metric() {
         let text = export_text(&sample_snapshot(), &sample_events());
-        for needle in ["engine.cache.hit", "pool.threads", "mds.iters", "outer", "count=2"] {
+        for needle in ["engine.prepared", "pool.threads", "mds.iters", "outer", "count=2"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }

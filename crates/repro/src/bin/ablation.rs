@@ -2,7 +2,8 @@
 //! dissimilarity metric, the MDS restart budget, and the missing-value
 //! policy affect the goodness of fit on the paper's own Figure 1 matrix?
 
-use coplot::{Coplot, Imputation, Metric};
+use coplot::{Coplot, Imputation, Metric, Selection};
+use wl_repro::outln;
 use wl_repro::paper::FIG1_VARIABLES;
 use wl_repro::{paper_table1_matrix, Options};
 
@@ -10,7 +11,7 @@ fn main() {
     let (opts, _obs) = Options::from_args();
     let data = paper_table1_matrix(&FIG1_VARIABLES);
 
-    println!("== ablation: dissimilarity metric (Figure 1 matrix) ==");
+    outln!("== ablation: dissimilarity metric (Figure 1 matrix) ==");
     for (name, metric) in [
         ("city-block (paper)", Metric::CityBlock),
         ("euclidean", Metric::Euclidean),
@@ -21,7 +22,7 @@ fn main() {
             .metric(metric)
             .analyze(&data)
             .expect("coplot");
-        println!(
+        outln!(
             "  {name:<20} theta = {:.3}  mean corr = {:.3}  min corr = {:.3}",
             r.alienation,
             r.mean_arrow_correlation(),
@@ -29,19 +30,19 @@ fn main() {
         );
     }
 
-    println!();
-    println!("== ablation: MDS restarts (classical init always included) ==");
+    outln!();
+    outln!("== ablation: MDS restarts (classical init always included) ==");
     for restarts in [0usize, 1, 2, 4, 8, 16] {
         let r = Coplot::new()
             .seed(opts.seed)
             .restarts(restarts)
             .analyze(&data)
             .expect("coplot");
-        println!("  restarts = {restarts:<3} theta = {:.4}", r.alienation);
+        outln!("  restarts = {restarts:<3} theta = {:.4}", r.alienation);
     }
 
-    println!();
-    println!("== ablation: missing-value policy ==");
+    outln!();
+    outln!("== ablation: missing-value policy ==");
     for (name, imp) in [
         ("column-mean imputation", Imputation::ColumnMean),
         ("drop incomplete variables", Imputation::DropVariables),
@@ -51,24 +52,30 @@ fn main() {
             .imputation(imp)
             .analyze(&data)
             .expect("coplot");
-        println!(
+        outln!(
             "  {name:<28} theta = {:.3}  variables kept = {}",
             r.alienation,
             r.arrows.len()
         );
     }
 
-    println!();
-    println!("== ablation: variable elimination threshold ==");
+    outln!();
+    outln!("== ablation: variable elimination threshold ==");
     for threshold in [0.0, 0.7, 0.8, 0.85, 0.9] {
-        let (r, removed) = Coplot::new()
+        let r = Coplot::new()
             .seed(opts.seed)
-            .analyze_with_elimination(&data, threshold)
+            .engine()
+            .run(
+                &data,
+                &Selection::Eliminate {
+                    min_correlation: threshold,
+                },
+            )
             .expect("coplot");
-        println!(
+        outln!(
             "  min corr >= {threshold:<5} keeps {} variables (removed {:?}), theta = {:.3}",
             r.arrows.len(),
-            removed,
+            r.removed,
             r.alienation
         );
     }

@@ -2,6 +2,7 @@
 //! retained variables. The paper reports theta = 0.07, mean correlation
 //! 0.88 (min 0.83), four variable clusters, and LANLb/SDSCb as outliers.
 
+use wl_repro::outln;
 use wl_repro::paper::{fit_claims, FIG1_VARIABLES};
 use wl_repro::{paper_table1_matrix, report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
@@ -25,11 +26,11 @@ fn main() {
     );
 
     // Variable-cluster check: the paper's four clusters as arrow angles.
-    println!("variable cluster cosines (paper: Nm~Ni, Rm~Ri strongly; Nm anti Rm):");
+    outln!("variable cluster cosines (paper: Nm~Ni, Rm~Ri strongly; Nm anti Rm):");
     let pairs = [("Nm", "Ni"), ("Rm", "Ri"), ("Im", "Ci"), ("Nm", "Rm")];
     for (a, b) in pairs {
         if let (Some(aa), Some(ab)) = (result.arrow(a), result.arrow(b)) {
-            println!("  cos({a}, {b}) = {:+.3}", aa.cos_angle_with(ab));
+            outln!("  cos({a}, {b}) = {:+.3}", aa.cos_angle_with(ab));
         }
     }
 }

@@ -2,6 +2,7 @@
 //! un-normalized parallelism. Paper: theta = 0.01, mean correlation 0.88,
 //! and the interactive workloads plus NASA form the only natural cluster.
 
+use wl_repro::outln;
 use wl_repro::paper::{fit_claims, FIG2_DROPPED, FIG2_VARIABLES};
 use wl_repro::{paper_table1_matrix, report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
@@ -30,11 +31,11 @@ fn main() {
     // Interactive cluster check: LANLi, SDSCi and NASA sit together, away
     // from CTC.
     let d = |a: &str, b: &str| result.map_distance(a, b).unwrap();
-    println!("interactive-cluster distances:");
-    println!("  LANLi-SDSCi = {:.3}", d("LANLi", "SDSCi"));
-    println!("  LANLi-NASA  = {:.3}", d("LANLi", "NASA"));
-    println!("  SDSCi-NASA  = {:.3}", d("SDSCi", "NASA"));
-    println!("  LANLi-CTC   = {:.3} (should dwarf the above)", d("LANLi", "CTC"));
+    outln!("interactive-cluster distances:");
+    outln!("  LANLi-SDSCi = {:.3}", d("LANLi", "SDSCi"));
+    outln!("  LANLi-NASA  = {:.3}", d("LANLi", "NASA"));
+    outln!("  SDSCi-NASA  = {:.3}", d("SDSCi", "NASA"));
+    outln!("  LANLi-CTC   = {:.3} (should dwarf the above)", d("LANLi", "CTC"));
     let cluster_max = d("LANLi", "SDSCi").max(d("LANLi", "NASA")).max(d("SDSCi", "NASA"));
-    println!("cluster reproduced: {}", cluster_max < d("LANLi", "CTC"));
+    outln!("cluster reproduced: {}", cluster_max < d("LANLi", "CTC"));
 }

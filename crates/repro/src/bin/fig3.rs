@@ -3,6 +3,7 @@
 //! The paper finds the SDSC periods clustered, the LANL first year close to
 //! the full LANL log, and L3/L4 as definite outliers.
 
+use wl_repro::outln;
 use wl_repro::paper::{fit_claims, FIG3_VARIABLES, TABLE2, TABLE2_OBSERVATIONS, TABLE2_VARIABLES};
 use wl_repro::{
     paper_table1_matrix, period_suite, report_figure, run_suite, stats_matrix, stats_row,
@@ -60,10 +61,10 @@ fn main() {
     // Qualitative checks from section 6.
     let d = |a: &str, b: &str| result.map_distance(a, b).unwrap();
     let sdsc_spread = d("S1", "S2").max(d("S1", "S3")).max(d("S2", "S3"));
-    println!("SDSC periods S1-S3 max pairwise distance: {sdsc_spread:.3}");
-    println!("L3 distance from L1: {:.3} (outlier per the paper)", d("L1", "L3"));
-    println!("L1 distance from LANL: {:.3} (first year near the full log)", d("L1", "LANL"));
-    println!(
+    outln!("SDSC periods S1-S3 max pairwise distance: {sdsc_spread:.3}");
+    outln!("L3 distance from L1: {:.3} (outlier per the paper)", d("L1", "L3"));
+    outln!("L1 distance from LANL: {:.3} (first year near the full log)", d("L1", "LANL"));
+    outln!(
         "L3 outlier reproduced: {}",
         d("L1", "L3") > 1.5 * sdsc_spread
     );

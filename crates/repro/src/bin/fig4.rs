@@ -4,6 +4,7 @@
 //! the Feitelson models near the interactive + NASA corner; Jann closest to
 //! CTC (and KTH); LANL/SDSC/batch workloads have no model near them.
 
+use wl_repro::outln;
 use wl_repro::paper::{fit_claims, FIG4_VARIABLES};
 use wl_repro::{report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
@@ -32,30 +33,30 @@ fn main() {
     };
     let d = |a: &str, b: &str| result.map_distance(a, b).unwrap();
 
-    println!("distance from the center of gravity:");
+    outln!("distance from the center of gravity:");
     for m in ["Lublin", "Feitelson '96", "Feitelson '97", "Downey", "Jann"] {
-        println!("  {m:<15} {:.3}", center_dist(m));
+        outln!("  {m:<15} {:.3}", center_dist(m));
     }
     let lublin_central = ["Feitelson '96", "Feitelson '97", "Downey", "Jann"]
         .iter()
         .all(|m| center_dist("Lublin") < center_dist(m));
-    println!("Lublin most central of the models: {lublin_central}");
+    outln!("Lublin most central of the models: {lublin_central}");
 
     // Which production log is each model closest to?
     let logs = ["CTC", "KTH", "LANL", "LANLi", "LANLb", "LLNL", "NASA", "SDSC", "SDSCi", "SDSCb"];
-    println!("closest production log per model:");
+    outln!("closest production log per model:");
     for m in ["Lublin", "Feitelson '96", "Feitelson '97", "Downey", "Jann"] {
         let closest = logs
             .iter()
             .min_by(|a, b| d(m, a).partial_cmp(&d(m, b)).unwrap())
             .unwrap();
-        println!("  {m:<15} -> {closest} ({:.3})", d(m, closest));
+        outln!("  {m:<15} -> {closest} ({:.3})", d(m, closest));
     }
-    println!(
+    outln!(
         "Jann nearer to CTC than Downey is: {}",
         d("Jann", "CTC") < d("Downey", "CTC")
     );
-    println!(
+    outln!(
         "Downey nearer to the interactive corner (SDSCi) than Jann: {}",
         d("Downey", "SDSCi") < d("Jann", "SDSCi")
     );

@@ -3,6 +3,7 @@
 //! point toward the production workloads — the logs are self-similar, the
 //! models are not — and Lublin sits isolated with the lowest estimates.
 
+use wl_repro::outln;
 use wl_repro::paper::{fit_claims, FIG5_VARIABLES};
 use wl_repro::{hurst_matrix, hurst_row, paper_table3_matrix, report_figure, run_suite, Options, Suite};
 
@@ -44,11 +45,11 @@ fn main() {
     let models = ["Lublin", "Feitelson '97", "Feitelson '96", "Downey", "Jann"];
     let prod_mean: f64 = prod.iter().map(|n| proj(n)).sum::<f64>() / prod.len() as f64;
     let model_mean: f64 = models.iter().map(|n| proj(n)).sum::<f64>() / models.len() as f64;
-    println!("mean projection onto the arrow bundle:");
-    println!("  production (excl. NASA) {prod_mean:+.3}");
-    println!("  models                  {model_mean:+.3}");
-    println!("  NASA                    {:+.3} (the paper's exception)", proj("NASA"));
-    println!(
+    outln!("mean projection onto the arrow bundle:");
+    outln!("  production (excl. NASA) {prod_mean:+.3}");
+    outln!("  models                  {model_mean:+.3}");
+    outln!("  NASA                    {:+.3} (the paper's exception)", proj("NASA"));
+    outln!(
         "production/model separation reproduced: {}",
         prod_mean > model_mean
     );

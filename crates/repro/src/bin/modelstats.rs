@@ -1,6 +1,7 @@
 //! Diagnostic: the eight Figure 4 variables for every observation, with the
 //! ensemble mean/std — used to calibrate model parameters.
 
+use wl_repro::{out, outln};
 use wl_repro::{run_suite, stats_row, Options, Suite};
 use wl_swf::Variable;
 
@@ -8,35 +9,35 @@ fn main() {
     let (opts, _obs) = Options::from_args();
     let stats = run_suite(&opts, Suite::Table3, |w| stats_row(&w));
     let codes = ["Rm", "Ri", "Nm", "Ni", "Cm", "Ci", "Im", "Ii"];
-    print!("{:<16}", "obs");
+    out!("{:<16}", "obs");
     for c in codes {
-        print!("{c:>10}");
+        out!("{c:>10}");
     }
-    println!();
+    outln!();
     for s in &stats {
-        print!("{:<16}", s.name);
+        out!("{:<16}", s.name);
         for c in codes {
             let v = s.get(Variable::from_code(c).unwrap()).unwrap_or(f64::NAN);
-            print!("{:>10.1}", v);
+            out!("{:>10.1}", v);
         }
-        println!();
+        outln!();
     }
-    print!("{:<16}", "MEAN");
+    out!("{:<16}", "MEAN");
     for c in codes {
         let vs: Vec<f64> = stats
             .iter()
             .filter_map(|s| s.get(Variable::from_code(c).unwrap()))
             .collect();
-        print!("{:>10.1}", wl_stats::mean(&vs));
+        out!("{:>10.1}", wl_stats::mean(&vs));
     }
-    println!();
-    print!("{:<16}", "STD");
+    outln!();
+    out!("{:<16}", "STD");
     for c in codes {
         let vs: Vec<f64> = stats
             .iter()
             .filter_map(|s| s.get(Variable::from_code(c).unwrap()))
             .collect();
-        print!("{:>10.1}", wl_stats::std_dev(&vs));
+        out!("{:>10.1}", wl_stats::std_dev(&vs));
     }
-    println!();
+    outln!();
 }

@@ -3,6 +3,7 @@
 //! of (un-normalized) parallelism and inter-arrival time — reproduces the
 //! map with theta = 0.02 and mean correlation 0.94.
 
+use wl_repro::outln;
 use wl_repro::paper::{fit_claims, SEC8_VARIABLES};
 use wl_repro::{paper_table1_matrix, report_figure, run_suite, stats_matrix, stats_row, Options, Suite};
 
@@ -25,13 +26,13 @@ fn main() {
         fit_claims::SEC8_MEAN_CORR,
     );
 
-    println!(
+    outln!(
         "good fit with only three parameters: {} (theta {:.3} < {})",
         result.alienation < wl_repro::paper::fit_claims::GOOD_THETA,
         result.alienation,
         wl_repro::paper::fit_claims::GOOD_THETA
     );
-    println!(
+    outln!(
         "these are the paper's recommended model parameters: allocation \
          flexibility + medians of parallelism and inter-arrival time"
     );

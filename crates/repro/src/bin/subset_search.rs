@@ -5,6 +5,7 @@
 //! variables and ranks them.
 
 use wl_analysis::{rank_subset_results, score_combination_range};
+use wl_repro::outln;
 use wl_repro::{paper_table1_matrix, Options};
 
 fn main() {
@@ -16,7 +17,7 @@ fn main() {
     ];
     let data = paper_table1_matrix(&codes);
 
-    println!("searching all C(12,3) = 220 three-variable subsets of Table 1...");
+    outln!("searching all C(12,3) = 220 three-variable subsets of Table 1...");
     // Score every subset once. The top-ten table keeps exactly what a
     // search at theta <= 0.15 keeps (it drops `alienation > 0.15`); the
     // full ranking that places the paper's pick keeps theta <= 1.0.
@@ -29,12 +30,15 @@ fn main() {
         .collect();
     rank_subset_results(&mut results, 10);
     rank_subset_results(&mut all, 220);
-    println!(
+    outln!(
         "{:<28}{:>8}{:>12}{:>16}",
-        "subset", "theta", "mean corr", "map RMSD"
+        "subset",
+        "theta",
+        "mean corr",
+        "map RMSD"
     );
     for r in &results {
-        println!(
+        outln!(
             "{:<28}{:>8.3}{:>12.3}{:>16.3}",
             r.variables.join("+"),
             r.alienation,
@@ -53,10 +57,10 @@ fn main() {
         })
         .map(|i| i + 1);
     match paper_pick {
-        Some(rank) => println!(
+        Some(rank) => outln!(
             "\nthe paper's subset AL+Pm+Im ranks #{rank} of {} by this criterion",
             all.len()
         ),
-        None => println!("\nthe paper's subset AL+Pm+Im did not fit under the threshold"),
+        None => outln!("\nthe paper's subset AL+Pm+Im did not fit under the threshold"),
     }
 }

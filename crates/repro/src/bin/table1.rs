@@ -1,6 +1,7 @@
 //! Regenerate Table 1: characteristics of the ten production observations,
 //! paper values vs values measured on the synthesized logs.
 
+use wl_repro::outln;
 use wl_repro::paper::{TABLE1, TABLE1_OBSERVATIONS, TABLE1_VARIABLES};
 use wl_repro::{print_comparison, run_suite, stats_row, Options, Suite};
 use wl_swf::Variable;
@@ -42,6 +43,6 @@ fn main() {
             }
         }
     }
-    println!();
-    println!("calibrated cells within 25% of the paper: {hits}/{total}");
+    outln!();
+    outln!("calibrated cells within 25% of the paper: {hits}/{total}");
 }

@@ -1,5 +1,6 @@
 //! Regenerate Table 2: the LANL and SDSC six-month splits.
 
+use wl_repro::outln;
 use wl_repro::paper::{TABLE2, TABLE2_OBSERVATIONS, TABLE2_VARIABLES};
 use wl_repro::{period_suite, print_comparison, suite_stats, Options};
 use wl_swf::Variable;
@@ -27,12 +28,15 @@ fn main() {
         .take(4)
         .map(|s| s.runtime_median.unwrap())
         .collect();
-    println!();
-    println!(
+    outln!();
+    outln!(
         "LANL runtime medians L1..L4: {:.0} {:.0} {:.0} {:.0} (paper: 62 65 643 79)",
-        rm[0], rm[1], rm[2], rm[3]
+        rm[0],
+        rm[1],
+        rm[2],
+        rm[3]
     );
-    println!(
+    outln!(
         "L3 outlier reproduced: {}",
         rm[2] > 3.0 * rm[0] && rm[2] > 3.0 * rm[3]
     );

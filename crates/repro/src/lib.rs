@@ -18,8 +18,33 @@
 //! paper's published matrix (validating the method implementation in
 //! isolation) instead of on the synthesized logs (validating the full
 //! end-to-end reproduction), plus `--seed N` and `--jobs N`.
+//!
+//! Everything a binary prints goes through [`write_stdout`] (by [`out!`]
+//! and [`outln!`]), so a reader that closes the pipe early ends the run
+//! quietly.
+
+/// [`print!`] through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(::std::format_args!($($arg)*))
+    };
+}
+
+/// [`println!`] through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(::std::format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(::std::format_args!("{}\n", ::std::format_args!($($arg)*)))
+    };
+}
 
 pub mod paper;
+
+use std::sync::OnceLock;
 
 use coplot::render::render_svg;
 use coplot::{CoplotResult, DataMatrix};
@@ -80,7 +105,7 @@ impl Options {
             program()
         );
         if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{usage}");
+            outln!("{usage}");
             std::process::exit(0);
         }
         Options::parse(args).unwrap_or_else(|e| {
@@ -120,7 +145,38 @@ impl Options {
             }
         }
         let session = rt.obs_session().map_err(|e| e.to_string())?;
+        // Kept for `write_stdout`, which ends a run the session outlives.
+        let _ = OBS_FLAGS.set((rt.trace, rt.metrics_out));
         Ok((opts, session))
+    }
+}
+
+/// The run's `--trace` and `--metrics-out` values, set by
+/// [`Options::from_args`].
+static OBS_FLAGS: OnceLock<(Option<String>, Option<String>)> = OnceLock::new();
+
+/// Write to stdout: the one print path of every repro binary. A reader
+/// that closed the pipe early (`table1 | head -1`) has what it wanted, so
+/// a broken pipe ends the run with exit 0, as `wl` does, after exporting
+/// the trace the binary's session would have exported; any other write
+/// error ends it with a message and exit 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            // `exit` skips the binary's `ObsSession`; a twin built from
+            // the same flags exports the same registry and spans.
+            if let Some((trace, metrics_out)) = OBS_FLAGS.get() {
+                if let Ok(session) =
+                    wl_obs::ObsSession::from_flags(trace.as_deref(), metrics_out.as_deref())
+                {
+                    session.finish();
+                }
+            }
+            std::process::exit(0);
+        }
+        eprintln!("{}: cannot write to stdout: {e}", program());
+        std::process::exit(1);
     }
 }
 
@@ -147,9 +203,9 @@ pub fn run_coplot(opts: &Options, data: &DataMatrix) -> CoplotResult {
         .run(data, &coplot::Selection::All)
         .expect("coplot");
     if opts.timings {
-        println!("per-stage timings:");
-        print!("{}", coplot::StageReportTable(&engine.reports()));
-        println!();
+        outln!("per-stage timings:");
+        out!("{}", coplot::StageReportTable(&engine.reports()));
+        outln!();
     }
     result
 }
@@ -434,16 +490,21 @@ pub fn hurst_matrix(rows: &[(String, Vec<Option<f64>>)], codes: &[&str]) -> Data
 /// Used by the repro binaries under `--timings`.
 pub fn print_estimator_work(w: &Workload) {
     use wl_selfsim::{rs, vartime};
-    println!("estimator work for {}:", w.name);
-    println!(
+    outln!("estimator work for {}:", w.name);
+    outln!(
         "  {:<14} {:>6} {:>10} {:>10} {:>9} {:>10}",
-        "series", "len", "pox pts", "pox blks", "vt lvls", "vt blks"
+        "series",
+        "len",
+        "pox pts",
+        "pox blks",
+        "vt lvls",
+        "vt blks"
     );
     for series in JobSeries::ALL {
         let xs = series.extract(w);
         let pox = rs::pox_plot(&xs, rs::DEFAULT_MIN_BLOCK, rs::DEFAULT_POINTS);
         let vt = vartime::variance_time_plot(&xs, vartime::DEFAULT_POINTS, vartime::DEFAULT_MIN_BLOCKS);
-        println!(
+        outln!(
             "  {:<14} {:>6} {:>10} {:>10} {:>9} {:>10}",
             format!("{series:?}"),
             xs.len(),
@@ -497,46 +558,46 @@ pub fn print_comparison(
     paper_cells: CellFn<'_>,
     measured_cells: CellFn<'_>,
 ) {
-    println!("== {title} ==");
-    print!("{:<22}", "variable");
+    outln!("== {title} ==");
+    out!("{:<22}", "variable");
     for o in observations {
-        print!("{o:>12}");
+        out!("{o:>12}");
     }
-    println!();
+    outln!();
     for (vi, v) in variables.iter().enumerate() {
-        print!("{:<22}", format!("{v} paper"));
+        out!("{:<22}", format!("{v} paper"));
         for oi in 0..observations.len() {
-            print!("{:>12}", cell(paper_cells(vi, oi)));
+            out!("{:>12}", cell(paper_cells(vi, oi)));
         }
-        println!();
-        print!("{:<22}", format!("{v} measured"));
+        outln!();
+        out!("{:<22}", format!("{v} measured"));
         for oi in 0..observations.len() {
-            print!("{:>12}", cell(measured_cells(vi, oi)));
+            out!("{:>12}", cell(measured_cells(vi, oi)));
         }
-        println!();
+        outln!();
     }
 }
 
 /// Report a Co-plot run's fit against the paper's quoted statistics and
 /// dump both a text map and an SVG.
 pub fn report_figure(figure: &str, result: &CoplotResult, paper_theta: f64, paper_mean_corr: f64) {
-    println!("== {figure} ==");
-    println!(
+    outln!("== {figure} ==");
+    outln!(
         "coefficient of alienation: measured {:.3} (paper {:.2}); good-fit threshold {}",
         result.alienation,
         paper_theta,
         paper::fit_claims::GOOD_THETA
     );
-    println!(
+    outln!(
         "mean arrow correlation:    measured {:.3} (paper {:.2}); minimum {:.3}",
         result.mean_arrow_correlation(),
         paper_mean_corr,
         result.min_arrow_correlation()
     );
-    println!();
-    println!("{}", coplot::render::render_text(result, 72, 30));
+    outln!();
+    outln!("{}", coplot::render::render_text(result, 72, 30));
     let path = write_svg(figure, result);
-    println!("SVG written to {path}");
+    outln!("SVG written to {path}");
 }
 
 /// Write a figure's SVG under `repro-out/`, returning the path.

@@ -1,9 +1,11 @@
 //! Bad command lines and failed runs end with a message and an exit code,
 //! never a panic: `--help` exits 0 with the usage on stdout, a bad flag or
-//! value exits 2 with `<bin>: <message>` and the usage on stderr, and a
-//! Jann re-fit on a log too small to fit exits 1 with the re-fit error.
+//! value exits 2 with `<bin>: <message>` and the usage on stderr, a Jann
+//! re-fit on a log too small to fit exits 1 with the re-fit error, and a
+//! reader that closes the pipe early ends the run with exit 0.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 /// Run a repro binary in a scratch directory (so SVG side outputs never
 /// land in the repo).
@@ -88,4 +90,32 @@ fn failed_jann_refit_exits_one() {
             "cannot re-fit the Jann model to a 50-job CTC log",
         );
     }
+}
+
+#[test]
+fn closed_reader_ends_the_run_with_exit_zero() {
+    // `subset_search | head -1`: the first line prints before the search,
+    // the rest after it, so every later write meets a closed pipe. The
+    // traced run still exports a whole trace to stderr.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_subset_search"))
+        .args(["--jobs", "1024", "--threads", "2", "--trace", "json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn subset_search");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    // The reader (and with it the pipe's read end) is dropped by now.
+    assert!(first.starts_with("searching"), "first line {first:?}");
+    let out = child.wait_with_output().expect("wait for subset_search");
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr {stderr:?}");
+    assert!(
+        !stderr.contains("panicked at"),
+        "subset_search panicked: {stderr}"
+    );
+    let trace = wl_obs::check_trace(&stderr).unwrap_or_else(|e| panic!("{e}: {stderr}"));
+    assert!(trace.metrics > 0, "no metrics in {stderr:?}");
 }

@@ -166,8 +166,7 @@ impl NamedDataset {
     }
 }
 
-/// Default machine when a trace file carries no metadata header (matches
-/// the `wl` CLI's historical behavior).
+/// Default machine when a trace file carries no metadata header.
 pub(crate) fn default_machine() -> MachineInfo {
     MachineInfo::new(
         128,
@@ -176,29 +175,47 @@ pub(crate) fn default_machine() -> MachineInfo {
     )
 }
 
+/// The format of the trace at `path` with contents `text`: the explicit
+/// `format` label if given, else detected from the path and contents.
+///
+/// # Errors
+/// [`ExecError::Analysis`] for an unknown label.
+pub fn trace_format(
+    path: &str,
+    text: &str,
+    format: Option<&str>,
+) -> Result<TraceFormat, ExecError> {
+    match format {
+        Some(label) => TraceFormat::from_label(label).ok_or_else(|| {
+            ExecError::Analysis(coplot::CoplotError::InvalidConfig(format!(
+                "unknown trace format {label:?} (swf, gwf, weblog)"
+            )))
+        }),
+        None => Ok(TraceFormat::detect(path, text)),
+    }
+}
+
+/// The display name of the trace at `path`: its file stem.
+pub fn trace_name(path: &str) -> String {
+    std::path::Path::new(path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.to_string())
+}
+
 /// Read and parse one trace file, honoring an explicit format label or
-/// auto-detecting from the path and contents. This is the single loading
-/// path shared by the digest and the executor, so the cache key and the
-/// computed result always see the same records.
+/// auto-detecting from the path and contents. This is the one loading
+/// path of the digest, the executor and the `wl` CLI, so the cache key,
+/// the computed result and every front end see the same records.
 ///
 /// # Errors
 /// [`ExecError::DatasetNotFound`] for an unreadable path,
-/// [`ExecError::Analysis`] for unparseable contents.
-pub(crate) fn read_trace(path: &str, format: Option<&str>) -> Result<Workload, ExecError> {
+/// [`ExecError::Analysis`] for an unknown label or unparseable contents.
+pub fn read_trace(path: &str, format: Option<&str>) -> Result<Workload, ExecError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| ExecError::DatasetNotFound(format!("cannot read {path}: {e}")))?;
-    let fmt = match format {
-        Some(label) => TraceFormat::from_label(label).ok_or_else(|| {
-            ExecError::Analysis(coplot::CoplotError::InvalidConfig(format!(
-                "unknown trace format {label:?}"
-            )))
-        })?,
-        None => TraceFormat::detect(path, &text),
-    };
-    let name = std::path::Path::new(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.to_string());
+    let fmt = trace_format(path, &text, format)?;
+    let name = trace_name(path);
     fmt.source()
         .read(&name, &text, default_machine())
         .map_err(|e| {

@@ -17,21 +17,22 @@
 //! runs to completion, so a request that finishes returns exactly what it
 //! would have returned without a deadline.
 //!
-//! In-flight sharing: every request loads its dataset and builds its
-//! variable matrix through a write-once `DatasetSlot`. [`execute`] uses a
-//! private one; `wl-serve` holds the slot of the request's dataset digest
+//! In-flight sharing: every request loads its dataset and computes its
+//! logs' Table-1 rows through a write-once `DatasetSlot`. [`execute`] uses
+//! a private one; `wl-serve` holds the slot of the request's dataset digest
 //! from the server's `InFlight` map — from admission for a named dataset
 //! (its digest is a pure hash), from the start of execution for a path
 //! dataset (its digest reads the files) — until the request finishes. So
 //! requests on one digest that are queued or running together synthesize
-//! (or parse) the dataset once and build each matrix once, whatever the
-//! worker count. Nothing outlives the last such request, which leaves the
-//! result cache as the one retained cache. Every shared value is a
-//! deterministic function of inputs equal across the slot's users (equal
-//! digest ⇒ equal workloads; equal canonical `vars` ⇒ equal matrix), so a
-//! shared run is byte-identical to a solo one. `serve.dataset.loads`
-//! counts the loads slots computed and `serve.dataset.shared` the requests
-//! that took their workloads from a slot another request had loaded.
+//! (or parse) the dataset once and compute its rows once, whatever the
+//! worker count or `vars` list; each request picks its own columns from
+//! the shared rows. Nothing outlives the last such request, which leaves
+//! the result cache as the one retained cache. Every shared value is a
+//! deterministic function of the digest (equal digest ⇒ equal workloads ⇒
+//! equal rows), so a shared run is byte-identical to a solo one.
+//! `serve.dataset.loads` counts the loads slots computed and
+//! `serve.dataset.shared` the requests that took their workloads from a
+//! slot another request had loaded.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -42,7 +43,7 @@ use coplot::{
     DataMatrix, DatasetSpec, HurstOut, Operation, Selection, ShardPart, ShardRequest,
     ShardResponse, StageReport, SubsetEntry, SubsetOut,
 };
-use wl_swf::Workload;
+use wl_swf::{Workload, WorkloadStats};
 
 use crate::datasets::NamedDataset;
 
@@ -144,7 +145,7 @@ pub fn execute_shard(request: &ShardRequest, cfg: &ExecConfig) -> Result<ShardRe
             execute_in(&req.base, cfg, &DatasetSlot::default())?.response,
         )),
         ShardPart::Restarts { lo, hi } => {
-            let data = data_matrix(&req.base, &load()?)?;
+            let data = data_matrix(&req.base, &table1_rows(&load()?))?;
             let engine = build_engine(req.base.seed, cfg, Some((lo as usize, hi as usize)));
             // canonicalize() rejected restarts-parts with elimination, so
             // the selection is always the full variable set here.
@@ -168,7 +169,7 @@ pub fn execute_shard(request: &ShardRequest, cfg: &ExecConfig) -> Result<ShardRe
             })
         }
         ShardPart::Combos { lo, hi } => {
-            let data = data_matrix(&req.base, &load()?)?;
+            let data = data_matrix(&req.base, &table1_rows(&load()?))?;
             check_deadline(cfg, "subset")?;
             let results = wl_analysis::subset::score_combination_range(
                 &data,
@@ -186,8 +187,8 @@ pub fn execute_shard(request: &ShardRequest, cfg: &ExecConfig) -> Result<ShardRe
     }
 }
 
-/// Execute an already-canonical request, taking its workloads and
-/// variable matrix from `slot` (computing them there on first use). The
+/// Execute an already-canonical request, taking its workloads and their
+/// Table-1 rows from `slot` (computing them there on first use). The
 /// server passes the in-flight slot of the request's dataset digest (see
 /// the module docs).
 pub(crate) fn execute_in(
@@ -197,11 +198,11 @@ pub(crate) fn execute_in(
 ) -> Result<ExecOutcome, ExecError> {
     check_deadline(cfg, "load")?;
     let workloads = slot.workloads(|| load_dataset(req, cfg))?;
-    let matrix = || slot.matrix(&req.vars, || data_matrix(req, &workloads));
+    let matrix = || data_matrix(req, &slot.rows(|| Ok(table1_rows(&workloads)))?);
     match req.op {
-        Operation::Coplot => run_coplot(req, cfg, &*matrix()?),
+        Operation::Coplot => run_coplot(req, cfg, &matrix()?),
         Operation::Hurst => run_hurst(cfg, &workloads),
-        Operation::Subset => run_subset(req, cfg, &*matrix()?),
+        Operation::Subset => run_subset(req, cfg, &matrix()?),
     }
 }
 
@@ -235,15 +236,15 @@ impl InFlight {
     }
 }
 
-/// One dataset's write-once intermediates: the loaded workloads and one
-/// matrix per canonical variable list, each computed under its own lock by
-/// the first request to ask and handed to the rest as an `Arc`. Errors are
-/// never stored — a failing request leaves the value for the next one to
+/// One dataset's write-once intermediates: the loaded workloads and the
+/// Table-1 row of each, each computed under its own lock by the first
+/// request to ask and handed to the rest as an `Arc`. Errors are never
+/// stored — a failing request leaves the value for the next one to
 /// compute.
 #[derive(Default)]
 pub(crate) struct DatasetSlot {
     workloads: WriteOnce<Vec<Workload>>,
-    matrices: Mutex<HashMap<Vec<String>, Arc<WriteOnce<DataMatrix>>>>,
+    rows: WriteOnce<Vec<WorkloadStats>>,
 }
 
 /// A value set once; see [`write_once`].
@@ -268,18 +269,13 @@ impl DatasetSlot {
         Ok(workloads)
     }
 
-    /// The matrix for a canonical variable list, built by `build` on first
-    /// use; different lists never share a matrix.
-    fn matrix(
+    /// The dataset's Table-1 rows, computed by `compute` on first use;
+    /// every `vars` list picks its columns from them.
+    fn rows(
         &self,
-        vars: &[String],
-        build: impl FnOnce() -> Result<DataMatrix, ExecError>,
-    ) -> Result<Arc<DataMatrix>, ExecError> {
-        let cell = {
-            let mut map = self.matrices.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry(vars.to_vec()).or_default())
-        };
-        write_once(&cell, build)
+        compute: impl FnOnce() -> Result<Vec<WorkloadStats>, ExecError>,
+    ) -> Result<Arc<Vec<WorkloadStats>>, ExecError> {
+        write_once(&self.rows, compute)
     }
 }
 
@@ -315,14 +311,23 @@ fn load_dataset(req: &AnalysisRequest, cfg: &ExecConfig) -> Result<Vec<Workload>
     }
 }
 
-fn data_matrix(req: &AnalysisRequest, workloads: &[Workload]) -> Result<DataMatrix, ExecError> {
-    if workloads.len() < 3 {
+/// Each log's Table-1 row, with the paper's load-imputation rule applied:
+/// what every coplot and subset matrix is built from.
+fn table1_rows(workloads: &[Workload]) -> Vec<WorkloadStats> {
+    workloads
+        .iter()
+        .map(|w| WorkloadStats::compute(w).with_load_imputation())
+        .collect()
+}
+
+fn data_matrix(req: &AnalysisRequest, rows: &[WorkloadStats]) -> Result<DataMatrix, ExecError> {
+    if rows.len() < 3 {
         return Err(ExecError::Analysis(CoplotError::InvalidConfig(
             "co-plot needs at least 3 workloads".into(),
         )));
     }
     let codes: Vec<&str> = req.vars.iter().map(String::as_str).collect();
-    wl_analysis::matrix::try_trace_matrix(workloads, &codes).map_err(ExecError::Analysis)
+    wl_analysis::matrix::try_stats_matrix(rows, &codes).map_err(ExecError::Analysis)
 }
 
 fn run_coplot(
@@ -558,14 +563,14 @@ mod tests {
         let slot = DatasetSlot::default();
         let req = models_request(Operation::Coplot).canonicalize().unwrap();
         execute_in(&req, &ExecConfig::new(1), &slot).unwrap();
-        // A second request finds the workloads and the matrix ready.
+        // A second request finds the workloads and their rows ready.
         let mut calls = 0;
         slot.workloads(|| {
             calls += 1;
             Ok(Vec::new())
         })
         .unwrap();
-        slot.matrix(&req.vars, || {
+        slot.rows(|| {
             calls += 1;
             Err(ExecError::DatasetNotFound("unused".into()))
         })
@@ -609,25 +614,40 @@ mod tests {
     }
 
     #[test]
-    fn slot_keeps_matrices_apart_per_variable_list() {
+    fn slot_computes_the_rows_once_for_every_variable_list() {
+        let cfg = ExecConfig::new(1);
         let slot = DatasetSlot::default();
-        let matrix = |vars: &[&str]| {
-            let vars: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
-            let row = vec![1.0; vars.len()];
-            slot.matrix(&vars, || {
-                Ok(DataMatrix::from_rows(
-                    vec!["a".into()],
-                    vars.clone(),
-                    &[&row],
-                ))
-            })
-            .unwrap()
-        };
-        let a = matrix(&["Rm", "Pm"]);
-        let b = matrix(&["Rm"]);
-        let a2 = matrix(&["Rm", "Pm"]);
-        assert!(Arc::ptr_eq(&a, &a2));
-        assert!(!Arc::ptr_eq(&a, &b));
+        let mut computed = 0;
+        let mut shared_rows = Vec::new();
+        for vars in [
+            Vec::new(),
+            ["Rm", "Pm", "Im", "Ii"].map(String::from).to_vec(),
+        ] {
+            let mut req = models_request(Operation::Coplot);
+            req.vars = vars;
+            let req = req.canonicalize().unwrap();
+            let shared = execute_in(&req, &cfg, &slot).unwrap();
+            let solo = execute(&req, &cfg).unwrap();
+            assert_eq!(
+                shared.response.to_json(),
+                solo.response.to_json(),
+                "{:?}",
+                req.vars
+            );
+            shared_rows.push(
+                slot.rows(|| {
+                    computed += 1;
+                    Err(ExecError::DatasetNotFound("unused".into()))
+                })
+                .unwrap(),
+            );
+        }
+        assert_eq!(computed, 0, "the first request computed the rows");
+        assert!(
+            Arc::ptr_eq(&shared_rows[0], &shared_rows[1]),
+            "both variable lists read one set of rows"
+        );
+        assert_eq!(shared_rows[0].len(), 5);
     }
 
     #[test]

@@ -1,26 +1,7 @@
-//! Covariance and correlation (Pearson, Spearman).
+//! Correlation (Pearson, Spearman).
 
 use crate::error::StatsError;
 use crate::rank::ranks;
-
-/// Sample covariance (denominator `n - 1`). `NaN` below two points.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn covariance(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "covariance length mismatch");
-    let n = x.len();
-    if n < 2 {
-        return f64::NAN;
-    }
-    let mx = x.iter().sum::<f64>() / n as f64;
-    let my = y.iter().sum::<f64>() / n as f64;
-    x.iter()
-        .zip(y)
-        .map(|(a, b)| (a - mx) * (b - my))
-        .sum::<f64>()
-        / (n - 1) as f64
-}
 
 /// Pearson product-moment correlation. `NaN` when either side has zero
 /// variance or fewer than two points.
@@ -76,21 +57,6 @@ pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
     pearson(&ranks(x), &ranks(y))
 }
 
-/// Pairwise Pearson correlation matrix of the given columns.
-/// Entry `[i][j]` is `pearson(cols[i], cols[j])`; the diagonal is 1.
-pub fn correlation_matrix(cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let p = cols.len();
-    let mut m = vec![vec![1.0; p]; p];
-    for i in 0..p {
-        for j in (i + 1)..p {
-            let r = pearson(&cols[i], &cols[j]);
-            m[i][j] = r;
-            m[j][i] = r;
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,13 +68,6 @@ mod tests {
         assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
         let yneg = [8.0, 6.0, 4.0, 2.0];
         assert!((pearson(&x, &yneg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn covariance_known_value() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [4.0, 6.0, 8.0];
-        assert!((covariance(&x, &y) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -137,22 +96,5 @@ mod tests {
         let x = [1.0, 2.0, 2.0, 3.0];
         let y = [10.0, 20.0, 20.0, 30.0];
         assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_matrix_symmetric_unit_diagonal() {
-        let cols = vec![
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![2.0, 1.0, 4.0, 3.0],
-            vec![4.0, 3.0, 2.0, 1.0],
-        ];
-        let m = correlation_matrix(&cols);
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row[i], 1.0);
-            for (j, &v) in row.iter().enumerate() {
-                assert!((v - m[j][i]).abs() < 1e-15);
-                assert!((-1.0 - 1e-12..=1.0 + 1e-12).contains(&v));
-            }
-        }
     }
 }

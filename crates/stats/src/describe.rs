@@ -1,4 +1,4 @@
-//! Batch and streaming descriptive statistics.
+//! Batch descriptive statistics.
 
 /// Arithmetic mean. Returns `f64::NAN` for empty input.
 pub fn mean(data: &[f64]) -> f64 {
@@ -18,28 +18,9 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (data.len() - 1) as f64
 }
 
-/// Population variance (denominator `n`). Returns `f64::NAN` for empty input.
-pub fn population_variance(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(data);
-    data.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / data.len() as f64
-}
-
 /// Sample standard deviation.
 pub fn std_dev(data: &[f64]) -> f64 {
     variance(data).sqrt()
-}
-
-/// Coefficient of variation: `std_dev / mean`.
-/// `NaN` when undefined (mean zero or too few points).
-pub fn coeff_of_variation(data: &[f64]) -> f64 {
-    let m = mean(data);
-    if m == 0.0 {
-        return f64::NAN;
-    }
-    std_dev(data) / m
 }
 
 /// Raw k-th moment `E[X^k]`.
@@ -48,150 +29,6 @@ pub fn raw_moment(data: &[f64], k: u32) -> f64 {
         return f64::NAN;
     }
     data.iter().map(|v| v.powi(k as i32)).sum::<f64>() / data.len() as f64
-}
-
-/// Full batch summary of a sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Describe {
-    pub n: usize,
-    pub mean: f64,
-    pub variance: f64,
-    pub std_dev: f64,
-    pub min: f64,
-    pub max: f64,
-    pub skewness: f64,
-}
-
-impl Describe {
-    /// Summarize a sample. `NaN` fields where undefined.
-    pub fn of(data: &[f64]) -> Describe {
-        let n = data.len();
-        let m = mean(data);
-        let var = variance(data);
-        let sd = var.sqrt();
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in data {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        // Adjusted Fisher-Pearson skewness.
-        let skew = if n >= 3 && sd > 0.0 {
-            let nf = n as f64;
-            let m3 = data.iter().map(|v| ((v - m) / sd).powi(3)).sum::<f64>();
-            m3 * nf / ((nf - 1.0) * (nf - 2.0))
-        } else {
-            f64::NAN
-        };
-        Describe {
-            n,
-            mean: m,
-            variance: var,
-            std_dev: sd,
-            min: if n == 0 { f64::NAN } else { lo },
-            max: if n == 0 { f64::NAN } else { hi },
-            skewness: skew,
-        }
-    }
-}
-
-/// Streaming (single-pass, numerically stable) moment accumulator using
-/// Welford's algorithm. Useful when job streams are too long to buffer.
-#[derive(Debug, Clone, Default)]
-pub struct Moments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Moments {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Moments {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Running sample variance; `NaN` below two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Running sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; `NaN` when empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; `NaN` when empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction step).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +41,6 @@ mod tests {
         assert!((mean(&d) - 5.0).abs() < 1e-12);
         // Sample variance of this classic set is 32/7.
         assert!((variance(&d) - 32.0 / 7.0).abs() < 1e-12);
-        assert!((population_variance(&d) - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -215,80 +51,10 @@ mod tests {
     }
 
     #[test]
-    fn describe_matches_batch_functions() {
-        let d = [1.0, 2.0, 3.0, 4.0, 100.0];
-        let s = Describe::of(&d);
-        assert_eq!(s.n, 5);
-        assert!((s.mean - mean(&d)).abs() < 1e-12);
-        assert!((s.variance - variance(&d)).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!(s.skewness > 1.0, "long right tail => positive skew");
-    }
-
-    #[test]
-    fn symmetric_data_has_zero_skewness() {
-        let d = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let s = Describe::of(&d);
-        assert!(s.skewness.abs() < 1e-12);
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        let d = [3.1, -2.0, 5.5, 0.0, 14.2, 3.3, 3.3];
-        let mut m = Moments::new();
-        for &x in &d {
-            m.push(x);
-        }
-        assert_eq!(m.count(), 7);
-        assert!((m.mean() - mean(&d)).abs() < 1e-12);
-        assert!((m.variance() - variance(&d)).abs() < 1e-12);
-        assert_eq!(m.min(), -2.0);
-        assert_eq!(m.max(), 14.2);
-    }
-
-    #[test]
-    fn merged_accumulators_match_single_pass() {
-        let d = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let mut a = Moments::new();
-        let mut b = Moments::new();
-        for &x in &d[..3] {
-            a.push(x);
-        }
-        for &x in &d[3..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - mean(&d)).abs() < 1e-12);
-        assert!((a.variance() - variance(&d)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Moments::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a.clone();
-        a.merge(&Moments::new());
-        assert!((a.mean() - before.mean()).abs() < 1e-15);
-
-        let mut e = Moments::new();
-        e.merge(&before);
-        assert!((e.mean() - before.mean()).abs() < 1e-15);
-    }
-
-    #[test]
     fn raw_moments() {
         let d = [1.0, 2.0, 3.0];
         assert!((raw_moment(&d, 1) - 2.0).abs() < 1e-12);
         assert!((raw_moment(&d, 2) - 14.0 / 3.0).abs() < 1e-12);
         assert!((raw_moment(&d, 3) - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_matches_definition() {
-        let d = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((coeff_of_variation(&d) - std_dev(&d) / 5.0).abs() < 1e-12);
-        assert!(coeff_of_variation(&[0.0, 0.0]).is_nan());
     }
 }

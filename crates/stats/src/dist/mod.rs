@@ -21,7 +21,6 @@ mod normal;
 mod pareto;
 pub mod special;
 mod uniform;
-mod weibull;
 mod zipf;
 
 pub use empirical::{DiscreteWeighted, EmpiricalQuantile};
@@ -33,7 +32,6 @@ pub use hypergamma::HyperGamma;
 pub use normal::{normal_cdf, normal_quantile, LogNormal, Normal};
 pub use pareto::Pareto;
 pub use uniform::{LogUniform, Uniform};
-pub use weibull::Weibull;
 pub use zipf::Zipf;
 
 use rand::RngCore;

@@ -124,12 +124,6 @@ pub fn try_isotonic_regression(y: &[f64], w: Option<&[f64]>) -> Result<Vec<f64>,
     Ok(out)
 }
 
-/// Antitonic (non-increasing) regression, via isotonic on the negated data.
-pub fn antitonic_regression(y: &[f64], w: Option<&[f64]>) -> Vec<f64> {
-    let neg: Vec<f64> = y.iter().map(|v| -v).collect();
-    isotonic_regression(&neg, w).iter().map(|v| -v).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,13 +312,6 @@ mod tests {
         let after: f64 = f.iter().zip(&w).map(|(a, b)| a * b).sum();
         assert!((before - after).abs() < 1e-9);
         assert!(is_nondecreasing(&f));
-    }
-
-    #[test]
-    fn antitonic_is_reversed_isotonic() {
-        let y = [1.0, 5.0, 3.0, 2.0];
-        let f = antitonic_regression(&y, None);
-        assert!(f.windows(2).all(|w| w[0] >= w[1] - 1e-12), "{f:?}");
     }
 
     #[test]

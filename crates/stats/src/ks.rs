@@ -1,31 +1,9 @@
-//! Kolmogorov-Smirnov goodness-of-fit statistics.
+//! The two-sample Kolmogorov-Smirnov statistic.
 //!
-//! Used to quantify how well a fitted distribution (e.g. a moment-matched
-//! hyper-Erlang) tracks the sample it was fitted to, and to compare two
-//! workloads' marginals directly. The paper compares distributions through
-//! medians and intervals; KS distances give the full-CDF view.
-
-/// One-sample KS statistic: the supremum distance between the sample's
-/// empirical CDF and a reference CDF given as a function.
-///
-/// Returns `None` for an empty sample.
-pub fn ks_statistic(sample: &[f64], cdf: impl Fn(f64) -> f64) -> Option<f64> {
-    if sample.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = sorted.len() as f64;
-    let mut d: f64 = 0.0;
-    for (i, &x) in sorted.iter().enumerate() {
-        let f = cdf(x).clamp(0.0, 1.0);
-        // Compare against the ECDF just below and just above the jump.
-        let lo = i as f64 / n;
-        let hi = (i + 1) as f64 / n;
-        d = d.max((f - lo).abs()).max((hi - f).abs());
-    }
-    Some(d)
-}
+//! Used to compare two workloads' marginals directly (a synthesized log
+//! against its model, a re-fitted model against the sample it was fitted
+//! to). The paper compares distributions through medians and intervals; KS
+//! distances give the full-CDF view.
 
 /// Two-sample KS statistic: the supremum distance between two empirical
 /// CDFs.
@@ -56,29 +34,6 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Option<f64> {
     Some(d)
 }
 
-/// Approximate two-sample KS p-value via the asymptotic Kolmogorov
-/// distribution (`Q_KS` series). Small values reject "same distribution".
-///
-/// Returns `None` when either sample is empty.
-pub fn ks_two_sample_pvalue(a: &[f64], b: &[f64]) -> Option<f64> {
-    let d = ks_two_sample(a, b)?;
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let ne = na * nb / (na + nb);
-    let lambda = (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()) * d;
-    // Q_KS(lambda) = 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2).
-    let mut p = 0.0;
-    let mut sign = 1.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64).powi(2) * lambda * lambda).exp();
-        p += sign * term;
-        sign = -sign;
-        if term < 1e-12 {
-            break;
-        }
-    }
-    Some((2.0 * p).clamp(0.0, 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,38 +41,13 @@ mod tests {
     use crate::rng::seeded_rng;
 
     #[test]
-    fn one_sample_exact_fit_is_small() {
-        // Sample from an exponential, test against its own CDF.
-        let d = Exponential::new(2.0);
-        let mut rng = seeded_rng(304);
-        let xs = d.sample_n(&mut rng, 20_000);
-        let ks = ks_statistic(&xs, |x| 1.0 - (-2.0 * x).exp()).unwrap();
-        // Expected ~ 1/sqrt(n) ~ 0.007; allow slack.
-        assert!(ks < 0.02, "ks = {ks}");
-    }
-
-    #[test]
-    fn one_sample_wrong_reference_is_large() {
-        let d = Exponential::new(2.0);
-        let mut rng = seeded_rng(304);
-        let xs = d.sample_n(&mut rng, 5000);
-        // Test against exponential with a different rate.
-        let ks = ks_statistic(&xs, |x| 1.0 - (-0.5 * x).exp()).unwrap();
-        assert!(ks > 0.2, "ks = {ks}");
-    }
-
-    #[test]
     fn two_sample_same_distribution_small() {
         let d = LogNormal::new(1.0, 0.8);
-        // Under the null, p < 0.05 for ~5% of seeds by construction; this
-        // seed gives a typical draw with the in-tree RNG stream.
         let mut rng = seeded_rng(304);
         let a = d.sample_n(&mut rng, 10_000);
         let b = d.sample_n(&mut rng, 10_000);
         let ks = ks_two_sample(&a, &b).unwrap();
         assert!(ks < 0.03, "ks = {ks}");
-        let p = ks_two_sample_pvalue(&a, &b).unwrap();
-        assert!(p > 0.05, "p = {p}");
     }
 
     #[test]
@@ -127,8 +57,6 @@ mod tests {
         let b = Exponential::new(3.0).sample_n(&mut rng, 5000);
         let ks = ks_two_sample(&a, &b).unwrap();
         assert!(ks > 0.2, "ks = {ks}");
-        let p = ks_two_sample_pvalue(&a, &b).unwrap();
-        assert!(p < 1e-6, "p = {p}");
     }
 
     #[test]
@@ -146,9 +74,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_none() {
-        assert!(ks_statistic(&[], |_| 0.5).is_none());
         assert!(ks_two_sample(&[], &[1.0]).is_none());
-        assert!(ks_two_sample_pvalue(&[1.0], &[]).is_none());
+        assert!(ks_two_sample(&[1.0], &[]).is_none());
     }
 
     #[test]

@@ -30,17 +30,6 @@ pub fn ranks(data: &[f64]) -> Vec<f64> {
     out
 }
 
-/// The permutation that sorts `data` ascending (NaNs last).
-pub fn sort_permutation(data: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.sort_by(|&a, &b| {
-        data[a]
-            .partial_cmp(&data[b])
-            .unwrap_or_else(|| data[a].is_nan().cmp(&data[b].is_nan()))
-    });
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +59,6 @@ mod tests {
     fn empty_and_single() {
         assert!(ranks(&[]).is_empty());
         assert_eq!(ranks(&[7.0]), vec![1.0]);
-    }
-
-    #[test]
-    fn sort_permutation_sorts() {
-        let d = [3.0, 1.0, 2.0];
-        let p = sort_permutation(&d);
-        assert_eq!(p, vec![1, 2, 0]);
-        let sorted: Vec<f64> = p.iter().map(|&i| d[i]).collect();
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! All three Hurst estimators in the paper's appendix reduce to fitting a
 //! straight line to a log-log scatter (pox plot, variance-time plot,
-//! periodogram) and reading off the slope. This module provides plain and
-//! weighted fits with the associated correlation diagnostics.
+//! periodogram) and reading off the slope. This module provides that fit
+//! with its correlation diagnostics.
 
 /// Result of a least-squares line fit `y = slope * x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,39 +27,19 @@ pub struct LinearFit {
 /// Panics if the slices have different lengths.
 pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     assert_eq!(x.len(), y.len(), "linear_fit length mismatch");
-    weighted_linear_fit(x, y, None)
-}
-
-/// Weighted least squares fit of `y` on `x` with optional weights (all 1.0
-/// when `None`). Weights must be non-negative and sum to a positive value.
-///
-/// # Panics
-/// Panics on length mismatch or a negative weight.
-pub fn weighted_linear_fit(x: &[f64], y: &[f64], w: Option<&[f64]>) -> Option<LinearFit> {
-    assert_eq!(x.len(), y.len(), "fit length mismatch");
-    if let Some(w) = w {
-        assert_eq!(w.len(), x.len(), "weight length mismatch");
-        assert!(w.iter().all(|&v| v >= 0.0), "negative weight");
-    }
     let n = x.len();
     if n < 2 {
         return None;
     }
-    let weight = |i: usize| w.map_or(1.0, |w| w[i]);
-    let wsum: f64 = (0..n).map(weight).sum();
-    if wsum <= 0.0 {
-        return None;
-    }
-    let mx: f64 = (0..n).map(|i| weight(i) * x[i]).sum::<f64>() / wsum;
-    let my: f64 = (0..n).map(|i| weight(i) * y[i]).sum::<f64>() / wsum;
+    let mx = x.iter().sum::<f64>() / n as f64;
+    let my = y.iter().sum::<f64>() / n as f64;
     let (mut sxx, mut sxy, mut syy) = (0.0, 0.0, 0.0);
-    for i in 0..n {
-        let wi = weight(i);
-        let dx = x[i] - mx;
-        let dy = y[i] - my;
-        sxx += wi * dx * dx;
-        sxy += wi * dx * dy;
-        syy += wi * dy * dy;
+    for (&xi, &yi) in x.iter().zip(y) {
+        let dx = xi - mx;
+        let dy = yi - my;
+        sxx += dx * dx;
+        sxy += dx * dy;
+        syy += dy * dy;
     }
     if sxx == 0.0 {
         return None;
@@ -141,24 +121,5 @@ mod tests {
         let f = linear_fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
         assert!(f.slope.abs() < 1e-15);
         assert_eq!(f.intercept, 5.0);
-    }
-
-    #[test]
-    fn weights_shift_fit() {
-        // Two clusters; weighting the second heavily pulls the fit to it.
-        let x = [0.0, 1.0, 10.0, 11.0];
-        let y = [0.0, 0.0, 100.0, 102.0];
-        let uniform = weighted_linear_fit(&x, &y, None).unwrap();
-        // Vanishing weight on the first cluster: the fit collapses onto the
-        // second cluster, whose local slope is 2.
-        let w = [1e-9, 1e-9, 10.0, 10.0];
-        let tilted = weighted_linear_fit(&x, &y, Some(&w)).unwrap();
-        assert!((tilted.slope - 2.0).abs() < 0.01, "slope {}", tilted.slope);
-        assert!(uniform.slope > 5.0);
-    }
-
-    #[test]
-    fn zero_total_weight_is_none() {
-        assert!(weighted_linear_fit(&[1.0, 2.0], &[1.0, 2.0], Some(&[0.0, 0.0])).is_none());
     }
 }

@@ -125,7 +125,21 @@ fi
 rm -rf "$repro_dir"
 trap - EXIT
 
-echo "== kernel smoke (traced wl subset: fast-theta, one contributions pass for all 56 candidates) =="
+echo "== repro closed reader (subset_search | head -1 exits 0, no panic) =="
+# The first line prints before the search; every later write meets the
+# closed pipe, which the repro binaries treat as the end of the run.
+pipe_err=$(mktemp)
+pipe_rc=0
+"$repro_bin/subset_search" --seed 1999 --jobs 1024 --threads 2 2> "$pipe_err" \
+  | head -1 > /dev/null || pipe_rc=$?
+test "$pipe_rc" = 0 \
+  || { echo "subset_search | head -1 exited $pipe_rc (want 0): $(cat "$pipe_err")"; exit 1; }
+if grep -q panicked "$pipe_err"; then
+  echo "subset_search | head -1 panicked: $(cat "$pipe_err")"; exit 1
+fi
+rm -f "$pipe_err"
+
+echo "== kernel smoke (traced wl subset: fast-theta, one stages-1/2 pass for all 56 candidates) =="
 subset_trace=$(./target/release/wl subset @table1 --size 3 --threads 2 \
   --trace json 2>&1 >/dev/null)
 echo "$subset_trace" | ./target/release/trace-check -
@@ -134,11 +148,12 @@ echo "$subset_trace" | grep -q '"alienation.fast_mu"' \
 subset_counter() {
   echo "$subset_trace" | sed -n "s/.*\"$1\",\"value\":\([0-9]*\).*/\1/p" | head -1
 }
-# The walk computes the pair contributions once and scores every one of
-# the C(8,3) = 56 candidates from them through the engine's shared session.
-contrib_misses=$(subset_counter engine.cache.contributions.miss)
-test "$contrib_misses" = 1 \
-  || { echo "pair contributions computed ${contrib_misses:-no} times (want 1)"; exit 1; }
+# The walk computes stages 1-2 (z-scores, pair contributions) once and
+# scores every one of the C(8,3) = 56 candidates from them through the
+# engine's shared session.
+prepared=$(subset_counter engine.prepared)
+test "$prepared" = 1 \
+  || { echo "stages 1-2 computed ${prepared:-no} times (want 1)"; exit 1; }
 candidates=$(subset_counter subset.candidates)
 shared=$(subset_counter engine.shared_selections)
 test "$candidates" = 56 && test "$shared" = "$candidates" \
