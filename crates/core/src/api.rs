@@ -712,7 +712,7 @@ impl HurstOut {
 }
 
 /// Encode `rows` as nested JSON arrays of numbers-or-null (the body of a
-/// Hurst matrix, shared by [`HurstOut`] and hurst [`ShardResponse`]s).
+/// Hurst matrix).
 fn push_opt_rows(s: &mut String, rows: &[Vec<Option<f64>>]) {
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
@@ -1006,67 +1006,31 @@ pub struct ShardRequest {
     pub part: ShardPart,
 }
 
-/// The contiguous work slice a [`ShardRequest`] asks for; ranges are
-/// half-open `[lo, hi)`.
+/// The work slice a [`ShardRequest`] asks for. Only a subset search is
+/// split; every other request travels whole to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPart {
-    /// MDS starts `lo..hi` of a coplot request (start 0 is the classical
-    /// init; start `i > 0` seeds from `restart_seed(seed, i)`).
-    Restarts {
-        /// First start index (inclusive).
-        lo: u64,
-        /// One past the last start index.
-        hi: u64,
-    },
-    /// Workload rows `lo..hi` of a hurst request.
-    Rows {
-        /// First workload index (inclusive).
-        lo: u64,
-        /// One past the last workload index.
-        hi: u64,
-    },
-    /// Lexicographic C(p,k) combination indices `lo..hi` of a subset
-    /// request.
+    /// Lexicographic C(p,k) combination indices `lo..hi` (half-open) of a
+    /// subset request.
     Combos {
         /// First combination index (inclusive).
         lo: u64,
         /// One past the last combination index.
         hi: u64,
     },
-    /// The whole request, for analyses that cannot be sliced (e.g.
-    /// coplot with variable elimination).
+    /// The whole request: every coplot and hurst request, and a subset
+    /// request whose combination space is empty.
     Whole,
 }
 
 impl ShardPart {
-    /// Wire label of the slice kind.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            ShardPart::Restarts { .. } => "restarts",
-            ShardPart::Rows { .. } => "rows",
-            ShardPart::Combos { .. } => "combos",
-            ShardPart::Whole => "whole",
-        }
-    }
-
-    /// The half-open range, when the part has one.
-    pub fn range(&self) -> Option<(u64, u64)> {
-        match *self {
-            ShardPart::Restarts { lo, hi }
-            | ShardPart::Rows { lo, hi }
-            | ShardPart::Combos { lo, hi } => Some((lo, hi)),
-            ShardPart::Whole => None,
-        }
-    }
-
     fn encode(&self, s: &mut String) {
-        s.push_str("{\"kind\":\"");
-        s.push_str(self.kind_label());
-        s.push('"');
-        if let Some((lo, hi)) = self.range() {
-            s.push_str(&format!(",\"lo\":{lo},\"hi\":{hi}"));
+        match self {
+            ShardPart::Combos { lo, hi } => {
+                s.push_str(&format!("{{\"kind\":\"combos\",\"lo\":{lo},\"hi\":{hi}}}"));
+            }
+            ShardPart::Whole => s.push_str("{\"kind\":\"whole\"}"),
         }
-        s.push('}');
     }
 
     fn from_value(v: &JsonValue) -> Result<ShardPart, ApiError> {
@@ -1081,23 +1045,15 @@ impl ShardPart {
                 }
             }
         }
-        let kind = get_str(v, "kind")?;
-        if kind == "whole" {
-            if obj.len() != 1 {
-                return Err(ApiError::schema("a \"whole\" part takes no range"));
-            }
-            return Ok(ShardPart::Whole);
-        }
-        let lo = opt_u64(v, "lo")?
-            .ok_or_else(|| ApiError::schema("missing field \"lo\""))?;
-        let hi = opt_u64(v, "hi")?
-            .ok_or_else(|| ApiError::schema("missing field \"hi\""))?;
-        match kind {
-            "restarts" => Ok(ShardPart::Restarts { lo, hi }),
-            "rows" => Ok(ShardPart::Rows { lo, hi }),
-            "combos" => Ok(ShardPart::Combos { lo, hi }),
+        match get_str(v, "kind")? {
+            "whole" if obj.len() == 1 => Ok(ShardPart::Whole),
+            "whole" => Err(ApiError::schema("a \"whole\" part takes no range")),
+            "combos" => Ok(ShardPart::Combos {
+                lo: opt_u64(v, "lo")?.ok_or_else(|| ApiError::schema("missing field \"lo\""))?,
+                hi: opt_u64(v, "hi")?.ok_or_else(|| ApiError::schema("missing field \"hi\""))?,
+            }),
             other => Err(ApiError::schema(format!(
-                "part kind must be \"restarts\", \"rows\", \"combos\" or \"whole\", got {other:?}"
+                "part kind must be \"combos\" or \"whole\", got {other:?}"
             ))),
         }
     }
@@ -1105,15 +1061,15 @@ impl ShardPart {
 
 impl ShardRequest {
     /// Validate and normalize: canonicalize the base request, check the
-    /// slice range, and check the part kind matches the base op
-    /// (restarts ⇒ plain coplot, rows ⇒ hurst, combos ⇒ subset).
+    /// slice range, and check the part kind matches the base op (combos ⇒
+    /// subset; whole fits any op).
     ///
     /// # Errors
     /// [`ApiError`] with kind `Value` for bad ranges or mismatched
     /// part/op pairs.
     pub fn canonicalize(&self) -> Result<ShardRequest, ApiError> {
         let base = self.base.canonicalize()?;
-        if let Some((lo, hi)) = self.part.range() {
+        if let ShardPart::Combos { lo, hi } = self.part {
             check_int("lo", lo)?;
             check_int("hi", hi)?;
             if lo >= hi {
@@ -1121,21 +1077,12 @@ impl ShardRequest {
                     "shard range must be non-empty, got [{lo}, {hi})"
                 )));
             }
-        }
-        let compatible = match self.part {
-            ShardPart::Restarts { .. } => {
-                base.op == Operation::Coplot && base.min_correlation.is_none()
+            if base.op != Operation::Subset {
+                return Err(ApiError::value(format!(
+                    "part kind \"combos\" cannot slice a {:?} request",
+                    base.op.label()
+                )));
             }
-            ShardPart::Rows { .. } => base.op == Operation::Hurst,
-            ShardPart::Combos { .. } => base.op == Operation::Subset,
-            ShardPart::Whole => true,
-        };
-        if !compatible {
-            return Err(ApiError::value(format!(
-                "part kind {:?} cannot slice a {:?} request",
-                self.part.kind_label(),
-                base.op.label()
-            )));
         }
         Ok(ShardRequest {
             base,
@@ -1205,16 +1152,6 @@ impl ShardRequest {
 /// request's [`ShardPart`] kind.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardResponse {
-    /// The complete coplot map from the shard's restart window (the
-    /// coordinator keeps the window whose alienation wins).
-    Coplot(CoplotOut),
-    /// Hurst rows for the shard's workload window, in row order.
-    Hurst {
-        /// Workload names for the window.
-        workloads: Vec<String>,
-        /// `rows[w][c]` per window workload, all 12 columns.
-        rows: Vec<Vec<Option<f64>>>,
-    },
     /// Scored subsets for the shard's combination window, in
     /// combination order — unranked; ranking happens once at reassembly.
     Subset {
@@ -1229,8 +1166,6 @@ impl ShardResponse {
     /// Wire label of the carried shard kind.
     pub fn kind_label(&self) -> &'static str {
         match self {
-            ShardResponse::Coplot(_) => "coplot",
-            ShardResponse::Hurst { .. } => "hurst",
             ShardResponse::Subset { .. } => "subset",
             ShardResponse::Whole(_) => "whole",
         }
@@ -1243,14 +1178,6 @@ impl ShardResponse {
         s.push_str(self.kind_label());
         s.push_str("\",\"result\":");
         match self {
-            ShardResponse::Coplot(c) => c.encode(&mut s),
-            ShardResponse::Hurst { workloads, rows } => {
-                s.push_str("{\"workloads\":[");
-                push_str_array(&mut s, workloads);
-                s.push_str("],\"rows\":[");
-                push_opt_rows(&mut s, rows);
-                s.push_str("]}");
-            }
             ShardResponse::Subset { entries } => {
                 s.push_str("{\"entries\":[");
                 push_subset_entries(&mut s, entries);
@@ -1273,17 +1200,12 @@ impl ShardResponse {
             .get("result")
             .ok_or_else(|| ApiError::schema("missing field \"result\""))?;
         match kind {
-            "coplot" => Ok(ShardResponse::Coplot(CoplotOut::decode(result)?)),
-            "hurst" => Ok(ShardResponse::Hurst {
-                workloads: get_str_array(result, "workloads")?,
-                rows: decode_opt_rows(result)?,
-            }),
             "subset" => Ok(ShardResponse::Subset {
                 entries: decode_subset_entries(get_array(result, "entries")?)?,
             }),
             "whole" => Ok(ShardResponse::Whole(AnalysisResponse::from_value(result)?)),
             other => Err(ApiError::schema(format!(
-                "shard must be \"coplot\", \"hurst\", \"subset\" or \"whole\", got {other:?}"
+                "shard must be \"subset\" or \"whole\", got {other:?}"
             ))),
         }
     }
@@ -1982,18 +1904,9 @@ mod tests {
         (arb_request(), (0u64..50, 1u64..50), proptest::bool::ANY).prop_map(
             |(r, (lo, d), whole)| {
                 let base = r.canonicalize().unwrap();
-                let hi = lo + d;
-                let part = if whole {
-                    ShardPart::Whole
-                } else {
-                    match base.op {
-                        Operation::Coplot if base.min_correlation.is_none() => {
-                            ShardPart::Restarts { lo, hi }
-                        }
-                        Operation::Coplot => ShardPart::Whole,
-                        Operation::Hurst => ShardPart::Rows { lo, hi },
-                        Operation::Subset => ShardPart::Combos { lo, hi },
-                    }
+                let part = match base.op {
+                    Operation::Subset if !whole => ShardPart::Combos { lo, hi: lo + d },
+                    _ => ShardPart::Whole,
                 };
                 ShardRequest { base, part }
             },
@@ -2002,16 +1915,6 @@ mod tests {
 
     fn arb_shard_response() -> impl Strategy<Value = ShardResponse> {
         prop_oneof![
-            arb_coplot_out().prop_map(ShardResponse::Coplot).boxed(),
-            (
-                proptest::collection::vec(arb_name(), 0..4),
-                proptest::collection::vec(
-                    proptest::collection::vec(arb_opt(arb_finite()), 0..4),
-                    0..4
-                ),
-            )
-                .prop_map(|(workloads, rows)| ShardResponse::Hurst { workloads, rows })
-                .boxed(),
             proptest::collection::vec(
                 (
                     proptest::collection::vec(arb_name(), 0..4),
@@ -2097,7 +2000,7 @@ mod tests {
         let hurst = AnalysisRequest::new(Operation::Hurst, DatasetSpec::Named("models".into()));
         let bad = ShardRequest {
             base: hurst.clone(),
-            part: ShardPart::Restarts { lo: 0, hi: 2 },
+            part: ShardPart::Combos { lo: 0, hi: 2 },
         };
         assert_eq!(bad.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
 
@@ -2105,15 +2008,27 @@ mod tests {
         eliminating.min_correlation = Some(0.8);
         let bad = ShardRequest {
             base: eliminating,
-            part: ShardPart::Restarts { lo: 0, hi: 2 },
+            part: ShardPart::Combos { lo: 0, hi: 2 },
         };
         assert_eq!(bad.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
 
+        let subset = AnalysisRequest::new(Operation::Subset, DatasetSpec::Named("models".into()));
         let empty = ShardRequest {
-            base: hurst,
-            part: ShardPart::Rows { lo: 3, hi: 3 },
+            base: subset,
+            part: ShardPart::Combos { lo: 3, hi: 3 },
         };
         assert_eq!(empty.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
+
+        // Only `combos` and `whole` parse; any other kind names them both.
+        for kind in ["restarts", "rows"] {
+            let text = format!(
+                "{{\"base\":{},\"part\":{{\"kind\":\"{kind}\",\"lo\":0,\"hi\":2}}}}",
+                hurst.to_json()
+            );
+            let err = ShardRequest::from_json(&text).unwrap_err();
+            assert_eq!(err.kind, ApiErrorKind::Schema, "{kind}");
+            assert!(err.message.contains("\"combos\" or \"whole\""), "{err}");
+        }
     }
 
     #[test]

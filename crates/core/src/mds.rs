@@ -45,7 +45,8 @@ use wl_linalg::{double_center, jacobi_eigen, Matrix};
 use wl_stats::isotonic::Pava;
 use wl_stats::rng::derive_seed;
 
-/// Tuning knobs for the MDS optimizer.
+/// Tuning knobs for the MDS optimizer. Every run tries all
+/// `restarts + 1` starts and keeps the best.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MdsConfig {
     /// Majorization iterations per start.
@@ -59,13 +60,6 @@ pub struct MdsConfig {
     /// Worker threads for the restarts (1 = run them sequentially on the
     /// calling thread). Results are bit-identical for any thread count.
     pub threads: usize,
-    /// Run only the half-open window `[lo, hi)` of the `restarts + 1`
-    /// starts (`None` = all of them). Start indices are **absolute**: a
-    /// windowed run seeds start `i` exactly like the full run does, so
-    /// a set of contiguous windows covering `0..restarts + 1` computes
-    /// precisely the full run's starts — the primitive `wl-serve`'s
-    /// coordinator shards MDS restarts with.
-    pub restart_range: Option<(usize, usize)>,
 }
 
 impl Default for MdsConfig {
@@ -76,7 +70,6 @@ impl Default for MdsConfig {
             restarts: 8,
             seed: 0x5EED,
             threads: 1,
-            restart_range: None,
         }
     }
 }
@@ -152,25 +145,13 @@ pub fn nonmetric_mds(
         .collect();
 
     let n_starts = config.restarts + 1;
-    let (win_lo, win_hi) = match config.restart_range {
-        None => (0, n_starts),
-        Some((lo, hi)) => {
-            if lo >= hi || hi > n_starts {
-                return Err(CoplotError::InvalidConfig(format!(
-                    "restart_range [{lo}, {hi}) must be a non-empty window of 0..{n_starts}"
-                )));
-            }
-            (lo, hi)
-        }
-    };
-    let window = win_hi - win_lo;
     let _span = wl_obs::span!("mds.restarts");
-    wl_obs::counter!("mds.starts", window as u64);
+    wl_obs::counter!("mds.starts", n_starts as u64);
     // Each start's result is a pure function of (seed, start index), so the
     // pool's determinism contract applies and any thread count reproduces
     // the sequential path bit for bit.
-    let outcomes = wl_par::par_map_indexed(config.threads, window, |i| {
-        run_start(win_lo + i, diss, &deltas, &pair_idx, config)
+    let outcomes = wl_par::par_map_indexed(config.threads, n_starts, |i| {
+        run_start(i, diss, &deltas, &pair_idx, config)
     });
 
     // Select the best start exactly as the sequential loop would: walk in
@@ -179,7 +160,7 @@ pub fn nonmetric_mds(
     let mut total_iters = 0;
     let mut majorization_time = Duration::ZERO;
     let mut theta_time = Duration::ZERO;
-    let mut theta_per_restart = Vec::with_capacity(window);
+    let mut theta_per_restart = Vec::with_capacity(n_starts);
     for outcome in outcomes {
         let outcome = outcome?;
         total_iters += outcome.iterations;
@@ -782,80 +763,6 @@ mod tests {
                 assert_eq!(seq.theta_per_restart, par.theta_per_restart);
                 assert_eq!(seq.iterations, par.iterations);
             }
-        }
-    }
-
-    #[test]
-    fn restart_windows_reassemble_to_the_full_run() {
-        // The distribution contract: contiguous windows covering the
-        // start space, each run independently, select (in window order,
-        // strictly-better keeps) exactly the full run's winner — bit for
-        // bit, for any partitioning.
-        let pts = [
-            (0.0, 0.0),
-            (1.0, 0.0),
-            (2.0, 0.3),
-            (0.5, 1.5),
-            (1.7, 1.2),
-            (0.1, 2.4),
-        ];
-        let diss = planted(&pts);
-        let full = nonmetric_mds(&diss, &MdsConfig::default()).unwrap();
-        let n_starts = MdsConfig::default().restarts + 1;
-        for parts in [1usize, 2, 3, 4, 9] {
-            let chunk = n_starts.div_ceil(parts);
-            let mut best: Option<MdsSolution> = None;
-            let mut thetas = Vec::new();
-            let mut lo = 0;
-            while lo < n_starts {
-                let hi = (lo + chunk).min(n_starts);
-                let sol = nonmetric_mds(
-                    &diss,
-                    &MdsConfig {
-                        restart_range: Some((lo, hi)),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(sol.theta_per_restart.len(), hi - lo);
-                thetas.extend_from_slice(&sol.theta_per_restart);
-                let better = match &best {
-                    None => true,
-                    Some(b) => sol.alienation < b.alienation,
-                };
-                if better {
-                    best = Some(sol);
-                }
-                lo = hi;
-            }
-            let best = best.unwrap();
-            assert_eq!(
-                best.coords.as_slice(),
-                full.coords.as_slice(),
-                "{parts} windows"
-            );
-            assert_eq!(best.alienation.to_bits(), full.alienation.to_bits());
-            assert_eq!(thetas, full.theta_per_restart);
-        }
-    }
-
-    #[test]
-    fn bad_restart_window_is_an_error() {
-        let pts = [(0.0, 0.0), (1.0, 0.2), (0.3, 1.0), (1.5, 1.5)];
-        let diss = planted(&pts);
-        for range in [(3, 3), (5, 2), (0, 10), (9, 12)] {
-            let err = nonmetric_mds(
-                &diss,
-                &MdsConfig {
-                    restart_range: Some(range),
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, CoplotError::InvalidConfig(_)),
-                "{range:?}: {err}"
-            );
         }
     }
 

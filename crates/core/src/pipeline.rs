@@ -16,7 +16,10 @@ pub use crate::error::CoplotError;
 use crate::mds::MdsConfig;
 use wl_linalg::Matrix;
 
-/// Builder for a Co-plot analysis.
+/// Builder for a Co-plot analysis: the stage-2 metric, the missing-cell
+/// policy, the MDS seed, restarts, iteration cap and threads, and a
+/// deadline. A run always tries every MDS start (the classical start plus
+/// `restarts` random ones) and keeps the best.
 #[derive(Debug, Clone)]
 pub struct Coplot {
     pub(crate) metric: Metric,
@@ -81,14 +84,6 @@ impl Coplot {
     /// bit-identical for any thread count).
     pub fn threads(mut self, threads: usize) -> Self {
         self.mds.threads = threads;
-        self
-    }
-
-    /// Run only the MDS starts in the absolute window `[lo, hi)` of the
-    /// `restarts + 1` starts (`None`, the default, runs them all; see
-    /// [`MdsConfig::restart_range`]).
-    pub fn restart_range(mut self, range: Option<(usize, usize)>) -> Self {
-        self.mds.restart_range = range;
         self
     }
 

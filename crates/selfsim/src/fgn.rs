@@ -22,7 +22,7 @@
 //!
 //! A Davies-Harte generator's circulant amplitudes depend only on `H` and
 //! the embedding size, and every synthesis of a named dataset asks for
-//! the same few pairs. So [`FgnDaviesHarte::new`] keeps them in a 512 KiB
+//! the same few pairs. So [`FgnDaviesHarte::new`] keeps them in an 8 MiB
 //! process-wide table of the same type as [`fft::plan`]'s, counted as
 //! `fgn.amps.{hit,miss,evictions,bytes}`. A computed amplitude takes one
 //! `powf` per lag; its bits equal those of the three-`powf`
@@ -34,10 +34,13 @@ use rand::RngCore;
 use std::sync::{Arc, LazyLock};
 use wl_stats::dist::Normal;
 
-/// Bytes of amplitudes the process-wide table keeps. One `table1` load at
-/// 1024 jobs asks for 20 distinct `(H, m)` keys, about 127 KB, and `table3`
-/// at 2000 jobs for about 0.25 MB.
-const AMP_TABLE_BYTES: usize = 512 * 1024;
+/// Bytes of amplitudes the process-wide table keeps: enough for one
+/// `table1` load at 40,000 jobs, whose 20 distinct `(H, m)` keys take
+/// 8,126,624 bytes (at 1024 jobs they take about 127 KB). A budget that
+/// keeps less recomputes them on every load: 40 such hurst requests then
+/// compute 920 amplitude vectors instead of 20, and their median takes
+/// 16% longer.
+const AMP_TABLE_BYTES: usize = 8 << 20;
 
 /// The fGn autocovariance `gamma(k)` for unit-variance noise.
 ///

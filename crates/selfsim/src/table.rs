@@ -1,6 +1,6 @@
 //! One byte-budgeted table type for the crate's process-wide caches: FFT
 //! plans ([`crate::fft::plan`], 64 MiB) and fGn circulant amplitudes
-//! ([`crate::fgn::FgnDaviesHarte::new`], 512 KiB), `Arc`s weighed in bytes
+//! ([`crate::fgn::FgnDaviesHarte::new`], 8 MiB), `Arc`s weighed in bytes
 //! by the caller, since a count of them bounds nothing. A missing key is
 //! built under the lock, once at any thread count. An error is not kept,
 //! nor a value larger than the whole budget; a value that would not fit

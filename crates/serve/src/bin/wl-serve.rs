@@ -168,8 +168,11 @@ USAGE:
   --idle-timeout-ms N  evict idle connections (mid-request idlers get 408)
                      after this long (default 10000)
   --stdin-shutdown   drain gracefully when a byte arrives on stdin
-  --coordinator      run as a fleet coordinator: analyses are sharded across
-                     registered workers (results byte-identical to one node)
+  --coordinator      run as a fleet coordinator: each coplot or hurst request
+                     goes whole to one registered worker (by dataset digest),
+                     a subset search splits across them; answers are
+                     byte-identical to one node. Coordinator and workers
+                     must come from one build
   --worker H:P       (with --coordinator, repeatable) a worker address; more
                      may register at runtime via POST /v2/workers
   --probe-interval-ms N  coordinator health-probe period (default 1000)

@@ -1,5 +1,13 @@
 //! The coordinator: worker registry with periodic `/healthz` probing,
-//! retry-on-worker-loss shard dispatch, and fleet-aggregated metrics.
+//! routed shard dispatch with retry on worker loss, and fleet-aggregated
+//! metrics.
+//!
+//! Routing: each request orders the live workers by rendezvous hashing on
+//! its dataset digest ([`rendezvous`]). Shard `i` goes to the `i`-th
+//! worker of that order and a retry to the next one, so a whole request
+//! lands on the digest's first worker, where same-digest requests meet in
+//! in-flight sharing, and a subset search's combos windows land on
+//! distinct workers.
 //!
 //! Determinism contract: the coordinator's answer to any analysis is
 //! byte-identical to a single-node `wl-serve` for any worker count and
@@ -19,7 +27,7 @@ use wl_obs::{escape_str, JsonValue};
 
 use crate::cache::ResultCache;
 use crate::http::Response;
-use crate::server::{datasets_digest_of, exec_error_response, Prepared, ServerConfig};
+use crate::server::{datasets_digest_of, exec_error_response, Prepared};
 
 use super::{shard, wire};
 
@@ -197,7 +205,6 @@ enum Failure {
 pub(crate) fn execute_via_fleet(
     coordinator: &Coordinator,
     prepared: &Prepared,
-    _config: &ServerConfig,
     cache: &ResultCache,
 ) -> Response {
     let canonical = &prepared.canonical;
@@ -229,7 +236,7 @@ pub(crate) fn execute_via_fleet(
                     base: canonical.clone(),
                     part: *part,
                 };
-                scope.spawn(move || dispatch_part(coordinator, shard_req, index))
+                scope.spawn(move || dispatch_part(coordinator, shard_req, dataset_digest, index))
             })
             .collect();
         handles
@@ -254,24 +261,28 @@ pub(crate) fn execute_via_fleet(
     Response::json(200, body)
 }
 
-/// Run one shard to completion: pick a live worker (spread by shard
-/// index), POST, and on transport failure or worker overload mark the
-/// worker dead and retry on the next live one. Typed worker errors are
-/// final — they are properties of the request, not the worker.
+/// Run one shard to completion: POST it to the `index`-th live worker of
+/// the digest's [`rendezvous`] order, and on transport failure or worker
+/// overload mark the worker dead and retry on the next live one in that
+/// order. Typed worker errors are final — they are properties of the
+/// request, not the worker.
 fn dispatch_part(
     coordinator: &Coordinator,
     shard_req: ShardRequest,
+    digest: u64,
     index: usize,
 ) -> Result<ShardResponse, Failure> {
     let mut tried: Vec<String> = Vec::new();
     loop {
-        let live = coordinator.live();
-        let candidates: Vec<&String> =
-            live.iter().filter(|a| !tried.contains(a)).collect();
-        if candidates.is_empty() {
+        let order = rendezvous(digest, &coordinator.live());
+        let next = order
+            .iter()
+            .skip(index)
+            .chain(order.iter().take(index))
+            .find(|a| !tried.contains(*a));
+        let Some(addr) = next.cloned() else {
             return Err(Failure::NoWorkers);
-        }
-        let addr = candidates[index % candidates.len()].clone();
+        };
         match wire::post_shard(&addr, &shard_req, coordinator.shard_timeout) {
             Ok(wire::ShardReply::Ok(resp)) => {
                 coordinator.record_ok(&addr);
@@ -288,6 +299,24 @@ fn dispatch_part(
             }
         }
     }
+}
+
+/// The rendezvous order of `live` for a dataset digest: addresses by
+/// descending hash of (digest, address), ties by address. Removing an
+/// address leaves the others in their order, so a digest's first worker
+/// stays first while it lives.
+fn rendezvous(digest: u64, live: &[String]) -> Vec<String> {
+    let weight = |addr: &str| {
+        // FNV-1a, then SplitMix64's finalizer: addresses that differ in one
+        // character still weigh independently.
+        let mut z = coplot::api::fnv1a(format!("{digest}/{addr}").as_bytes());
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut order: Vec<(u64, &String)> = live.iter().map(|a| (weight(a), a)).collect();
+    order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+    order.into_iter().map(|(_, a)| a.clone()).collect()
 }
 
 fn no_workers_response() -> Response {
@@ -572,6 +601,31 @@ mod tests {
         );
         let Metric::Histogram { count, min, .. } = m else { panic!() };
         assert_eq!((count, min), (2, 20));
+    }
+
+    #[test]
+    fn rendezvous_order_is_a_stable_permutation_of_the_live_workers() {
+        let live: Vec<String> = (1..=5).map(|p| format!("127.0.0.1:{p}")).collect();
+        for digest in [0u64, 7, u64::MAX] {
+            let order = rendezvous(digest, &live);
+            assert_eq!(order, rendezvous(digest, &live), "deterministic");
+            let mut sorted = order.clone();
+            sorted.sort();
+            assert_eq!(sorted, live, "a permutation of the live workers");
+            // Losing any worker but the first keeps the first first.
+            for lost in &order[1..] {
+                let rest: Vec<String> = live.iter().filter(|a| *a != lost).cloned().collect();
+                assert_eq!(rendezvous(digest, &rest)[0], order[0]);
+            }
+        }
+        // Digests spread: over 64 of them, each of two workers leads some.
+        let pair = &live[..2];
+        for addr in pair {
+            assert!(
+                (0..64).any(|d| &rendezvous(d, pair)[0] == addr),
+                "{addr} never comes first"
+            );
+        }
     }
 
     #[test]

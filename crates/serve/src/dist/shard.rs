@@ -1,23 +1,14 @@
-//! Pure shard planning and reassembly: what to slice a request into, and
+//! Pure shard planning and reassembly: what to split a request into, and
 //! how to put worker replies back together byte-identically.
 //!
 //! Everything here is deterministic in the request alone — worker count
-//! only changes how many contiguous pieces the same index space is cut
-//! into, never the values computed — so the coordinator's reassembled
-//! response equals a single-node run for any fleet size.
+//! only changes how many contiguous pieces a subset search's combination
+//! space is cut into, never the values computed — so the coordinator's
+//! reassembled response equals a single-node run for any fleet size.
 
 use coplot::{
-    AnalysisRequest, AnalysisResponse, CoplotOut, DatasetSpec, HurstOut, MdsConfig, Operation,
-    ShardPart, ShardResponse, SubsetEntry, SubsetOut,
+    AnalysisRequest, AnalysisResponse, Operation, ShardPart, ShardResponse, SubsetEntry, SubsetOut,
 };
-
-use crate::datasets::NamedDataset;
-
-/// How many MDS starts a default engine tries: `restarts` random starts
-/// plus the classical-scaling start 0.
-pub fn coplot_total_starts() -> u64 {
-    MdsConfig::default().restarts as u64 + 1
-}
 
 /// Split `[0, total)` into at most `n` contiguous, non-empty, nearly
 /// equal half-open ranges (earlier ranges take the remainder). Empty for
@@ -39,132 +30,43 @@ pub fn partition(total: u64, n: usize) -> Vec<(u64, u64)> {
     out
 }
 
-/// Plan the shards for one canonical request across `workers` workers.
-///
-/// Requests whose work can't be sliced — coplot with elimination (the
-/// removal loop is inherently sequential), or an index space the
-/// coordinator can't size without loading data — become one `whole`
-/// shard, which behaves like a proxied single-node request.
+/// Plan the shards for one canonical request across `workers` workers: a
+/// subset search with a non-empty combination space becomes up to
+/// `workers` `combos` windows, and every other request one `whole` shard,
+/// which behaves like a proxied single-node request (an invalid subset
+/// size included: one worker reproduces the single-node error).
 pub fn plan(req: &AnalysisRequest, workers: usize) -> Vec<ShardPart> {
-    let n = workers.max(1);
-    match req.op {
-        Operation::Coplot => {
-            if req.min_correlation.is_some() {
-                return vec![ShardPart::Whole];
-            }
-            partition(coplot_total_starts(), n)
-                .into_iter()
-                .map(|(lo, hi)| ShardPart::Restarts { lo, hi })
-                .collect()
-        }
-        Operation::Hurst => match dataset_rows(req) {
-            Some(total) if total > 0 => partition(total, n)
-                .into_iter()
-                .map(|(lo, hi)| ShardPart::Rows { lo, hi })
-                .collect(),
-            _ => vec![ShardPart::Whole],
-        },
+    let total = match req.op {
         Operation::Subset => {
-            let total =
-                wl_analysis::subset_space_size(req.vars.len(), req.subset_size as usize) as u64;
-            if total == 0 {
-                // Invalid sizes: one worker reproduces the single-node
-                // error byte-exactly.
-                return vec![ShardPart::Whole];
-            }
-            partition(total, n)
-                .into_iter()
-                .map(|(lo, hi)| ShardPart::Combos { lo, hi })
-                .collect()
+            wl_analysis::subset_space_size(req.vars.len(), req.subset_size as usize) as u64
         }
+        Operation::Coplot | Operation::Hurst => 0,
+    };
+    if total == 0 {
+        return vec![ShardPart::Whole];
     }
-}
-
-/// How many Hurst rows the request will produce, without loading data:
-/// named datasets advertise their observation count, path datasets yield
-/// one workload per path.
-fn dataset_rows(req: &AnalysisRequest) -> Option<u64> {
-    match &req.dataset {
-        DatasetSpec::Named(name) => {
-            NamedDataset::from_name(name).map(|d| d.observations() as u64)
-        }
-        DatasetSpec::Paths(paths) => Some(paths.len() as u64),
-    }
+    partition(total, workers)
+        .into_iter()
+        .map(|(lo, hi)| ShardPart::Combos { lo, hi })
+        .collect()
 }
 
 /// Reassemble shard replies (in shard order) into the response a
 /// single-node run would have produced. `None` means a reply had the
-/// wrong kind for the op — a fleet bug, answered as a retryable error,
+/// wrong kind for the plan — a fleet bug, answered as a retryable error,
 /// never a 500.
 pub fn merge(req: &AnalysisRequest, shards: Vec<ShardResponse>) -> Option<AnalysisResponse> {
-    if shards.len() == 1 {
-        if let Some(ShardResponse::Whole(_)) = shards.first() {
-            let Some(ShardResponse::Whole(r)) = shards.into_iter().next() else {
-                unreachable!("matched above");
-            };
-            return Some(r);
-        }
-    }
-    match req.op {
-        Operation::Coplot => {
-            let mut outs = Vec::with_capacity(shards.len());
-            for s in shards {
-                let ShardResponse::Coplot(out) = s else { return None };
-                outs.push(out);
-            }
-            merge_coplot(outs).map(AnalysisResponse::Coplot)
-        }
-        Operation::Hurst => {
-            let mut workloads = Vec::new();
-            let mut rows = Vec::new();
-            for s in shards {
-                let ShardResponse::Hurst {
-                    workloads: w,
-                    rows: r,
-                } = s
-                else {
-                    return None;
-                };
-                workloads.extend(w);
-                rows.extend(r);
-            }
-            Some(AnalysisResponse::Hurst(HurstOut {
-                workloads,
-                columns: crate::exec::hurst_columns(),
-                rows,
-            }))
-        }
-        Operation::Subset => {
-            let mut parts = Vec::with_capacity(shards.len());
-            for s in shards {
-                let ShardResponse::Subset { entries } = s else { return None };
-                parts.push(entries);
-            }
-            Some(AnalysisResponse::Subset(merge_subset(
-                parts,
-                req.top as usize,
-            )))
-        }
-    }
-}
-
-/// The tournament step: walk window winners in shard (= start) order,
-/// keeping the strictly smaller alienation. This mirrors the full run's
-/// own best-of selection over individual starts, so the survivor is
-/// bit-identical to the single-node winner (pinned by
-/// `restart_windows_reassemble_to_the_full_run` in `wl-core`).
-pub fn merge_coplot(shards: Vec<CoplotOut>) -> Option<CoplotOut> {
-    let mut best: Option<CoplotOut> = None;
+    let n = shards.len();
+    let mut parts = Vec::with_capacity(n);
     for s in shards {
-        let better = match &best {
-            None => true,
-            Some(b) => s.alienation < b.alienation,
-        };
-        if better {
-            best = Some(s);
+        match s {
+            ShardResponse::Whole(r) if n == 1 => return Some(r),
+            ShardResponse::Subset { entries } => parts.push(entries),
+            ShardResponse::Whole(_) => return None,
         }
     }
-    best
+    (req.op == Operation::Subset)
+        .then(|| AnalysisResponse::Subset(merge_subset(parts, req.top as usize)))
 }
 
 /// Concatenate combo-window results (already in combination order) and
@@ -189,6 +91,7 @@ pub fn merge_subset(parts: Vec<Vec<SubsetEntry>>, top: usize) -> SubsetOut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coplot::{DatasetSpec, HurstOut};
 
     fn req(op: Operation) -> AnalysisRequest {
         let mut r = AnalysisRequest::new(op, DatasetSpec::Named("models".into()));
@@ -218,30 +121,26 @@ mod tests {
     }
 
     #[test]
-    fn coplot_plans_restart_windows_unless_eliminating() {
-        let parts = plan(&req(Operation::Coplot), 3);
-        assert_eq!(parts.len(), 3);
-        assert!(matches!(parts[0], ShardPart::Restarts { lo: 0, .. }));
-        let (_, last_hi) = parts.last().unwrap().range().unwrap();
-        assert_eq!(last_hi, coplot_total_starts());
-
+    fn coplot_and_hurst_plan_one_whole_shard() {
         let mut eliminating = req(Operation::Coplot);
         eliminating.min_correlation = Some(0.5);
-        assert_eq!(plan(&eliminating, 3), vec![ShardPart::Whole]);
-    }
-
-    #[test]
-    fn hurst_plans_rows_from_the_dataset_registry() {
-        // models has 5 observations; 2 workers split them 3 + 2.
-        let parts = plan(&req(Operation::Hurst), 2);
-        assert_eq!(
-            parts,
-            vec![ShardPart::Rows { lo: 0, hi: 3 }, ShardPart::Rows { lo: 3, hi: 5 }]
-        );
-        // Unknown dataset: one whole shard reproduces the 404.
         let mut unknown = req(Operation::Hurst);
         unknown.dataset = DatasetSpec::Named("table9".into());
-        assert_eq!(plan(&unknown, 4), vec![ShardPart::Whole]);
+        for r in [
+            req(Operation::Coplot),
+            eliminating,
+            req(Operation::Hurst),
+            unknown,
+        ] {
+            for workers in [1, 2, 3, 64] {
+                assert_eq!(plan(&r, workers), vec![ShardPart::Whole], "{:?}", r.op);
+            }
+        }
+        // An invalid subset size: one worker reproduces the single-node
+        // error.
+        let mut oversized = req(Operation::Subset);
+        oversized.subset_size = 9;
+        assert_eq!(plan(&oversized, 3), vec![ShardPart::Whole]);
     }
 
     #[test]
@@ -252,31 +151,19 @@ mod tests {
         assert_eq!(r.vars.len(), 8);
         let parts = plan(&r, 3);
         assert_eq!(parts.len(), 3);
-        let (_, hi) = parts.last().unwrap().range().unwrap();
-        assert_eq!(hi, 28);
+        assert_eq!(parts.last(), Some(&ShardPart::Combos { lo: 19, hi: 28 }));
     }
 
     #[test]
     fn more_workers_than_work_still_yields_nonempty_shards() {
-        let parts = plan(&req(Operation::Hurst), 64);
-        assert_eq!(parts.len(), 5, "one per workload");
-    }
-
-    #[test]
-    fn coplot_merge_keeps_the_first_strictly_best_winner() {
-        let out = |alienation: f64| CoplotOut {
-            observations: vec![format!("w{alienation}")],
-            coords: vec![[0.0, 0.0]],
-            arrows: Vec::new(),
-            alienation,
-            stress: 0.0,
-            dissimilarities: Vec::new(),
-            removed: Vec::new(),
-        };
-        let merged = merge_coplot(vec![out(0.3), out(0.1), out(0.1), out(0.2)]).unwrap();
-        // Ties keep the earlier shard, mirroring earliest-start-wins.
-        assert_eq!(merged.observations, vec!["w0.1".to_string()]);
-        assert!(merge_coplot(Vec::new()).is_none());
+        let mut r = req(Operation::Subset);
+        r.subset_size = 2;
+        r.vars = ["Rm", "Pm", "Im"].map(String::from).to_vec();
+        let parts = plan(&r, 64);
+        assert_eq!(parts.len(), 3, "one per combination");
+        assert!(parts
+            .iter()
+            .all(|p| matches!(p, ShardPart::Combos { lo, hi } if lo < hi)));
     }
 
     #[test]

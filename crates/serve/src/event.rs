@@ -9,11 +9,12 @@
 //!   parses incrementally ([`crate::http::try_parse`] — pipelining falls
 //!   out of the `consumed` offset), answers cheap endpoints, 4xx replies
 //!   and result-cache hits on named datasets inline, and dispatches the
-//!   remaining analysis/stream work to the queue — an analysis of a named
-//!   dataset holding its digest's in-flight slot from there on, so
-//!   requests queued or running together on one digest load it once (see
-//!   [`crate::exec`]). It never blocks on a socket and never runs an
-//!   analysis: a slow client costs a table slot, not a thread.
+//!   remaining analysis/shard/stream work to the queue — an analysis or
+//!   fleet shard of a named dataset holding its digest's in-flight slot
+//!   from there on, so requests queued or running together on one digest
+//!   load it once (see [`crate::exec`]). It never blocks on a socket and
+//!   never runs an analysis: a slow client costs a table slot, not a
+//!   thread.
 //! * **Workers** pop one job at a time from a plain FIFO, execute it,
 //!   serialize the response, and hand the bytes back through the
 //!   completion list, waking the reactor via its self-pipe
@@ -47,13 +48,12 @@ use wl_par::poll::{waker, PollSet, WakeReceiver, Waker};
 
 use crate::cache::ResultCache;
 use crate::dist::coordinator::{aggregated_metrics, execute_via_fleet};
-use crate::dist::worker::{execute_prepared_shard, prepare_shard, PreparedShard};
 use crate::dist::Coordinator;
 use crate::exec::{DatasetSlot, InFlight};
 use crate::http::{try_parse, HttpError, ParseStatus, Request, Response};
 use crate::server::{
-    classify, error_body, execute_prepared, fleet_response, own_metrics_response,
-    prepare_analysis, record_status, stream_response, Endpoint, Prepared, Routed, ServerConfig,
+    classify, error_body, execute_prepared, fleet_response, own_metrics_response, prepare,
+    record_status, stream_response, Endpoint, Prepared, Routed, ServerConfig,
 };
 
 /// One unit of work bound for the pool: a fully-parsed, validated request
@@ -67,12 +67,11 @@ struct Job {
 }
 
 enum JobKind {
-    /// An analysis, with its dataset's in-flight slot when that was held
-    /// at admission ([`Prepared::named_dataset_digest`]).
+    /// An analysis or a `/v2/shard` POST (workers in a fleet run these),
+    /// with its dataset's in-flight slot when that was held at admission
+    /// ([`Prepared::named_dataset_digest`]).
     Analysis(Prepared, Option<Arc<DatasetSlot>>),
     Stream(Request),
-    /// A `/v2/shard` POST (workers in a fleet run these).
-    Shard(PreparedShard),
     /// Coordinator `GET /metrics`: scraping workers is network I/O, so it
     /// runs on the pool, never the reactor.
     FleetMetrics,
@@ -519,26 +518,6 @@ fn dispatch_buffered(
                 Endpoint::Fleet.record_latency(started.elapsed().as_micros() as u64);
                 conn.push_response(&response, keep_alive);
             }
-            Routed::Shard => match prepare_shard(&request) {
-                Err(response) => {
-                    record_status(response.status);
-                    Endpoint::Shard.record_latency(started.elapsed().as_micros() as u64);
-                    conn.push_response(&response, keep_alive);
-                }
-                Ok(prepared) => {
-                    enqueue(
-                        conn,
-                        shared,
-                        Job {
-                            conn: id,
-                            keep_alive,
-                            started,
-                            endpoint: Endpoint::Shard,
-                            kind: JobKind::Shard(prepared),
-                        },
-                    );
-                }
-            },
             Routed::Shutdown => {
                 shared.draining.store(true, Ordering::SeqCst);
                 shared.available.notify_all();
@@ -547,7 +526,7 @@ fn dispatch_buffered(
                 Endpoint::Shutdown.record_latency(started.elapsed().as_micros() as u64);
                 conn.push_response(&response, false);
             }
-            Routed::Analysis(op, endpoint) => match prepare_analysis(&request, op) {
+            Routed::Analysis(expect, endpoint) => match prepare(&request, expect) {
                 Err(response) => {
                     record_status(response.status);
                     endpoint.record_latency(started.elapsed().as_micros() as u64);
@@ -568,9 +547,10 @@ fn dispatch_buffered(
                     }
                     // Held while queued, so a request waiting behind
                     // another on its digest finds the dataset loaded. A
-                    // coordinator never loads datasets.
+                    // coordinator loads datasets only for the shards it
+                    // is sent.
                     let slot = digest
-                        .filter(|_| shared.coordinator.is_none())
+                        .filter(|_| shared.coordinator.is_none() || prepared.part.is_some())
                         .map(|digest| shared.datasets.hold(digest));
                     enqueue(
                         conn,
@@ -658,8 +638,10 @@ fn worker_loop(shared: &Arc<EventShared>) {
         };
         let response = match job.kind {
             JobKind::Analysis(prepared, slot) => match shared.coordinator.as_deref() {
-                Some(c) => execute_via_fleet(c, &prepared, &shared.config, &shared.cache),
-                None => execute_prepared(
+                Some(c) if prepared.part.is_none() => {
+                    execute_via_fleet(c, &prepared, &shared.cache)
+                }
+                _ => execute_prepared(
                     &prepared,
                     &shared.config,
                     &shared.cache,
@@ -668,9 +650,6 @@ fn worker_loop(shared: &Arc<EventShared>) {
                 ),
             },
             JobKind::Stream(request) => stream_response(&request, shared.config.threads),
-            JobKind::Shard(prepared) => {
-                execute_prepared_shard(&prepared, &shared.config, &shared.cache)
-            }
             JobKind::FleetMetrics => match shared.coordinator.as_deref() {
                 Some(c) => aggregated_metrics(c),
                 None => own_metrics_response(),

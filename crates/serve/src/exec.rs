@@ -17,17 +17,19 @@
 //! runs to completion, so a request that finishes returns exactly what it
 //! would have returned without a deadline.
 //!
-//! In-flight sharing: every request loads its dataset and computes its
-//! logs' Table-1 rows through a write-once `DatasetSlot`. [`execute`] uses
-//! a private one; `wl-serve` holds the slot of the request's dataset digest
-//! from the server's `InFlight` map — from admission for a named dataset
-//! (its digest is a pure hash), from the start of execution for a path
-//! dataset (its digest reads the files) — until the request finishes. So
-//! requests on one digest that are queued or running together synthesize
-//! (or parse) the dataset once and compute its rows once, whatever the
-//! worker count or `vars` list; each request picks its own columns from
-//! the shared rows. Nothing outlives the last such request, which leaves
-//! the result cache as the one retained cache. Every shared value is a
+//! In-flight sharing: every request, and every shard a fleet worker runs
+//! ([`execute_shard`]), loads its dataset and computes its logs' Table-1
+//! rows through a write-once `DatasetSlot`. [`execute`] and
+//! [`execute_shard`] use a private one; `wl-serve` holds the slot of the
+//! request's dataset digest from the server's `InFlight` map — from
+//! admission for a named dataset (its digest is a pure hash), from the
+//! start of execution for a path dataset (its digest reads the files) —
+//! until the request finishes. So requests and shards on one digest that
+//! are queued or running together synthesize (or parse) the dataset once
+//! and compute its rows once, whatever the worker count, op or `vars`
+//! list; each request picks its own columns from the shared rows. Nothing
+//! outlives the last such request, which leaves the result cache as the
+//! one retained cache. Every shared value is a
 //! deterministic function of the digest (equal digest ⇒ equal workloads ⇒
 //! equal rows), so a shared run is byte-identical to a solo one.
 //! `serve.dataset.loads` counts the loads slots computed and
@@ -39,9 +41,9 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
 use coplot::{
-    AnalysisRequest, AnalysisResponse, ApiError, Coplot, CoplotEngine, CoplotError, CoplotOut,
-    DataMatrix, DatasetSpec, HurstOut, Operation, Selection, ShardPart, ShardRequest,
-    ShardResponse, StageReport, SubsetEntry, SubsetOut,
+    AnalysisRequest, AnalysisResponse, ApiError, Coplot, CoplotError, CoplotOut, DataMatrix,
+    DatasetSpec, HurstOut, Operation, Selection, ShardPart, ShardRequest, ShardResponse,
+    StageReport, SubsetEntry, SubsetOut,
 };
 use wl_swf::{Workload, WorkloadStats};
 
@@ -113,78 +115,55 @@ pub fn execute(request: &AnalysisRequest, cfg: &ExecConfig) -> Result<ExecOutcom
 }
 
 /// Execute one work slice of a distributed analysis (see
-/// [`coplot::ShardRequest`]). This is what an ordinary `wl-serve` worker
-/// runs when a coordinator POSTs to `/v2/shard`:
+/// [`coplot::ShardRequest`]) with a private dataset slot, as [`execute`]
+/// does. This is what an ordinary `wl-serve` worker runs when a
+/// coordinator POSTs to `/v2/shard`, there against the in-flight slot of
+/// the request's dataset digest:
 ///
-/// * `restarts [lo, hi)` — the coplot pipeline with
-///   [`Coplot::restart_range`] set, so the shard tries exactly the MDS
-///   starts `lo..hi` of the full run's `0..restarts+1` (same absolute
-///   [`coplot::restart_seed`] indices) and returns its window winner;
-/// * `rows [lo, hi)` — Hurst estimator rows for that slice of the
-///   dataset's workloads (each row depends only on its own workload);
+/// * `whole` — the entire base request, answered with [`execute`]'s
+///   response (every coplot and hurst request travels this way);
 /// * `combos [lo, hi)` — the subset search scored over that window of the
-///   lexicographic combination order, unranked;
-/// * `whole` — the entire base request (used for unsliceable shapes such
-///   as coplot with variable elimination).
+///   lexicographic combination order, unranked.
 ///
-/// Every slice computes bit-identical values to the corresponding piece of
-/// a single-node run, which is what lets the coordinator reassemble
+/// A combos window scores bit-identical values to the same piece of a
+/// single-node search, which is what lets the coordinator reassemble
 /// byte-identical responses for any worker count.
 ///
 /// # Errors
-/// See [`ExecError`]; out-of-bounds slice ranges surface as
-/// [`CoplotError::InvalidConfig`].
+/// See [`ExecError`]; a window past the end of the combination space
+/// surfaces as [`CoplotError::InvalidConfig`].
 pub fn execute_shard(request: &ShardRequest, cfg: &ExecConfig) -> Result<ShardResponse, ExecError> {
     let req = request.canonicalize().map_err(ExecError::Api)?;
-    let load = || {
-        check_deadline(cfg, "load")?;
-        load_dataset(&req.base, cfg)
+    execute_shard_in(&req.base, req.part, cfg, &DatasetSlot::default())
+}
+
+/// [`execute_in`]'s shard twin: run `part` of an already-canonical base
+/// request against `slot`.
+pub(crate) fn execute_shard_in(
+    base: &AnalysisRequest,
+    part: ShardPart,
+    cfg: &ExecConfig,
+    slot: &DatasetSlot,
+) -> Result<ShardResponse, ExecError> {
+    let ShardPart::Combos { lo, hi } = part else {
+        return Ok(ShardResponse::Whole(execute_in(base, cfg, slot)?.response));
     };
-    match req.part {
-        ShardPart::Whole => Ok(ShardResponse::Whole(
-            execute_in(&req.base, cfg, &DatasetSlot::default())?.response,
-        )),
-        ShardPart::Restarts { lo, hi } => {
-            let data = data_matrix(&req.base, &table1_rows(&load()?))?;
-            let engine = build_engine(req.base.seed, cfg, Some((lo as usize, hi as usize)));
-            // canonicalize() rejected restarts-parts with elimination, so
-            // the selection is always the full variable set here.
-            let result = engine.run(&data, &Selection::All).map_err(ExecError::Analysis)?;
-            Ok(ShardResponse::Coplot(CoplotOut::from_result(&result)))
-        }
-        ShardPart::Rows { lo, hi } => {
-            let workloads = load()?;
-            check_deadline(cfg, "hurst")?;
-            let (lo, hi) = (lo as usize, hi as usize);
-            if hi > workloads.len() {
-                return Err(ExecError::Analysis(CoplotError::InvalidConfig(format!(
-                    "row range [{lo}, {hi}) exceeds the dataset's {} workloads",
-                    workloads.len()
-                ))));
-            }
-            let slice = &workloads[lo..hi];
-            Ok(ShardResponse::Hurst {
-                workloads: slice.iter().map(|w| w.name.clone()).collect(),
-                rows: wl_repro::hurst_rows(slice, cfg.threads),
-            })
-        }
-        ShardPart::Combos { lo, hi } => {
-            let data = data_matrix(&req.base, &table1_rows(&load()?))?;
-            check_deadline(cfg, "subset")?;
-            let results = wl_analysis::subset::score_combination_range(
-                &data,
-                req.base.subset_size as usize,
-                req.base.max_alienation,
-                req.base.seed,
-                cfg.threads,
-                Some((lo as usize, hi as usize)),
-            )
-            .map_err(ExecError::Analysis)?;
-            Ok(ShardResponse::Subset {
-                entries: results.into_iter().map(subset_entry).collect(),
-            })
-        }
-    }
+    check_deadline(cfg, "load")?;
+    let workloads = slot.workloads(|| load_dataset(base, cfg))?;
+    let data = data_matrix(base, &slot.rows(|| Ok(table1_rows(&workloads)))?)?;
+    check_deadline(cfg, "subset")?;
+    let results = wl_analysis::subset::score_combination_range(
+        &data,
+        base.subset_size as usize,
+        base.max_alienation,
+        base.seed,
+        cfg.threads,
+        Some((lo as usize, hi as usize)),
+    )
+    .map_err(ExecError::Analysis)?;
+    Ok(ShardResponse::Subset {
+        entries: results.into_iter().map(subset_entry).collect(),
+    })
 }
 
 /// Execute an already-canonical request, taking its workloads and their
@@ -335,7 +314,11 @@ fn run_coplot(
     cfg: &ExecConfig,
     data: &DataMatrix,
 ) -> Result<ExecOutcome, ExecError> {
-    let engine = build_engine(req.seed, cfg, None);
+    let engine = Coplot::new()
+        .seed(req.seed)
+        .threads(cfg.threads)
+        .deadline(cfg.deadline)
+        .engine();
     let selection = match req.min_correlation {
         Some(min_correlation) => Selection::Eliminate { min_correlation },
         None => Selection::All,
@@ -360,9 +343,8 @@ fn run_hurst(cfg: &ExecConfig, workloads: &[Workload]) -> Result<ExecOutcome, Ex
     })
 }
 
-/// The 12-column Hurst header (series-major, estimator-minor) every front
-/// end and the shard merger share.
-pub(crate) fn hurst_columns() -> Vec<String> {
+/// The 12-column Hurst header (series-major, estimator-minor).
+fn hurst_columns() -> Vec<String> {
     let mut columns = Vec::with_capacity(12);
     for series in wl_swf::JobSeries::ALL {
         for est in wl_selfsim::HurstEstimator::ALL {
@@ -402,23 +384,6 @@ pub(crate) fn subset_entry(r: wl_analysis::SubsetSearchResult) -> SubsetEntry {
         mean_correlation: r.mean_correlation,
         map_conservation_rmsd: r.map_conservation_rmsd,
     }
-}
-
-/// The paper's pipeline for one request: its seed, the config's threads
-/// and deadline, and — for a restarts shard — the absolute window of MDS
-/// starts to try (same per-start seeds as a full run, so the window winner
-/// is the best of exactly those starts).
-fn build_engine(
-    seed: u64,
-    cfg: &ExecConfig,
-    restart_range: Option<(usize, usize)>,
-) -> CoplotEngine {
-    Coplot::new()
-        .seed(seed)
-        .threads(cfg.threads)
-        .restart_range(restart_range)
-        .deadline(cfg.deadline)
-        .engine()
 }
 
 #[cfg(test)]

@@ -37,9 +37,9 @@
 //! queue → 503 + `Retry-After`),
 //! per-request deadlines (aborted between engine stages → 504), and a
 //! graceful drain that lets in-flight requests finish, and [`dist`]
-//! scales the whole thing out: `wl-serve --coordinator` shards analyses
-//! across ordinary `wl-serve` workers with byte-identical results for
-//! any worker count.
+//! scales the whole thing out: `wl-serve --coordinator` routes analyses
+//! to ordinary `wl-serve` workers, splitting only subset searches, with
+//! byte-identical results for any worker count.
 
 pub mod cache;
 pub mod datasets;

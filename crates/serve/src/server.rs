@@ -1,9 +1,10 @@
 //! The `wl-serve` server: its public handle and configuration, plus the
 //! request logic its connection layer runs — the route table
-//! (`classify`), request preparation and execution (`prepare_analysis` /
-//! `execute_prepared`, which runs each request against the in-flight slot
-//! of its dataset digest — see [`crate::exec`]), typed error bodies, and
-//! per-endpoint metrics. The connection layer itself — one `poll(2)`
+//! (`classify`), request preparation and execution (`prepare` /
+//! `execute_prepared`, the one execute path of analyses and fleet shards,
+//! which runs each against the in-flight slot of its dataset digest — see
+//! [`crate::exec`]), typed error bodies, and per-endpoint metrics. The
+//! connection layer itself — one `poll(2)`
 //! reactor thread plus a worker pool, with bounded admission (a full
 //! queue answers 503 + `Retry-After`) — lives in [`crate::event`]. The
 //! reactor answers a named dataset's result-cache hit at admission, and
@@ -24,7 +25,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coplot::{AnalysisRequest, DatasetSpec, Envelope, EnvelopePayload, ErrorBody, Operation};
+use coplot::{
+    AnalysisRequest, DatasetSpec, Envelope, EnvelopePayload, ErrorBody, Operation, ShardPart,
+};
 
 use crate::cache::ResultCache;
 use crate::datasets;
@@ -54,7 +57,7 @@ pub struct ServerConfig {
     /// get a 408; idle keep-alive connections close silently.
     pub idle_timeout_ms: u64,
     /// Run as a fleet coordinator (`wl-serve --coordinator`): analyses are
-    /// sharded across the configured workers instead of executed locally,
+    /// routed to the configured workers instead of executed locally,
     /// `/v2/workers` accepts registrations and `/v2/fleet` reports status.
     /// `None` (the default) is an ordinary single-node server / worker.
     pub coordinator: Option<CoordinatorConfig>,
@@ -192,16 +195,23 @@ pub(crate) enum Routed {
     Metrics,
     /// Drain trigger: the caller initiates its model's drain and answers.
     Shutdown,
-    /// An analysis POST bound for the executor. `None` means
-    /// `POST /v2/analyze`, which carries its op in the envelope; `Some`
-    /// is a `/v1/*` endpoint that must match the body's op.
-    Analysis(Option<Operation>, Endpoint),
-    /// A `/v2/shard` POST bound for the shard executor.
-    Shard,
+    /// An analysis or shard POST bound for the executor.
+    Analysis(Expect, Endpoint),
     /// Fleet control plane (registration / status), answered inline.
     Fleet(FleetRoute),
     /// A `/v1/stream` session bound for the executor.
     Stream,
+}
+
+/// What an executor-bound POST must carry.
+#[derive(Clone, Copy)]
+pub(crate) enum Expect {
+    /// A `/v1/*` endpoint: an analysis whose op matches the endpoint's.
+    Op(Operation),
+    /// `POST /v2/analyze`: an analysis that carries its op in the envelope.
+    AnyOp,
+    /// `POST /v2/shard`: a fleet shard.
+    Shard,
 }
 
 /// Which fleet control-plane endpoint a request hit.
@@ -223,11 +233,11 @@ pub(crate) fn classify(request: &Request) -> Routed {
             Response::json(200, datasets::datasets_json()),
             Endpoint::Datasets,
         ),
-        ("POST", "/v1/coplot") => Routed::Analysis(Some(Operation::Coplot), Endpoint::Coplot),
-        ("POST", "/v1/hurst") => Routed::Analysis(Some(Operation::Hurst), Endpoint::Hurst),
-        ("POST", "/v1/subset") => Routed::Analysis(Some(Operation::Subset), Endpoint::Subset),
-        ("POST", "/v2/analyze") => Routed::Analysis(None, Endpoint::Analyze),
-        ("POST", "/v2/shard") => Routed::Shard,
+        ("POST", "/v1/coplot") => Routed::Analysis(Expect::Op(Operation::Coplot), Endpoint::Coplot),
+        ("POST", "/v1/hurst") => Routed::Analysis(Expect::Op(Operation::Hurst), Endpoint::Hurst),
+        ("POST", "/v1/subset") => Routed::Analysis(Expect::Op(Operation::Subset), Endpoint::Subset),
+        ("POST", "/v2/analyze") => Routed::Analysis(Expect::AnyOp, Endpoint::Analyze),
+        ("POST", "/v2/shard") => Routed::Analysis(Expect::Shard, Endpoint::Shard),
         ("POST", "/v2/workers") => Routed::Fleet(FleetRoute::Register),
         ("GET", "/v2/fleet") => Routed::Fleet(FleetRoute::Status),
         ("POST", "/v1/stream") => Routed::Stream,
@@ -328,12 +338,17 @@ pub(crate) fn fleet_response(
     }
 }
 
-/// A validated analysis request, ready to execute: the cheap, pure part of
-/// request handling (parse, op check, canonicalize, digest) split out so
-/// the event reactor can run it inline — answering 400s without spending a
-/// worker — and hand workers only well-formed jobs.
+/// A validated analysis or fleet shard, ready to execute: the cheap, pure
+/// part of request handling (parse, op check, canonicalize, digest) split
+/// out so the event reactor can run it inline — answering 400s without
+/// spending a worker — and hand workers only well-formed jobs.
 pub(crate) struct Prepared {
+    /// The canonical analysis (a shard's base request).
     pub canonical: AnalysisRequest,
+    /// The work slice of a `/v2/shard` POST; `None` for an analysis.
+    pub part: Option<ShardPart>,
+    /// FNV-1a digest of the canonical analysis or shard encoding (the
+    /// request half of the result-cache key).
     pub request_digest: u64,
 }
 
@@ -350,73 +365,72 @@ impl Prepared {
     }
 }
 
-/// Parse and validate one analysis POST down to its canonical request.
-/// Every analysis endpoint — `/v1/*` and `/v2/analyze` — funnels through
-/// the versioned [`Envelope`]: a bare body is v1 by definition, so the v1
-/// wire format (and its digests) is untouched, while `/v2/analyze` passes
-/// `expected_op = None` and takes its op from the envelope.
+/// Parse and validate one analysis or shard POST down to its canonical
+/// request. Every executor endpoint — `/v1/*`, `/v2/analyze` and
+/// `/v2/shard` — funnels through the versioned [`Envelope`]: a bare body
+/// is v1 by definition, so the v1 wire format (and its digests) is
+/// untouched, while `/v2/analyze` takes its op from the envelope.
 ///
 /// # Errors
 /// The ready-to-send 400 response.
-pub(crate) fn prepare_analysis(
-    request: &Request,
-    expected_op: Option<Operation>,
-) -> Result<Prepared, Response> {
+pub(crate) fn prepare(request: &Request, expect: Expect) -> Result<Prepared, Response> {
+    let bad = |kind: &str, message: &str| Response::json(400, error_body(kind, message));
+    let api = |e: coplot::ApiError| bad(e.kind.label(), &e.message);
     let Ok(body) = std::str::from_utf8(&request.body) else {
-        return Err(Response::json(400, error_body("bad-json", "body is not UTF-8")));
+        return Err(bad("bad-json", "body is not UTF-8"));
     };
-    let envelope = match Envelope::from_json(body) {
-        Ok(e) => e,
-        Err(e) => return Err(Response::json(400, error_body(e.kind.label(), &e.message))),
-    };
-    let parsed = match envelope.payload {
-        EnvelopePayload::Analysis(r) => r,
-        EnvelopePayload::Shard(_) => {
-            return Err(Response::json(
-                400,
-                error_body(
-                    "bad-schema",
-                    "shard requests belong on /v2/shard, not an analysis endpoint",
-                ),
+    // Canonicalization fails only on values; the digest cannot fail past it.
+    let prepared = match (Envelope::from_json(body).map_err(api)?.payload, expect) {
+        (EnvelopePayload::Shard(shard), Expect::Shard) => {
+            let shard = shard.canonicalize().map_err(api)?;
+            Prepared {
+                request_digest: shard.canonical_digest().map_err(api)?,
+                canonical: shard.base,
+                part: Some(shard.part),
+            }
+        }
+        (EnvelopePayload::Shard(_), _) => {
+            return Err(bad(
+                "bad-schema",
+                "shard requests belong on /v2/shard, not an analysis endpoint",
             ))
         }
-    };
-    if let Some(expected_op) = expected_op {
-        if parsed.op != expected_op {
-            return Err(Response::json(
-                400,
-                error_body(
-                    "bad-value",
-                    &format!(
-                        "request op {:?} does not match endpoint /v1/{}",
-                        parsed.op.label(),
-                        expected_op.label()
-                    ),
-                ),
-            ));
+        (EnvelopePayload::Analysis(_), Expect::Shard) => {
+            return Err(bad(
+                "bad-schema",
+                "analysis requests belong on /v2/analyze or the /v1 endpoints, not /v2/shard",
+            ))
         }
-    }
-    let canonical = match parsed.canonicalize() {
-        Ok(r) => r,
-        Err(e) => return Err(Response::json(400, error_body(e.kind.label(), &e.message))),
+        (EnvelopePayload::Analysis(parsed), expect) => {
+            if let Expect::Op(op) = expect {
+                if parsed.op != op {
+                    return Err(bad(
+                        "bad-value",
+                        &format!(
+                            "request op {:?} does not match endpoint /v1/{}",
+                            parsed.op.label(),
+                            op.label()
+                        ),
+                    ));
+                }
+            }
+            let canonical = parsed.canonicalize().map_err(api)?;
+            Prepared {
+                request_digest: canonical.canonical_digest().map_err(api)?,
+                canonical,
+                part: None,
+            }
+        }
     };
-    // The digest cannot fail past canonicalization.
-    let request_digest = match canonical.canonical_digest() {
-        Ok(d) => d,
-        Err(e) => return Err(Response::json(400, error_body(e.kind.label(), &e.message))),
-    };
-    Ok(Prepared {
-        canonical,
-        request_digest,
-    })
+    Ok(prepared)
 }
 
-/// Execute a prepared analysis request: digest the dataset, consult the
-/// result cache (a path dataset's first lookup, or a hit that appeared
-/// while the request was queued), run against the dataset's in-flight
-/// slot — `held` since admission, or else taken from `in_flight` now —
-/// cache, respond. Never panics a worker and never answers 500 — every
-/// failure maps to a typed 4xx/5xx.
+/// Execute a prepared analysis or fleet shard — a node's one execute
+/// path: digest the dataset, consult the result cache (a path dataset's
+/// first lookup, or a hit that appeared while the request was queued),
+/// run against the dataset's in-flight slot — `held` since admission, or
+/// else taken from `in_flight` now — cache, respond. Never panics a
+/// worker and never answers 500 — every failure maps to a typed 4xx/5xx.
 pub(crate) fn execute_prepared(
     prepared: &Prepared,
     config: &ServerConfig,
@@ -439,9 +453,15 @@ pub(crate) fn execute_prepared(
         deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
     };
     let slot = held.unwrap_or_else(|| in_flight.hold(dataset_digest));
-    match exec::execute_in(canonical, &cfg, &slot) {
-        Ok(outcome) => {
-            let body = outcome.response.to_json();
+    let body = match prepared.part {
+        None => exec::execute_in(canonical, &cfg, &slot).map(|o| o.response.to_json()),
+        Some(part) => exec::execute_shard_in(canonical, part, &cfg, &slot).map(|r| {
+            wl_obs::counter!("serve.shard.executed", 1);
+            r.to_json()
+        }),
+    };
+    match body {
+        Ok(body) => {
             cache.put(key, body.clone());
             Response::json(200, body)
         }

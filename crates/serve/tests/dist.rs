@@ -146,18 +146,26 @@ fn doomed_worker() -> SocketAddr {
 
 #[test]
 fn worker_killed_mid_shard_is_retried_to_completion() {
+    // Coplot travels whole to one worker; a subset search splits into two
+    // combos shards, one per worker, so the doomed worker is always tried.
+    let requests: Vec<(u64, &str, String)> = (0..4u64)
+        .flat_map(|seed| {
+            let [coplot, _, subset] = op_bodies(seed);
+            [(seed, coplot.0, coplot.1), (seed, subset.0, subset.1)]
+        })
+        .collect();
     let single = server(2, None);
-    let golden: Vec<String> = (0..4)
-        .map(|seed| {
-            let (status, _, resp) = post(single.addr(), "/v1/coplot", &op_bodies(seed)[0].1);
+    let golden: Vec<String> = requests
+        .iter()
+        .map(|(_, op, body)| {
+            let (status, _, resp) = post(single.addr(), &format!("/v1/{op}"), body);
             assert_eq!(status, 200, "{resp}");
             resp
         })
         .collect();
     single.shutdown();
 
-    // Fleet of one real worker plus one that dies mid-shard; the doomed
-    // address comes first so shard 0 always hits it.
+    // Fleet of one real worker plus one that dies mid-shard.
     let real = server(2, None);
     let doomed = doomed_worker();
     let coordinator = server(
@@ -168,25 +176,26 @@ fn worker_killed_mid_shard_is_retried_to_completion() {
         }),
     );
 
-    // Saturate: several concurrent analyses, each sharded 2-ways, each
-    // losing whichever shards landed on the doomed worker.
-    let answers: Vec<(u64, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4u64)
-            .map(|seed| {
+    // Saturate: several concurrent analyses, each losing whichever shards
+    // landed on the doomed worker.
+    let answers: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|(seed, op, body)| {
                 let addr = coordinator.addr();
                 scope.spawn(move || {
-                    let (status, _, resp) = post(addr, "/v1/coplot", &op_bodies(seed)[0].1);
-                    assert_eq!(status, 200, "seed {seed} under worker loss: {resp}");
-                    (seed, resp)
+                    let (status, _, resp) = post(addr, &format!("/v1/{op}"), body);
+                    assert_eq!(status, 200, "{op} seed {seed} under worker loss: {resp}");
+                    resp
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for (seed, resp) in &answers {
+    for ((seed, op, _), (resp, want)) in requests.iter().zip(answers.iter().zip(&golden)) {
         assert_eq!(
-            resp, &golden[*seed as usize],
-            "seed {seed}: retried fleet answer drifted from single-node"
+            resp, want,
+            "{op} seed {seed}: retried fleet answer drifted from single-node"
         );
     }
 
@@ -327,21 +336,67 @@ fn v2_analyze_matches_v1_byte_for_byte() {
 /// A well-formed shard request executes on any plain node and parses as
 /// a [`coplot::ShardResponse`] of the matching kind.
 #[test]
-fn shard_endpoint_executes_a_row_window() {
+fn shard_endpoint_executes_a_combo_window() {
     let single = server(2, None);
+    // No alienation ceiling: every combination of the window is kept.
+    let base = "{\"op\":\"subset\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":7,\"subset_size\":2,\"max_alienation\":1.0}";
     let body = format!(
-        "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{},\"part\":{{\"kind\":\"rows\",\"lo\":0,\"hi\":2}}}}}}",
-        op_bodies(7)[1].1
+        "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{base},\"part\":{{\"kind\":\"combos\",\"lo\":0,\"hi\":2}}}}}}"
     );
     let (status, _, resp) = post(single.addr(), "/v2/shard", &body);
     assert_eq!(status, 200, "{resp}");
     let parsed = coplot::ShardResponse::from_json(&resp).expect("shard response parses");
-    let coplot::ShardResponse::Hurst { workloads, rows } = parsed else {
+    let coplot::ShardResponse::Subset { entries } = parsed else {
         panic!("wrong shard kind: {resp}");
     };
-    assert_eq!(workloads.len(), 2, "two-row window");
-    assert_eq!(rows.len(), 2);
+    assert_eq!(entries.len(), 2, "two-combination window");
+    assert!(entries.iter().all(|e| e.variables.len() == 2), "{resp}");
     single.shutdown();
+}
+
+/// Same-digest requests meet on one worker: with no result cache in
+/// front, three identical coplot requests all travel whole to the
+/// digest's first worker in rendezvous order.
+#[test]
+fn same_digest_requests_meet_on_one_worker() {
+    let workers: Vec<ServerHandle> = (0..2).map(|_| server(2, None)).collect();
+    let coordinator = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        cache_capacity: 0,
+        threads: 2,
+        coordinator: Some(CoordinatorConfig {
+            workers: workers.iter().map(|w| w.addr().to_string()).collect(),
+            probe_interval_ms: 3_600_000,
+        }),
+        ..ServerConfig::default()
+    })
+    .expect("bind test coordinator");
+    let body = &op_bodies(11)[0].1;
+    let mut answers = Vec::new();
+    for _ in 0..3 {
+        let (status, _, resp) = post(coordinator.addr(), "/v1/coplot", body);
+        assert_eq!(status, 200, "{resp}");
+        answers.push(resp);
+    }
+    assert!(answers.iter().all(|a| a == &answers[0]));
+
+    let (status, _, fleet) = get(coordinator.addr(), "/v2/fleet");
+    assert_eq!(status, 200, "{fleet}");
+    let v = wl_obs::parse_json(&fleet).unwrap();
+    let wl_obs::JsonValue::Array(entries) = v.get("workers").unwrap().clone() else {
+        panic!("workers is not an array: {fleet}");
+    };
+    let mut shards_ok: Vec<u64> = entries
+        .iter()
+        .map(|w| w.get("shards_ok").and_then(|n| n.as_u64()).unwrap())
+        .collect();
+    shards_ok.sort_unstable();
+    assert_eq!(shards_ok, vec![0, 3], "all three on one worker: {fleet}");
+
+    coordinator.shutdown();
+    for w in workers {
+        w.shutdown();
+    }
 }
 
 /// The never-500 table, extended over every v2 and shard error kind.
@@ -349,10 +404,12 @@ fn shard_endpoint_executes_a_row_window() {
 fn v2_and_shard_errors_are_typed_never_500() {
     let single = server(2, None);
     let addr = single.addr();
-    let flat = op_bodies(1)[0].1.clone();
-    let shard_envelope = format!(
-        "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{flat},\"part\":{{\"kind\":\"restarts\",\"lo\":0,\"hi\":1}}}}}}"
-    );
+    let [(_, flat), (_, hurst), (_, subset)] = op_bodies(1);
+    let shard = |base: &str, part: &str| {
+        format!(
+            "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{base},\"part\":{part}}}}}"
+        )
+    };
     // (path, body, expected status, expected error kind)
     let table: Vec<(&str, String, u16, &str)> = vec![
         ("/v2/analyze", "{not json".into(), 400, "bad-json"),
@@ -383,7 +440,12 @@ fn v2_and_shard_errors_are_typed_never_500() {
             "bad-schema",
         ),
         // Payload/endpoint crossings.
-        ("/v2/analyze", shard_envelope.clone(), 400, "bad-schema"),
+        (
+            "/v2/analyze",
+            shard(&flat, "{\"kind\":\"whole\"}"),
+            400,
+            "bad-schema",
+        ),
         (
             "/v2/shard",
             format!("{{\"api_version\":2,\"op\":\"coplot\",\"body\":{flat}}}"),
@@ -393,27 +455,34 @@ fn v2_and_shard_errors_are_typed_never_500() {
         // Shard range and part/op pairing errors.
         (
             "/v2/shard",
-            format!(
-                "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{flat},\"part\":{{\"kind\":\"restarts\",\"lo\":2,\"hi\":2}}}}}}"
-            ),
+            shard(&subset, "{\"kind\":\"combos\",\"lo\":2,\"hi\":2}"),
             400,
             "bad-value",
         ),
         (
             "/v2/shard",
-            format!(
-                "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{flat},\"part\":{{\"kind\":\"rows\",\"lo\":0,\"hi\":1}}}}}}"
-            ),
+            shard(&flat, "{\"kind\":\"combos\",\"lo\":0,\"hi\":1}"),
             400,
             "bad-value",
         ),
-        // A row window past the dataset's end is an executor-side 422.
+        // The deleted grains are unknown part kinds.
         (
             "/v2/shard",
-            format!(
-                "{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{},\"part\":{{\"kind\":\"rows\",\"lo\":5,\"hi\":9}}}}}}",
-                op_bodies(1)[1].1
-            ),
+            shard(&flat, "{\"kind\":\"restarts\",\"lo\":0,\"hi\":1}"),
+            400,
+            "bad-schema",
+        ),
+        (
+            "/v2/shard",
+            shard(&hurst, "{\"kind\":\"rows\",\"lo\":0,\"hi\":1}"),
+            400,
+            "bad-schema",
+        ),
+        // A combos window past the search space's end (C(8,2) = 28) is an
+        // executor-side 422.
+        (
+            "/v2/shard",
+            shard(&subset, "{\"kind\":\"combos\",\"lo\":28,\"hi\":40}"),
             422,
             "analysis",
         ),

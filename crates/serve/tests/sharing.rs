@@ -13,7 +13,8 @@
 //! * queued together — one worker, so no two requests ever run at once;
 //!   the requests alternate digests in the queue and a later request
 //!   shares the load of an earlier one on its digest because its queued
-//!   requests held the slot meanwhile.
+//!   requests held the slot meanwhile. A fleet worker behind a
+//!   coordinator shares the same way, shard by shard.
 //!
 //! Result-cache hits: identical requests count one miss and then only
 //! hits, on one node and on a coordinator, though the reactor and then a
@@ -198,6 +199,54 @@ fn queued_requests_share_the_load_of_a_request_ahead() {
         "one load per digest, though no two requests ever ran at once"
     );
     server.shutdown();
+}
+
+#[test]
+fn fleet_worker_shares_in_flight_loads() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let threads = 2;
+    // The queued-together shape, one step away: a coordinator sends each
+    // request to its one worker as a shard, and the worker holds each
+    // shard's dataset slot from admission as it does an analysis's.
+    let posts = [GROUP[0], OTHER_GROUP[0], GROUP[1], OTHER_GROUP[1], GROUP[2]];
+    let golden_posts = golden(&posts, threads);
+
+    let (worker, worker_addr) =
+        spawn_wl_serve(&["--workers", "1", "--threads", "2", "--cache", "0"]);
+    let coordinator = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: posts.len(),
+        cache_capacity: 0,
+        threads,
+        coordinator: Some(CoordinatorConfig {
+            workers: vec![worker_addr.clone()],
+            probe_interval_ms: 3_600_000,
+        }),
+        ..ServerConfig::default()
+    })
+    .expect("bind test coordinator");
+    let addr = coordinator.addr().to_string();
+
+    // One at a time, so the worker's queue order is the send order.
+    let mut handles = Vec::new();
+    for (i, post) in posts.iter().enumerate() {
+        handles.extend(spawn_posts(&addr, std::slice::from_ref(post)));
+        wait_for_inflight(&worker_addr, i as i64 + 1);
+    }
+    assert_answers(handles, &golden_posts, threads);
+
+    // The worker runs in a process of its own: its counters are its own.
+    let metrics = fetch_metrics(&worker_addr);
+    assert_eq!(
+        (
+            metric_value(&metrics, "serve.dataset.loads"),
+            metric_value(&metrics, "serve.dataset.shared"),
+        ),
+        (2, (posts.len() - 2) as i64),
+        "one load per digest on the worker"
+    );
+    coordinator.shutdown();
+    shutdown_wl_serve(worker, &worker_addr);
 }
 
 /// `n` identical POSTs of `body` to `addr`: every answer 200 with the

@@ -466,6 +466,22 @@ done
 # invariant.
 ./target/release/wl-servectl GET "http://$coord_addr/metrics" \
   | ./target/release/trace-check -
+# Coplot and hurst travel whole to one worker; only the subset search
+# splits, one combos window per worker: 3 requests, 4 shards.
+fleet_metrics=$(./target/release/wl-servectl GET "http://$coord_addr/metrics")
+for want in '"serve.fleet.requests","value":3}' '"serve.fleet.shards","value":4}'; do
+  grep -qF "\"name\":$want" <<< "$fleet_metrics" \
+    || { echo "fleet metrics lack $want"; exit 1; }
+done
+# Only combos and whole parts exist: a rows part is a typed 400 bad-schema.
+echo -n '{"api_version":2,"op":"shard","body":{"base":{"op":"hurst","dataset":{"name":"models"},"jobs":150,"seed":7},"part":{"kind":"rows","lo":0,"hi":2}}}' \
+  > "$fleet_dir/rows.json"
+if ./target/release/wl-servectl POST "http://$w1_addr/v2/shard" "$fleet_dir/rows.json" \
+  > "$fleet_dir/rows.out" 2>/dev/null; then
+  echo "a rows shard part was accepted"; exit 1
+fi
+grep -q '"kind":"bad-schema"' "$fleet_dir/rows.out" \
+  || { echo "a rows shard part is not bad-schema"; exit 1; }
 kill $w1_pid $w2_pid $coord_pid 2>/dev/null || true
 wait $w1_pid $w2_pid $coord_pid 2>/dev/null || true
 rm -rf "$fleet_dir"
