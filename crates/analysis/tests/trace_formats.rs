@@ -67,8 +67,8 @@ fn weblog_fixture_parses_into_a_data_matrix() {
 
 #[test]
 fn synthetic_suites_build_one_cross_domain_matrix() {
-    let grid = synth::grid_suite(120, 1999, 2);
-    let web = synth::web_suite(120, 1999, 2);
+    let grid = synth::grid_suite(120, 1999, 2, |t| t);
+    let web = synth::web_suite(120, 1999, 2, |t| t);
     let mut traces = grid;
     traces.extend(web);
     assert_eq!(
@@ -81,11 +81,13 @@ fn synthetic_suites_build_one_cross_domain_matrix() {
 
 #[test]
 fn synthetic_suites_are_thread_invariant() {
-    for (a, b) in synth::grid_suite(80, 7, 1)
-        .iter()
-        .zip(synth::grid_suite(80, 7, 8).iter())
-        .chain(synth::web_suite(80, 7, 1).iter().zip(synth::web_suite(80, 7, 8).iter()))
-    {
-        assert_eq!(a.canonical_digest(), b.canonical_digest());
-    }
+    let digest = |t: wl_trace::NormalizedTrace| t.canonical_digest();
+    assert_eq!(
+        synth::grid_suite(80, 7, 1, digest),
+        synth::grid_suite(80, 7, 8, digest)
+    );
+    assert_eq!(
+        synth::web_suite(80, 7, 1, digest),
+        synth::web_suite(80, 7, 8, digest)
+    );
 }

@@ -89,36 +89,39 @@ fn sdsc_period_specs() -> Vec<StreamSpec> {
     ]
 }
 
-fn generate_periods(
-    machine: MachineId,
-    specs: &[StreamSpec],
-    prefix: &str,
-    seed: u64,
-    n_per_period: usize,
-) -> Vec<Workload> {
-    specs
-        .iter()
-        .enumerate()
-        .map(|(k, spec)| {
-            let mut rng = seeded_rng(derive_seed(seed, 100 + k as u64));
-            let jobs = spec.generate(n_per_period, 1, 0.0, &mut rng);
-            Workload::new(
-                format!("{prefix}{}", k + 1),
-                machine.machine_info(),
-                jobs,
-            )
-        })
-        .collect()
+/// The number of six-month periods each of LANL and SDSC is split into.
+pub const PERIODS_PER_MACHINE: usize = 4;
+
+/// Six-month period `k` (`0..PERIODS_PER_MACHINE`) of `machine`'s Table 2
+/// split, named L1..L4 for LANL and S1..S4 for SDSC. Each period draws
+/// from its own `derive_seed(seed, 100 + k)`, so the periods can be made
+/// in any order, or all at once, with the same bits.
+///
+/// # Panics
+/// For a machine other than LANL or SDSC, or `k` out of range.
+pub fn period(machine: MachineId, k: usize, seed: u64, n_per_period: usize) -> Workload {
+    let (specs, prefix) = match machine {
+        MachineId::Lanl => (lanl_period_specs(), "L"),
+        MachineId::Sdsc => (sdsc_period_specs(), "S"),
+        other => panic!("{} has no Table 2 periods", other.name()),
+    };
+    let mut rng = seeded_rng(derive_seed(seed, 100 + k as u64));
+    let jobs = specs[k].generate(n_per_period, 1, 0.0, &mut rng);
+    Workload::new(format!("{prefix}{}", k + 1), machine.machine_info(), jobs)
 }
 
 /// The four LANL six-month sub-logs, named L1..L4 as in Figure 3.
 pub fn lanl_periods(seed: u64, n_per_period: usize) -> Vec<Workload> {
-    generate_periods(MachineId::Lanl, &lanl_period_specs(), "L", seed, n_per_period)
+    (0..PERIODS_PER_MACHINE)
+        .map(|k| period(MachineId::Lanl, k, seed, n_per_period))
+        .collect()
 }
 
 /// The four SDSC six-month sub-logs, named S1..S4 as in Figure 3.
 pub fn sdsc_periods(seed: u64, n_per_period: usize) -> Vec<Workload> {
-    generate_periods(MachineId::Sdsc, &sdsc_period_specs(), "S", seed, n_per_period)
+    (0..PERIODS_PER_MACHINE)
+        .map(|k| period(MachineId::Sdsc, k, seed, n_per_period))
+        .collect()
 }
 
 /// One continuous two-year LANL log: the four periods concatenated on a

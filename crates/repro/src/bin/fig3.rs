@@ -6,8 +6,8 @@
 use wl_repro::outln;
 use wl_repro::paper::{fit_claims, FIG3_VARIABLES, TABLE2, TABLE2_OBSERVATIONS, TABLE2_VARIABLES};
 use wl_repro::{
-    paper_table1_matrix, period_suite, report_figure, run_suite, stats_matrix, stats_row,
-    suite_stats, Options, Suite,
+    paper_table1_matrix, period_suite, report_figure, run_suite, stats_matrix, stats_row, Options,
+    Suite,
 };
 use coplot::DataMatrix;
 
@@ -42,7 +42,7 @@ fn main() {
         paper_matrix()
     } else {
         let mut stats = run_suite(&opts, Suite::Production, |w| stats_row(&w));
-        stats.extend(suite_stats(&period_suite(&opts)));
+        stats.extend(period_suite(&opts, |w| stats_row(&w)));
         stats_matrix(&stats, &FIG3_VARIABLES)
     };
     let result = wl_repro::run_coplot(&opts, &data);

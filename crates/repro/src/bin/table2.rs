@@ -2,13 +2,12 @@
 
 use wl_repro::outln;
 use wl_repro::paper::{TABLE2, TABLE2_OBSERVATIONS, TABLE2_VARIABLES};
-use wl_repro::{period_suite, print_comparison, suite_stats, Options};
+use wl_repro::{period_suite, print_comparison, stats_row, Options};
 use wl_swf::Variable;
 
 fn main() {
     let (opts, _obs) = Options::from_args();
-    let workloads = period_suite(&opts);
-    let stats = suite_stats(&workloads);
+    let stats = period_suite(&opts, |w| stats_row(&w));
 
     let names: Vec<String> = TABLE2_OBSERVATIONS.iter().map(|s| s.to_string()).collect();
     print_comparison(

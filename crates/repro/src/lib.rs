@@ -368,11 +368,23 @@ pub fn production_suite(opts: &Options) -> Vec<Workload> {
     reduce_suite(opts, Suite::Production, |w| w).expect("the production suite has no re-fit")
 }
 
-/// The eight Table 2 period observations: L1..L4 then S1..S4.
-pub fn period_suite(opts: &Options) -> Vec<Workload> {
-    let mut out = periods::lanl_periods(opts.seed, opts.jobs / 2);
-    out.extend(periods::sdsc_periods(opts.seed, opts.jobs / 2));
-    out
+/// Make the eight Table 2 period observations, L1..L4 then S1..S4, on
+/// `opts.threads` workers and hand each by value to `reduce` in the worker
+/// that made it, as [`reduce_suite`] does. Each period draws from a seed
+/// of its own, so the rows are bit-identical for any thread count.
+pub fn period_suite<R, F>(opts: &Options, reduce: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Workload) -> R + Sync,
+{
+    let _span = wl_obs::span!("repro.period_suite");
+    let tasks: Vec<(MachineId, usize)> = [MachineId::Lanl, MachineId::Sdsc]
+        .into_iter()
+        .flat_map(|id| (0..periods::PERIODS_PER_MACHINE).map(move |k| (id, k)))
+        .collect();
+    wl_par::par_map(opts.threads, &tasks, |&(id, k)| {
+        reduce(periods::period(id, k, opts.seed, opts.jobs / 2))
+    })
 }
 
 /// The five model workloads, reordered to Table 3's listing (Lublin,
@@ -440,13 +452,19 @@ pub fn paper_table1_matrix(codes: &[&str]) -> DataMatrix {
 
 /// Measured Hurst estimates for one workload: 12 columns in Table 3 order
 /// (rp vp pp rr vr pr rc vc pc ri vi pi), `None` where an estimator could
-/// not run.
+/// not run. Each series is extracted, estimated and dropped in turn.
 pub fn hurst_row(w: &Workload) -> Vec<Option<f64>> {
+    series_hurst_row(JobSeries::ALL.iter().map(|series| series.extract(w)))
+}
+
+/// [`hurst_row`] from a workload's four series, given in
+/// [`JobSeries::ALL`] order: the same estimates of the same values, so
+/// the same bits, for a caller that kept the series but not the jobs.
+pub fn series_hurst_row<S: AsRef<[f64]>>(series: impl IntoIterator<Item = S>) -> Vec<Option<f64>> {
     let mut out = Vec::with_capacity(12);
-    for series in JobSeries::ALL {
-        let xs = series.extract(w);
+    for xs in series {
         for est in HurstEstimator::ALL {
-            out.push(est.estimate(&xs));
+            out.push(est.estimate(xs.as_ref()));
         }
     }
     out

@@ -113,32 +113,40 @@ impl NamedDataset {
         NamedDataset::ALL.iter().copied().find(|d| d.name() == name)
     }
 
-    /// Synthesize the suite. Pure function of `(self, jobs, seed)`; the
-    /// per-workload synthesis fans out over `threads` workers with
-    /// bit-identical results for any count. The grid and web suites go the
-    /// long way around — generate trace text, parse it back through the
-    /// format's `TraceSource` — so the ingestion path itself is exercised.
+    /// Synthesize the suite and keep every log: the identity case of
+    /// [`try_reduce`](NamedDataset::try_reduce).
     ///
     /// # Panics
-    /// When [`try_synthesize`](NamedDataset::try_synthesize) fails.
+    /// When [`try_reduce`](NamedDataset::try_reduce) fails.
     pub fn synthesize(&self, jobs: usize, seed: u64, threads: usize) -> Vec<Workload> {
-        self.try_synthesize(jobs, seed, threads)
+        self.try_reduce(jobs, seed, threads, |w| w)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`synthesize`](NamedDataset::synthesize), reporting a suite that
-    /// cannot be built at this size as an error.
+    /// Synthesize the suite and hand each log by value to `reduce` in the
+    /// worker that made it, so a caller that keeps less than the job
+    /// records never holds more than a few logs at once. Pure function of
+    /// `(self, jobs, seed)`; the per-log synthesis fans out over `threads`
+    /// workers with bit-identical results for any count. The grid and web
+    /// suites go the long way around — generate trace text, parse it back
+    /// through the format's `TraceSource` — so the ingestion path itself
+    /// is exercised.
     ///
     /// # Errors
     /// `models`, `table3` and `crossdomain` re-fit Jann's model to a
     /// synthesized CTC log, which fails below about 120 jobs
     /// ([`wl_repro::reduce_suite`]).
-    pub fn try_synthesize(
+    pub fn try_reduce<R, F>(
         &self,
         jobs: usize,
         seed: u64,
         threads: usize,
-    ) -> Result<Vec<Workload>, String> {
+        reduce: F,
+    ) -> Result<Vec<R>, String>
+    where
+        R: Send,
+        F: Fn(Workload) -> R + Sync,
+    {
         let opts = wl_repro::Options {
             paper_data: false,
             seed,
@@ -146,20 +154,20 @@ impl NamedDataset {
             threads,
             timings: false,
         };
-        // The dataset slot shares the workloads across requests, so these
-        // keep every log (the identity reduce).
-        let suite = |suite| wl_repro::reduce_suite(&opts, suite, |w| w);
+        let suite = |suite| wl_repro::reduce_suite(&opts, suite, &reduce);
+        let grid = || wl_trace::synth::grid_suite(jobs, seed, threads, &reduce);
+        let web = || wl_trace::synth::web_suite(jobs, seed, threads, &reduce);
         Ok(match self {
             NamedDataset::Table1 => suite(Suite::Production)?,
-            NamedDataset::Table2 => wl_repro::period_suite(&opts),
+            NamedDataset::Table2 => wl_repro::period_suite(&opts, &reduce),
             NamedDataset::Models => suite(Suite::Models)?,
             NamedDataset::Table3 => suite(Suite::Table3)?,
-            NamedDataset::Grid => wl_trace::synth::grid_suite(jobs, seed, threads),
-            NamedDataset::Web => wl_trace::synth::web_suite(jobs, seed, threads),
+            NamedDataset::Grid => grid(),
+            NamedDataset::Web => web(),
             NamedDataset::CrossDomain => {
                 let mut out = suite(Suite::Table3)?;
-                out.extend(wl_trace::synth::grid_suite(jobs, seed, threads));
-                out.extend(wl_trace::synth::web_suite(jobs, seed, threads));
+                out.extend(grid());
+                out.extend(web());
                 out
             }
         })
@@ -361,7 +369,7 @@ mod tests {
         // digest hashes the canonical record stream, not the bytes.
         let dir = std::env::temp_dir().join("wl-serve-xformat-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let trace = wl_trace::synth::grid_suite(40, 11, 1).remove(0);
+        let trace = wl_trace::synth::grid_suite(40, 11, 1, |t| t).remove(0);
         let trace = wl_trace::NormalizedTrace::new("site", trace.machine, trace.jobs().to_vec());
         let swf = dir.join("site.swf");
         let gwf = dir.join("site.gwf");

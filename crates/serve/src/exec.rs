@@ -17,24 +17,28 @@
 //! runs to completion, so a request that finishes returns exactly what it
 //! would have returned without a deadline.
 //!
+//! Reduce where made: a dataset is never held as job records. Each log
+//! is reduced to a [`LogSummary`] — its Table-1 row and its four Hurst
+//! series — in the worker that synthesized or parsed it, and dropped
+//! there. Coplot and subset requests (and `combos` shards) build their
+//! matrix from the rows; hurst requests estimate from the series.
+//!
 //! In-flight sharing: every request, and every shard a fleet worker runs
-//! ([`execute_shard`]), loads its dataset and computes its logs' Table-1
-//! rows through a write-once `DatasetSlot`. [`execute`] and
-//! [`execute_shard`] use a private one; `wl-serve` holds the slot of the
-//! request's dataset digest from the server's `InFlight` map — from
-//! admission for a named dataset (its digest is a pure hash), from the
-//! start of execution for a path dataset (its digest reads the files) —
-//! until the request finishes. So requests and shards on one digest that
-//! are queued or running together synthesize (or parse) the dataset once
-//! and compute its rows once, whatever the worker count, op or `vars`
-//! list; each request picks its own columns from the shared rows. Nothing
-//! outlives the last such request, which leaves the result cache as the
-//! one retained cache. Every shared value is a
-//! deterministic function of the digest (equal digest ⇒ equal workloads ⇒
-//! equal rows), so a shared run is byte-identical to a solo one.
-//! `serve.dataset.loads` counts the loads slots computed and
-//! `serve.dataset.shared` the requests that took their workloads from a
-//! slot another request had loaded.
+//! ([`execute_shard`]), loads its dataset's summaries through a write-once
+//! `DatasetSlot`. [`execute`] and [`execute_shard`] use a private one;
+//! `wl-serve` holds the slot of the request's dataset digest from the
+//! server's `InFlight` map — from admission for a named dataset (its
+//! digest is a pure hash), from the start of execution for a path dataset
+//! (its digest reads the files) — until the request finishes. So requests
+//! and shards on one digest that are queued or running together
+//! synthesize (or parse) the dataset once, whatever the worker count, op
+//! or `vars` list; each request picks its own columns from the shared
+//! rows. Nothing outlives the last such request, which leaves the result
+//! cache as the one retained cache. Every shared value is a deterministic
+//! function of the digest (equal digest ⇒ equal logs ⇒ equal summaries),
+//! so a shared run is byte-identical to a solo one. `serve.dataset.loads`
+//! counts the loads slots computed and `serve.dataset.shared` the requests
+//! that took their summaries from a slot another request had loaded.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -45,7 +49,7 @@ use coplot::{
     DatasetSpec, HurstOut, Operation, Selection, ShardPart, ShardRequest, ShardResponse,
     StageReport, SubsetEntry, SubsetOut,
 };
-use wl_swf::{Workload, WorkloadStats};
+use wl_swf::{JobSeries, Workload, WorkloadStats};
 
 use crate::datasets::NamedDataset;
 
@@ -149,8 +153,7 @@ pub(crate) fn execute_shard_in(
         return Ok(ShardResponse::Whole(execute_in(base, cfg, slot)?.response));
     };
     check_deadline(cfg, "load")?;
-    let workloads = slot.workloads(|| load_dataset(base, cfg))?;
-    let data = data_matrix(base, &slot.rows(|| Ok(table1_rows(&workloads)))?)?;
+    let data = data_matrix(base, &slot.logs(|| load_dataset(base, cfg))?)?;
     check_deadline(cfg, "subset")?;
     let results = wl_analysis::subset::score_combination_range(
         &data,
@@ -166,22 +169,20 @@ pub(crate) fn execute_shard_in(
     })
 }
 
-/// Execute an already-canonical request, taking its workloads and their
-/// Table-1 rows from `slot` (computing them there on first use). The
-/// server passes the in-flight slot of the request's dataset digest (see
-/// the module docs).
+/// Execute an already-canonical request, taking its logs' summaries from
+/// `slot` (loading them there on first use). The server passes the
+/// in-flight slot of the request's dataset digest (see the module docs).
 pub(crate) fn execute_in(
     req: &AnalysisRequest,
     cfg: &ExecConfig,
     slot: &DatasetSlot,
 ) -> Result<ExecOutcome, ExecError> {
     check_deadline(cfg, "load")?;
-    let workloads = slot.workloads(|| load_dataset(req, cfg))?;
-    let matrix = || data_matrix(req, &slot.rows(|| Ok(table1_rows(&workloads)))?);
+    let logs = slot.logs(|| load_dataset(req, cfg))?;
     match req.op {
-        Operation::Coplot => run_coplot(req, cfg, &matrix()?),
-        Operation::Hurst => run_hurst(cfg, &workloads),
-        Operation::Subset => run_subset(req, cfg, &matrix()?),
+        Operation::Coplot => run_coplot(req, cfg, &data_matrix(req, &logs)?),
+        Operation::Hurst => run_hurst(cfg, &logs),
+        Operation::Subset => run_subset(req, cfg, &data_matrix(req, &logs)?),
     }
 }
 
@@ -215,98 +216,85 @@ impl InFlight {
     }
 }
 
-/// One dataset's write-once intermediates: the loaded workloads and the
-/// Table-1 row of each, each computed under its own lock by the first
-/// request to ask and handed to the rest as an `Arc`. Errors are never
-/// stored — a failing request leaves the value for the next one to
-/// compute.
-#[derive(Default)]
-pub(crate) struct DatasetSlot {
-    workloads: WriteOnce<Vec<Workload>>,
-    rows: WriteOnce<Vec<WorkloadStats>>,
+/// What a dataset keeps of one log: its Table-1 row with the paper's
+/// load-imputation rule (what every coplot and subset matrix is built
+/// from; `row.name` is the log's name) and its four Hurst series in
+/// [`JobSeries::ALL`] order (what the hurst op estimates from). 32 bytes
+/// per job, where the log's records take 144.
+pub(crate) struct LogSummary {
+    row: WorkloadStats,
+    series: [Vec<f64>; 4],
 }
 
-/// A value set once; see [`write_once`].
-type WriteOnce<T> = Mutex<Option<Arc<T>>>;
+impl LogSummary {
+    /// Summarize `w`: the reduce every dataset load runs in the worker
+    /// that made or parsed the log.
+    fn of(w: &Workload) -> LogSummary {
+        LogSummary {
+            row: wl_repro::stats_row(w),
+            series: JobSeries::ALL.map(|series| series.extract(w)),
+        }
+    }
+}
+
+/// One dataset's write-once summaries, loaded under the slot's lock by the
+/// first request to ask and handed to the rest as an `Arc`. Errors are
+/// never stored — a failing request leaves the slot empty for the next
+/// one to load. The value is assigned only after a load succeeds, so a
+/// poisoned lock still guards a valid (empty) slot.
+#[derive(Default)]
+pub(crate) struct DatasetSlot(Mutex<Option<Arc<Vec<LogSummary>>>>);
 
 impl DatasetSlot {
-    /// The dataset, loaded by `load` on first use.
-    fn workloads(
+    /// The dataset's summaries, loaded by `load` on first use.
+    fn logs(
         &self,
-        load: impl FnOnce() -> Result<Vec<Workload>, ExecError>,
-    ) -> Result<Arc<Vec<Workload>>, ExecError> {
-        let mut loaded = false;
-        let workloads = write_once(&self.workloads, || {
-            loaded = true;
-            load()
-        })?;
-        if loaded {
-            wl_obs::counter!("serve.dataset.loads", 1u64);
-        } else {
+        load: impl FnOnce() -> Result<Vec<LogSummary>, ExecError>,
+    ) -> Result<Arc<Vec<LogSummary>>, ExecError> {
+        let mut logs = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(logs) = logs.as_ref() {
             wl_obs::counter!("serve.dataset.shared", 1u64);
+            return Ok(Arc::clone(logs));
         }
-        Ok(workloads)
-    }
-
-    /// The dataset's Table-1 rows, computed by `compute` on first use;
-    /// every `vars` list picks its columns from them.
-    fn rows(
-        &self,
-        compute: impl FnOnce() -> Result<Vec<WorkloadStats>, ExecError>,
-    ) -> Result<Arc<Vec<WorkloadStats>>, ExecError> {
-        write_once(&self.rows, compute)
+        let loaded = Arc::new(load()?);
+        wl_obs::counter!("serve.dataset.loads", 1u64);
+        *logs = Some(Arc::clone(&loaded));
+        Ok(loaded)
     }
 }
 
-/// The value in `cell`, computed by `f` under the cell's lock if absent.
-/// The cell is assigned only after `f` succeeds, so a poisoned lock still
-/// guards a valid (empty) cell.
-fn write_once<T>(
-    cell: &WriteOnce<T>,
-    f: impl FnOnce() -> Result<T, ExecError>,
-) -> Result<Arc<T>, ExecError> {
-    let mut value = cell.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(v) = value.as_ref() {
-        return Ok(Arc::clone(v));
-    }
-    let v = Arc::new(f()?);
-    *value = Some(Arc::clone(&v));
-    Ok(v)
-}
-
-fn load_dataset(req: &AnalysisRequest, cfg: &ExecConfig) -> Result<Vec<Workload>, ExecError> {
+/// Load the request's dataset, each log reduced to its [`LogSummary`] in
+/// the worker that made it (a named dataset) or as soon as it is parsed
+/// (a path dataset, file by file).
+fn load_dataset(req: &AnalysisRequest, cfg: &ExecConfig) -> Result<Vec<LogSummary>, ExecError> {
     match &req.dataset {
         DatasetSpec::Named(name) => {
-            let dataset =
-                NamedDataset::from_name(name).ok_or_else(|| crate::datasets::unknown_dataset(name))?;
+            let dataset = NamedDataset::from_name(name)
+                .ok_or_else(|| crate::datasets::unknown_dataset(name))?;
             dataset
-                .try_synthesize(req.jobs as usize, req.seed, cfg.threads)
+                .try_reduce(req.jobs as usize, req.seed, cfg.threads, |w| {
+                    LogSummary::of(&w)
+                })
                 .map_err(|e| ExecError::Analysis(CoplotError::InvalidConfig(e)))
         }
         DatasetSpec::Paths(paths) => paths
             .iter()
-            .map(|path| crate::datasets::read_trace(path, req.format.as_deref()))
+            .map(|path| {
+                crate::datasets::read_trace(path, req.format.as_deref()).map(|w| LogSummary::of(&w))
+            })
             .collect(),
     }
 }
 
-/// Each log's Table-1 row, with the paper's load-imputation rule applied:
-/// what every coplot and subset matrix is built from.
-fn table1_rows(workloads: &[Workload]) -> Vec<WorkloadStats> {
-    workloads
-        .iter()
-        .map(|w| WorkloadStats::compute(w).with_load_imputation())
-        .collect()
-}
-
-fn data_matrix(req: &AnalysisRequest, rows: &[WorkloadStats]) -> Result<DataMatrix, ExecError> {
-    if rows.len() < 3 {
+fn data_matrix(req: &AnalysisRequest, logs: &[LogSummary]) -> Result<DataMatrix, ExecError> {
+    if logs.len() < 3 {
         return Err(ExecError::Analysis(CoplotError::InvalidConfig(
             "co-plot needs at least 3 workloads".into(),
         )));
     }
+    let rows: Vec<WorkloadStats> = logs.iter().map(|log| log.row.clone()).collect();
     let codes: Vec<&str> = req.vars.iter().map(String::as_str).collect();
-    wl_analysis::matrix::try_stats_matrix(rows, &codes).map_err(ExecError::Analysis)
+    wl_analysis::matrix::try_stats_matrix(&rows, &codes).map_err(ExecError::Analysis)
 }
 
 fn run_coplot(
@@ -330,12 +318,14 @@ fn run_coplot(
     })
 }
 
-fn run_hurst(cfg: &ExecConfig, workloads: &[Workload]) -> Result<ExecOutcome, ExecError> {
+fn run_hurst(cfg: &ExecConfig, logs: &[LogSummary]) -> Result<ExecOutcome, ExecError> {
     check_deadline(cfg, "hurst")?;
-    let rows = wl_repro::hurst_rows(workloads, cfg.threads);
+    let rows = wl_par::par_map(cfg.threads, logs, |log| {
+        wl_repro::series_hurst_row(&log.series)
+    });
     Ok(ExecOutcome {
         response: AnalysisResponse::Hurst(HurstOut {
-            workloads: workloads.iter().map(|w| w.name.clone()).collect(),
+            workloads: logs.iter().map(|log| log.row.name.clone()).collect(),
             columns: hurst_columns(),
             rows,
         }),
@@ -516,31 +506,9 @@ mod tests {
                     "shared != solo at threads={threads}"
                 );
             }
-            let workloads = slot
-                .workloads(|| panic!("the first request loaded"))
-                .unwrap();
-            assert_eq!(workloads.len(), 5);
+            let logs = slot.logs(|| panic!("the first request loaded")).unwrap();
+            assert_eq!(logs.len(), 5);
         }
-    }
-
-    #[test]
-    fn slot_shares_the_dataset_load() {
-        let slot = DatasetSlot::default();
-        let req = models_request(Operation::Coplot).canonicalize().unwrap();
-        execute_in(&req, &ExecConfig::new(1), &slot).unwrap();
-        // A second request finds the workloads and their rows ready.
-        let mut calls = 0;
-        slot.workloads(|| {
-            calls += 1;
-            Ok(Vec::new())
-        })
-        .unwrap();
-        slot.rows(|| {
-            calls += 1;
-            Err(ExecError::DatasetNotFound("unused".into()))
-        })
-        .unwrap();
-        assert_eq!(calls, 0, "the first request stored both values");
     }
 
     #[test]
@@ -550,7 +518,7 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..3 {
             let w = slot
-                .workloads(|| {
+                .logs(|| {
                     calls += 1;
                     Ok(Vec::new())
                 })
@@ -567,10 +535,10 @@ mod tests {
     #[test]
     fn slot_does_not_store_errors() {
         let slot = DatasetSlot::default();
-        let failed = slot.workloads(|| Err(ExecError::DatasetNotFound("nope".into())));
+        let failed = slot.logs(|| Err(ExecError::DatasetNotFound("nope".into())));
         assert!(failed.is_err());
         let mut calls = 0;
-        slot.workloads(|| {
+        slot.logs(|| {
             calls += 1;
             Ok(Vec::new())
         })
@@ -579,40 +547,43 @@ mod tests {
     }
 
     #[test]
-    fn slot_computes_the_rows_once_for_every_variable_list() {
+    fn one_load_serves_every_op_and_variable_list() {
         let cfg = ExecConfig::new(1);
         let slot = DatasetSlot::default();
-        let mut computed = 0;
-        let mut shared_rows = Vec::new();
-        for vars in [
-            Vec::new(),
-            ["Rm", "Pm", "Im", "Ii"].map(String::from).to_vec(),
-        ] {
-            let mut req = models_request(Operation::Coplot);
-            req.vars = vars;
+        let mut four_vars = models_request(Operation::Coplot);
+        four_vars.vars = ["Rm", "Pm", "Im", "Ii"].map(String::from).to_vec();
+        let requests = [
+            models_request(Operation::Coplot),
+            four_vars,
+            models_request(Operation::Hurst),
+        ];
+        let mut loads = 0;
+        let mut seen = Vec::new();
+        for req in &requests {
             let req = req.canonicalize().unwrap();
             let shared = execute_in(&req, &cfg, &slot).unwrap();
             let solo = execute(&req, &cfg).unwrap();
             assert_eq!(
                 shared.response.to_json(),
                 solo.response.to_json(),
-                "{:?}",
+                "{:?} {:?}",
+                req.op,
                 req.vars
             );
-            shared_rows.push(
-                slot.rows(|| {
-                    computed += 1;
+            seen.push(
+                slot.logs(|| {
+                    loads += 1;
                     Err(ExecError::DatasetNotFound("unused".into()))
                 })
                 .unwrap(),
             );
         }
-        assert_eq!(computed, 0, "the first request computed the rows");
+        assert_eq!(loads, 0, "the first request loaded the summaries");
         assert!(
-            Arc::ptr_eq(&shared_rows[0], &shared_rows[1]),
-            "both variable lists read one set of rows"
+            seen.iter().all(|logs| Arc::ptr_eq(logs, &seen[0])),
+            "every op and variable list reads one set of summaries"
         );
-        assert_eq!(shared_rows[0].len(), 5);
+        assert_eq!(seen[0].len(), 5);
     }
 
     #[test]
@@ -623,14 +594,14 @@ mod tests {
         let other = in_flight.hold(8);
         assert!(Arc::ptr_eq(&first, &queued), "same digest, same live slot");
         assert!(!Arc::ptr_eq(&first, &other), "digests never share a slot");
-        first.workloads(|| Ok(Vec::new())).unwrap();
+        first.logs(|| Ok(Vec::new())).unwrap();
 
         // The first request is done, but a queued one still holds 7: a
         // request arriving now shares the loaded value.
         drop(first);
         let late = in_flight.hold(7);
         assert!(Arc::ptr_eq(&late, &queued));
-        late.workloads(|| panic!("already loaded")).unwrap();
+        late.logs(|| panic!("already loaded")).unwrap();
 
         drop((queued, late, other));
         // Nothing was retained: the next request on 7 loads again, and the
@@ -639,12 +610,148 @@ mod tests {
         assert_eq!(in_flight.0.lock().unwrap().len(), 1, "no dead entry survives");
         let mut calls = 0;
         again
-            .workloads(|| {
+            .logs(|| {
                 calls += 1;
                 Ok(Vec::new())
             })
             .unwrap();
         assert_eq!(calls, 1);
+    }
+
+    const ORACLE_SEED: u64 = 11;
+
+    /// Every log of `dataset` with all its records: the suites made one
+    /// after another, each log kept whole. The reference the reduced
+    /// loads are checked against.
+    fn records(dataset: NamedDataset, jobs: usize, threads: usize) -> Vec<Workload> {
+        let seed = ORACLE_SEED;
+        let opts = wl_repro::Options {
+            seed,
+            jobs,
+            threads,
+            ..wl_repro::Options::default()
+        };
+        let table3 = || {
+            let mut ws = wl_repro::production_suite(&opts);
+            ws.extend(wl_repro::model_suite(&opts));
+            ws
+        };
+        let grid = || wl_trace::synth::grid_suite(jobs, seed, threads, |t| t);
+        let web = || wl_trace::synth::web_suite(jobs, seed, threads, |t| t);
+        match dataset {
+            NamedDataset::Table1 => wl_repro::production_suite(&opts),
+            NamedDataset::Table2 => wl_repro::period_suite(&opts, |w| w),
+            NamedDataset::Models => wl_repro::model_suite(&opts),
+            NamedDataset::Table3 => table3(),
+            NamedDataset::Grid => grid(),
+            NamedDataset::Web => web(),
+            NamedDataset::CrossDomain => {
+                let mut ws = table3();
+                ws.extend(grid());
+                ws.extend(web());
+                ws
+            }
+        }
+    }
+
+    /// `req`'s response built from the job records of its logs: Table-1
+    /// rows computed from the records, Hurst estimated from the records.
+    fn from_records(req: &AnalysisRequest, cfg: &ExecConfig, workloads: &[Workload]) -> String {
+        let rows: Vec<WorkloadStats> = workloads
+            .iter()
+            .map(|w| WorkloadStats::compute(w).with_load_imputation())
+            .collect();
+        let codes: Vec<&str> = req.vars.iter().map(String::as_str).collect();
+        let matrix = || wl_analysis::matrix::try_stats_matrix(&rows, &codes).unwrap();
+        let outcome = match req.op {
+            Operation::Coplot => run_coplot(req, cfg, &matrix()),
+            Operation::Subset => run_subset(req, cfg, &matrix()),
+            Operation::Hurst => Ok(ExecOutcome {
+                response: AnalysisResponse::Hurst(HurstOut {
+                    workloads: workloads.iter().map(|w| w.name.clone()).collect(),
+                    columns: hurst_columns(),
+                    rows: wl_repro::hurst_rows(workloads, cfg.threads),
+                }),
+                reports: Vec::new(),
+            }),
+        };
+        outcome.unwrap().response.to_json()
+    }
+
+    /// A coplot, a hurst and a subset request on `dataset`.
+    fn every_op(dataset: DatasetSpec, jobs: usize) -> Vec<AnalysisRequest> {
+        [Operation::Coplot, Operation::Hurst, Operation::Subset]
+            .into_iter()
+            .map(|op| {
+                let mut req = AnalysisRequest::new(op, dataset.clone());
+                req.jobs = jobs as u64;
+                req.seed = ORACLE_SEED;
+                if op == Operation::Subset {
+                    // The loads are the columns load imputation fills.
+                    req.subset_size = 2;
+                    req.max_alienation = 1.0;
+                    req.vars = ["RL", "CL", "Rm", "Im"].map(String::from).to_vec();
+                }
+                req.canonicalize().unwrap()
+            })
+            .collect()
+    }
+
+    fn names_and_digests(ws: &[Workload]) -> Vec<(String, u64)> {
+        ws.iter()
+            .map(|w| (w.name.clone(), w.canonical_digest()))
+            .collect()
+    }
+
+    #[test]
+    fn reduced_datasets_answer_the_bytes_of_job_records() {
+        let dir = std::env::temp_dir().join(format!("wl-serve-oracle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut paths = Vec::new();
+        let mut texts = records(NamedDataset::Table1, 200, 1)
+            .iter()
+            .take(2)
+            .map(|w| ("swf", wl_trace::write_swf(w)))
+            .collect::<Vec<_>>();
+        for site in 0..2 {
+            texts.push(("gwf", wl_trace::synth::grid_site_text(site, 250, 5)));
+        }
+        for (i, (ext, text)) in texts.iter().enumerate() {
+            let path = dir.join(format!("log{i}.{ext}"));
+            std::fs::write(&path, text).unwrap();
+            paths.push(path.to_str().unwrap().to_string());
+        }
+        let parsed: Vec<Workload> = paths
+            .iter()
+            .map(|path| crate::datasets::read_trace(path, None).unwrap())
+            .collect();
+
+        for threads in [1, 3] {
+            let cfg = ExecConfig::new(threads);
+            let mut cases = vec![(DatasetSpec::Paths(paths.clone()), 1, parsed.clone())];
+            for (i, &dataset) in NamedDataset::ALL.iter().enumerate() {
+                let jobs = 150 + 25 * i;
+                let workloads = records(dataset, jobs, threads);
+                assert_eq!(
+                    names_and_digests(&dataset.synthesize(jobs, ORACLE_SEED, threads)),
+                    names_and_digests(&workloads),
+                    "{} at threads = {threads}",
+                    dataset.name()
+                );
+                cases.push((DatasetSpec::Named(dataset.name().into()), jobs, workloads));
+            }
+            for (dataset, jobs, workloads) in &cases {
+                for req in every_op(dataset.clone(), *jobs) {
+                    assert_eq!(
+                        execute(&req, &cfg).unwrap().response.to_json(),
+                        from_records(&req, &cfg, workloads),
+                        "{:?} on {dataset:?} at {jobs} jobs, threads = {threads}",
+                        req.op
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

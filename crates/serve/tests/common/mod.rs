@@ -52,10 +52,39 @@ pub fn wait_for_inflight(addr: &str, n: i64) {
     }
 }
 
-/// Start the `wl-serve` binary on an ephemeral port with `args` and
-/// return the process with the address its banner line announces.
-pub fn spawn_wl_serve(args: &[&str]) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_wl-serve"))
+/// A `wl-serve` process started by [`spawn_wl_serve`]. Dropping it kills
+/// and reaps the process unless it has already exited, so a test that
+/// panics before [`shutdown`](WlServe::shutdown) leaves no server behind.
+pub struct WlServe {
+    /// The process; tests may write to its stdin and wait for it.
+    pub child: Child,
+    /// The address its banner line announced.
+    pub addr: String,
+}
+
+impl WlServe {
+    /// Drain the server through `POST /v1/shutdown` and wait for a clean
+    /// exit.
+    pub fn shutdown(mut self) {
+        let (status, _, _) = http_call(&self.addr, "POST", "/v1/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        let exit = self.child.wait().expect("wait for wl-serve");
+        assert!(exit.success(), "clean exit after drain: {exit:?}");
+    }
+}
+
+impl Drop for WlServe {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
+/// Start the `wl-serve` binary on an ephemeral port with `args`.
+pub fn spawn_wl_serve(args: &[&str]) -> WlServe {
+    let child = Command::new(env!("CARGO_BIN_EXE_wl-serve"))
         .args(["--addr", "127.0.0.1:0"])
         .args(args)
         .stdin(Stdio::piped())
@@ -63,7 +92,12 @@ pub fn spawn_wl_serve(args: &[&str]) -> (Child, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn wl-serve");
-    let mut stdout = child.stdout.take().unwrap();
+    // Guard the process before reading the banner, which may panic.
+    let mut server = WlServe {
+        child,
+        addr: String::new(),
+    };
+    let mut stdout = server.child.stdout.take().unwrap();
     let mut banner = Vec::new();
     let mut byte = [0u8; 1];
     while !banner.ends_with(b"\n") {
@@ -72,21 +106,13 @@ pub fn spawn_wl_serve(args: &[&str]) -> (Child, String) {
         banner.push(byte[0]);
     }
     let banner = String::from_utf8(banner).unwrap();
-    let addr = banner
+    server.addr = banner
         .rsplit("http://")
         .next()
         .expect("banner carries the address")
         .trim()
         .to_string();
-    (child, addr)
-}
-
-/// Drain a server started by [`spawn_wl_serve`] and wait for it to exit.
-pub fn shutdown_wl_serve(mut child: Child, addr: &str) {
-    let (status, _, _) = http_call(addr, "POST", "/v1/shutdown", None).unwrap();
-    assert_eq!(status, 200);
-    let exit = child.wait().expect("wait for wl-serve");
-    assert!(exit.success(), "clean exit after drain: {exit:?}");
+    server
 }
 
 /// A three-file SWF path dataset whose first file is a FIFO: a worker

@@ -221,15 +221,15 @@ fn drainer_initiated_drain_completes_in_flight_work() {
 
 #[test]
 fn stdin_shutdown_drains_under_load() {
-    let (mut child, addr) = spawn_wl_serve(&["--stdin-shutdown", "--workers", "2", "--cache", "0"]);
+    let mut server = spawn_wl_serve(&["--stdin-shutdown", "--workers", "2", "--cache", "0"]);
 
-    let inflight = post_coplot(addr, SLOW_BODY);
+    let inflight = post_coplot(server.addr.clone(), SLOW_BODY);
     std::thread::sleep(Duration::from_millis(250));
     // One byte on stdin initiates the drain while the request is running.
-    child.stdin.take().unwrap().write_all(b"q").unwrap();
+    server.child.stdin.take().unwrap().write_all(b"q").unwrap();
 
     let (status, body) = inflight.join().unwrap();
     assert_eq!(status, 200, "request survived the stdin shutdown: {body}");
-    let exit = child.wait().expect("wait for wl-serve");
+    let exit = server.child.wait().expect("wait for wl-serve");
     assert!(exit.success(), "clean exit after drain: {exit:?}");
 }

@@ -30,7 +30,7 @@ mod common;
 
 use std::sync::{Mutex, PoisonError};
 
-use common::{fetch_metrics, metric_value, shutdown_wl_serve, spawn_wl_serve, wait_for_inflight};
+use common::{fetch_metrics, metric_value, spawn_wl_serve, wait_for_inflight};
 use coplot::AnalysisRequest;
 use wl_serve::dist::CoordinatorConfig;
 use wl_serve::http::http_call;
@@ -211,8 +211,8 @@ fn fleet_worker_shares_in_flight_loads() {
     let posts = [GROUP[0], OTHER_GROUP[0], GROUP[1], OTHER_GROUP[1], GROUP[2]];
     let golden_posts = golden(&posts, threads);
 
-    let (worker, worker_addr) =
-        spawn_wl_serve(&["--workers", "1", "--threads", "2", "--cache", "0"]);
+    let worker = spawn_wl_serve(&["--workers", "1", "--threads", "2", "--cache", "0"]);
+    let worker_addr = worker.addr.clone();
     let coordinator = start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: posts.len(),
@@ -246,7 +246,7 @@ fn fleet_worker_shares_in_flight_loads() {
         "one load per digest on the worker"
     );
     coordinator.shutdown();
-    shutdown_wl_serve(worker, &worker_addr);
+    worker.shutdown();
 }
 
 /// `n` identical POSTs of `body` to `addr`: every answer 200 with the
@@ -289,7 +289,8 @@ fn identical_requests_count_one_miss_then_hits() {
 
     // The coordinator's worker runs in a process of its own, so only the
     // coordinator's lookups reach this process's counters.
-    let (worker, worker_addr) = spawn_wl_serve(&["--workers", "1", "--threads", "2"]);
+    let worker = spawn_wl_serve(&["--workers", "1", "--threads", "2"]);
+    let worker_addr = worker.addr.clone();
     let coordinator = start(ServerConfig {
         coordinator: Some(CoordinatorConfig {
             workers: vec![worker_addr.clone()],
@@ -304,7 +305,7 @@ fn identical_requests_count_one_miss_then_hits() {
         "coordinator"
     );
     coordinator.shutdown();
-    shutdown_wl_serve(worker, &worker_addr);
+    worker.shutdown();
 }
 
 #[test]
@@ -315,7 +316,8 @@ fn warm_amplitude_table_answers_the_bytes_of_a_cold_one() {
         format!("{{\"op\":\"coplot\",\"dataset\":{{\"name\":\"table1\"}},\"jobs\":1024,\"seed\":{seed}}}")
     };
     let serve = |seeds: &[u64]| -> (Vec<String>, String, String) {
-        let (child, addr) = spawn_wl_serve(&["--workers", "1", "--threads", "2", "--cache", "0"]);
+        let server = spawn_wl_serve(&["--workers", "1", "--threads", "2", "--cache", "0"]);
+        let addr = server.addr.clone();
         let mut bodies = Vec::new();
         let mut after_first = String::new();
         for &seed in seeds {
@@ -327,7 +329,7 @@ fn warm_amplitude_table_answers_the_bytes_of_a_cold_one() {
             }
         }
         let after_all = fetch_metrics(&addr);
-        shutdown_wl_serve(child, &addr);
+        server.shutdown();
         (bodies, after_first, after_all)
     };
     let (cold_a, _, _) = serve(&[1999]);

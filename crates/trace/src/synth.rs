@@ -308,30 +308,51 @@ fn default_web_meta() -> TraceMeta {
     )
 }
 
-/// Synthesize all grid sites with `jobs` jobs each and ingest them through
-/// the real GWF adapter, in parallel. Deterministic across thread counts.
-pub fn grid_suite(jobs: usize, seed: u64, threads: usize) -> Vec<NormalizedTrace> {
+/// Synthesize all grid sites with `jobs` jobs each, ingest them through
+/// the real GWF adapter in parallel, and hand each trace by value to
+/// `reduce` in the worker that parsed it (`|t| t` keeps every trace).
+/// Deterministic across thread counts.
+pub fn grid_suite<R, F>(jobs: usize, seed: u64, threads: usize, reduce: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(NormalizedTrace) -> R + Sync,
+{
     let sites: Vec<usize> = (0..GRID_SITE_COUNT).collect();
     wl_par::par_map(threads, &sites, |&site| {
-        let text = grid_site_text(site, jobs, seed);
-        TraceFormat::Gwf
+        // The text is a temporary of this statement: it is freed before
+        // `reduce` runs.
+        let trace = TraceFormat::Gwf
             .source()
-            .read(grid_site_name(site), &text, default_web_meta())
-            .expect("synthetic GWF text must parse")
+            .read(
+                grid_site_name(site),
+                &grid_site_text(site, jobs, seed),
+                default_web_meta(),
+            )
+            .expect("synthetic GWF text must parse");
+        reduce(trace)
     })
 }
 
-/// Synthesize all web servers with `sessions` sessions each and ingest them
-/// through the real access-log adapter, in parallel. Deterministic across
+/// Synthesize all web servers with `sessions` sessions each, ingest them
+/// through the real access-log adapter in parallel, and hand each trace by
+/// value to `reduce` in the worker that parsed it. Deterministic across
 /// thread counts.
-pub fn web_suite(sessions: usize, seed: u64, threads: usize) -> Vec<NormalizedTrace> {
+pub fn web_suite<R, F>(sessions: usize, seed: u64, threads: usize, reduce: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(NormalizedTrace) -> R + Sync,
+{
     let servers: Vec<usize> = (0..WEB_SERVER_COUNT).collect();
     wl_par::par_map(threads, &servers, |&server| {
-        let text = web_server_text(server, sessions, seed);
-        TraceFormat::Weblog
+        let trace = TraceFormat::Weblog
             .source()
-            .read(web_server_name(server), &text, default_web_meta())
-            .expect("synthetic CLF text must parse")
+            .read(
+                web_server_name(server),
+                &web_server_text(server, sessions, seed),
+                default_web_meta(),
+            )
+            .expect("synthetic CLF text must parse");
+        reduce(trace)
     })
 }
 
@@ -377,11 +398,11 @@ mod tests {
 
     #[test]
     fn suites_are_bit_identical_across_thread_counts() {
-        let g1 = grid_suite(60, 1999, 1);
-        let g8 = grid_suite(60, 1999, 8);
+        let g1 = grid_suite(60, 1999, 1, |t| t);
+        let g8 = grid_suite(60, 1999, 8, |t| t);
         assert_eq!(g1, g8);
-        let w1 = web_suite(40, 1999, 1);
-        let w8 = web_suite(40, 1999, 8);
+        let w1 = web_suite(40, 1999, 1, |t| t);
+        let w8 = web_suite(40, 1999, 8, |t| t);
         assert_eq!(w1, w8);
         for (a, b) in g1.iter().zip(&g8) {
             assert_eq!(a.canonical_digest(), b.canonical_digest());
@@ -390,14 +411,14 @@ mod tests {
 
     #[test]
     fn suites_have_advertised_shapes() {
-        let grids = grid_suite(25, 7, 2);
+        let grids = grid_suite(25, 7, 2, |t| t);
         assert_eq!(grids.len(), GRID_SITE_COUNT);
         for (k, g) in grids.iter().enumerate() {
             assert_eq!(g.name, grid_site_name(k));
             assert_eq!(g.len(), 25);
             assert_eq!(g.machine.processors, GRID_SITES[k].processors);
         }
-        let webs = web_suite(30, 7, 2);
+        let webs = web_suite(30, 7, 2, |t| t);
         assert_eq!(webs.len(), WEB_SERVER_COUNT);
         for (k, w) in webs.iter().enumerate() {
             assert_eq!(w.name, web_server_name(k));
@@ -411,7 +432,7 @@ mod tests {
 
     #[test]
     fn grid_sites_have_distinct_digests() {
-        let grids = grid_suite(20, 11, 1);
+        let grids = grid_suite(20, 11, 1, |t| t);
         let mut digests: Vec<u64> = grids.iter().map(|g| g.canonical_digest()).collect();
         digests.sort_unstable();
         digests.dedup();

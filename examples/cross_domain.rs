@@ -30,8 +30,8 @@ fn main() {
     let swf_names: Vec<String> = traces.iter().map(|w| w.name.clone()).collect();
 
     // The other two domains ride in through their own trace formats.
-    traces.extend(grid_suite(opts.jobs, opts.seed, opts.threads));
-    traces.extend(web_suite(opts.jobs, opts.seed, opts.threads));
+    traces.extend(grid_suite(opts.jobs, opts.seed, opts.threads, |t| t));
+    traces.extend(web_suite(opts.jobs, opts.seed, opts.threads, |t| t));
 
     let data = trace_matrix(&traces, &["Rm", "Ri", "Pm", "Pi", "Im", "Ii"]);
     let result = Coplot::new().seed(opts.seed).analyze(&data).expect("coplot");

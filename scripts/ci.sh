@@ -86,15 +86,10 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
 test "$table3_mb" -lt 20 \
   || { echo "table3 peaked at $table3_mb MB (want < 20)"; exit 1; }
 
-echo "== repro memory (own peaks at 8192 jobs: fig3 below 14 MB, table3 and fig5 below 13 MB) =="
-# These programs peak below python's resident set, which ru_maxrss would
-# report, so poll each program's own high-water mark (VmHWM); polling may
-# miss a late peak but never over-reads one. table3 and fig5 keep 3.1 MB of
-# FFT plans and read 11.7-12.2 MB.
-for bound in fig3:14 table3:13 fig5:13; do
-  bin=${bound%%:*}
-  limit=${bound#*:}
-  peak_mb=$(cd "$repro_dir" && python3 -c '
+# The own high-water mark (VmHWM) of a command, in MB, polled from /proc;
+# polling may miss a late peak but never over-reads one.
+own_peak_mb() {
+  python3 -c '
 import subprocess, sys, time
 p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 peak = 0
@@ -110,10 +105,28 @@ while p.poll() is None:
 if p.returncode:
     sys.exit(p.returncode)
 print(peak // 1024)
-' "$repro_bin/$bin" --seed 1999 --jobs 8192 --threads 2)
+' "$@"
+}
+
+echo "== repro memory (own peaks at 8192 jobs: fig3 below 14 MB, table3 and fig5 below 13 MB) =="
+# These programs peak below python's resident set, which ru_maxrss would
+# report, so poll each program's own high-water mark. table3 and fig5
+# keep 3.1 MB of FFT plans and read 11.7-12.2 MB.
+for bound in fig3:14 table3:13 fig5:13; do
+  bin=${bound%%:*}
+  limit=${bound#*:}
+  peak_mb=$(cd "$repro_dir" && own_peak_mb "$repro_bin/$bin" --seed 1999 --jobs 8192 --threads 2)
   test "$peak_mb" -lt "$limit" \
     || { echo "$bin peaked at $peak_mb MB (want < $limit)"; exit 1; }
 done
+
+echo "== wl dataset memory (coplot @table1 at 65,536 jobs peaks below 80 MB) =="
+# A dataset load reduces each log to its Table-1 row and Hurst series in
+# the worker that made it, so a request never holds its logs' job records
+# together. Reads 62-63 MB; holding every record read 102.
+wl_mb=$(own_peak_mb ./target/release/wl coplot @table1 --jobs 65536 --threads 2)
+test "$wl_mb" -lt 80 \
+  || { echo "wl coplot @table1 --jobs 65536 peaked at $wl_mb MB (want < 80)"; exit 1; }
 
 echo "== repro bad flag (table1 --bogus exits 2 with a message, no panic) =="
 bogus_rc=0
@@ -362,7 +375,8 @@ trap - EXIT
 echo "== wl-serve plan memory (10 hurst requests at 40,000-40,009 jobs: VmHWM below 180 MB) =="
 # Each new trace length plans a 5.4 MB Bluestein table; the plan table is
 # weighed in bytes (64 MiB), so the server's memory stays bounded however
-# many lengths it sees. Reads 130-144 MB; a 64-plan count cap read 210-211.
+# many lengths it sees. Reads 110-111 MB (139-143 while a request held its
+# logs' job records); a 64-plan count cap read 210-211.
 plan_dir=$(mktemp -d)
 ./target/release/wl-serve --addr 127.0.0.1:0 --workers 1 --threads 2 --cache 0 \
   > "$plan_dir/serve.log" &
