@@ -11,12 +11,13 @@
 //! slots for them, and the Table-1 variables never look at them.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use crate::record::{JobRecord, JobStatus};
 use crate::report::{
-    meta_from_header, parse_lines, split_fields, ParseError, ParseErrorKind, ParseReport,
+    meta_from_header, parse_lines, split_fields, Field, ParseError, ParseErrorKind, ParseReport,
 };
-use crate::swf::{fmt_f, integer_field, numeric_field};
+use crate::swf::{integer_field, numeric_field, push_shared_fields, text_capacity};
 use crate::trace::{NormalizedTrace, TraceMeta};
 use crate::{TraceFormat, TraceSource};
 
@@ -67,7 +68,10 @@ pub fn parse_gwf_lenient(text: &str) -> (GwfDocument, ParseReport) {
 }
 
 fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
-    let fields: [&str; GWF_FIELDS] = split_fields(line).map_err(|found| ParseError {
+    // Fields 17..29 (orig/last-run site, job structure, network, disk,
+    // resources, VO, project) are grid-specific: required present, counted,
+    // deliberately uninterpreted.
+    let fields: [Field; 16] = split_fields(line, GWF_FIELDS).map_err(|found| ParseError {
         line: lineno,
         kind: ParseErrorKind::FieldCount,
         message: format!("expected {GWF_FIELDS} fields, found {found}"),
@@ -97,9 +101,6 @@ fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
     j.executable_id = int(13)?;
     j.queue = int(14)?;
     j.partition = int(15)?;
-    // Fields 17..29 (orig/last-run site, job structure, network, disk,
-    // resources, VO, project) are grid-specific: required present,
-    // deliberately uninterpreted.
     Ok(j)
 }
 
@@ -107,43 +108,27 @@ fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
 /// [`parse_gwf`] + [`GwfDocument::into_trace`] round trip preserves it. The
 /// 13 grid-specific tail fields are written as `-1` (unknown).
 pub fn write_gwf(trace: &NormalizedTrace) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# Site: {}\n", trace.name));
-    out.push_str(&format!("# MaxNodes: {}\n", trace.machine.processors));
-    out.push_str(&format!(
-        "# SchedulerRank: {}\n",
-        trace.machine.scheduler.rank()
-    ));
-    out.push_str(&format!(
-        "# AllocationRank: {}\n",
-        trace.machine.allocation.rank()
-    ));
-    out.push_str(&format!("# MaxJobs: {}\n", trace.len()));
+    let mut out = String::with_capacity(text_capacity(trace));
+    let machine = &trace.machine;
+    write!(
+        out,
+        "# Site: {}\n# MaxNodes: {}\n# SchedulerRank: {}\n# AllocationRank: {}\n# MaxJobs: {}\n",
+        trace.name,
+        machine.processors,
+        machine.scheduler.rank(),
+        machine.allocation.rank(),
+        trace.len()
+    )
+    .expect("a String takes every write");
     for j in trace.jobs() {
-        let mut fields = vec![
-            j.id.to_string(),
-            fmt_f(j.submit_time),
-            fmt_f(j.wait_time),
-            fmt_f(j.run_time),
-            j.used_procs.to_string(),
-            fmt_f(j.avg_cpu_time),
-            fmt_f(j.used_memory),
-            j.requested_procs.to_string(),
-            fmt_f(j.requested_time),
-            fmt_f(j.requested_memory),
-            j.status.code().to_string(),
-            j.user_id.to_string(),
-            j.group_id.to_string(),
-            j.executable_id.to_string(),
-            j.queue.to_string(),
-            j.partition.to_string(),
-        ];
-        fields.extend(std::iter::repeat_n("-1".to_string(), GWF_FIELDS - 16));
-        out.push_str(&fields.join(" "));
-        out.push('\n');
+        push_shared_fields(&mut out, j);
+        out.push_str(UNKNOWN_TAIL);
     }
     out
 }
+
+/// The 13 grid-specific tail fields, all unknown, and the line's end.
+const UNKNOWN_TAIL: &str = " -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
 
 /// The GWF adapter.
 #[derive(Debug, Clone, Copy, Default)]

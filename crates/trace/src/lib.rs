@@ -26,6 +26,8 @@ pub mod report;
 pub mod stats;
 pub mod swf;
 pub mod synth;
+#[cfg(test)]
+mod text_oracle;
 pub mod trace;
 pub mod weblog;
 

@@ -5,10 +5,11 @@
 //! whitespace-separated numeric fields, `-1` marking unknown values.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use crate::record::{JobRecord, JobStatus};
 use crate::report::{
-    meta_from_header, parse_lines, split_fields, ParseError, ParseErrorKind, ParseReport,
+    meta_from_header, parse_lines, split_fields, Field, ParseError, ParseErrorKind, ParseReport,
 };
 use crate::trace::{NormalizedTrace, TraceMeta};
 use crate::{TraceFormat, TraceSource};
@@ -66,7 +67,7 @@ pub fn parse_swf_lenient(text: &str) -> (SwfDocument, ParseReport) {
 }
 
 fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
-    let fields: [&str; 18] = split_fields(line).map_err(|found| ParseError {
+    let fields: [Field; 18] = split_fields(line, 18).map_err(|found| ParseError {
         line: lineno,
         kind: ParseErrorKind::FieldCount,
         message: format!("expected 18 fields, found {found}"),
@@ -103,13 +104,26 @@ fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
     })
 }
 
-/// Parse one whitespace-split field as a finite f64 (shared with the GWF
-/// adapter, whose first 16 data fields mirror SWF's).
-pub(crate) fn numeric_field(fields: &[&str], i: usize, lineno: usize) -> Result<f64, ParseError> {
-    let v = fields[i].parse::<f64>().map_err(|_| ParseError {
+/// Read one field as a finite f64 (shared with the GWF adapter, whose
+/// first 16 data fields mirror SWF's): a plain decimal integer is the
+/// value the scanner read, and any other text goes through
+/// `str::parse::<f64>`.
+pub(crate) fn numeric_field(fields: &[Field], i: usize, lineno: usize) -> Result<f64, ParseError> {
+    match fields[i].integer {
+        Some(v) => Ok(v),
+        None => parse_number(fields[i].text, i, lineno),
+    }
+}
+
+/// The `str::parse::<f64>` path of [`numeric_field`], out of line so the
+/// integer path stays small.
+#[cold]
+#[inline(never)]
+fn parse_number(text: &str, i: usize, lineno: usize) -> Result<f64, ParseError> {
+    let v = text.parse::<f64>().map_err(|_| ParseError {
         line: lineno,
         kind: ParseErrorKind::NotNumeric,
-        message: format!("field {} is not numeric: {:?}", i + 1, fields[i]),
+        message: format!("field {} is not numeric: {:?}", i + 1, text),
     })?;
     if v.is_finite() {
         Ok(v)
@@ -117,14 +131,14 @@ pub(crate) fn numeric_field(fields: &[&str], i: usize, lineno: usize) -> Result<
         Err(ParseError {
             line: lineno,
             kind: ParseErrorKind::NonFinite,
-            message: format!("field {} is not finite: {:?}", i + 1, fields[i]),
+            message: format!("field {} is not finite: {:?}", i + 1, text),
         })
     }
 }
 
 /// Parse one field as an integer, accepting "4" and "4.0" alike; trace files
 /// in the wild mix both.
-pub(crate) fn integer_field(fields: &[&str], i: usize, lineno: usize) -> Result<i64, ParseError> {
+pub(crate) fn integer_field(fields: &[Field], i: usize, lineno: usize) -> Result<i64, ParseError> {
     let v = numeric_field(fields, i, lineno)?;
     Ok(v as i64)
 }
@@ -133,56 +147,99 @@ pub(crate) fn integer_field(fields: &[&str], i: usize, lineno: usize) -> Result<
 /// machine so a later [`parse_swf`] + [`SwfDocument::into_trace`] round
 /// trip preserves it.
 pub fn write_swf(workload: &NormalizedTrace) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("; Computer: {}\n", workload.name));
-    out.push_str(&format!("; MaxNodes: {}\n", workload.machine.processors));
-    out.push_str(&format!(
-        "; SchedulerRank: {}\n",
-        workload.machine.scheduler.rank()
-    ));
-    out.push_str(&format!(
-        "; AllocationRank: {}\n",
-        workload.machine.allocation.rank()
-    ));
-    out.push_str(&format!("; MaxJobs: {}\n", workload.len()));
+    let mut out = String::with_capacity(text_capacity(workload));
+    let machine = &workload.machine;
+    write!(
+        out,
+        "; Computer: {}\n; MaxNodes: {}\n; SchedulerRank: {}\n; AllocationRank: {}\n; MaxJobs: {}\n",
+        workload.name,
+        machine.processors,
+        machine.scheduler.rank(),
+        machine.allocation.rank(),
+        workload.len()
+    )
+    .expect("a String takes every write");
     for j in workload.jobs() {
-        out.push_str(&format_job_line(j));
+        push_shared_fields(&mut out, j);
+        out.push(' ');
+        push_i64(&mut out, j.preceding_job);
+        out.push(' ');
+        push_f64(&mut out, j.think_time);
         out.push('\n');
     }
     out
 }
 
-pub(crate) fn fmt_f(v: f64) -> String {
-    // Keep integers compact; SWF consumers expect "-1" not "-1.0".
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+/// A capacity for the text of `trace`: its header plus a typical job line
+/// per job, so the writers rarely grow their string.
+pub(crate) fn text_capacity(trace: &NormalizedTrace) -> usize {
+    256 + trace.name.len() + trace.len() * 96
+}
+
+/// Append SWF fields 1-16 of `j`, space-separated, which SWF and GWF lines
+/// share.
+pub(crate) fn push_shared_fields(out: &mut String, j: &JobRecord) {
+    push_u64(out, j.id);
+    for v in [j.submit_time, j.wait_time, j.run_time] {
+        out.push(' ');
+        push_f64(out, v);
+    }
+    out.push(' ');
+    push_i64(out, j.used_procs);
+    for v in [j.avg_cpu_time, j.used_memory] {
+        out.push(' ');
+        push_f64(out, v);
+    }
+    out.push(' ');
+    push_i64(out, j.requested_procs);
+    for v in [j.requested_time, j.requested_memory] {
+        out.push(' ');
+        push_f64(out, v);
+    }
+    for v in [
+        j.status.code(),
+        j.user_id,
+        j.group_id,
+        j.executable_id,
+        j.queue,
+        j.partition,
+    ] {
+        out.push(' ');
+        push_i64(out, v);
     }
 }
 
-fn format_job_line(j: &JobRecord) -> String {
-    [
-        j.id.to_string(),
-        fmt_f(j.submit_time),
-        fmt_f(j.wait_time),
-        fmt_f(j.run_time),
-        j.used_procs.to_string(),
-        fmt_f(j.avg_cpu_time),
-        fmt_f(j.used_memory),
-        j.requested_procs.to_string(),
-        fmt_f(j.requested_time),
-        fmt_f(j.requested_memory),
-        j.status.code().to_string(),
-        j.user_id.to_string(),
-        j.group_id.to_string(),
-        j.executable_id.to_string(),
-        j.queue.to_string(),
-        j.partition.to_string(),
-        j.preceding_job.to_string(),
-        fmt_f(j.think_time),
-    ]
-    .join(" ")
+/// Append a float field: integral values below 1e15 in magnitude as the
+/// integer they hold (SWF consumers expect "-1", not "-1.0"; -0.0 writes
+/// "0"), every other value as its `{}` text.
+fn push_f64(out: &mut String, v: f64) {
+    if v == v.trunc() && v.abs() < 1e15 {
+        push_i64(out, v as i64);
+    } else {
+        write!(out, "{v}").expect("a String takes every write");
+    }
+}
+
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append the decimal digits of `n`, as `n.to_string()` writes them.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// The SWF adapter.

@@ -13,6 +13,10 @@
 //! fixed order, timestamps anchored at a fixed 1999-01-01 UTC epoch — so
 //! equal seeds give byte-identical text on every thread count and platform.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt::Write;
+
 use rand::prelude::*;
 use wl_stats::rng::{derive_seed, seeded_rng};
 
@@ -21,7 +25,7 @@ use crate::record::{JobRecord, JobStatus, QUEUE_BATCH};
 use crate::trace::{
     AllocationFlexibility, NormalizedTrace, SchedulerFlexibility, TraceMeta,
 };
-use crate::weblog::fmt_clf_time;
+use crate::weblog::push_clf_time;
 use crate::TraceFormat;
 
 /// Seconds since the Unix epoch for 1999-01-01 00:00:00 UTC — the fixed
@@ -248,17 +252,31 @@ pub fn grid_site_text(site: usize, jobs: usize, seed: u64) -> String {
 
 /// Synthesize web server `server` as Common Log Format text with `sessions`
 /// client sessions. Fully determined by `(server, sessions, seed)`.
+///
+/// The log is ordered by request time, ties in generation order, like a
+/// real server's. Lines are written as soon as no later session can sort
+/// before them: sessions start in non-decreasing time and a session's
+/// requests never precede its start, so when session k starts at second
+/// `s`, every pending line at or before `s` comes first. Only the lines
+/// of sessions still open wait, as fields rather than text.
 pub fn web_server_text(server: usize, sessions: usize, seed: u64) -> String {
     let s = &WEB_SERVERS[server];
     let mut rng = seeded_rng(derive_seed(seed, WEB_STREAM + server as u64));
-    // (time, generation index, line) so the emitted log is time-ordered
-    // with deterministic tie-breaks, like a real server's.
-    let mut lines: Vec<(i64, usize, String)> = Vec::new();
+    let mut out = format!("# Server: {}\n", s.name);
+    let mut pending: BinaryHeap<Reverse<WebLine>> = BinaryHeap::new();
+    let mut index = 0;
     let mut start = BASE_EPOCH;
     for _ in 0..sessions {
         start += exp_sample(&mut rng, s.mean_arrival);
-        let host = format!("host{:03}.{}.example.com", rng.gen_range(0..s.hosts), s.name);
+        let host = rng.gen_range(0..s.hosts);
         let mut t = start.floor() as i64;
+        while let Some(Reverse(line)) = pending.peek() {
+            if line.t > t {
+                break;
+            }
+            push_web_line(&mut out, s.name, line);
+            pending.pop();
+        }
         let mut depth = 0usize;
         loop {
             let section = rng.gen_range(0..s.sections);
@@ -271,18 +289,20 @@ pub fn web_server_text(server: usize, sessions: usize, seed: u64) -> String {
                 500
             };
             let bytes = if rng.gen_bool(0.05) {
-                "-".to_string()
+                None
             } else {
-                format!("{}", lognormal(&mut rng, s.bytes_mu, s.bytes_sigma) as u64)
+                Some(lognormal(&mut rng, s.bytes_mu, s.bytes_sigma) as u64)
             };
-            lines.push((
+            pending.push(Reverse(WebLine {
                 t,
-                lines.len(),
-                format!(
-                    "{host} - - {} \"GET /sec{section}/page{page}.html HTTP/1.0\" {status} {bytes}",
-                    fmt_clf_time(t as f64)
-                ),
-            ));
+                index,
+                host,
+                section,
+                page,
+                status,
+                bytes,
+            }));
+            index += 1;
             depth += 1;
             if !rng.gen_bool(s.continue_p) || depth >= 50 {
                 break;
@@ -291,13 +311,39 @@ pub fn web_server_text(server: usize, sessions: usize, seed: u64) -> String {
             t += rng.gen_range(1i64..15);
         }
     }
-    lines.sort_by_key(|l| (l.0, l.1));
-    let mut out = format!("# Server: {}\n", s.name);
-    for (_, _, line) in lines {
-        out.push_str(&line);
-        out.push('\n');
+    while let Some(Reverse(line)) = pending.pop() {
+        push_web_line(&mut out, s.name, &line);
     }
     out
+}
+
+/// One generated request, waiting for its place in the log. Lines order by
+/// `(t, index)`: request time, then generation order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct WebLine {
+    t: i64,
+    index: usize,
+    host: u64,
+    section: u64,
+    page: u32,
+    status: u16,
+    bytes: Option<u64>,
+}
+
+fn push_web_line(out: &mut String, server: &str, line: &WebLine) {
+    write!(out, "host{:03}.{server}.example.com - - ", line.host)
+        .expect("a String takes every write");
+    push_clf_time(out, line.t);
+    write!(
+        out,
+        " \"GET /sec{}/page{}.html HTTP/1.0\" {} ",
+        line.section, line.page, line.status
+    )
+    .expect("a String takes every write");
+    match line.bytes {
+        Some(bytes) => writeln!(out, "{bytes}").expect("a String takes every write"),
+        None => out.push_str("-\n"),
+    }
 }
 
 fn default_web_meta() -> TraceMeta {
@@ -360,7 +406,81 @@ where
 mod tests {
     use super::*;
     use crate::gwf::parse_gwf;
-    use crate::weblog::parse_weblog;
+    use crate::weblog::{fmt_clf_time, parse_weblog};
+
+    /// The generator as it was before it wrote lines in order: every line
+    /// as its own string with its sort key, sorted, then joined. Kept as
+    /// the oracle [`web_server_text`] must match byte for byte.
+    fn web_server_text_oracle(server: usize, sessions: usize, seed: u64) -> String {
+        let s = &WEB_SERVERS[server];
+        let mut rng = seeded_rng(derive_seed(seed, WEB_STREAM + server as u64));
+        let mut lines: Vec<(i64, usize, String)> = Vec::new();
+        let mut start = BASE_EPOCH;
+        for _ in 0..sessions {
+            start += exp_sample(&mut rng, s.mean_arrival);
+            let host = format!(
+                "host{:03}.{}.example.com",
+                rng.gen_range(0..s.hosts),
+                s.name
+            );
+            let mut t = start.floor() as i64;
+            let mut depth = 0usize;
+            loop {
+                let section = rng.gen_range(0..s.sections);
+                let page = rng.gen_range(0..30u32);
+                let status = if rng.gen_bool(0.95) {
+                    200
+                } else if rng.gen_bool(0.5) {
+                    404
+                } else {
+                    500
+                };
+                let bytes = if rng.gen_bool(0.05) {
+                    "-".to_string()
+                } else {
+                    format!("{}", lognormal(&mut rng, s.bytes_mu, s.bytes_sigma) as u64)
+                };
+                lines.push((
+                    t,
+                    lines.len(),
+                    format!(
+                        "{host} - - {} \"GET /sec{section}/page{page}.html HTTP/1.0\" {status} {bytes}",
+                        fmt_clf_time(t as f64)
+                    ),
+                ));
+                depth += 1;
+                if !rng.gen_bool(s.continue_p) || depth >= 50 {
+                    break;
+                }
+                t += rng.gen_range(1i64..15);
+            }
+        }
+        lines.sort_by_key(|l| (l.0, l.1));
+        let mut out = format!("# Server: {}\n", s.name);
+        for (_, _, line) in lines {
+            out.push_str(&line);
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn web_text_matches_the_sorting_oracle() {
+        let mut rng = seeded_rng(31);
+        for case in 0..48 {
+            let server = case % WEB_SERVER_COUNT;
+            let sessions = match case {
+                0..=3 => case,
+                _ => rng.gen_range(0..600),
+            };
+            let seed = rng.gen_range(0..u64::MAX);
+            assert_eq!(
+                web_server_text(server, sessions, seed),
+                web_server_text_oracle(server, sessions, seed),
+                "server {server}, {sessions} sessions, seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn grid_text_is_deterministic_and_strictly_parseable() {

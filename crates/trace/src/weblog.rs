@@ -14,6 +14,8 @@
 //! Lines starting with `#` are comments (with `# Key: value` carrying
 //! header metadata under the workspace keys, like the other adapters).
 
+use std::fmt::Write;
+
 use crate::record::{JobRecord, JobStatus, MISSING, QUEUE_INTERACTIVE};
 use crate::report::{meta_from_header, parse_lines, ParseError, ParseErrorKind, ParseReport};
 use crate::trace::{NormalizedTrace, TraceMeta};
@@ -198,11 +200,18 @@ pub fn parse_clf_time(s: &str) -> Option<f64> {
 /// (`[10/Oct/1999:13:55:36 +0000]`). Inverse of [`parse_clf_time`] for
 /// whole seconds.
 pub fn fmt_clf_time(epoch: f64) -> String {
-    let t = epoch as i64;
+    let mut out = String::new();
+    push_clf_time(&mut out, epoch as i64);
+    out
+}
+
+/// Append epoch second `t` as [`fmt_clf_time`] formats it.
+pub(crate) fn push_clf_time(out: &mut String, t: i64) {
     let days = t.div_euclid(86400);
     let secs = t.rem_euclid(86400);
     let (y, m, d) = civil_from_days(days);
-    format!(
+    write!(
+        out,
         "[{:02}/{}/{}:{:02}:{:02}:{:02} +0000]",
         d,
         MONTHS[(m - 1) as usize],
@@ -211,6 +220,7 @@ pub fn fmt_clf_time(epoch: f64) -> String {
         (secs / 60) % 60,
         secs % 60
     )
+    .expect("a String takes every write");
 }
 
 fn parse_request_line(line: &str, lineno: usize) -> Result<WebRequest, ParseError> {

@@ -128,6 +128,26 @@ wl_mb=$(own_peak_mb ./target/release/wl coplot @table1 --jobs 65536 --threads 2)
 test "$wl_mb" -lt 80 \
   || { echo "wl coplot @table1 --jobs 65536 peaked at $wl_mb MB (want < 80)"; exit 1; }
 
+echo "== trace text bytes (generated traces keep their sha256; wl generate web peaks below 100 MB) =="
+# The SWF/GWF job-line writer and the web log generator write these bytes
+# as they did before they were rewritten for speed; a changed byte changes
+# every dataset digest and golden built from them.
+while read -r want_sha gen_args; do
+  got_sha=$(./target/release/wl generate $gen_args | sha256sum | cut -d' ' -f1)
+  test "$got_sha" = "$want_sha" \
+    || { echo "wl generate $gen_args: sha256 $got_sha (want $want_sha)"; exit 1; }
+done <<'SHAS'
+8361dce8824a9275178d25637d59bfaec1f2169142f76d2af23876b7be37c594 grid --site 0 --jobs 40000 --seed 42
+b4f7b46931e66431cf47c744ef01238f0036f6d6dfce8e3b955a95533f192c61 web --site 1 --jobs 20000 --seed 7
+02a52772d64f315da78e218dc7f54d1521b086f5e39dc598290040f20f21d5be ctc --jobs 20000 --seed 7
+SHAS
+# The web generator holds only the text it writes (65.5 MB here) and the
+# lines of sessions still open; keeping every line as its own string and
+# then joining them read 198 MB.
+web_mb=$(own_peak_mb ./target/release/wl generate web --site 0 --jobs 262144 --seed 1999)
+test "$web_mb" -lt 100 \
+  || { echo "wl generate web --jobs 262144 peaked at $web_mb MB (want < 100)"; exit 1; }
+
 echo "== repro bad flag (table1 --bogus exits 2 with a message, no panic) =="
 bogus_rc=0
 bogus_err=$("$repro_bin/table1" --bogus 2>&1 >/dev/null) || bogus_rc=$?
