@@ -364,16 +364,6 @@ impl WindowedCoplot {
         }
     }
 
-    /// Windows sealed so far.
-    pub fn windows_sealed(&self) -> usize {
-        self.sealed
-    }
-
-    /// Records in the currently open (unsealed) window.
-    pub fn open_window_jobs(&self) -> usize {
-        self.open.len()
-    }
-
     /// Embed the current frame, align it, and measure drift.
     fn embed_frame(&mut self) -> Result<EmbeddedFrame, CoplotError> {
         let stats: Vec<TraceStats> = self.rows.iter().map(|(_, _, s)| s.clone()).collect();

@@ -48,22 +48,6 @@ fn bench_strict_parse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lenient_parse(c: &mut Criterion) {
-    let meta = wl_trace::TraceMeta::new(
-        128,
-        wl_trace::SchedulerFlexibility::Backfilling,
-        wl_trace::AllocationFlexibility::Unlimited,
-    );
-    let mut group = c.benchmark_group("parse_lenient");
-    for (fmt, _, text) in corpus() {
-        group.throughput(Throughput::Elements(text.lines().count() as u64));
-        group.bench_function(fmt.label(), |b| {
-            b.iter(|| fmt.source().read_lenient(black_box("bench"), black_box(&text), meta))
-        });
-    }
-    group.finish();
-}
-
 fn bench_detection(c: &mut Criterion) {
     // Detection reads at most the first data line; benchmark the
     // content-only path (extensionless name) since extensions short-circuit.
@@ -86,6 +70,6 @@ fn short() -> Criterion {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_strict_parse, bench_lenient_parse, bench_detection
+    targets = bench_strict_parse, bench_detection
 }
 criterion_main!(benches);

@@ -1243,11 +1243,6 @@ impl ErrorBody {
         self
     }
 
-    /// The body for a request-malformation error.
-    pub fn from_api_error(e: &ApiError) -> ErrorBody {
-        ErrorBody::new(e.kind.label(), e.message.clone())
-    }
-
     /// Serialize in the fixed wire order.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);

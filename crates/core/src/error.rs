@@ -4,52 +4,13 @@
 //! of panicking on invalid input, so callers (the CLI, the reproduction
 //! binaries, the analysis crate) can report *which* stage rejected the data
 //! and why. Errors from the substrate crates are converted via `From`:
-//! [`wl_linalg::LinalgError`] and [`wl_stats::StatsError`] here, and
-//! `wl_trace::ParseError` from within `wl-trace` (the crate that owns that
-//! type).
+//! [`wl_linalg::LinalgError`] and [`wl_stats::StatsError`]. A trace that
+//! does not parse is reported as `wl_trace::ParseError`, which callers
+//! fold into [`CoplotError::InvalidConfig`] with the file it came from.
 
 use std::fmt;
 use wl_linalg::LinalgError;
 use wl_stats::StatsError;
-
-/// Typed reason a data line could not be parsed; mirrored from
-/// `wl_trace::ParseErrorKind` (the orphan rule keeps the concrete type
-/// there) so callers can dispatch without string matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParseKind {
-    /// Wrong number of whitespace-separated fields (truncated or padded
-    /// line).
-    FieldCount,
-    /// A field was not numeric.
-    NotNumeric,
-    /// A field that must be non-negative (the job id) was negative.
-    NegativeId,
-    /// A field parsed to NaN or an infinity.
-    NonFinite,
-    /// A timestamp field did not parse (web access logs carry calendar
-    /// timestamps rather than relative seconds).
-    BadTimestamp,
-    /// A request field was structurally malformed (e.g. the quoted
-    /// `"METHOD path protocol"` group of an access log).
-    BadRequest,
-    /// Any other malformation.
-    Other,
-}
-
-impl ParseKind {
-    /// Short kebab-case label, stable for metrics and error messages.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ParseKind::FieldCount => "field-count",
-            ParseKind::NotNumeric => "not-numeric",
-            ParseKind::NegativeId => "negative-id",
-            ParseKind::NonFinite => "non-finite",
-            ParseKind::BadTimestamp => "bad-timestamp",
-            ParseKind::BadRequest => "bad-request",
-            ParseKind::Other => "other",
-        }
-    }
-}
 
 /// Why an analysis could not run.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +20,6 @@ pub enum CoplotError {
     Normalization(String),
     /// A variable's arrow could not be fitted.
     DegenerateVariable(String),
-    /// Variable elimination removed everything below the threshold.
-    NothingLeft,
     /// The input had no observations or no variables at all.
     EmptyInput {
         /// What was empty ("observations", "variables", "workloads"...).
@@ -85,26 +44,9 @@ pub enum CoplotError {
     },
     /// A cell or derived quantity was NaN or infinite.
     NonFinite(String),
-    /// An iterative stage hit its iteration cap without converging.
-    NonConvergence {
-        /// Which stage failed to converge.
-        stage: &'static str,
-        /// Iterations spent before giving up.
-        iterations: usize,
-    },
     /// A caller-supplied knob was out of range (subset size, period count,
     /// unknown variable code...).
     InvalidConfig(String),
-    /// Input data could not be parsed (`wl-trace` converts its `ParseError`
-    /// into this; the fields mirror it so no dependency cycle is needed).
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What kind of malformation was found.
-        kind: ParseKind,
-        /// Human-readable description.
-        message: String,
-    },
     /// A deadline expired between pipeline stages (the engine's and the
     /// serving layer's stage-boundary abort; the stage named is the one
     /// that was about to run).
@@ -133,9 +75,6 @@ impl fmt::Display for CoplotError {
             CoplotError::DegenerateVariable(name) => {
                 write!(f, "variable {name:?} has a degenerate arrow fit")
             }
-            CoplotError::NothingLeft => {
-                write!(f, "no variables survive the correlation threshold")
-            }
             CoplotError::EmptyInput { what } => write!(f, "empty input: no {what}"),
             CoplotError::TooFewObservations { n, min } => {
                 write!(f, "need at least {min} observations, have {n}")
@@ -146,9 +85,6 @@ impl fmt::Display for CoplotError {
                 got,
             } => write!(f, "{context}: dimension mismatch (expected {expected}, got {got})"),
             CoplotError::NonFinite(msg) => write!(f, "non-finite value: {msg}"),
-            CoplotError::NonConvergence { stage, iterations } => {
-                write!(f, "{stage} did not converge within {iterations} iterations")
-            }
             CoplotError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoplotError::DeadlineExceeded { stage } => {
                 write!(f, "deadline exceeded before stage {stage}")
@@ -158,9 +94,6 @@ impl fmt::Display for CoplotError {
                 "job records are not sorted by submit time \
                  ({inversions} adjacent inversions; use the sort policy to accept them)"
             ),
-            CoplotError::Parse { line, kind, message } => {
-                write!(f, "parse error at line {line} ({}): {message}", kind.label())
-            }
             CoplotError::Linalg(e) => write!(f, "linear algebra: {e}"),
             CoplotError::Stats(e) => write!(f, "statistics: {e}"),
         }
@@ -207,24 +140,15 @@ mod tests {
         use std::error::Error;
         let e: CoplotError = LinalgError::NonFinite { context: "x" }.into();
         assert!(e.source().is_some());
-        assert!(CoplotError::NothingLeft.source().is_none());
+        assert!(CoplotError::InvalidConfig("x".into()).source().is_none());
     }
 
     #[test]
     fn display_covers_new_variants() {
         let e = CoplotError::TooFewObservations { n: 2, min: 3 };
         assert!(e.to_string().contains("at least 3"));
-        let e = CoplotError::NonConvergence { stage: "mds", iterations: 300 };
-        assert!(e.to_string().contains("converge"));
         let e = CoplotError::EmptyInput { what: "workloads" };
         assert!(e.to_string().contains("workloads"));
-        let e = CoplotError::Parse {
-            line: 7,
-            kind: ParseKind::NotNumeric,
-            message: "field 3 not numeric".into(),
-        };
-        assert!(e.to_string().contains("line 7"));
-        assert!(e.to_string().contains("not-numeric"));
         let e = CoplotError::DeadlineExceeded { stage: "embedding" };
         assert!(e.to_string().contains("deadline"));
         assert!(e.to_string().contains("embedding"));

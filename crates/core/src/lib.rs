@@ -80,7 +80,7 @@ pub use engine::{
     CoplotEngine, PairContributions, Selection, SharedSubsetSession, Stage, StageReport,
     StageReportTable,
 };
-pub use error::{CoplotError, ParseKind};
+pub use error::CoplotError;
 pub use mds::{nonmetric_mds, nonmetric_mds_warm, restart_seed, MdsConfig, MdsSolution};
 pub use pipeline::{Coplot, CoplotResult};
 pub use runtime::Runtime;

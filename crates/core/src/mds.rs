@@ -128,21 +128,8 @@ pub fn nonmetric_mds(
     diss: &DissimilarityMatrix,
     config: &MdsConfig,
 ) -> Result<MdsSolution, CoplotError> {
-    let n = diss.n();
-    if n < 3 {
-        return Err(CoplotError::TooFewObservations { n, min: 3 });
-    }
-    if diss.pairs().iter().any(|d| !d.is_finite()) {
-        return Err(CoplotError::NonFinite(
-            "dissimilarity matrix contains NaN or infinite entries".into(),
-        ));
-    }
-    let deltas = diss.pairs().to_vec();
-
-    // Pair index table: pair p connects observations pair_idx[p] = (i, k).
-    let pair_idx: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |k| (i, k)))
-        .collect();
+    let pair_idx = pair_index(diss)?;
+    let deltas = diss.pairs();
 
     let n_starts = config.restarts + 1;
     let _span = wl_obs::span!("mds.restarts");
@@ -151,7 +138,7 @@ pub fn nonmetric_mds(
     // pool's determinism contract applies and any thread count reproduces
     // the sequential path bit for bit.
     let outcomes = wl_par::par_map_indexed(config.threads, n_starts, |i| {
-        run_start(i, diss, &deltas, &pair_idx, config)
+        initial_config(i, diss, config).map(|init| run_start(init, deltas, &pair_idx, config))
     });
 
     // Select the best start exactly as the sequential loop would: walk in
@@ -166,13 +153,6 @@ pub fn nonmetric_mds(
         total_iters += outcome.iterations;
         majorization_time += outcome.majorization_time;
         theta_time += outcome.theta_time;
-        wl_obs::hist_record!("mds.iterations_per_start", outcome.iterations as u64);
-        if outcome.theta.is_infinite() {
-            wl_obs::counter!("mds.collapsed_starts", 1u64);
-        }
-        if outcome.iterations >= config.max_iterations {
-            wl_obs::counter!("mds.unconverged_starts", 1u64);
-        }
         theta_per_restart.push(outcome.theta);
         let better = match &best {
             None => true,
@@ -200,15 +180,15 @@ pub fn nonmetric_mds(
 /// Run nonmetric MDS refinement from a caller-supplied initial
 /// configuration (a **warm start**).
 ///
-/// Unlike [`nonmetric_mds`], this runs a *single* majorization descent from
-/// `init` — no classical-scaling start, no random restarts, no RNG at all —
-/// so it is thread-invariant by construction and typically converges in a
-/// small fraction of the iterations a cold multi-start run spends. The
-/// streaming window driver uses it with the previous window's aligned
-/// embedding as `init`; callers are expected to compare the returned
-/// alienation against their previous frame and fall back to a cold
-/// [`nonmetric_mds`] run when the warm solution regresses (the init may sit
-/// in the wrong basin after a drift event).
+/// Unlike [`nonmetric_mds`], this runs a *single* start from `init` — no
+/// classical-scaling start, no random restarts, no RNG at all — on the
+/// calling thread, so it is thread-invariant by construction and typically
+/// converges in a small fraction of the iterations a cold multi-start run
+/// spends. The streaming window driver uses it with the previous window's
+/// aligned embedding as `init`; callers are expected to compare the
+/// returned alienation against their previous frame and fall back to a
+/// cold [`nonmetric_mds`] run when the warm solution regresses (the init
+/// may sit in the wrong basin after a drift event).
 ///
 /// The output is normalized exactly like [`nonmetric_mds`] (centered, unit
 /// RMS radius) and a collapsed configuration scores `alienation = +inf` so
@@ -224,10 +204,8 @@ pub fn nonmetric_mds_warm(
     config: &MdsConfig,
     init: &Matrix,
 ) -> Result<MdsSolution, CoplotError> {
+    let pair_idx = pair_index(diss)?;
     let n = diss.n();
-    if n < 3 {
-        return Err(CoplotError::TooFewObservations { n, min: 3 });
-    }
     if init.rows() != n {
         return Err(CoplotError::DimensionMismatch {
             context: "nonmetric_mds_warm: init rows must match observations".into(),
@@ -242,79 +220,76 @@ pub fn nonmetric_mds_warm(
             got: init.cols(),
         });
     }
-    if diss.pairs().iter().any(|d| !d.is_finite()) {
-        return Err(CoplotError::NonFinite(
-            "dissimilarity matrix contains NaN or infinite entries".into(),
-        ));
-    }
     if init.as_slice().iter().any(|x| !x.is_finite()) {
         return Err(CoplotError::NonFinite(
             "warm-start configuration contains NaN or infinite coordinates".into(),
         ));
     }
-    let deltas = diss.pairs().to_vec();
-    let pair_idx: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |k| (i, k)))
-        .collect();
 
     let _span = wl_obs::span!("mds.warm_start");
     wl_obs::counter!("mds.warm_starts", 1u64);
-    let mut coords = init.clone();
-    let major_started = Instant::now();
-    let (stress, iterations) = refine(&mut coords, &deltas, &pair_idx, n, config);
-    let majorization_time = major_started.elapsed();
-    wl_obs::hist_record!("mds.iterations_per_start", iterations as u64);
-
-    let theta_started = Instant::now();
-    let dists = pair_distances(&coords, &pair_idx);
-    let spread = dists.iter().cloned().fold(0.0, f64::max);
-    let max_delta = deltas.iter().cloned().fold(0.0, f64::max);
-    let collapsed = spread <= 1e-9 && max_delta > 0.0;
-    let theta = if collapsed {
-        wl_obs::counter!("mds.collapsed_starts", 1u64);
-        f64::INFINITY
-    } else {
-        coefficient_of_alienation(&deltas, &dists)
-    };
-    let theta_time = theta_started.elapsed();
-    if iterations >= config.max_iterations {
-        wl_obs::counter!("mds.unconverged_starts", 1u64);
-    }
+    let start = run_start(init.clone(), diss.pairs(), &pair_idx, config);
+    let mut coords = start.coords;
     normalize_config(&mut coords);
     Ok(MdsSolution {
         coords,
-        alienation: theta,
-        stress,
-        iterations,
-        theta_per_restart: vec![theta],
-        majorization_time,
-        theta_time,
+        alienation: start.theta,
+        stress: start.stress,
+        iterations: start.iterations,
+        theta_per_restart: vec![start.theta],
+        majorization_time: start.majorization_time,
+        theta_time: start.theta_time,
     })
 }
 
-/// Run one start (classical scaling for start 0, a seeded random
-/// configuration otherwise) through the refinement loop and score it.
-fn run_start(
+/// Check the dissimilarities both entry points accept (at least 3
+/// observations, every entry finite) and build the pair index table every
+/// start works from: pair p connects observations `pair_idx[p] = (i, k)`.
+fn pair_index(diss: &DissimilarityMatrix) -> Result<Vec<(usize, usize)>, CoplotError> {
+    let n = diss.n();
+    if n < 3 {
+        return Err(CoplotError::TooFewObservations { n, min: 3 });
+    }
+    if diss.pairs().iter().any(|d| !d.is_finite()) {
+        return Err(CoplotError::NonFinite(
+            "dissimilarity matrix contains NaN or infinite entries".into(),
+        ));
+    }
+    Ok((0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |k| (i, k)))
+        .collect())
+}
+
+/// The initial configuration of one cold start: classical scaling for
+/// start 0, a configuration drawn from the start's own seeded generator
+/// otherwise.
+fn initial_config(
     start: usize,
     diss: &DissimilarityMatrix,
+    config: &MdsConfig,
+) -> Result<Matrix, CoplotError> {
+    if start == 0 {
+        return classical_init(diss);
+    }
+    let mut rng = ChaCha12Rng::seed_from_u64(restart_seed(config.seed, start));
+    let mut m = Matrix::zeros(diss.n(), 2);
+    for i in 0..diss.n() {
+        for c in 0..2 {
+            m[(i, c)] = rng.gen_range(-1.0..1.0);
+        }
+    }
+    Ok(m)
+}
+
+/// Run one start from its initial configuration through the refinement
+/// loop, score it, and record it in the `mds.*` metrics.
+fn run_start(
+    mut coords: Matrix,
     deltas: &[f64],
     pair_idx: &[(usize, usize)],
     config: &MdsConfig,
-) -> Result<StartOutcome, CoplotError> {
-    let n = diss.n();
-    let mut coords = if start == 0 {
-        classical_init(diss)?
-    } else {
-        let mut rng = ChaCha12Rng::seed_from_u64(restart_seed(config.seed, start));
-        let mut m = Matrix::zeros(n, 2);
-        for i in 0..n {
-            for c in 0..2 {
-                m[(i, c)] = rng.gen_range(-1.0..1.0);
-            }
-        }
-        m
-    };
-
+) -> StartOutcome {
+    let n = coords.rows();
     let major_started = Instant::now();
     let (stress, iterations) = refine(&mut coords, deltas, pair_idx, n, config);
     let majorization_time = major_started.elapsed();
@@ -333,14 +308,22 @@ fn run_start(
         coefficient_of_alienation(deltas, &dists)
     };
     let theta_time = theta_started.elapsed();
-    Ok(StartOutcome {
+
+    wl_obs::hist_record!("mds.iterations_per_start", iterations as u64);
+    if collapsed {
+        wl_obs::counter!("mds.collapsed_starts", 1u64);
+    }
+    if iterations >= config.max_iterations {
+        wl_obs::counter!("mds.unconverged_starts", 1u64);
+    }
+    StartOutcome {
         coords,
         stress,
         iterations,
         theta,
         majorization_time,
         theta_time,
-    })
+    }
 }
 
 /// Classical (Torgerson) scaling of the dissimilarities into the plane: the

@@ -256,7 +256,8 @@ pub fn status_reason(status: u16) -> &'static str {
 pub type ClientResponse = (u16, Vec<(String, String)>, String);
 
 /// Minimal blocking HTTP client for tests, `wl-servectl`, and the CI smoke
-/// script: one request, read to EOF, parse status/headers/body.
+/// script: one request on a connection of its own (`connection: close`),
+/// its response read as [`HttpClient::call`] reads one.
 pub fn http_call(
     addr: &str,
     method: &str,
@@ -270,10 +271,7 @@ pub fn http_call(
         body.len()
     );
     stream.write_all(request.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_client_response(&raw)
-        .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
+    read_response(&mut stream, &mut Vec::new())
 }
 
 /// A blocking keep-alive client: many sequential requests over one
@@ -328,88 +326,69 @@ impl HttpClient {
             body.len()
         );
         self.stream.write_all(request.as_bytes())?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> io::Result<ClientResponse> {
-        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        let mut raw = std::mem::take(&mut self.carry);
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = find_head_end(&raw) {
-                break pos;
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before a full response head",
-                ));
-            }
-            raw.extend_from_slice(&chunk[..n]);
-        };
-        let (status, headers) = {
-            let head = std::str::from_utf8(&raw[..head_end])
-                .map_err(|_| bad("response head is not UTF-8"))?;
-            let mut lines = head.split("\r\n");
-            let status_line = lines.next().unwrap_or("");
-            let status: u16 = status_line
-                .split(' ')
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad(&format!("bad status line {status_line:?}")))?;
-            let mut headers = Vec::new();
-            for line in lines {
-                if let Some((n, v)) = line.split_once(':') {
-                    headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
-                }
-            }
-            (status, headers)
-        };
-        let content_length: usize = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .ok_or_else(|| bad("response has no content-length"))?
-            .1
-            .parse()
-            .map_err(|_| bad("bad content-length"))?;
-        let body_start = head_end + 4;
-        while raw.len() < body_start + content_length {
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response-body",
-                ));
-            }
-            raw.extend_from_slice(&chunk[..n]);
-        }
-        // Anything past the body belongs to the next pipelined response.
-        self.carry = raw.split_off(body_start + content_length);
-        let body = String::from_utf8(raw[body_start..].to_vec())
-            .map_err(|_| bad("response body is not UTF-8"))?;
-        Ok((status, headers, body))
+        read_response(&mut self.stream, &mut self.carry)
     }
 }
 
-fn parse_client_response(raw: &[u8]) -> Result<ClientResponse, String> {
-    let head_end = find_head_end(raw).ok_or("no header terminator in response")?;
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "head is not UTF-8")?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or("empty response")?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((n, v)) = line.split_once(':') {
-            headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
+/// Read one response from `stream`, its body by its `Content-Length`.
+/// `carry` holds bytes already read past the previous response and keeps
+/// any read past this one, which belong to the next pipelined response.
+fn read_response(stream: &mut impl Read, carry: &mut Vec<u8>) -> io::Result<ClientResponse> {
+    let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
+    let mut raw = std::mem::take(carry);
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(pos) = find_head_end(&raw) {
+            break pos;
         }
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed before a full response head",
+            ));
+        }
+        raw.extend_from_slice(&chunk[..n]);
+    };
+    let (status, headers) = {
+        let head =
+            std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head is not UTF-8"))?;
+        let mut lines = head.split("\r\n");
+        let status_line = lines.next().unwrap_or("");
+        let status: u16 = status_line
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad(&format!("bad status line {status_line:?}")))?;
+        let mut headers = Vec::new();
+        for line in lines {
+            if let Some((n, v)) = line.split_once(':') {
+                headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
+            }
+        }
+        (status, headers)
+    };
+    let content_length: usize = headers
+        .iter()
+        .find(|(n, _)| n == "content-length")
+        .ok_or_else(|| bad("response has no content-length"))?
+        .1
+        .parse()
+        .map_err(|_| bad("bad content-length"))?;
+    let body_start = head_end + 4;
+    while raw.len() < body_start + content_length {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-response-body",
+            ));
+        }
+        raw.extend_from_slice(&chunk[..n]);
     }
-    let body = String::from_utf8(raw[head_end + 4..].to_vec())
-        .map_err(|_| "body is not UTF-8".to_string())?;
+    *carry = raw.split_off(body_start + content_length);
+    let body = String::from_utf8(raw[body_start..].to_vec())
+        .map_err(|_| bad("response body is not UTF-8"))?;
     Ok((status, headers, body))
 }
 
@@ -566,7 +545,7 @@ mod tests {
     #[test]
     fn client_parses_its_own_format() {
         let bytes = Response::json(200, "{\"ok\":true}").to_bytes(false);
-        let (status, headers, body) = parse_client_response(&bytes).unwrap();
+        let (status, headers, body) = read_response(&mut &bytes[..], &mut Vec::new()).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"ok\":true}");
         assert!(headers.iter().any(|(n, v)| n == "content-type" && v == "application/json"));

@@ -16,8 +16,9 @@
 //! * [`workload::Workload`] — alias of [`wl_trace::NormalizedTrace`]: a
 //!   named job collection with machine metadata, plus the filters the
 //!   paper applies (interactive/batch splits, period splits; section 6).
-//! * [`parse`] — the SWF adapter's reader and writer (header comments
-//!   included); prefer `TraceFormat::Swf.source()` in new code.
+//! * [`parse`] — the SWF adapter's reader, which stops at the first
+//!   malformed job line with a typed [`ParseError`], and its writer (header
+//!   comments included); prefer `TraceFormat::Swf.source()` in new code.
 //! * [`metrics`] — alias of [`wl_trace::TraceStats`]: the
 //!   derived-characteristics engine producing every Table 1 / Table 2
 //!   variable from a canonical record stream.
@@ -34,8 +35,6 @@ pub mod workload;
 
 pub use job::{Job, JobStatus};
 pub use metrics::{Variable, WorkloadStats};
-pub use parse::{
-    parse_swf, parse_swf_lenient, write_swf, ParseError, ParseErrorKind, ParseReport,
-};
+pub use parse::{parse_swf, write_swf, ParseError, ParseErrorKind};
 pub use series::{arrival_counts, JobSeries};
 pub use workload::{AllocationFlexibility, MachineInfo, SchedulerFlexibility, Workload};

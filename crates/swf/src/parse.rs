@@ -2,16 +2,16 @@
 //!
 //! The parser moved to [`wl_trace::swf`] when ingestion became pluggable:
 //! it is the SWF adapter of the [`wl_trace::TraceSource`] trait, sharing
-//! the lenient line loop, the typed [`ParseErrorKind`] taxonomy, and the
-//! per-format parse counters with the GWF and web-log adapters. Everything
-//! re-exported here is the same type the adapter uses, so existing call
-//! sites compile unchanged.
+//! the line loop (which stops at the first malformed job line), the typed
+//! [`ParseErrorKind`] taxonomy, and the per-format parse counters with the
+//! GWF and web-log adapters. Everything re-exported here is the same type
+//! the adapter uses, so existing call sites compile unchanged.
 //!
 //! Prefer the trait path for new code:
 //! `wl_trace::TraceFormat::Swf.source().read(name, text, default)`.
 
-pub use wl_trace::swf::{parse_swf, parse_swf_lenient, write_swf, SwfDocument, SwfSource};
-pub use wl_trace::{ParseError, ParseErrorKind, ParseReport};
+pub use wl_trace::swf::{parse_swf, write_swf, SwfDocument, SwfSource};
+pub use wl_trace::{ParseError, ParseErrorKind};
 
 #[cfg(test)]
 mod tests {
@@ -41,7 +41,7 @@ mod tests {
     fn facade_matches_trace_source_strict() {
         let via_facade = super::parse_swf(SAMPLE)
             .unwrap()
-            .into_workload("rig", default_meta());
+            .into_trace("rig", default_meta());
         let via_source: wl_trace::NormalizedTrace = TraceFormat::Swf
             .source()
             .read("rig", SAMPLE, default_meta())
@@ -53,21 +53,6 @@ mod tests {
             via_facade.canonical_digest(),
             via_source.canonical_digest()
         );
-    }
-
-    #[test]
-    fn facade_matches_trace_source_lenient() {
-        let broken = format!("{SAMPLE}not a job line\n");
-        let (doc, report_a) = super::parse_swf_lenient(&broken);
-        let via_facade = doc.into_workload("rig", default_meta());
-        let (via_source, report_b) =
-            TraceFormat::Swf
-                .source()
-                .read_lenient("rig", &broken, default_meta());
-        assert_eq!(via_facade.jobs(), via_source.jobs());
-        assert_eq!(report_a, report_b);
-        assert_eq!(report_a.jobs, 3);
-        assert_eq!(report_a.skipped.len(), 1);
     }
 
     /// `TraceMeta` is the same type as `MachineInfo`, not a lookalike.

@@ -15,7 +15,7 @@ use std::fmt::Write;
 
 use crate::record::{JobRecord, JobStatus};
 use crate::report::{
-    meta_from_header, parse_lines, split_fields, Field, ParseError, ParseErrorKind, ParseReport,
+    meta_from_header, parse_lines, split_fields, Field, ParseError, ParseErrorKind,
 };
 use crate::swf::{integer_field, numeric_field, push_shared_fields, text_capacity};
 use crate::trace::{NormalizedTrace, TraceMeta};
@@ -45,29 +45,12 @@ impl GwfDocument {
 /// Parse GWF text into a document, erroring on the first malformed job line.
 pub fn parse_gwf(text: &str) -> Result<GwfDocument, ParseError> {
     let _span = wl_obs::span!("gwf.parse");
-    let (header, jobs, report, first_err) =
-        parse_lines(TraceFormat::Gwf, '#', true, text, parse_job_line);
-    report.record_metrics();
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(GwfDocument { header, jobs }),
-    }
+    let (header, jobs) = parse_lines(TraceFormat::Gwf, '#', text, parse_job_line)?;
+    Ok(GwfDocument { header, jobs })
 }
 
-/// Parse GWF text, skipping malformed job lines instead of failing.
-///
-/// Every dropped line is recorded in the [`ParseReport`] with its typed
-/// [`ParseErrorKind`], and the matching `gwf.skip.*` counter is incremented
-/// when observability is armed. Never panics on any input.
-pub fn parse_gwf_lenient(text: &str) -> (GwfDocument, ParseReport) {
-    let _span = wl_obs::span!("gwf.parse");
-    let (header, jobs, report, _) =
-        parse_lines(TraceFormat::Gwf, '#', false, text, parse_job_line);
-    report.record_metrics();
-    (GwfDocument { header, jobs }, report)
-}
-
-fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
+/// Parse one trimmed GWF job line, `lineno` being its 1-based number.
+pub(crate) fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
     // Fields 17..29 (orig/last-run site, job structure, network, disk,
     // resources, VO, project) are grid-specific: required present, counted,
     // deliberately uninterpreted.
@@ -135,10 +118,6 @@ const UNKNOWN_TAIL: &str = " -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
 pub struct GwfSource;
 
 impl TraceSource for GwfSource {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::Gwf
-    }
-
     fn read(
         &self,
         name: &str,
@@ -146,16 +125,6 @@ impl TraceSource for GwfSource {
         default: TraceMeta,
     ) -> Result<NormalizedTrace, ParseError> {
         parse_gwf(text).map(|doc| doc.into_trace(name, default))
-    }
-
-    fn read_lenient(
-        &self,
-        name: &str,
-        text: &str,
-        default: TraceMeta,
-    ) -> (NormalizedTrace, ParseReport) {
-        let (doc, report) = parse_gwf_lenient(text);
-        (doc.into_trace(name, default), report)
     }
 }
 
@@ -244,24 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_parse_skips_and_counts() {
-        wl_obs::set_enabled(true);
-        let snap = wl_obs::registry().snapshot();
-        let before = (
-            snap.counter("gwf.skip.field_count"),
-            snap.counter("gwf.jobs_parsed"),
-        );
-        let text = format!("{}\nshort line\n{}\n", good_line(1), good_line(2));
-        let (doc, report) = parse_gwf_lenient(&text);
-        assert_eq!(doc.jobs.len(), 2);
-        assert_eq!(report.format, TraceFormat::Gwf);
-        assert_eq!(report.skipped, vec![(2, ParseErrorKind::FieldCount)]);
-        let snap = wl_obs::registry().snapshot();
-        assert!(snap.counter("gwf.skip.field_count") > before.0);
-        assert!(snap.counter("gwf.jobs_parsed") >= before.1 + 2);
-    }
-
-    #[test]
     fn header_machine_metadata_round_trips() {
         let w = NormalizedTrace::new(
             "G",
@@ -322,7 +273,6 @@ mod tests {
         let via_source = GwfSource.read("g", &text, machine()).unwrap();
         let manual = parse_gwf(&text).unwrap().into_trace("g", machine());
         assert_eq!(via_source, manual);
-        assert_eq!(GwfSource.format(), TraceFormat::Gwf);
     }
 
     #[test]
@@ -332,10 +282,9 @@ mod tests {
             if !text.is_char_boundary(cut) {
                 continue;
             }
-            let prefix = &text[..cut];
-            let _ = parse_gwf(prefix);
-            let (_, report) = parse_gwf_lenient(prefix);
-            assert!(report.jobs <= 1);
+            if let Ok(doc) = parse_gwf(&text[..cut]) {
+                assert!(doc.jobs.len() <= 1);
+            }
         }
     }
 
@@ -344,18 +293,14 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Neither parser panics on arbitrary text, and the lenient one
-            /// accounts for every line.
+            /// The parser never panics on arbitrary text: it keeps at most
+            /// one job per line, or names a line of the text.
             #[test]
             fn parsers_never_panic_on_arbitrary_text(text in "\\PC*") {
-                let _ = parse_gwf(&text);
-                let (doc, report) = parse_gwf_lenient(&text);
-                prop_assert_eq!(doc.jobs.len(), report.jobs);
-                prop_assert_eq!(
-                    report.jobs + report.skipped.len() + report.header_lines
-                        + report.ignored_lines,
-                    report.lines
-                );
+                match parse_gwf(&text) {
+                    Ok(doc) => prop_assert!(doc.jobs.len() <= text.lines().count()),
+                    Err(e) => prop_assert!((1..=text.lines().count()).contains(&e.line)),
+                }
             }
 
             /// Corrupting one field of a valid GWF line yields a typed error
@@ -379,9 +324,11 @@ mod tests {
                 }
             }
 
-            /// Lenient parsing keeps exactly the valid jobs.
+            /// A document with malformed lines injected between valid ones
+            /// keeps every job when no line is malformed, and otherwise
+            /// fails on the first malformed line.
             #[test]
-            fn lenient_keeps_exactly_the_valid_jobs(
+            fn strict_parse_stops_at_the_first_bad_line(
                 n_good in 0usize..6,
                 n_bad in 0usize..6,
             ) {
@@ -395,13 +342,17 @@ mod tests {
                         text.push_str("truncated line\n");
                     }
                 }
-                let (doc, report) = parse_gwf_lenient(&text);
-                prop_assert_eq!(doc.jobs.len(), n_good);
-                prop_assert_eq!(report.skipped.len(), n_bad);
-                prop_assert!(report
-                    .skipped
-                    .iter()
-                    .all(|(_, k)| *k == ParseErrorKind::FieldCount));
+                match parse_gwf(&text) {
+                    Ok(doc) => {
+                        prop_assert_eq!(n_bad, 0);
+                        prop_assert_eq!(doc.jobs.len(), n_good);
+                    }
+                    Err(e) => {
+                        prop_assert!(n_bad > 0);
+                        prop_assert_eq!(e.line, if n_good > 0 { 2 } else { 1 });
+                        prop_assert_eq!(e.kind, ParseErrorKind::FieldCount);
+                    }
+                }
             }
         }
     }

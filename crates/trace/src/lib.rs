@@ -31,17 +31,16 @@ mod text_oracle;
 pub mod trace;
 pub mod weblog;
 
-pub use gwf::{parse_gwf, parse_gwf_lenient, write_gwf, GwfDocument, GwfSource};
+pub use gwf::{parse_gwf, write_gwf, GwfDocument, GwfSource};
 pub use record::{JobRecord, JobStatus, MISSING, QUEUE_BATCH, QUEUE_INTERACTIVE};
-pub use report::{ParseError, ParseErrorKind, ParseReport};
+pub use report::{ParseError, ParseErrorKind};
 pub use stats::{TraceStats, Variable, INTERVAL_WIDTH, NORMALIZED_MACHINE};
-pub use swf::{parse_swf, parse_swf_lenient, write_swf, SwfDocument, SwfSource};
+pub use swf::{parse_swf, write_swf, SwfDocument, SwfSource};
 pub use trace::{
     AllocationFlexibility, NormalizedTrace, SchedulerFlexibility, TraceMeta,
 };
 pub use weblog::{
-    parse_weblog, parse_weblog_lenient, sessions_to_trace, WebRequest, WeblogDocument,
-    WeblogSource, SESSION_GAP,
+    parse_weblog, sessions_to_trace, WebRequest, WeblogDocument, WeblogSource, SESSION_GAP,
 };
 
 /// A trace file format with a registered adapter.
@@ -162,8 +161,8 @@ impl TraceFormat {
         }
     }
 
-    /// Name of the skip counter incremented when a lenient parse drops a
-    /// line of the given kind.
+    /// Name of the counter incremented when a parse fails on a line of the
+    /// given kind.
     pub fn skip_counter(&self, kind: ParseErrorKind) -> &'static str {
         match self {
             TraceFormat::Swf => match kind {
@@ -198,23 +197,15 @@ impl TraceFormat {
 /// [`NormalizedTrace`]. Object-safe so callers can pick an adapter at
 /// runtime via [`TraceFormat::source`].
 pub trait TraceSource: Sync {
-    /// Which format this adapter reads.
-    fn format(&self) -> TraceFormat;
-
-    /// Parse `text` strictly, erroring on the first malformed record.
-    /// `name` becomes the trace's display name; `default` supplies machine
-    /// metadata not recoverable from the trace itself.
+    /// Parse `text`, erroring on the first malformed record. `name` becomes
+    /// the trace's display name; `default` supplies machine metadata not
+    /// recoverable from the trace itself.
     fn read(
         &self,
         name: &str,
         text: &str,
         default: TraceMeta,
     ) -> Result<NormalizedTrace, ParseError>;
-
-    /// Parse `text` leniently, dropping malformed records and accounting
-    /// for every line in the returned [`ParseReport`].
-    fn read_lenient(&self, name: &str, text: &str, default: TraceMeta)
-        -> (NormalizedTrace, ParseReport);
 }
 
 #[cfg(test)]
@@ -223,9 +214,18 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
+        // Each format's adapter reads its own format: an SWF job line is
+        // one job to the SWF adapter and malformed to the others.
+        let swf_line = "1 0 5 100 4 90 -1 4 200 -1 1 3 1 7 1 -1 -1 -1\n";
+        let meta = TraceMeta::new(
+            8,
+            SchedulerFlexibility::BatchQueue,
+            AllocationFlexibility::Unlimited,
+        );
         for f in TraceFormat::ALL {
             assert_eq!(TraceFormat::from_label(f.label()), Some(f));
-            assert_eq!(f.source().format(), f);
+            let read = f.source().read("x", swf_line, meta);
+            assert_eq!(read.is_ok(), f == TraceFormat::Swf, "{f:?}");
         }
         assert_eq!(TraceFormat::from_label("synthetic"), None);
         assert_eq!(TraceFormat::from_label("SWF"), None); // labels are lowercase

@@ -1,11 +1,11 @@
 //! Trait-level parse machinery shared by every trace adapter.
 //!
-//! The SWF parser's typed per-line error taxonomy, lenient-parse accounting,
-//! and metrics mirroring generalize here: every adapter reports the same
-//! [`ParseErrorKind`]s, fills the same [`ParseReport`], and increments the
-//! same per-format `<format>.lines` / `<format>.jobs_parsed` /
-//! `<format>.skip.<kind>` counters, so `/metrics` distinguishes ingestion
-//! formats with one taxonomy.
+//! The SWF parser's typed per-line error taxonomy and metrics mirroring
+//! generalize here: every adapter reports the same [`ParseErrorKind`]s and
+//! increments the same per-format `<format>.lines` /
+//! `<format>.header_lines` / `<format>.jobs_parsed` / `<format>.skip.<kind>`
+//! counters, so `/metrics` distinguishes ingestion formats with one
+//! taxonomy.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -69,129 +69,66 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-// The conversion lives here (not in `coplot`) because of the orphan rule:
-// `coplot` cannot name `ParseError` without a dependency cycle, so its
-// `CoplotError::Parse` variant mirrors the fields instead.
-impl From<ParseError> for coplot::CoplotError {
-    fn from(e: ParseError) -> coplot::CoplotError {
-        coplot::CoplotError::Parse {
-            line: e.line,
-            kind: match e.kind {
-                ParseErrorKind::FieldCount => coplot::ParseKind::FieldCount,
-                ParseErrorKind::NotNumeric => coplot::ParseKind::NotNumeric,
-                ParseErrorKind::NegativeId => coplot::ParseKind::NegativeId,
-                ParseErrorKind::NonFinite => coplot::ParseKind::NonFinite,
-                ParseErrorKind::BadTimestamp => coplot::ParseKind::BadTimestamp,
-                ParseErrorKind::BadRequest => coplot::ParseKind::BadRequest,
-            },
-            message: e.message,
-        }
-    }
-}
-
-/// Per-line accounting of one parse, mirrored into the per-format
-/// `<format>.*` metrics when the `wl-obs` registry is armed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParseReport {
-    /// The format whose adapter produced this report.
-    pub format: TraceFormat,
-    /// Lines read, including blanks and comments.
-    pub lines: usize,
-    /// `Key: value` header comment lines absorbed.
-    pub header_lines: usize,
-    /// Blank or non-metadata comment lines skipped.
-    pub ignored_lines: usize,
-    /// Data lines parsed successfully (jobs for SWF/GWF, requests for web
-    /// access logs).
-    pub jobs: usize,
-    /// Malformed data lines dropped, with location and typed reason
-    /// (lenient parse only; the strict parse errors on the first).
-    pub skipped: Vec<(usize, ParseErrorKind)>,
-}
-
-impl ParseReport {
-    /// An empty report tagged with its format.
-    pub fn new(format: TraceFormat) -> ParseReport {
-        ParseReport {
-            format,
-            ..ParseReport::default()
-        }
-    }
-
-    /// Number of dropped lines of one kind.
-    pub fn skipped_of(&self, kind: ParseErrorKind) -> usize {
-        self.skipped.iter().filter(|(_, k)| *k == kind).count()
-    }
-
-    pub(crate) fn record_metrics(&self) {
-        // Counter names vary by format, so this goes through the dynamic
-        // registry handles rather than the per-call-site `counter!` macro
-        // (which interns one literal name per expansion).
-        if !wl_obs::enabled() {
-            return;
-        }
-        let reg = wl_obs::registry();
-        reg.counter(self.format.lines_counter()).add(self.lines as u64);
-        reg.counter(self.format.header_counter())
-            .add(self.header_lines as u64);
-        reg.counter(self.format.jobs_counter()).add(self.jobs as u64);
-        for (_, kind) in &self.skipped {
-            reg.counter(self.format.skip_counter(*kind)).add(1);
-        }
-    }
-}
-
 /// The shared line loop behind every adapter: blank lines are ignored,
 /// `<comment>Key: value` lines become header metadata, other comment lines
-/// are ignored, and everything else goes through `parse_record`. In strict
-/// mode the first malformed record aborts the scan; in lenient mode it is
-/// recorded in the report and skipped.
+/// are ignored, and everything else goes through `parse_record`. The first
+/// malformed record ends the scan with its error.
+///
+/// When the `wl-obs` registry is armed, the lines read (up to and
+/// including a failing one), the header lines absorbed and the records
+/// parsed go to the format's `<format>.lines`, `<format>.header_lines` and
+/// `<format>.jobs_parsed` counters, and a failing line's kind to its
+/// `<format>.skip.<kind>` counter.
 pub(crate) fn parse_lines<R>(
     format: TraceFormat,
     comment: char,
-    strict: bool,
     text: &str,
     parse_record: impl Fn(&str, usize) -> Result<R, ParseError>,
-) -> (
-    BTreeMap<String, String>,
-    Vec<R>,
-    ParseReport,
-    Option<ParseError>,
-) {
+) -> Result<(BTreeMap<String, String>, Vec<R>), ParseError> {
     let mut header = BTreeMap::new();
     let mut records = Vec::new();
-    let mut report = ParseReport::new(format);
+    let mut lines = 0;
+    let mut header_lines = 0;
+    let mut failure = None;
 
     for (lineno, raw) in text.lines().enumerate() {
-        report.lines += 1;
+        lines += 1;
         let line = raw.trim();
         if line.is_empty() {
-            report.ignored_lines += 1;
             continue;
         }
         if let Some(rest) = line.strip_prefix(comment) {
             if let Some((key, value)) = rest.split_once(':') {
                 header.insert(key.trim().to_string(), value.trim().to_string());
-                report.header_lines += 1;
-            } else {
-                report.ignored_lines += 1;
+                header_lines += 1;
             }
             continue;
         }
         match parse_record(line, lineno + 1) {
-            Ok(record) => {
-                records.push(record);
-                report.jobs += 1;
-            }
+            Ok(record) => records.push(record),
             Err(e) => {
-                report.skipped.push((e.line, e.kind));
-                if strict {
-                    return (header, records, report, Some(e));
-                }
+                failure = Some(e);
+                break;
             }
         }
     }
-    (header, records, report, None)
+
+    // Counter names vary by format, so this goes through the dynamic
+    // registry handles rather than the per-call-site `counter!` macro
+    // (which interns one literal name per expansion).
+    if wl_obs::enabled() {
+        let reg = wl_obs::registry();
+        reg.counter(format.lines_counter()).add(lines);
+        reg.counter(format.header_counter()).add(header_lines);
+        reg.counter(format.jobs_counter()).add(records.len() as u64);
+        if let Some(e) = &failure {
+            reg.counter(format.skip_counter(e.kind)).add(1);
+        }
+    }
+    match failure {
+        Some(e) => Err(e),
+        None => Ok((header, records)),
+    }
 }
 
 /// One whitespace-separated field of a job line: its text and, when the
@@ -397,28 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn new_kinds_convert_to_coplot_error() {
-        for (kind, want) in [
-            (ParseErrorKind::BadTimestamp, coplot::ParseKind::BadTimestamp),
-            (ParseErrorKind::BadRequest, coplot::ParseKind::BadRequest),
-        ] {
-            let e = ParseError {
-                line: 3,
-                kind,
-                message: "x".into(),
-            };
-            let converted: coplot::CoplotError = e.into();
-            match converted {
-                coplot::CoplotError::Parse { line, kind, .. } => {
-                    assert_eq!(line, 3);
-                    assert_eq!(kind, want);
-                }
-                other => panic!("unexpected conversion: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn skip_counter_names_are_distinct_per_format() {
         let mut names: Vec<&str> = Vec::new();
         for format in [TraceFormat::Swf, TraceFormat::Gwf, TraceFormat::Weblog] {
@@ -442,45 +357,34 @@ mod tests {
         assert_eq!(names.len(), total);
     }
 
-    #[test]
-    fn report_accounting_identity_via_shared_loop() {
-        let text = "; A: 1\n\n; plain comment\nok\nbad\n";
-        let (header, records, report, first_err) =
-            parse_lines(TraceFormat::Swf, ';', false, text, |line, lineno| {
-                if line == "ok" {
-                    Ok(())
-                } else {
-                    Err(ParseError {
-                        line: lineno,
-                        kind: ParseErrorKind::FieldCount,
-                        message: "bad".into(),
-                    })
-                }
-            });
-        assert_eq!(header["A"], "1");
-        assert_eq!(records.len(), 1);
-        assert!(first_err.is_none());
-        assert_eq!(report.lines, 5);
-        assert_eq!(report.header_lines, 1);
-        assert_eq!(report.ignored_lines, 2);
-        assert_eq!(report.jobs, 1);
-        assert_eq!(report.skipped, vec![(5, ParseErrorKind::FieldCount)]);
-    }
-
-    #[test]
-    fn strict_mode_stops_at_first_error() {
-        let text = "bad\nok\n";
-        let (_, records, report, first_err) =
-            parse_lines::<()>(TraceFormat::Gwf, '#', true, text, |_, lineno| {
+    /// A line loop over `text` whose records are the lines reading "ok";
+    /// any other data line fails with its line number.
+    fn ok_lines(text: &str) -> Result<(BTreeMap<String, String>, Vec<usize>), ParseError> {
+        parse_lines(TraceFormat::Gwf, ';', text, |line, lineno| {
+            if line == "ok" {
+                Ok(lineno)
+            } else {
                 Err(ParseError {
                     line: lineno,
                     kind: ParseErrorKind::NotNumeric,
                     message: "bad".into(),
                 })
-            });
-        assert!(records.is_empty());
-        assert_eq!(first_err.unwrap().line, 1);
-        assert_eq!(report.format, TraceFormat::Gwf);
+            }
+        })
+    }
+
+    #[test]
+    fn shared_loop_reads_headers_and_skips_blanks_and_comments() {
+        let (header, records) = ok_lines("; A: 1\n\n; plain comment\n ok\t\n;B:2\nok\n").unwrap();
+        assert_eq!(header.len(), 2);
+        assert_eq!((header["A"].as_str(), header["B"].as_str()), ("1", "2"));
+        assert_eq!(records, vec![4, 6]);
+    }
+
+    #[test]
+    fn shared_loop_stops_at_first_error() {
+        let err = ok_lines("; A: 1\nok\nbad\nok\nworse\n").unwrap_err();
+        assert_eq!((err.line, err.kind), (3, ParseErrorKind::NotNumeric));
     }
 
     /// The text `scan_field` must read as an integer: an optional `-` and

@@ -9,7 +9,7 @@ use std::fmt::Write;
 
 use crate::record::{JobRecord, JobStatus};
 use crate::report::{
-    meta_from_header, parse_lines, split_fields, Field, ParseError, ParseErrorKind, ParseReport,
+    meta_from_header, parse_lines, split_fields, Field, ParseError, ParseErrorKind,
 };
 use crate::trace::{NormalizedTrace, TraceMeta};
 use crate::{TraceFormat, TraceSource};
@@ -32,41 +32,17 @@ impl SwfDocument {
         let machine = meta_from_header(&self.header, default);
         NormalizedTrace::new(name, machine, self.jobs)
     }
-
-    /// Compatibility name for [`SwfDocument::into_trace`], kept so the
-    /// pre-`TraceSource` call sites (which knew this type as producing a
-    /// `Workload`) keep compiling unchanged.
-    pub fn into_workload(self, name: impl Into<String>, default: TraceMeta) -> NormalizedTrace {
-        self.into_trace(name, default)
-    }
 }
 
 /// Parse SWF text into a document, erroring on the first malformed job line.
 pub fn parse_swf(text: &str) -> Result<SwfDocument, ParseError> {
     let _span = wl_obs::span!("swf.parse");
-    let (header, jobs, report, first_err) =
-        parse_lines(TraceFormat::Swf, ';', true, text, parse_job_line);
-    report.record_metrics();
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(SwfDocument { header, jobs }),
-    }
+    let (header, jobs) = parse_lines(TraceFormat::Swf, ';', text, parse_job_line)?;
+    Ok(SwfDocument { header, jobs })
 }
 
-/// Parse SWF text, skipping malformed job lines instead of failing.
-///
-/// Every dropped line is recorded in the [`ParseReport`] with its typed
-/// [`ParseErrorKind`], and the matching `swf.skip.*` counter is incremented
-/// when observability is armed. Never panics on any input.
-pub fn parse_swf_lenient(text: &str) -> (SwfDocument, ParseReport) {
-    let _span = wl_obs::span!("swf.parse");
-    let (header, jobs, report, _) =
-        parse_lines(TraceFormat::Swf, ';', false, text, parse_job_line);
-    report.record_metrics();
-    (SwfDocument { header, jobs }, report)
-}
-
-fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
+/// Parse one trimmed SWF job line, `lineno` being its 1-based number.
+pub(crate) fn parse_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
     let fields: [Field; 18] = split_fields(line, 18).map_err(|found| ParseError {
         line: lineno,
         kind: ParseErrorKind::FieldCount,
@@ -247,10 +223,6 @@ fn push_u64(out: &mut String, mut n: u64) {
 pub struct SwfSource;
 
 impl TraceSource for SwfSource {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::Swf
-    }
-
     fn read(
         &self,
         name: &str,
@@ -258,16 +230,6 @@ impl TraceSource for SwfSource {
         default: TraceMeta,
     ) -> Result<NormalizedTrace, ParseError> {
         parse_swf(text).map(|doc| doc.into_trace(name, default))
-    }
-
-    fn read_lenient(
-        &self,
-        name: &str,
-        text: &str,
-        default: TraceMeta,
-    ) -> (NormalizedTrace, ParseReport) {
-        let (doc, report) = parse_swf_lenient(text);
-        (doc.into_trace(name, default), report)
     }
 }
 
@@ -323,17 +285,6 @@ mod tests {
                 err.message
             );
         }
-        // The conversion into the pipeline's error type keeps location and
-        // kind.
-        let converted: coplot::CoplotError = err.into();
-        assert!(matches!(
-            converted,
-            coplot::CoplotError::Parse {
-                line: 1,
-                kind: coplot::ParseKind::FieldCount,
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -360,9 +311,8 @@ mod tests {
         }
     }
 
-    /// A fixture mixing every malformation between good jobs: the strict
-    /// parse reports the first bad line, the lenient parse keeps all good
-    /// jobs and types every drop.
+    /// A fixture mixing every malformation between good jobs: the parse
+    /// reports the first bad line.
     const MIXED_FIXTURE: &str = "\
 ; Computer: Mixed
 ; MaxNodes: 64
@@ -375,28 +325,6 @@ mod tests {
 ";
 
     #[test]
-    fn lenient_parse_skips_and_types_every_malformation() {
-        let (doc, report) = parse_swf_lenient(MIXED_FIXTURE);
-        assert_eq!(doc.jobs.len(), 2);
-        assert_eq!(doc.jobs[0].id, 1);
-        assert_eq!(doc.jobs[1].id, 6);
-        assert_eq!(doc.header["Computer"], "Mixed");
-        assert_eq!(report.format, TraceFormat::Swf);
-        assert_eq!(report.jobs, 2);
-        assert_eq!(report.header_lines, 2);
-        assert_eq!(
-            report.skipped,
-            vec![
-                (4, ParseErrorKind::FieldCount),
-                (5, ParseErrorKind::NegativeId),
-                (6, ParseErrorKind::NotNumeric),
-                (7, ParseErrorKind::NonFinite),
-            ]
-        );
-        assert_eq!(report.skipped_of(ParseErrorKind::FieldCount), 1);
-    }
-
-    #[test]
     fn strict_parse_stops_at_first_bad_line_of_fixture() {
         let err = parse_swf(MIXED_FIXTURE).unwrap_err();
         assert_eq!(err.line, 4);
@@ -404,41 +332,17 @@ mod tests {
     }
 
     #[test]
-    fn lenient_parse_increments_skip_counters() {
-        wl_obs::set_enabled(true);
-        let snap = wl_obs::registry().snapshot();
-        let before: Vec<u64> = [
-            "swf.skip.field_count",
-            "swf.skip.negative_id",
-            "swf.skip.not_numeric",
-            "swf.skip.non_finite",
-            "swf.jobs_parsed",
-        ]
-        .iter()
-        .map(|n| snap.counter(n))
-        .collect();
-        parse_swf_lenient(MIXED_FIXTURE);
-        let snap = wl_obs::registry().snapshot();
-        assert!(snap.counter("swf.skip.field_count") > before[0]);
-        assert!(snap.counter("swf.skip.negative_id") > before[1]);
-        assert!(snap.counter("swf.skip.not_numeric") > before[2]);
-        assert!(snap.counter("swf.skip.non_finite") > before[3]);
-        assert!(snap.counter("swf.jobs_parsed") >= before[4] + 2);
-    }
-
-    #[test]
     fn truncated_file_mid_line_never_panics() {
-        // Cut a valid document at every byte boundary; both parsers must
+        // Cut a valid document at every byte boundary; the parser must
         // return (not panic) on each prefix.
         let text = "; MaxNodes: 8\n1 0 5 100 4 90 -1 4 200 -1 1 3 1 7 1 -1 -1 -1\n";
         for cut in 0..=text.len() {
             if !text.is_char_boundary(cut) {
                 continue;
             }
-            let prefix = &text[..cut];
-            let _ = parse_swf(prefix);
-            let (_, report) = parse_swf_lenient(prefix);
-            assert!(report.jobs <= 1);
+            if let Ok(doc) = parse_swf(&text[..cut]) {
+                assert!(doc.jobs.len() <= 1);
+            }
         }
     }
 
@@ -513,7 +417,6 @@ mod tests {
             via_source.canonical_digest(),
             manual.canonical_digest()
         );
-        assert_eq!(SwfSource.format(), TraceFormat::Swf);
     }
 
     mod fuzz {
@@ -521,19 +424,14 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Neither parser panics on arbitrary text, and the lenient one
-            /// accounts for every line (parsed + skipped + header + ignored
-            /// = lines).
+            /// The parser never panics on arbitrary text: it keeps at most
+            /// one job per line, or names a line of the text.
             #[test]
             fn parsers_never_panic_on_arbitrary_text(text in "\\PC*") {
-                let _ = parse_swf(&text);
-                let (doc, report) = parse_swf_lenient(&text);
-                prop_assert_eq!(doc.jobs.len(), report.jobs);
-                prop_assert_eq!(
-                    report.jobs + report.skipped.len() + report.header_lines
-                        + report.ignored_lines,
-                    report.lines
-                );
+                match parse_swf(&text) {
+                    Ok(doc) => prop_assert!(doc.jobs.len() <= text.lines().count()),
+                    Err(e) => prop_assert!((1..=text.lines().count()).contains(&e.line)),
+                }
             }
 
             /// Corrupting one field of a valid job line yields a typed error
@@ -565,10 +463,11 @@ mod tests {
                 }
             }
 
-            /// Lenient parsing of a document with malformed lines injected
-            /// between valid ones keeps exactly the valid jobs.
+            /// A document with malformed lines injected between valid ones
+            /// keeps every job when no line is malformed, and otherwise
+            /// fails on the first malformed line.
             #[test]
-            fn lenient_keeps_exactly_the_valid_jobs(
+            fn strict_parse_stops_at_the_first_bad_line(
                 n_good in 0usize..6,
                 n_bad in 0usize..6,
             ) {
@@ -584,13 +483,17 @@ mod tests {
                         text.push_str("truncated line\n");
                     }
                 }
-                let (doc, report) = parse_swf_lenient(&text);
-                prop_assert_eq!(doc.jobs.len(), n_good);
-                prop_assert_eq!(report.skipped.len(), n_bad);
-                prop_assert!(report
-                    .skipped
-                    .iter()
-                    .all(|(_, k)| *k == ParseErrorKind::FieldCount));
+                match parse_swf(&text) {
+                    Ok(doc) => {
+                        prop_assert_eq!(n_bad, 0);
+                        prop_assert_eq!(doc.jobs.len(), n_good);
+                    }
+                    Err(e) => {
+                        prop_assert!(n_bad > 0);
+                        prop_assert_eq!(e.line, if n_good > 0 { 2 } else { 1 });
+                        prop_assert_eq!(e.kind, ParseErrorKind::FieldCount);
+                    }
+                }
             }
         }
     }

@@ -1,28 +1,24 @@
 //! The SWF/GWF text layer as it was before its writer and field scanner
 //! were rewritten for speed, kept as the oracle the shipped code must
-//! match: byte for byte for the writers, record for record (to the bit),
-//! report for report and error for error for the parsers.
+//! match: byte for byte for the writers, record for record (to the bit)
+//! and error for error for the parsers, for whole documents and for every
+//! job line alone.
 //!
 //! The oracle writers build one `String` per field and join them; the
-//! oracle parsers split with `str::split_whitespace` and read every field
-//! with `str::parse::<f64>`. The line loop (`parse_lines`) is shared: the
-//! rewrite did not touch it.
+//! oracle line parsers split with `str::split_whitespace` and read every
+//! field with `str::parse::<f64>`. The line loop (`parse_lines`) is
+//! shared: the rewrite did not touch it.
 
 use std::collections::BTreeMap;
 
 use crate::gwf::GWF_FIELDS;
 use crate::record::{JobRecord, JobStatus};
-use crate::report::{parse_lines, ParseError, ParseErrorKind, ParseReport};
+use crate::report::{parse_lines, ParseError, ParseErrorKind};
 use crate::trace::NormalizedTrace;
 use crate::TraceFormat;
 
-/// What `parse_lines` returns: header, records, report, first error.
-pub(crate) type Parsed = (
-    BTreeMap<String, String>,
-    Vec<JobRecord>,
-    ParseReport,
-    Option<ParseError>,
-);
+/// What `parse_lines` returns: header and records, or the first error.
+pub(crate) type Parsed = Result<(BTreeMap<String, String>, Vec<JobRecord>), ParseError>;
 
 fn split_fields<const N: usize>(line: &str) -> Result<[&str; N], usize> {
     let mut fields = [""; N];
@@ -134,14 +130,14 @@ fn gwf_job_line(line: &str, lineno: usize) -> Result<JobRecord, ParseError> {
     Ok(j)
 }
 
-/// The oracle SWF parse, strict or lenient.
-pub(crate) fn parse_swf(text: &str, strict: bool) -> Parsed {
-    parse_lines(TraceFormat::Swf, ';', strict, text, swf_job_line)
+/// The oracle SWF parse.
+pub(crate) fn parse_swf(text: &str) -> Parsed {
+    parse_lines(TraceFormat::Swf, ';', text, swf_job_line)
 }
 
-/// The oracle GWF parse, strict or lenient.
-pub(crate) fn parse_gwf(text: &str, strict: bool) -> Parsed {
-    parse_lines(TraceFormat::Gwf, '#', strict, text, gwf_job_line)
+/// The oracle GWF parse.
+pub(crate) fn parse_gwf(text: &str) -> Parsed {
+    parse_lines(TraceFormat::Gwf, '#', text, gwf_job_line)
 }
 
 fn fmt_f(v: f64) -> String {
@@ -229,16 +225,11 @@ mod tests {
     use rand::prelude::*;
     use wl_stats::rng::seeded_rng;
 
-    /// A parse outcome with every float as its bits, so -0.0 and 0.0
+    /// Every field of a record, floats as their bits, so -0.0 and 0.0
     /// differ.
-    type Outcome = (
-        BTreeMap<String, String>,
-        Vec<[u64; 18]>,
-        ParseReport,
-        Option<ParseError>,
-    );
+    type Bits = [u64; 18];
 
-    fn bits(j: &JobRecord) -> [u64; 18] {
+    fn bits(j: &JobRecord) -> Bits {
         [
             j.id,
             j.submit_time.to_bits(),
@@ -261,50 +252,61 @@ mod tests {
         ]
     }
 
-    fn outcome((header, jobs, report, error): Parsed) -> Outcome {
-        (header, jobs.iter().map(bits).collect(), report, error)
+    /// A document's header and records as bits, or its first error.
+    type Outcome = Result<(BTreeMap<String, String>, Vec<Bits>), ParseError>;
+
+    fn outcome(parsed: Parsed) -> Outcome {
+        parsed.map(|(header, jobs)| (header, jobs.iter().map(bits).collect()))
     }
 
-    /// What the shipped strict parse keeps: header and records, or the
-    /// first error.
-    type Strict = Result<(BTreeMap<String, String>, Vec<[u64; 18]>), ParseError>;
-
-    /// The shipped parsers' strict and lenient outcomes.
-    fn shipped(format: TraceFormat, text: &str) -> (Strict, Outcome) {
-        let (strict, (header, jobs, report)) = match format {
-            TraceFormat::Swf => {
-                let (doc, report) = crate::swf::parse_swf_lenient(text);
-                (
-                    crate::swf::parse_swf(text).map(|d| (d.header, d.jobs)),
-                    (doc.header, doc.jobs, report),
-                )
-            }
-            _ => {
-                let (doc, report) = crate::gwf::parse_gwf_lenient(text);
-                (
-                    crate::gwf::parse_gwf(text).map(|d| (d.header, d.jobs)),
-                    (doc.header, doc.jobs, report),
-                )
-            }
-        };
-        (
-            strict.map(|(h, j)| (h, j.iter().map(bits).collect())),
-            (header, jobs.iter().map(bits).collect(), report, None),
-        )
+    /// The shipped parser's outcome.
+    fn shipped(format: TraceFormat, text: &str) -> Outcome {
+        outcome(match format {
+            TraceFormat::Swf => crate::swf::parse_swf(text).map(|d| (d.header, d.jobs)),
+            _ => crate::gwf::parse_gwf(text).map(|d| (d.header, d.jobs)),
+        })
     }
 
-    /// The oracle's outcome in the shape of [`shipped`].
-    fn oracle(format: TraceFormat, text: &str) -> (Strict, Outcome) {
-        let parse = match format {
-            TraceFormat::Swf => parse_swf,
-            _ => parse_gwf,
+    /// The oracle's outcome.
+    fn oracle(format: TraceFormat, text: &str) -> Outcome {
+        outcome(match format {
+            TraceFormat::Swf => parse_swf(text),
+            _ => parse_gwf(text),
+        })
+    }
+
+    /// A job line's record as bits, or its error.
+    type LineOutcome = Result<Bits, ParseError>;
+
+    /// Every job line of `text` (the lines the line loop hands to a line
+    /// parser, before and after any malformed one) through the shipped
+    /// and the oracle line parser: (shipped, oracle) per line.
+    fn line_outcomes(format: TraceFormat, text: &str) -> Vec<(LineOutcome, LineOutcome)> {
+        type LineParser = fn(&str, usize) -> Result<JobRecord, ParseError>;
+        let (comment, shipped, oracle): (char, LineParser, LineParser) = match format {
+            TraceFormat::Swf => (';', crate::swf::parse_job_line, swf_job_line),
+            _ => ('#', crate::gwf::parse_job_line, gwf_job_line),
         };
-        let (header, jobs, _, error) = outcome(parse(text, true));
-        let strict = match error {
-            Some(e) => Err(e),
-            None => Ok((header, jobs)),
-        };
-        (strict, outcome(parse(text, false)))
+        text.lines()
+            .enumerate()
+            .map(|(i, raw)| (i + 1, raw.trim()))
+            .filter(|(_, line)| !line.is_empty() && !line.starts_with(comment))
+            .map(|(lineno, line)| {
+                (
+                    shipped(line, lineno).map(|j| bits(&j)),
+                    oracle(line, lineno).map(|j| bits(&j)),
+                )
+            })
+            .collect()
+    }
+
+    /// The shipped parsers give the oracle's document outcome, and the
+    /// oracle's record or error for every job line.
+    fn assert_matches_the_oracle(format: TraceFormat, text: &str) {
+        assert_eq!(shipped(format, text), oracle(format, text), "{text:?}");
+        for (got, want) in line_outcomes(format, text) {
+            assert_eq!(got, want, "{text:?}");
+        }
     }
 
     /// Field texts: plain integers around the fast path's 15-digit edge,
@@ -491,13 +493,12 @@ mod tests {
             prop_assert_eq!(crate::gwf::write_gwf(&trace), write_gwf(&trace));
         }
 
-        /// The parsers give the oracle's header, records (to the bit),
-        /// report and first error, strictly and leniently.
+        /// The parsers give the oracle's header and records (to the bit)
+        /// or first error, and the oracle's outcome for every job line.
         #[test]
         fn parsers_match_the_oracle(seed in 0u64..u64::MAX) {
             for format in [TraceFormat::Swf, TraceFormat::Gwf] {
-                let text = document(format, seed);
-                prop_assert_eq!(shipped(format, &text), oracle(format, &text), "{:?}", text);
+                assert_matches_the_oracle(format, &document(format, seed));
             }
         }
 
@@ -509,22 +510,29 @@ mod tests {
                 (TraceFormat::Swf, write_swf(&trace)),
                 (TraceFormat::Gwf, write_gwf(&trace)),
             ] {
-                prop_assert_eq!(shipped(format, &text), oracle(format, &text));
+                assert_matches_the_oracle(format, &text);
             }
         }
     }
 
-    /// Some documents must make each parser fail, or the error paths go
-    /// unchecked.
+    /// Some documents and job lines must make each parser fail, or the
+    /// error paths go unchecked.
     #[test]
     fn generated_documents_reach_every_outcome() {
         let mut kinds = std::collections::BTreeSet::new();
         for seed in 0..400 {
             for format in [TraceFormat::Swf, TraceFormat::Gwf] {
-                let (strict, (_, jobs, report, _)) = oracle(format, &document(format, seed));
-                kinds.insert(strict.map(|_| "ok").unwrap_or_else(|e| e.kind.label()));
-                kinds.extend(report.skipped.iter().map(|(_, k)| k.label()));
-                assert!(jobs.len() <= report.lines);
+                let text = document(format, seed);
+                kinds.insert(match oracle(format, &text) {
+                    Ok((_, jobs)) => {
+                        assert!(jobs.len() <= text.lines().count());
+                        "ok"
+                    }
+                    Err(e) => e.kind.label(),
+                });
+                for (_, line) in line_outcomes(format, &text) {
+                    kinds.insert(line.map(|_| "ok").unwrap_or_else(|e| e.kind.label()));
+                }
             }
         }
         for kind in [

@@ -17,7 +17,7 @@
 use std::fmt::Write;
 
 use crate::record::{JobRecord, JobStatus, MISSING, QUEUE_INTERACTIVE};
-use crate::report::{meta_from_header, parse_lines, ParseError, ParseErrorKind, ParseReport};
+use crate::report::{meta_from_header, parse_lines, ParseError, ParseErrorKind};
 use crate::trace::{NormalizedTrace, TraceMeta};
 use crate::{TraceFormat, TraceSource};
 
@@ -33,8 +33,6 @@ pub struct WebRequest {
     pub host: String,
     /// Request time as seconds since the Unix epoch (UTC).
     pub time: f64,
-    /// HTTP method ("GET", "POST", ...).
-    pub method: String,
     /// Request path.
     pub path: String,
     /// HTTP status code.
@@ -63,25 +61,8 @@ impl WeblogDocument {
 /// Parse access-log text, erroring on the first malformed request line.
 pub fn parse_weblog(text: &str) -> Result<WeblogDocument, ParseError> {
     let _span = wl_obs::span!("weblog.parse");
-    let (header, requests, report, first_err) =
-        parse_lines(TraceFormat::Weblog, '#', true, text, parse_request_line);
-    report.record_metrics();
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(WeblogDocument { header, requests }),
-    }
-}
-
-/// Parse access-log text, skipping malformed request lines instead of
-/// failing. Every dropped line is recorded in the [`ParseReport`] with its
-/// typed [`ParseErrorKind`], and the matching `weblog.skip.*` counter is
-/// incremented when observability is armed. Never panics on any input.
-pub fn parse_weblog_lenient(text: &str) -> (WeblogDocument, ParseReport) {
-    let _span = wl_obs::span!("weblog.parse");
-    let (header, requests, report, _) =
-        parse_lines(TraceFormat::Weblog, '#', false, text, parse_request_line);
-    report.record_metrics();
-    (WeblogDocument { header, requests }, report)
+    let (header, requests) = parse_lines(TraceFormat::Weblog, '#', text, parse_request_line)?;
+    Ok(WeblogDocument { header, requests })
 }
 
 /// Split a CLF line into tokens, keeping `[...]` and `"..."` groups whole
@@ -241,9 +222,11 @@ fn parse_request_line(line: &str, lineno: usize) -> Result<WebRequest, ParseErro
         kind: ParseErrorKind::BadTimestamp,
         message: format!("bad CLF timestamp: {:?}", tokens[3]),
     })?;
+    // "METHOD path protocol": the method must be there, but only the path
+    // is kept.
     let mut req_parts = tokens[4].split_whitespace();
-    let (method, path) = match (req_parts.next(), req_parts.next()) {
-        (Some(m), Some(p)) => (m.to_string(), p.to_string()),
+    let path = match (req_parts.next(), req_parts.next()) {
+        (Some(_), Some(p)) => p.to_string(),
         _ => {
             return Err(ParseError {
                 line: lineno,
@@ -277,7 +260,6 @@ fn parse_request_line(line: &str, lineno: usize) -> Result<WebRequest, ParseErro
     Ok(WebRequest {
         host: tokens[0].clone(),
         time,
-        method,
         path,
         status,
         bytes,
@@ -436,10 +418,6 @@ pub fn sessions_to_trace(
 pub struct WeblogSource;
 
 impl TraceSource for WeblogSource {
-    fn format(&self) -> TraceFormat {
-        TraceFormat::Weblog
-    }
-
     fn read(
         &self,
         name: &str,
@@ -447,16 +425,6 @@ impl TraceSource for WeblogSource {
         default: TraceMeta,
     ) -> Result<NormalizedTrace, ParseError> {
         parse_weblog(text).map(|doc| doc.into_trace(name, default))
-    }
-
-    fn read_lenient(
-        &self,
-        name: &str,
-        text: &str,
-        default: TraceMeta,
-    ) -> (NormalizedTrace, ParseReport) {
-        let (doc, report) = parse_weblog_lenient(text);
-        (doc.into_trace(name, default), report)
     }
 }
 
@@ -529,7 +497,6 @@ alpha.example.com - - [01/Jan/1999:00:05:00 +0000] \"GET /docs/c.html HTTP/1.0\"
         assert_eq!(doc.header["Server"], "test");
         assert_eq!(doc.requests.len(), 4);
         assert_eq!(doc.requests[0].host, "alpha.example.com");
-        assert_eq!(doc.requests[0].method, "GET");
         assert_eq!(doc.requests[0].path, "/docs/a.html");
         assert_eq!(doc.requests[0].status, 200);
         assert_eq!(doc.requests[2].bytes, 0.0); // CLF "-" placeholder
@@ -596,34 +563,15 @@ alpha.example.com - - [01/Jan/1999:00:05:00 +0000] \"GET /docs/c.html HTTP/1.0\"
     }
 
     #[test]
-    fn lenient_parse_counts_per_kind() {
-        wl_obs::set_enabled(true);
-        let snap = wl_obs::registry().snapshot();
-        let before = (
-            snap.counter("weblog.skip.bad_timestamp"),
-            snap.counter("weblog.jobs_parsed"),
-        );
-        let text = format!("{SAMPLE}h - - [garbage] \"GET / HTTP/1.0\" 200 1\n");
-        let (doc, report) = parse_weblog_lenient(&text);
-        assert_eq!(doc.requests.len(), 4);
-        assert_eq!(report.format, TraceFormat::Weblog);
-        assert_eq!(report.skipped, vec![(6, ParseErrorKind::BadTimestamp)]);
-        let snap = wl_obs::registry().snapshot();
-        assert!(snap.counter("weblog.skip.bad_timestamp") > before.0);
-        assert!(snap.counter("weblog.jobs_parsed") >= before.1 + 4);
-    }
-
-    #[test]
     fn truncated_file_mid_line_never_panics() {
         let text = SAMPLE;
         for cut in 0..=text.len() {
             if !text.is_char_boundary(cut) {
                 continue;
             }
-            let prefix = &text[..cut];
-            let _ = parse_weblog(prefix);
-            let (doc, report) = parse_weblog_lenient(prefix);
-            assert_eq!(doc.requests.len(), report.jobs);
+            if let Ok(doc) = parse_weblog(&text[..cut]) {
+                assert!(doc.requests.len() <= 4);
+            }
         }
     }
 
@@ -640,18 +588,14 @@ alpha.example.com - - [01/Jan/1999:00:05:00 +0000] \"GET /docs/c.html HTTP/1.0\"
         use proptest::prelude::*;
 
         proptest! {
-            /// Neither parser panics on arbitrary text, and the lenient one
-            /// accounts for every line.
+            /// The parser never panics on arbitrary text: it keeps at most
+            /// one request per line, or names a line of the text.
             #[test]
             fn parsers_never_panic_on_arbitrary_text(text in "\\PC*") {
-                let _ = parse_weblog(&text);
-                let (doc, report) = parse_weblog_lenient(&text);
-                prop_assert_eq!(doc.requests.len(), report.jobs);
-                prop_assert_eq!(
-                    report.jobs + report.skipped.len() + report.header_lines
-                        + report.ignored_lines,
-                    report.lines
-                );
+                match parse_weblog(&text) {
+                    Ok(doc) => prop_assert!(doc.requests.len() <= text.lines().count()),
+                    Err(e) => prop_assert!((1..=text.lines().count()).contains(&e.line)),
+                }
             }
 
             /// Corrupting one token of a valid request line yields a typed

@@ -9,9 +9,8 @@
 use coplot::api::fnv1a;
 use wl_trace::synth::{grid_site_text, web_server_text, WEB_SERVER_COUNT};
 use wl_trace::{
-    parse_gwf, parse_gwf_lenient, parse_swf, parse_swf_lenient, write_gwf, write_swf,
-    AllocationFlexibility, JobRecord, JobStatus, NormalizedTrace, ParseErrorKind,
-    SchedulerFlexibility, TraceMeta,
+    parse_gwf, parse_swf, write_gwf, write_swf, AllocationFlexibility, JobRecord, JobStatus,
+    NormalizedTrace, ParseErrorKind, SchedulerFlexibility, TraceMeta,
 };
 
 /// The 18 fields of a valid SWF job line.
@@ -39,19 +38,13 @@ fn with_field(i: usize, value: &'static str) -> Vec<&'static str> {
     fields
 }
 
-/// Parse one job line as SWF and as GWF (strictly and leniently, at line
-/// 2 after a header) and return the two records, which must agree.
+/// Parse one job line as SWF and as GWF (at line 2 after a header) and
+/// return the two records, which must agree.
 fn parse_both(fields: &[&str], sep: &str) -> JobRecord {
     let swf = format!("; MaxNodes: 8\n{}\n", swf_line(fields, sep));
     let gwf = format!("# MaxNodes: 8\n{}\n", gwf_line(fields, sep));
     let s = parse_swf(&swf).expect("SWF line parses").jobs.remove(0);
     let g = parse_gwf(&gwf).expect("GWF line parses").jobs.remove(0);
-    let (sl, sr) = parse_swf_lenient(&swf);
-    let (gl, gr) = parse_gwf_lenient(&gwf);
-    assert_eq!((sr.jobs, gr.jobs), (1, 1));
-    assert!(sr.skipped.is_empty() && gr.skipped.is_empty());
-    assert_eq!(record_bits(&sl.jobs[0]), record_bits(&s));
-    assert_eq!(record_bits(&gl.jobs[0]), record_bits(&g));
     // GWF carries SWF fields 1-16 only.
     let mut g16 = g.clone();
     g16.preceding_job = s.preceding_job;
@@ -68,10 +61,6 @@ fn error_of_both(fields: &[&str], sep: &str) -> ParseErrorKind {
     let g = parse_gwf(&gwf).expect_err("GWF line is rejected");
     assert_eq!((s.line, g.line), (2, 2));
     assert_eq!(s.kind, g.kind);
-    let (_, sr) = parse_swf_lenient(&swf);
-    let (_, gr) = parse_gwf_lenient(&gwf);
-    assert_eq!(sr.skipped, vec![(2, s.kind)]);
-    assert_eq!(gr.skipped, vec![(2, s.kind)]);
     s.kind
 }
 
@@ -113,9 +102,8 @@ fn crlf_endings_and_trailing_tabs_are_stripped() {
     let text = format!("; MaxNodes: 8\r\n{line}\r\n{line}\t\t\r\n\t{line}\t\n");
     let doc = parse_swf(&text).expect("CRLF SWF parses");
     assert_eq!(doc.jobs.len(), 3);
+    assert_eq!(doc.header.len(), 1);
     assert_eq!(doc.header["MaxNodes"], "8");
-    let (_, report) = parse_swf_lenient(&text);
-    assert_eq!((report.lines, report.header_lines, report.jobs), (4, 1, 3));
     let gline = gwf_line(&SWF_FIELDS, " ");
     let text = format!("# MaxNodes: 8\r\n{gline}\r\n{gline}\t\t\r\n");
     assert_eq!(parse_gwf(&text).expect("CRLF GWF parses").jobs.len(), 2);
@@ -229,27 +217,26 @@ fn field_counts_follow_unicode_whitespace() {
 }
 
 #[test]
-fn first_error_wins_in_strict_mode_and_lenient_counts_all() {
+fn first_error_wins_and_every_bad_line_is_typed() {
     let good = swf_line(&SWF_FIELDS, " ");
-    let text = format!(
-        "{good}\n{}\n{}\n{good}\r\n{}\n",
+    let bad = [
         swf_line(&with_field(3, "0x10"), "\x0B"),
         swf_line(&with_field(5, "NaN"), "\u{a0}"),
         swf_line(&with_field(0, "-4"), "\t"),
-    );
+    ];
+    let text = format!("{good}\n{}\n{}\n{good}\r\n{}\n", bad[0], bad[1], bad[2]);
     let err = parse_swf(&text).unwrap_err();
     assert_eq!((err.line, err.kind), (2, ParseErrorKind::NotNumeric));
     assert!(err.message.contains("field 4"), "{}", err.message);
-    let (doc, report) = parse_swf_lenient(&text);
-    assert_eq!(doc.jobs.len(), 2);
-    assert_eq!(
-        report.skipped,
-        vec![
-            (2, ParseErrorKind::NotNumeric),
-            (3, ParseErrorKind::NonFinite),
-            (5, ParseErrorKind::NegativeId),
-        ]
-    );
+    // Each bad line, after a good one, is the error of its own document.
+    for (line, kind) in bad.iter().zip([
+        ParseErrorKind::NotNumeric,
+        ParseErrorKind::NonFinite,
+        ParseErrorKind::NegativeId,
+    ]) {
+        let err = parse_swf(&format!("{good}\r\n{line}\n")).unwrap_err();
+        assert_eq!((err.line, err.kind), (2, kind), "{line:?}");
+    }
 }
 
 fn grid_meta() -> TraceMeta {

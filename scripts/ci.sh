@@ -448,6 +448,51 @@ echo "$web_trace" | grep -q '"weblog.jobs_parsed"' \
 rm -rf "$fmt_dir"
 trap - EXIT
 
+# Every trace is read strictly: one malformed line is a typed error that
+# names the file, the line and its kind (exit 1, no panic), and a traced run
+# counts it once under <fmt>.skip.<kind>. The expected lines are the ones
+# the reader printed when this step was written.
+echo "== strict ingestion smoke (one corrupted line per format -> typed error, exit 1) =="
+strict_dir=$(mktemp -d)
+trap 'rm -rf "$strict_dir"' EXIT
+wl_bin="$PWD/target/release/wl"
+"$wl_bin" generate lublin --jobs 100 --seed 1 --out "$strict_dir/a.swf" > /dev/null
+"$wl_bin" generate downey --jobs 100 --seed 1 --out "$strict_dir/b.swf" > /dev/null
+"$wl_bin" generate feitelson96 --jobs 100 --seed 1 --out "$strict_dir/c.swf" > /dev/null
+for site in 0 1 2; do
+  "$wl_bin" generate grid --site "$site" --jobs 100 --seed 1999 \
+    --out "$strict_dir/g$site.gwf" > /dev/null
+  "$wl_bin" generate web --site "$site" --jobs 100 --seed 1999 \
+    --out "$strict_dir/w$site.log" > /dev/null
+done
+sed -i '40s/$/ 9/' "$strict_dir/b.swf"                                 # a 19th field
+sed -i '30s/^\([^ ]* [^ ]* [^ ]*\) [^ ]*/\1 x/' "$strict_dir/g1.gwf"  # field 4
+sed -i '20s/\[[^]]*\]/[garbage]/' "$strict_dir/w1.log"                # the timestamp
+strict_check() {  # <files> <expected stderr> <skip counter>
+  local rc=0 err trace value
+  err=$(cd "$strict_dir" && "$wl_bin" coplot $1 2>&1 >/dev/null) || rc=$?
+  test "$rc" = 1 || { echo "wl coplot $1 exited $rc (want 1)"; exit 1; }
+  test "$err" = "$2" || { echo "wl coplot $1 printed: $err"; echo "want: $2"; exit 1; }
+  rc=0
+  trace=$(cd "$strict_dir" && "$wl_bin" coplot $1 --trace json 2>&1 >/dev/null) || rc=$?
+  test "$rc" = 1 || { echo "traced wl coplot $1 exited $rc (want 1)"; exit 1; }
+  ! echo "$trace" | grep -q 'panicked at' || { echo "wl coplot $1 panicked"; exit 1; }
+  echo "$trace" | grep -v '^wl: ' | ./target/release/trace-check -
+  value=$(echo "$trace" | sed -n "s/.*\"$3\",\"value\":\([0-9]*\).*/\1/p")
+  test "$value" = 1 || { echo "$3 = ${value:-missing} (want 1)"; exit 1; }
+}
+strict_check "a.swf b.swf c.swf" \
+  'wl: invalid configuration: b.swf: trace parse error at line 40 (field-count): expected 18 fields, found 19' \
+  swf.skip.field_count
+strict_check "g0.gwf g1.gwf g2.gwf" \
+  'wl: invalid configuration: g1.gwf: trace parse error at line 30 (not-numeric): field 4 is not numeric: "x"' \
+  gwf.skip.not_numeric
+strict_check "w0.log w1.log w2.log" \
+  'wl: invalid configuration: w1.log: trace parse error at line 20 (bad-timestamp): bad CLF timestamp: "garbage"' \
+  weblog.skip.bad_timestamp
+rm -rf "$strict_dir"
+trap - EXIT
+
 echo "== fleet smoke (coordinator + 2 workers, byte-identical to one node) =="
 fleet_dir=$(mktemp -d)
 w1_pid=; w2_pid=; coord_pid=

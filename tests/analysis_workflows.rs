@@ -127,7 +127,7 @@ fn parametric_model_is_a_usable_workload_source() {
     let s = WorkloadStats::compute(&w);
     assert_eq!(s.procs_median.unwrap(), 4.0);
     let text = wl_swf::write_swf(&w);
-    let back = wl_swf::parse_swf(&text).unwrap().into_workload("P", w.machine);
+    let back = wl_swf::parse_swf(&text).unwrap().into_trace("P", w.machine);
     assert_eq!(w.len(), back.len());
 }
 

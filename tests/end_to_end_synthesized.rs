@@ -114,7 +114,7 @@ fn swf_round_trip_preserves_statistics() {
     let w = all_models()[0].generate(2000, &mut rng);
     let text = wl_swf::write_swf(&w);
     let doc = wl_swf::parse_swf(&text).unwrap();
-    let w2 = doc.into_workload(w.name.clone(), w.machine);
+    let w2 = doc.into_trace(w.name.clone(), w.machine);
     let s1 = WorkloadStats::compute(&w);
     let s2 = WorkloadStats::compute(&w2);
     assert_eq!(s1, s2);

@@ -242,7 +242,7 @@ mod swf_props {
             let w = Workload::new("prop", machine, jobs);
             let text = wl_swf::write_swf(&w);
             let doc = wl_swf::parse_swf(&text).unwrap();
-            let w2 = doc.into_workload("prop", machine);
+            let w2 = doc.into_trace("prop", machine);
             prop_assert_eq!(w, w2);
         }
 
