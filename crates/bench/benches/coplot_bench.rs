@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use coplot::{
-    coefficient_of_alienation, fit_arrow, Coplot, DissimilarityMatrix, Imputation, Metric,
+    coefficient_of_alienation, try_fit_arrow, Coplot, DissimilarityMatrix, Imputation, Metric,
 };
 use wl_bench::synthetic_matrix;
 
@@ -148,7 +148,7 @@ fn bench_arrow_fit(c: &mut Criterion) {
     let result = Coplot::new().seed(1).analyze(&data).unwrap();
     let z: Vec<f64> = (0..20).map(|i| (i as f64 * 1.3).cos()).collect();
     c.bench_function("fit_arrow_20", |b| {
-        b.iter(|| fit_arrow("v", black_box(&result.coords), black_box(&z)))
+        b.iter(|| try_fit_arrow("v", black_box(&result.coords), black_box(&z)))
     });
 }
 

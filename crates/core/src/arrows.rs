@@ -47,26 +47,12 @@ impl Arrow {
 /// Fit one variable's arrow against a configuration.
 ///
 /// `coords` is the `n x 2` MDS output; `z` is the variable's (normalized)
-/// column. Returns `None` when the fit is degenerate: constant variable,
-/// collinear configuration with no usable component, or `n < 3`.
-///
-/// # Panics
-/// Panics if `z.len() != coords.rows()`; use [`try_fit_arrow`] to get a
-/// [`CoplotError`] instead.
-pub fn fit_arrow(name: &str, coords: &Matrix, z: &[f64]) -> Option<Arrow> {
-    match try_fit_arrow(name, coords, z) {
-        Ok(arrow) => Some(arrow),
-        Err(CoplotError::DegenerateVariable(_)) => None,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fit one variable's arrow, reporting every failure as a [`CoplotError`].
+/// column.
 ///
 /// # Errors
 /// [`CoplotError::DimensionMismatch`] when `z.len() != coords.rows()`;
-/// [`CoplotError::DegenerateVariable`] for the cases where [`fit_arrow`]
-/// returns `None`.
+/// [`CoplotError::DegenerateVariable`] when the fit is degenerate: constant
+/// variable, collinear configuration with no usable component, or `n < 3`.
 pub fn try_fit_arrow(name: &str, coords: &Matrix, z: &[f64]) -> Result<Arrow, CoplotError> {
     if z.len() != coords.rows() {
         return Err(CoplotError::DimensionMismatch {
@@ -196,7 +182,7 @@ mod tests {
     fn variable_equal_to_x_coordinate_points_along_x() {
         let m = coords(&[(0.0, 0.0), (1.0, 2.0), (2.0, -1.0), (3.0, 1.0)]);
         let z: Vec<f64> = (0..4).map(|i| m[(i, 0)]).collect();
-        let a = fit_arrow("x", &m, &z).unwrap();
+        let a = try_fit_arrow("x", &m, &z).unwrap();
         assert!((a.correlation - 1.0).abs() < 1e-9);
         // Direction must reproduce z ordering exactly: along +x after
         // accounting for the y-structure. Projection correlation is already
@@ -216,7 +202,7 @@ mod tests {
             (0.8, 2.5),
         ]);
         let z = [0.2, 1.1, -0.5, 2.8, -1.9, 1.7];
-        let a = fit_arrow("v", &m, &z).unwrap();
+        let a = try_fit_arrow("v", &m, &z).unwrap();
         let (best_r, best_angle) = brute_force_best(&m, &z);
         assert!(
             (a.correlation - best_r).abs() < 1e-5,
@@ -235,8 +221,8 @@ mod tests {
         let m = coords(&[(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (3.0, 1.4), (1.5, 2.0)]);
         let z: Vec<f64> = (0..5).map(|i| m[(i, 0)] + 0.1 * m[(i, 1)]).collect();
         let zneg: Vec<f64> = z.iter().map(|v| -v).collect();
-        let a = fit_arrow("z", &m, &z).unwrap();
-        let b = fit_arrow("-z", &m, &zneg).unwrap();
+        let a = try_fit_arrow("z", &m, &z).unwrap();
+        let b = try_fit_arrow("-z", &m, &zneg).unwrap();
         assert!(
             (a.cos_angle_with(&b) + 1.0).abs() < 1e-9,
             "cos = {}",
@@ -250,15 +236,14 @@ mod tests {
         let m = coords(&[(0.0, 0.0), (1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (2.5, 2.5)]);
         let z1: Vec<f64> = (0..5).map(|i| m[(i, 0)] + m[(i, 1)]).collect();
         let z2: Vec<f64> = z1.iter().map(|v| 2.0 * v + 0.3).collect();
-        let a = fit_arrow("a", &m, &z1).unwrap();
-        let b = fit_arrow("b", &m, &z2).unwrap();
+        let a = try_fit_arrow("a", &m, &z1).unwrap();
+        let b = try_fit_arrow("b", &m, &z2).unwrap();
         assert!(a.cos_angle_with(&b) > 0.999);
     }
 
     #[test]
     fn constant_variable_is_degenerate() {
         let m = coords(&[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]);
-        assert!(fit_arrow("c", &m, &[5.0, 5.0, 5.0]).is_none());
         assert!(matches!(
             try_fit_arrow("c", &m, &[5.0, 5.0, 5.0]).unwrap_err(),
             CoplotError::DegenerateVariable(_)
@@ -279,7 +264,7 @@ mod tests {
     fn collinear_configuration_falls_back_to_line() {
         let m = coords(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
         let z = [0.0, 1.0, 2.0, 3.0];
-        let a = fit_arrow("v", &m, &z).unwrap();
+        let a = try_fit_arrow("v", &m, &z).unwrap();
         assert!((a.correlation - 1.0).abs() < 1e-9);
         assert!((a.direction[0].abs() - 1.0).abs() < 1e-9);
     }
@@ -288,7 +273,7 @@ mod tests {
     fn unit_direction() {
         let m = coords(&[(0.1, 0.9), (1.2, 0.3), (-0.5, 1.8), (2.0, -0.7)]);
         let z = [1.0, 2.0, 0.5, 3.0];
-        let a = fit_arrow("v", &m, &z).unwrap();
+        let a = try_fit_arrow("v", &m, &z).unwrap();
         let norm = (a.direction[0].powi(2) + a.direction[1].powi(2)).sqrt();
         assert!((norm - 1.0).abs() < 1e-12);
     }
@@ -298,7 +283,7 @@ mod tests {
         // z varies orthogonally to any linear structure of the config.
         let m = coords(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
         let z = [0.0, 1.0, 0.0, 1.0];
-        let a = fit_arrow("noise", &m, &z).unwrap();
+        let a = try_fit_arrow("noise", &m, &z).unwrap();
         assert!(a.correlation.abs() < 0.5);
     }
 }

@@ -152,11 +152,6 @@ impl DataMatrix {
             .collect()
     }
 
-    /// True when some cell is missing.
-    pub fn has_missing(&self) -> bool {
-        self.cells.iter().any(|c| c.is_none())
-    }
-
     /// A copy keeping only the variables at the given indices, in order.
     ///
     /// # Panics
@@ -178,20 +173,6 @@ impl DataMatrix {
             variables,
             cells,
         }
-    }
-
-    /// A copy keeping only variables by name (unknown names are an error).
-    pub fn select_variables_by_name(&self, names: &[&str]) -> Result<DataMatrix, String> {
-        let mut keep = Vec::with_capacity(names.len());
-        for name in names {
-            let idx = self
-                .variables
-                .iter()
-                .position(|v| v == name)
-                .ok_or_else(|| format!("unknown variable {name:?}"))?;
-            keep.push(idx);
-        }
-        Ok(self.select_variables(&keep))
     }
 
     /// A copy keeping only the observations at the given indices, in order.
@@ -433,7 +414,6 @@ mod tests {
             &[&[Some(1.0)], &[None], &[Some(3.0)]],
         );
         assert!(d.normalize(Imputation::Forbid).is_err());
-        assert!(d.has_missing());
     }
 
     #[test]
@@ -513,8 +493,7 @@ mod tests {
         let z = d.normalize(Imputation::Forbid).unwrap();
         let subset = z.select_variables(&[2, 0]);
         let fresh = d
-            .select_variables_by_name(&["c", "a"])
-            .unwrap()
+            .select_variables(&[2, 0])
             .normalize(Imputation::Forbid)
             .unwrap();
         assert_eq!(subset, fresh);
@@ -546,20 +525,6 @@ mod tests {
     fn too_few_observations_rejected() {
         let d = DataMatrix::from_rows(names("o", 2), names("v", 1), &[&[1.0], &[2.0]]);
         assert!(d.normalize(Imputation::Forbid).is_err());
-    }
-
-    #[test]
-    fn select_variables_by_name() {
-        let d = DataMatrix::from_rows(
-            names("o", 3),
-            vec!["a".into(), "b".into(), "c".into()],
-            &[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]],
-        );
-        let s = d.select_variables_by_name(&["c", "a"]).unwrap();
-        assert_eq!(s.variables(), &["c".to_string(), "a".to_string()]);
-        assert_eq!(s.get(1, 0), Some(6.0));
-        assert_eq!(s.get(1, 1), Some(4.0));
-        assert!(d.select_variables_by_name(&["zzz"]).is_err());
     }
 
     #[test]

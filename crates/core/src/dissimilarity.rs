@@ -4,10 +4,17 @@
 //! (Eq. 2). Euclidean and general Minkowski metrics are provided for the
 //! ablation benches; the MDS stage is metric-agnostic because it only uses
 //! the *order* of the dissimilarities.
+//!
+//! All three metrics are `(sum_v |a_v - b_v|^p)^(1/p)`, so there is one
+//! kernel: [`PairContributions`] keeps each variable's term `|a_v - b_v|^p`
+//! for every observation pair, and [`PairContributions::combine`] sums the
+//! terms of a variable subset and takes the root.
+//! [`DissimilarityMatrix::compute`] is the combination of every variable,
+//! and the engine's elimination rounds and subset searches combine subsets
+//! of one set of contributions.
 
 use crate::data::NormalizedMatrix;
 use crate::error::CoplotError;
-use wl_linalg::vecops;
 
 /// Distance metric between normalized observation rows.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -22,36 +29,98 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Distance between two rows under this metric.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Metric::CityBlock => vecops::cityblock_distance(a, b),
-            Metric::Euclidean => vecops::euclidean_distance(a, b),
-            Metric::Minkowski(p) => vecops::minkowski_distance(a, b, *p),
-        }
-    }
-
-    /// Distances from `a` to four rows at once, one lane per row. Each lane
-    /// is bit-identical to the matching [`Metric::distance`] call; see
-    /// `wl_linalg::vecops` for the lane contract.
-    fn distance4(&self, a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
-        match self {
-            Metric::CityBlock => vecops::cityblock_distance4(a, b),
-            Metric::Euclidean => vecops::euclidean_distance4(a, b),
-            Metric::Minkowski(p) => vecops::minkowski_distance4(a, b, *p),
-        }
-    }
-
-    /// The Minkowski order `p` of this metric. All three metrics are
-    /// `(sum_v |a_v - b_v|^p)^(1/p)`, which is what lets the engine keep
-    /// per-variable contributions `|a_v - b_v|^p` and rebuild distances for
-    /// any variable subset by summing (see `engine`).
+    /// The Minkowski order `p` of this metric: the root that
+    /// [`PairContributions::combine`] takes of its sums.
     pub fn order(&self) -> f64 {
         match self {
             Metric::CityBlock => 1.0,
             Metric::Euclidean => 2.0,
             Metric::Minkowski(p) => *p,
         }
+    }
+}
+
+/// Per-variable dissimilarity contributions `|dz_v|^p` for every observation
+/// pair, kept so any variable subset's dissimilarities can be rebuilt by
+/// summation instead of a fresh pass over the data.
+#[derive(Debug, Clone)]
+pub struct PairContributions {
+    n: usize,
+    order: f64,
+    /// `per_variable[v][pair]` in upper-triangle pair order.
+    per_variable: Vec<Vec<f64>>,
+}
+
+impl PairContributions {
+    /// Contributions of every variable of `z` under `metric`.
+    pub fn compute(z: &NormalizedMatrix, metric: Metric) -> PairContributions {
+        let n = z.n_observations();
+        let p = z.n_variables();
+        let order = metric.order();
+        let n_pairs = n * (n - 1) / 2;
+        // Flat preallocated rows (one per variable) with the metric match
+        // hoisted out of the per-cell loop.
+        let mut per_variable = vec![vec![0.0f64; n_pairs]; p];
+        let mut pair = 0usize;
+        for i in 0..n {
+            for k in (i + 1)..n {
+                let (a, b) = (z.row(i), z.row(k));
+                // The per-term expressions of the plain per-pair fold, so a
+                // combined sum is that fold's value bit for bit.
+                match metric {
+                    Metric::CityBlock => {
+                        for (v, contribs) in per_variable.iter_mut().enumerate() {
+                            contribs[pair] = (a[v] - b[v]).abs();
+                        }
+                    }
+                    Metric::Euclidean => {
+                        for (v, contribs) in per_variable.iter_mut().enumerate() {
+                            let d = a[v] - b[v];
+                            contribs[pair] = d * d;
+                        }
+                    }
+                    Metric::Minkowski(p) => {
+                        for (v, contribs) in per_variable.iter_mut().enumerate() {
+                            contribs[pair] = (a[v] - b[v]).abs().powf(p);
+                        }
+                    }
+                }
+                pair += 1;
+            }
+        }
+        PairContributions {
+            n,
+            order,
+            per_variable,
+        }
+    }
+
+    /// Dissimilarities over the variable subset `keep`.
+    ///
+    /// Each pair's sum starts at +0.0 and adds the variables in the order
+    /// of `keep`, so an ascending `keep` gives the same bits as a fresh
+    /// computation over the subset's columns.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range variable index — a caller bug.
+    pub fn combine(&self, keep: &[usize]) -> DissimilarityMatrix {
+        let mut sums = vec![0.0; self.n * (self.n - 1) / 2];
+        for &v in keep {
+            for (s, &c) in sums.iter_mut().zip(&self.per_variable[v]) {
+                *s += c;
+            }
+        }
+        if self.order == 2.0 {
+            // `.sqrt()` rather than `.powf(0.5)`: the Euclidean root.
+            for s in &mut sums {
+                *s = s.sqrt();
+            }
+        } else if self.order != 1.0 {
+            for s in &mut sums {
+                *s = s.powf(1.0 / self.order);
+            }
+        }
+        DissimilarityMatrix::from_pairs(self.n, sums)
     }
 }
 
@@ -65,32 +134,11 @@ pub struct DissimilarityMatrix {
 }
 
 impl DissimilarityMatrix {
-    /// Compute all pairwise dissimilarities of a normalized matrix.
-    ///
-    /// Row `i`'s partners are processed four at a time through the lane
-    /// kernels in `wl_linalg::vecops` (scalar remainder), which keeps each
-    /// pair's accumulation chain — and therefore every stored value —
-    /// bit-identical to the plain per-pair loop while the four chains
-    /// pipeline. That bitwise guarantee is what lets the engine's
-    /// per-variable contributions (`engine::PairContributions`) reproduce
-    /// this matrix exactly.
+    /// Compute all pairwise dissimilarities of a normalized matrix: the
+    /// [`PairContributions`] of every variable, combined.
     pub fn compute(z: &NormalizedMatrix, metric: Metric) -> DissimilarityMatrix {
-        let n = z.n_observations();
-        let mut upper = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            let a = z.row(i);
-            let mut k = i + 1;
-            while k + 4 <= n {
-                let block = metric.distance4(a, [z.row(k), z.row(k + 1), z.row(k + 2), z.row(k + 3)]);
-                upper.extend_from_slice(&block);
-                k += 4;
-            }
-            while k < n {
-                upper.push(metric.distance(a, z.row(k)));
-                k += 1;
-            }
-        }
-        DissimilarityMatrix { n, upper }
+        let all: Vec<usize> = (0..z.n_variables()).collect();
+        PairContributions::compute(z, metric).combine(&all)
     }
 
     /// Build directly from a full symmetric matrix (used by tests and by
@@ -134,8 +182,8 @@ impl DissimilarityMatrix {
         Ok(DissimilarityMatrix { n, upper })
     }
 
-    /// Build from an already-flattened upper triangle (the engine's
-    /// contribution path). Callers guarantee the length invariant.
+    /// Build from an already-flattened upper triangle (the contribution
+    /// path). Callers guarantee the length invariant.
     pub(crate) fn from_pairs(n: usize, upper: Vec<f64>) -> DissimilarityMatrix {
         debug_assert_eq!(upper.len(), n * (n - 1) / 2, "pair count mismatch");
         DissimilarityMatrix { n, upper }
@@ -275,10 +323,11 @@ mod tests {
         }
     }
 
+    /// Pins stage 2 to the plain per-pair fold of the paper's Eq. 2 and
+    /// its Euclidean and Minkowski siblings: each pair sums its per-variable
+    /// terms in ascending variable order from +0.0, then takes the root.
     #[test]
-    fn blocked_compute_is_bitwise_equal_to_scalar_loop() {
-        // Cover every remainder shape of the 4-lane blocking (n mod 4 in
-        // {0,1,2,3}) and all three metrics.
+    fn compute_is_bitwise_equal_to_naive_per_pair_fold() {
         for n in 3..=11usize {
             let rows: Vec<Vec<f64>> = (0..n)
                 .map(|i| {
@@ -296,18 +345,33 @@ mod tests {
             .normalize(Imputation::Forbid)
             .unwrap();
             for metric in [Metric::CityBlock, Metric::Euclidean, Metric::Minkowski(3.0)] {
-                let fast = DissimilarityMatrix::compute(&z, metric);
-                let mut scalar = Vec::new();
+                let naive = |a: &[f64], b: &[f64]| {
+                    let mut sum = 0.0f64;
+                    for (x, y) in a.iter().zip(b) {
+                        sum += match metric {
+                            Metric::CityBlock => (x - y).abs(),
+                            Metric::Euclidean => (x - y) * (x - y),
+                            Metric::Minkowski(p) => (x - y).abs().powf(p),
+                        };
+                    }
+                    match metric {
+                        Metric::CityBlock => sum,
+                        Metric::Euclidean => sum.sqrt(),
+                        Metric::Minkowski(p) => sum.powf(1.0 / p),
+                    }
+                };
+                let got = DissimilarityMatrix::compute(&z, metric);
+                let mut want = Vec::new();
                 for i in 0..n {
                     for k in (i + 1)..n {
-                        scalar.push(metric.distance(z.row(i), z.row(k)));
+                        want.push(naive(z.row(i), z.row(k)));
                     }
                 }
-                assert_eq!(fast.pairs().len(), scalar.len());
-                for (pair, (f, s)) in fast.pairs().iter().zip(&scalar).enumerate() {
+                assert_eq!(got.pairs().len(), want.len());
+                for (pair, (g, w)) in got.pairs().iter().zip(&want).enumerate() {
                     assert_eq!(
-                        f.to_bits(),
-                        s.to_bits(),
+                        g.to_bits(),
+                        w.to_bits(),
                         "n={n} metric={metric:?} pair={pair}"
                     );
                 }

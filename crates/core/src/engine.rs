@@ -74,13 +74,15 @@
 //! # Subsets and exactness
 //!
 //! Z-scores are per-column, so a column subset of the normalized matrix
-//! equals the normalization of the subset. All three [`Metric`]s are
-//! Minkowski distances `(sum_v |dz_v|^p)^(1/p)`, so the engine keeps the
-//! per-variable contributions `|dz_v|^p` for every observation pair and
-//! builds the dissimilarities of any variable subset by summing the active
+//! equals the normalization of the subset. All three
+//! [`Metric`](crate::Metric)s are Minkowski distances
+//! `(sum_v |dz_v|^p)^(1/p)`, so the engine keeps the per-variable
+//! contributions `|dz_v|^p` for every observation pair and builds the
+//! dissimilarities of any variable subset by summing the active
 //! contributions in ascending variable order — the same floating-point
-//! additions, in the same order, as a direct computation, hence
-//! bit-identical results.
+//! additions, in the same order, as
+//! [`DissimilarityMatrix::compute`](crate::DissimilarityMatrix::compute)
+//! over the subset's z-scores, hence bit-identical results.
 
 use std::fmt;
 use std::sync::Mutex;
@@ -88,103 +90,10 @@ use std::time::{Duration, Instant};
 
 use crate::arrows::try_fit_arrow;
 use crate::data::{DataMatrix, NormalizedMatrix};
-use crate::dissimilarity::{DissimilarityMatrix, Metric};
+use crate::dissimilarity::PairContributions;
 use crate::error::CoplotError;
 use crate::mds::nonmetric_mds;
 use crate::pipeline::{Coplot, CoplotResult};
-
-/// Per-variable dissimilarity contributions `|dz_v|^p` for every observation
-/// pair, kept so any variable subset's dissimilarities can be rebuilt by
-/// summation instead of a fresh pass over the data.
-#[derive(Debug, Clone)]
-pub struct PairContributions {
-    n: usize,
-    order: f64,
-    /// `per_variable[v][pair]` in upper-triangle pair order.
-    per_variable: Vec<Vec<f64>>,
-}
-
-impl PairContributions {
-    /// Contributions of every variable of `z` under `metric`.
-    pub fn compute(z: &NormalizedMatrix, metric: Metric) -> PairContributions {
-        let n = z.n_observations();
-        let p = z.n_variables();
-        let order = metric.order();
-        let n_pairs = n * (n - 1) / 2;
-        // Flat preallocated rows (one per variable) with the metric match
-        // hoisted out of the per-cell loop.
-        let mut per_variable = vec![vec![0.0f64; n_pairs]; p];
-        let mut pair = 0usize;
-        for i in 0..n {
-            for k in (i + 1)..n {
-                let (a, b) = (z.row(i), z.row(k));
-                // Match vecops' per-term expressions exactly so summing
-                // contributions is bit-identical to a direct distance.
-                match metric {
-                    Metric::CityBlock => {
-                        for (v, contribs) in per_variable.iter_mut().enumerate() {
-                            contribs[pair] = (a[v] - b[v]).abs();
-                        }
-                    }
-                    Metric::Euclidean => {
-                        for (v, contribs) in per_variable.iter_mut().enumerate() {
-                            let d = a[v] - b[v];
-                            contribs[pair] = d * d;
-                        }
-                    }
-                    Metric::Minkowski(p) => {
-                        for (v, contribs) in per_variable.iter_mut().enumerate() {
-                            contribs[pair] = (a[v] - b[v]).abs().powf(p);
-                        }
-                    }
-                }
-                pair += 1;
-            }
-        }
-        PairContributions {
-            n,
-            order,
-            per_variable,
-        }
-    }
-
-    /// Number of variables with contributions.
-    pub fn n_variables(&self) -> usize {
-        self.per_variable.len()
-    }
-
-    /// Number of observation pairs per variable row.
-    pub fn n_pairs(&self) -> usize {
-        self.n * (self.n - 1) / 2
-    }
-
-    /// Dissimilarities over the variable subset `keep`.
-    ///
-    /// `keep` must be ascending for bit-identity with a direct computation
-    /// (a direct pass sums variables in ascending order).
-    ///
-    /// # Panics
-    /// Panics on an out-of-range variable index — a caller bug.
-    pub fn combine(&self, keep: &[usize]) -> DissimilarityMatrix {
-        let mut sums = vec![0.0; self.n_pairs()];
-        for &v in keep {
-            for (s, &c) in sums.iter_mut().zip(&self.per_variable[v]) {
-                *s += c;
-            }
-        }
-        if self.order == 2.0 {
-            // `.sqrt()` rather than `.powf(0.5)`: same choice as vecops.
-            for s in &mut sums {
-                *s = s.sqrt();
-            }
-        } else if self.order != 1.0 {
-            for s in &mut sums {
-                *s = s.powf(1.0 / self.order);
-            }
-        }
-        DissimilarityMatrix::from_pairs(self.n, sums)
-    }
-}
 
 /// Which analysis [`CoplotEngine::run`] performs over the data.
 #[derive(Debug, Clone, PartialEq)]
@@ -695,6 +604,7 @@ impl SharedSubsetSession<'_> {
 mod tests {
     use super::*;
     use crate::data::Imputation;
+    use crate::dissimilarity::{DissimilarityMatrix, Metric};
 
     fn structured_data() -> DataMatrix {
         DataMatrix::from_rows(

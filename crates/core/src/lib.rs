@@ -73,12 +73,11 @@ pub use api::{
     Envelope, EnvelopePayload, ErrorBody, HurstOut, Operation, ShardPart, ShardRequest,
     ShardResponse, SubsetEntry, SubsetOut, API_VERSIONS,
 };
-pub use arrows::{fit_arrow, try_fit_arrow, Arrow};
+pub use arrows::{try_fit_arrow, Arrow};
 pub use data::{DataMatrix, Imputation, NormalizedMatrix};
-pub use dissimilarity::{DissimilarityMatrix, Metric};
+pub use dissimilarity::{DissimilarityMatrix, Metric, PairContributions};
 pub use engine::{
-    CoplotEngine, PairContributions, Selection, SharedSubsetSession, Stage, StageReport,
-    StageReportTable,
+    CoplotEngine, Selection, SharedSubsetSession, Stage, StageReport, StageReportTable,
 };
 pub use error::CoplotError;
 pub use mds::{nonmetric_mds, nonmetric_mds_warm, restart_seed, MdsConfig, MdsSolution};

@@ -58,7 +58,6 @@ pub fn double_center(d2: &Matrix) -> Result<Matrix, LinalgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vecops::euclidean_distance;
 
     /// Build the squared Euclidean distance matrix of a point set.
     fn sq_dist_matrix(points: &[Vec<f64>]) -> Matrix {
@@ -66,8 +65,11 @@ mod tests {
         let mut d = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..n {
-                let dist = euclidean_distance(&points[i], &points[j]);
-                d[(i, j)] = dist * dist;
+                d[(i, j)] = points[i]
+                    .iter()
+                    .zip(&points[j])
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
             }
         }
         d

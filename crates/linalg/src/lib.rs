@@ -13,7 +13,9 @@
 //! * the closed-form 2x2 solve behind the arrow fit ([`solve`]),
 //! * orthogonal Procrustes alignment of 2-D configurations, used to compare
 //!   MDS outputs that are only defined up to rotation/reflection
-//!   ([`procrustes`]).
+//!   ([`procrustes`]),
+//! * the four-lane extrema scan of `wl-selfsim`'s R/S analysis
+//!   ([`vecops`]).
 //!
 //! Everything is `f64`; none of the workloads analyzed here are large enough
 //! to justify SIMD or blocking, so clarity wins over micro-optimization.

@@ -1,22 +1,21 @@
 //! Golden snapshot tests: the canonical reproduction outputs must be
 //! byte-exact, at every thread count.
 //!
-//! The snapshots under `tests/golden/` (repo root) pin `table1`, `table3`,
-//! `fig4`, `modelstats` and `subset_search` stdout for the canonical run
-//! (`--seed 1999 --jobs 8192`). Every pipeline behind them — synthesis,
-//! statistics, Hurst estimation, the Co-plot engine, the shared-cache
-//! subset search — is seeded and thread-count-invariant, so the snapshot
-//! holds for `--threads 1` and `--threads 8` alike. A diff here means an
+//! The snapshots under `tests/golden/` (repo root) pin the stdout of every
+//! repro program — `table1`, `table2`, `table3`, `fig1`–`fig5`,
+//! `section8`, `modelstats`, `ablation` and `subset_search` — for the
+//! canonical run (`--seed 1999 --jobs 8192`). Every pipeline behind them —
+//! synthesis, statistics, Hurst estimation, the Co-plot engine, the
+//! shared-cache subset search — is seeded and thread-count-invariant, so
+//! the snapshot holds for `--threads 1` and `--threads 8` alike. A diff here means an
 //! intentional output change (regenerate the snapshot and say so in the
 //! change description) or a real determinism regression.
 //!
-//! Regenerate with:
+//! Regenerate one with (run it outside the repo: some programs write SVGs
+//! under `repro-out/` in the working directory):
 //! ```text
-//! cargo run --bin table1 -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/table1.txt
-//! cargo run --bin table3 -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/table3.txt
-//! cargo run --bin fig4 -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/fig4.txt
-//! cargo run --bin modelstats -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/modelstats.txt
-//! cargo run --bin subset_search -- --seed 1999 --jobs 8192 --threads 1 > tests/golden/subset_search.txt
+//! cargo run --release --bin <program> -- --seed 1999 --jobs 8192 --threads 1 \
+//!     > tests/golden/<program>.txt
 //! ```
 
 use std::process::Command;
@@ -121,6 +120,30 @@ fn subset_search_matches_golden_single_thread() {
 fn subset_search_matches_golden_eight_threads() {
     assert_matches_golden(env!("CARGO_BIN_EXE_subset_search"), "subset_search", "8");
 }
+
+/// One `<program>::matches_golden_{single_thread,eight_threads}` pair for
+/// each program without its own two tests above.
+macro_rules! golden_at_one_and_eight_threads {
+    ($($program:ident),* $(,)?) => {$(
+        mod $program {
+            const EXE: &str = env!(concat!("CARGO_BIN_EXE_", stringify!($program)));
+
+            #[test]
+            fn matches_golden_single_thread() {
+                super::assert_matches_golden(EXE, stringify!($program), "1");
+            }
+
+            #[test]
+            fn matches_golden_eight_threads() {
+                super::assert_matches_golden(EXE, stringify!($program), "8");
+            }
+        }
+    )*};
+}
+
+// `ablation` is the one program whose stage 2 runs the Euclidean and
+// Minkowski metrics as well as the paper's city-block distance.
+golden_at_one_and_eight_threads!(fig1, fig2, fig3, fig5, section8, table2, ablation);
 
 /// Tracing must not leak into stdout: the snapshot holds even with
 /// `--trace json` armed (the trace goes to stderr).

@@ -1,4 +1,4 @@
-//! Block aggregation and autocorrelation (appendix Eqs. 5-10).
+//! Block aggregation (appendix Eq. 8).
 
 /// The aggregated series `X^(m)`: averages of non-overlapping blocks of
 /// size `m` (Eq. 8). A trailing partial block is discarded.
@@ -10,52 +10,6 @@ pub fn aggregate_series(x: &[f64], m: usize) -> Vec<f64> {
     x.chunks_exact(m)
         .map(|block| block.iter().sum::<f64>() / m as f64)
         .collect()
-}
-
-/// Sample autocorrelation function `r(k)` for `k = 0..=max_lag` (Eq. 5),
-/// using the biased (divide by n) covariance convention that keeps the
-/// sequence positive semidefinite.
-///
-/// Returns an empty vector when the series is constant or shorter than 2.
-pub fn autocorrelation(x: &[f64], max_lag: usize) -> Vec<f64> {
-    let n = x.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mean = x.iter().sum::<f64>() / n as f64;
-    let var: f64 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-    if var <= 0.0 {
-        return Vec::new();
-    }
-    (0..=max_lag.min(n - 1))
-        .map(|k| {
-            let cov: f64 = (0..n - k)
-                .map(|i| (x[i] - mean) * (x[i + k] - mean))
-                .sum::<f64>()
-                / n as f64;
-            cov / var
-        })
-        .collect()
-}
-
-/// A crude long-range-dependence check: fits `log r(k) ~ -beta log k` over
-/// positive autocorrelations at lags in `[lo, hi]` and reports the implied
-/// `beta` (Eq. 6). Returns `None` when fewer than 3 usable lags exist.
-pub fn lrd_beta(x: &[f64], lo: usize, hi: usize) -> Option<f64> {
-    let acf = autocorrelation(x, hi);
-    let mut logs_k = Vec::new();
-    let mut logs_r = Vec::new();
-    let top = hi.min(acf.len().saturating_sub(1));
-    for (k, &r) in acf.iter().enumerate().take(top + 1).skip(lo.max(1)) {
-        if r > 0.0 {
-            logs_k.push((k as f64).ln());
-            logs_r.push(r.ln());
-        }
-    }
-    if logs_k.len() < 3 {
-        return None;
-    }
-    wl_stats::linear_fit(&logs_k, &logs_r).map(|f| -f.slope)
 }
 
 #[cfg(test)]
@@ -78,52 +32,5 @@ mod tests {
         let m1 = x.iter().sum::<f64>() / 100.0;
         let m2 = agg.iter().sum::<f64>() / 10.0;
         assert!((m1 - m2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn acf_lag_zero_is_one() {
-        let x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let acf = autocorrelation(&x, 3);
-        assert!((acf[0] - 1.0).abs() < 1e-12);
-        assert!(acf.iter().all(|&r| (-1.0..=1.0).contains(&r)));
-    }
-
-    #[test]
-    fn alternating_series_has_negative_lag_one() {
-        let x: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let acf = autocorrelation(&x, 2);
-        assert!(acf[1] < -0.9);
-        assert!(acf[2] > 0.9);
-    }
-
-    #[test]
-    fn trending_series_has_high_positive_acf() {
-        let x: Vec<f64> = (0..200).map(|i| i as f64).collect();
-        let acf = autocorrelation(&x, 5);
-        assert!(acf[1] > 0.9);
-    }
-
-    #[test]
-    fn constant_series_gives_empty_acf() {
-        assert!(autocorrelation(&[2.0; 10], 3).is_empty());
-        assert!(autocorrelation(&[1.0], 3).is_empty());
-    }
-
-    #[test]
-    fn lrd_beta_on_power_law_acf() {
-        // Construct a series with slowly decaying ACF by cumulative
-        // aggregation of a trend + noise mixture; just assert the function
-        // returns a finite, plausible beta on a trending series.
-        let x: Vec<f64> = (0..500)
-            .map(|i| (i as f64 * 0.03).sin() + i as f64 * 0.002)
-            .collect();
-        let beta = lrd_beta(&x, 1, 50);
-        assert!(beta.is_some());
-        assert!(beta.unwrap().is_finite());
-    }
-
-    #[test]
-    fn lrd_beta_requires_enough_lags() {
-        assert!(lrd_beta(&[1.0, 2.0], 1, 5).is_none());
     }
 }

@@ -43,23 +43,6 @@ impl HurstEstimator {
     }
 }
 
-/// A Hurst estimate with its provenance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HurstEstimate {
-    pub estimator: HurstEstimator,
-    pub h: f64,
-}
-
-/// Run all three estimators on one series.
-pub fn estimate_all(x: &[f64]) -> Vec<HurstEstimate> {
-    HurstEstimator::ALL
-        .iter()
-        .filter_map(|&e| {
-            e.estimate(x).map(|h| HurstEstimate { estimator: e, h })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,18 +77,10 @@ mod tests {
     }
 
     #[test]
-    fn estimate_all_runs_every_estimator() {
-        let gen = FgnDaviesHarte::new(0.7, 4096).unwrap();
-        let x = gen.generate(&mut seeded_rng(99));
-        let all = estimate_all(&x);
-        assert_eq!(all.len(), 3);
-        let labels: Vec<&str> = all.iter().map(|e| e.estimator.label()).collect();
-        assert_eq!(labels, vec!["R/S", "V-T", "Per."]);
-    }
-
-    #[test]
     fn short_series_yield_no_estimates() {
-        assert!(estimate_all(&[1.0, 2.0]).is_empty());
+        for est in HurstEstimator::ALL {
+            assert_eq!(est.estimate(&[1.0, 2.0]), None, "{}", est.label());
+        }
     }
 
     #[test]

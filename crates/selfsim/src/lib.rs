@@ -22,7 +22,7 @@
 //! Supporting substrate:
 //!
 //! * [`fft`] — radix-2 + Bluestein FFT (the periodogram's engine),
-//! * [`aggregate`] — block aggregation and autocorrelation,
+//! * [`aggregate`] — block aggregation,
 //! * [`fgn`] — exact fractional Gaussian noise generators (Davies-Harte
 //!   and Hosking), used to validate the estimators against known `H` and to
 //!   inject long-range dependence into synthesized logs,
@@ -38,9 +38,9 @@ pub mod rs;
 mod table;
 pub mod vartime;
 
-pub use aggregate::{aggregate_series, autocorrelation};
+pub use aggregate::aggregate_series;
 pub use fgn::{FgnDaviesHarte, FgnHosking};
-pub use hurst::{HurstEstimate, HurstEstimator};
+pub use hurst::HurstEstimator;
 pub use online::OnlineHurst;
 pub use periodogram::periodogram_hurst;
 pub use rs::rs_hurst;

@@ -123,6 +123,16 @@ fn days_from_civil(y: i64, m: i64, d: i64) -> i64 {
     era * 146097 + doe - 719468
 }
 
+// Length of a month of the proleptic Gregorian calendar.
+fn days_in_month(year: i64, month: i64) -> i64 {
+    match month {
+        2 if year % 4 == 0 && (year % 100 != 0 || year % 400 == 0) => 29,
+        2 => 28,
+        4 | 6 | 9 | 11 => 30,
+        _ => 31,
+    }
+}
+
 // Inverse of `days_from_civil` (civil_from_days), for the writer.
 fn civil_from_days(z: i64) -> (i64, i64, i64) {
     let z = z + 719468;
@@ -138,7 +148,9 @@ fn civil_from_days(z: i64) -> (i64, i64, i64) {
 }
 
 /// Decode a CLF timestamp (`10/Oct/1999:13:55:36 +0000`, brackets already
-/// stripped) into seconds since the Unix epoch.
+/// stripped) into seconds since the Unix epoch. `None` for a malformed
+/// stamp, a year past 9999, a day past its month's end (Gregorian leap
+/// years) or a zone offset past 23 hours or 59 minutes.
 pub fn parse_clf_time(s: &str) -> Option<f64> {
     let (datetime, zone) = s.split_once(' ')?;
     let mut parts = datetime.split(':');
@@ -157,10 +169,14 @@ pub fn parse_clf_time(s: &str) -> Option<f64> {
     let day: i64 = date_parts.next()?.parse().ok()?;
     let mon = date_parts.next()?;
     let year: i64 = date_parts.next()?.parse().ok()?;
-    if date_parts.next().is_some() || !(1..=31).contains(&day) {
+    let month = MONTHS.iter().position(|m| m.eq_ignore_ascii_case(mon))? as i64 + 1;
+    // CLF years have four digits; a longer one would overflow the seconds.
+    if date_parts.next().is_some()
+        || !(0..=9999).contains(&year)
+        || !(1..=days_in_month(year, month)).contains(&day)
+    {
         return None;
     }
-    let month = MONTHS.iter().position(|m| m.eq_ignore_ascii_case(mon))? as i64 + 1;
     // Zone is +HHMM or -HHMM; local time minus the offset is UTC.
     let (sign, digits) = match zone.as_bytes().first()? {
         b'+' => (1i64, &zone[1..]),
@@ -172,6 +188,9 @@ pub fn parse_clf_time(s: &str) -> Option<f64> {
     }
     let zh: i64 = digits[..2].parse().ok()?;
     let zm: i64 = digits[2..].parse().ok()?;
+    if zh > 23 || zm > 59 {
+        return None;
+    }
     let offset = sign * (zh * 3600 + zm * 60);
     let days = days_from_civil(year, month, day);
     Some((days * 86400 + hh * 3600 + mm * 60 + ss.min(59) - offset) as f64)
@@ -465,7 +484,16 @@ alpha.example.com - - [01/Jan/1999:00:05:00 +0000] \"GET /docs/c.html HTTP/1.0\"
             parse_clf_time("31/Dec/1998:23:00:00 -0100"),
             Some(915148800.0)
         );
-        for epoch in [0.0, 915148800.0, 939736536.0] {
+        // Month lengths, leap days included.
+        assert_eq!(
+            parse_clf_time("29/Feb/2000:00:00:00 +0000"),
+            Some(951782400.0)
+        );
+        assert_eq!(
+            parse_clf_time("30/Apr/1999:00:00:00 +0000"),
+            Some(925430400.0)
+        );
+        for epoch in [0.0, 915148800.0, 939736536.0, 951782400.0, 925430400.0] {
             let formatted = fmt_clf_time(epoch);
             let inner = formatted.trim_start_matches('[').trim_end_matches(']');
             assert_eq!(parse_clf_time(inner), Some(epoch), "{formatted}");
@@ -480,6 +508,18 @@ alpha.example.com - - [01/Jan/1999:00:05:00 +0000] \"GET /docs/c.html HTTP/1.0\"
             "01/Jan/1999:25:00:00 +0000",
             "01/Jan/1999:00:00:00 0000",
             "01/Jan/1999:00:00:00 +00x0",
+            // Days past their month's end: no roll-over into the next.
+            "31/Feb/1999:00:00:00 +0000",
+            "29/Feb/1999:00:00:00 +0000",
+            "29/Feb/1900:00:00:00 +0000",
+            "31/Apr/1999:00:00:00 +0000",
+            // Years outside 0..=9999 (the seconds would overflow).
+            "01/Jan/99999999999999:00:00:00 +0000",
+            "01/Jan/-1:00:00:00 +0000",
+            // Zone offsets past 23 hours or 59 minutes.
+            "01/Jan/1999:00:00:00 +9960",
+            "01/Jan/1999:00:00:00 +2400",
+            "01/Jan/1999:00:00:00 -0060",
             "garbage",
         ] {
             assert_eq!(parse_clf_time(bad), None, "{bad}");

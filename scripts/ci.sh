@@ -148,6 +148,24 @@ web_mb=$(own_peak_mb ./target/release/wl generate web --site 0 --jobs 262144 --s
 test "$web_mb" -lt 100 \
   || { echo "wl generate web --jobs 262144 peaked at $web_mb MB (want < 100)"; exit 1; }
 
+echo "== stream bytes (wl stream over two of those traces keeps its sha256) =="
+# These pins hold the whole stream (frames, drift lines, Hurst estimates)
+# byte for byte, so a changed float in any frame's stage 2 or later fails
+# here. The grid trace is paper-repro's stream input.
+pin_dir=$(mktemp -d)
+./target/release/wl generate grid --site 0 --jobs 40000 --seed 42 --out "$pin_dir/grid0.gwf"
+./target/release/wl generate web --site 1 --jobs 20000 --seed 7 --out "$pin_dir/web1.log"
+while read -r want_sha trace_file stream_args; do
+  got_sha=$(./target/release/wl stream "$pin_dir/$trace_file" $stream_args --threads 2 \
+    | sha256sum | cut -d' ' -f1)
+  test "$got_sha" = "$want_sha" \
+    || { echo "wl stream $trace_file $stream_args: sha256 $got_sha (want $want_sha)"; exit 1; }
+done <<'SHAS'
+03b312b29d51be6d817b4c76408c2af233b750bd5b0ebc53703a5969774d6131 grid0.gwf --window 256
+9c2bc1a90d5c90461c71d957122369e55466956e14a1292e92449ccb2fe6e358 web1.log --window 128 --no-hurst
+SHAS
+rm -rf "$pin_dir"
+
 echo "== repro bad flag (table1 --bogus exits 2 with a message, no panic) =="
 bogus_rc=0
 bogus_err=$("$repro_bin/table1" --bogus 2>&1 >/dev/null) || bogus_rc=$?
